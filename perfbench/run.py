@@ -34,16 +34,23 @@ import time
 import traceback
 
 import common
+import hostspeed
 import tracing
 import workloads
 
-#: fresh interpreters timed importing the program; the median is reported
+#: fresh interpreters timed importing the program; the median is reported.
+#: Each calibrates itself around the import: a child may run on another
+#: vCPU than the parent, at another speed.
 IMPORT_REPS = 5
 IMPORT_SNIPPET = (
-    "import time, sys\n"
+    "import time, sys, hostspeed\n"
+    "before = hostspeed.calibrate()\n"
     "started = time.perf_counter()\n"
     "import repro.stream, repro.experiments, repro.attacks\n"
-    "sys.stdout.write(repr(time.perf_counter() - started))\n"
+    "elapsed = time.perf_counter() - started\n"
+    "sys.stdout.write(repr(\n"
+    "    hostspeed.scale(elapsed, before, hostspeed.calibrate())\n"
+    "))\n"
 )
 #: a traced run spends this share of --seconds on real (untimed) jobs
 #: that give the end-to-end median, and the rest on traced replays
@@ -95,12 +102,15 @@ def ensure_inputs(seed: int, tiny: bool) -> float:
 
 
 def import_seconds() -> float:
-    """Median time a fresh interpreter takes to import the program."""
+    """Median time a fresh interpreter takes to import the program,
+    scaled to the reference host speed."""
+    env = child_env()
+    env["PYTHONPATH"] += os.pathsep + str(common.BENCH_DIR)
     times = []
     for _ in range(IMPORT_REPS):
         done = subprocess.run(
             [sys.executable, "-c", IMPORT_SNIPPET], check=True,
-            env=child_env(), capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=120,
         )
         times.append(float(done.stdout))
     return statistics.median(times)
@@ -133,22 +143,26 @@ class Loop:
         self.attempted = 0
         self.failed = 0
 
-    def job(self) -> float:
+    def job(self) -> tuple[float, float]:
+        """Run and check one job; return its raw and its scaled seconds
+        (:mod:`hostspeed`)."""
         gc.collect()
+        before = hostspeed.calibrate()
         started = time.perf_counter()
+        raised = False
         try:
             output = self.workload.job()
         except Exception:  # a raising job is a failed job, not a crash
             traceback.print_exc()
-            elapsed, ok = time.perf_counter() - started, False
-        else:
-            elapsed = time.perf_counter() - started
-            ok = self.workload.check(output)
+            raised = True
+        elapsed = time.perf_counter() - started
+        scaled = hostspeed.scale(elapsed, before, hostspeed.calibrate())
+        ok = not raised and self.workload.check(output)
         self.attempted += 1
         self.failed += not ok
-        return elapsed
+        return elapsed, scaled
 
-    def run(self, seconds: float, at_least: int = 3) -> list[float]:
+    def run(self, seconds: float, at_least: int = 3) -> list[tuple[float, float]]:
         times = []
         deadline = time.perf_counter() + seconds
         while len(times) < at_least or time.perf_counter() < deadline:
@@ -157,16 +171,17 @@ class Loop:
 
 
 def measure(workload, loop: Loop, seconds: float, import_s: float):
-    """The end-to-end metrics, with tracing off."""
+    """The end-to-end metrics, with tracing off and times scaled to the
+    reference host speed."""
     prepare_s = workload.setup()
     cold = []
     for _ in range(workload.cold_jobs):
         workload.restart()
-        cold.append(loop.job())
+        cold.append(loop.job()[1])
     if not cold:
         loop.job()  # let lazy set-up and allocator growth finish untimed
-    times = loop.run(seconds)
-    job_s = statistics.median(times)
+    raw, scaled = zip(*loop.run(seconds))
+    job_s = statistics.median(scaled)
     pool_s = statistics.median(cold) - job_s if cold else 0.0
     metrics = {
         "rows_per_s": workload.rows_per_job / job_s,
@@ -176,9 +191,12 @@ def measure(workload, loop: Loop, seconds: float, import_s: float):
         ),
     }
     notes = {
-        "jobs": len(times),
-        "job_s": times,
+        "jobs": len(scaled),
+        "job_s": scaled,
+        "job_raw_s": raw,
         "job_median_s": job_s,
+        "job_raw_median_s": statistics.median(raw),
+        "host_slowdown": statistics.median(raw) / job_s,
         "import_s": import_s,
         "prepare_s": prepare_s,
         "pool_start_s": pool_s,
@@ -193,7 +211,8 @@ def traced(workload, loop: Loop, seconds: float):
     """The per-layer metrics of a traced replay."""
     workload.setup()
     loop.job()
-    times = loop.run(seconds * TRACE_REAL_SHARE)
+    # raw times: the replay's layer self times are raw too
+    times = [raw for raw, _ in loop.run(seconds * TRACE_REAL_SHARE)]
     job_s = statistics.median(times)
     result = tracing.traced_run(
         workload, seconds * (1 - TRACE_REAL_SHARE), job_s

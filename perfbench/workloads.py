@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
 from pathlib import Path
 
 import common
+import hostspeed
 
 #: set-up repetitions whose median is reported
 SETUP_REPS = 3
@@ -219,12 +219,12 @@ class SweepCell(Workload):
         ]
 
     def setup(self) -> float:
-        """The passes' embeds, cold hash caches each time."""
+        """The passes' embeds, cold hash caches each time (scaled
+        seconds, :mod:`hostspeed`)."""
         times = []
         for _ in range(SETUP_REPS):
-            started = time.perf_counter()
-            self.passes = self._embed_passes()
-            times.append(time.perf_counter() - started)
+            self.passes, _, scaled = hostspeed.timed(self._embed_passes)
+            times.append(scaled)
         return statistics.median(times)
 
     def attack(self, x):
