@@ -2,23 +2,21 @@
 
 The paper's pitch includes "massive data" (840 M-tuple relations, marked in
 subsamples); this bench records the scalability of the implementation
-across the three execution backends:
+across the two execution backends:
 
 * **scalar** — the row-at-a-time reference path;
-* **engine** — the PR-1 batched :class:`~repro.crypto.HashEngine` columnar
-  path (memoized digests + derived maps);
-* **vector** — the NumPy kernel backend (column codes + plan arrays +
-  ``bincount`` tallies), the path AUTO picks at these sizes.
+* **vector** — the NumPy kernel backend (column codes + plan arrays over
+  the memoized :class:`~repro.crypto.HashEngine` + ``bincount`` tallies),
+  the default at every size.
 
-Each backend is reported in two regimes:
+The vector backend is reported in two regimes:
 
 * **cold** — first contact with the relation: digests must actually be
   computed, so the win over scalar comes from batching, columnar scans and
   the copy-on-write clone;
 * **steady** — the relation has been seen before (the attack-sweep and
-  re-verification regime): the engine path answers from the carrier-plan
-  cache; the vector path re-detects on cached codes and plan arrays
-  without touching per-row Python at all.
+  re-verification regime): the vector path re-detects on cached codes and
+  plan arrays without touching per-row Python at all.
 
 Besides the usual text table, the series is appended to
 ``benchmarks/results/throughput.json`` (via the shared ``record_json``
@@ -33,7 +31,6 @@ from conftest import once
 
 from repro.core import Watermark, Watermarker
 from repro.crypto import (
-    ENGINE,
     SCALAR,
     VECTOR,
     MarkKey,
@@ -53,11 +50,10 @@ SIZES = tuple(
     ).split(",")
     if part.strip()
 )
-ASSERT_SIZE = 32_000   # acceptance tier for the engine-vs-scalar speedup
-VECTOR_ASSERT_SIZE = 128_000  # acceptance tier for vector-vs-engine
+ASSERT_SIZE = 32_000   # acceptance tier for the vector-vs-scalar speedup
 STEADY_ROUNDS = 3
 
-BACKENDS = (SCALAR, ENGINE, VECTOR)
+BACKENDS = (SCALAR, VECTOR)
 
 WATERMARK = Watermark.from_int(0x2AB, 10)
 
@@ -67,10 +63,10 @@ def _measure(make_marker, table):
 
     "Cold" is a first pass with empty caches; "steady" the best subsequent
     pass — for the scalar back end the two only differ by machine noise,
-    for the engine and vector back ends the steady pass runs entirely from
-    the carrier-plan / plan-array caches.  Detection gets its own fresh
-    marker (registry cleared) so the cold number is genuinely cold rather
-    than pre-warmed by embedding.
+    for the vector back end the steady pass runs entirely from the
+    plan-array caches.  Detection gets its own fresh marker (registry
+    cleared) so the cold number is genuinely cold rather than pre-warmed
+    by embedding.
     """
     clear_engine_registry()
     marker = make_marker()
@@ -126,15 +122,15 @@ def run_scaling():
             (
                 size,
                 f"{point['scalar_embed']:,.0f}",
-                f"{point['engine_embed_steady']:,.0f}",
+                f"{point['vector_embed_cold']:,.0f}",
                 f"{point['vector_embed_steady']:,.0f}",
                 f"{point['scalar_detect']:,.0f}",
-                f"{point['engine_detect_steady']:,.0f}",
+                f"{point['vector_detect_cold']:,.0f}",
                 f"{point['vector_detect_steady']:,.0f}",
             )
         )
-    # Cache telemetry for the largest tier's final (vector) run — how the
-    # warm numbers above are actually achieved.
+    # Cache telemetry for the largest tier's vector run — how the warm
+    # numbers above are actually achieved.
     telemetry = {
         "engine": get_engine(key).cache_info(),
         "table": table.cache_info() if table is not None else {},
@@ -150,10 +146,10 @@ def test_throughput(benchmark, record, record_json):
             (
                 "tuples",
                 "embed scalar t/s",
-                "embed engine steady",
+                "embed vector cold",
                 "embed vector steady",
                 "detect scalar t/s",
-                "detect engine steady",
+                "detect vector cold",
                 "detect vector steady",
             ),
             rows,
@@ -162,7 +158,7 @@ def test_throughput(benchmark, record, record_json):
     record_json(
         "throughput",
         {
-            "backend": "scalar+engine+vector",
+            "backend": "scalar+vector",
             "tuples_per_second": {
                 str(size): {
                     metric: round(rate) for metric, rate in point.items()
@@ -181,29 +177,17 @@ def test_throughput(benchmark, record, record_json):
             }
         )
 
-        # Acceptance: the engine's steady-state (attack-sweep regime)
-        # beats the row-at-a-time scalar reference >= 5x on both paths at
-        # the 32k tier.
-        assert tier["engine_embed_steady"] >= 5 * tier["scalar_embed"], tier
-        assert tier["engine_detect_steady"] >= 5 * tier["scalar_detect"], tier
+        # Acceptance: the vector backend's steady state (attack-sweep
+        # regime) beats the row-at-a-time scalar reference >= 5x on both
+        # paths at the 32k tier.
+        assert tier["vector_embed_steady"] >= 5 * tier["scalar_embed"], tier
+        assert tier["vector_detect_steady"] >= 5 * tier["scalar_detect"], tier
 
-    # Acceptance: the vector kernels beat the engine path's warm numbers
-    # >= 2x on embed and >= 3x on detect at the 128k tier (measured ~2.6x
-    # and ~18x on the 1-core dev box — detection is pure array code).
-    if VECTOR_ASSERT_SIZE in series:
-        vector_tier = series[VECTOR_ASSERT_SIZE]
-        assert vector_tier["vector_embed_steady"] >= \
-            2 * vector_tier["engine_embed_steady"], vector_tier
-        assert vector_tier["vector_detect_steady"] >= \
-            3 * vector_tier["engine_detect_steady"], vector_tier
-
-    # Single-scan algorithms: cold rates at the largest size stay within
-    # 4x of the smallest (no superlinear blowup)...
-    for backend in (ENGINE, VECTOR):
-        assert series[SIZES[-1]][f"{backend}_embed_cold"] > \
-            series[SIZES[0]][f"{backend}_embed_cold"] / 4
-        assert series[SIZES[-1]][f"{backend}_detect_cold"] > \
-            series[SIZES[0]][f"{backend}_detect_cold"] / 4
-        # ...and the absolute floor is comfortably above the seed's 20k t/s.
-        assert series[SIZES[-1]][f"{backend}_embed_cold"] > 20_000
-        assert series[SIZES[-1]][f"{backend}_detect_cold"] > 20_000
+    # Single-scan algorithms: vector cold rates at the largest size stay
+    # within 4x of the smallest (no superlinear blowup)...
+    largest, smallest = series[SIZES[-1]], series[SIZES[0]]
+    assert largest["vector_embed_cold"] > smallest["vector_embed_cold"] / 4
+    assert largest["vector_detect_cold"] > smallest["vector_detect_cold"] / 4
+    # ...and the absolute floor is comfortably above the seed's 20k t/s.
+    assert largest["vector_embed_cold"] > 20_000
+    assert largest["vector_detect_cold"] > 20_000

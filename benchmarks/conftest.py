@@ -62,14 +62,6 @@ def record():
     return _record
 
 
-def _default_backend_label() -> str:
-    """The backend the AUTO heuristic picks at the bench workload scale —
-    what a bench that doesn't select backends explicitly actually ran on."""
-    from repro.core import auto_backend
-
-    return auto_backend(PAPER_CONFIG.tuple_count)
-
-
 @pytest.fixture(scope="session")
 def record_json(request):
     """Append one structured run entry to ``<bench-json-dir>/<name>.json``.
@@ -78,8 +70,9 @@ def record_json(request):
     ``{"timestamp": ..., **payload}`` so trajectories (throughput, sweep
     speedups, detection rates) accumulate across runs in one uniform
     format.  Every entry is additionally stamped with ``cpu_count`` and
-    ``backend`` (overridable through the payload) so throughput
-    trajectories stay comparable across hosts and execution backends.
+    ``backend`` (the default ``vector``, overridable through the payload)
+    so throughput trajectories stay comparable across hosts and execution
+    backends.
     """
     base = Path(request.config.getoption("--bench-json"))
     base.mkdir(parents=True, exist_ok=True)
@@ -95,7 +88,7 @@ def record_json(request):
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "cpu_count": os.cpu_count(),
-                "backend": _default_backend_label(),
+                "backend": "vector",
                 **payload,
             }
         )

@@ -10,7 +10,6 @@ from .base import (
     ATTACK_ROWS,
     Attack,
     IdentityAttack,
-    codes_backend_available,
 )
 from .composite import CompositeAttack
 from .horizontal import (
@@ -29,7 +28,6 @@ __all__ = [
     "ATTACK_ROWS",
     "AdditiveWatermarkAttack",
     "Attack",
-    "codes_backend_available",
     "BijectiveRemapAttack",
     "CompositeAttack",
     "DataLossAttack",

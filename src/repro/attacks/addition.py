@@ -14,13 +14,10 @@ from __future__ import annotations
 import random
 from typing import Hashable
 
+import numpy as np
+
 from ..relational import Table, empirical_distribution
 from .base import Attack
-
-try:  # the codes fast path needs numpy; the rows path never does
-    import numpy as _np
-except ImportError:  # pragma: no cover - slim installs only
-    _np = None
 
 
 class SubsetAdditionAttack(Attack):
@@ -86,7 +83,7 @@ class SubsetAdditionAttack(Attack):
                     table.column_view(attribute)
                 )
             else:
-                counts = _np.bincount(
+                counts = np.bincount(
                     codes.codes, minlength=len(codes.uniques)
                 ).tolist()
                 distribution = [

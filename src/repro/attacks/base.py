@@ -25,7 +25,7 @@ engine's ``f"attack:{seed}:{x}"`` contract), so selecting a backend can
 never change an experiment's outputs — pinned by
 ``tests/attacks/test_attack_codes_equivalence.py``.  :attr:`Attack.backend`
 selects the path: ``auto`` (default) takes ``codes`` whenever the attack
-implements it and NumPy is importable.
+implements it.
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ ATTACK_AUTO = "auto"
 ATTACK_ROWS = "rows"
 ATTACK_CODES = "codes"
 ATTACK_BACKENDS = (ATTACK_AUTO, ATTACK_ROWS, ATTACK_CODES)
-
-_numpy_available: bool | None = None
-
-
-def codes_backend_available() -> bool:
-    """Can the ``codes`` attack backend run (does NumPy import)?"""
-    global _numpy_available
-    if _numpy_available is None:
-        try:
-            import numpy  # noqa: F401 - availability probe
-
-            _numpy_available = True
-        except ImportError:  # pragma: no cover - slim installs only
-            _numpy_available = False
-    return _numpy_available
 
 
 class Attack(abc.ABC):
@@ -89,7 +74,7 @@ class Attack(abc.ABC):
         """
         backend = self.backend
         if backend == ATTACK_AUTO:
-            if self._has_codes_path() and codes_backend_available():
+            if self._has_codes_path():
                 return self.apply_codes(table, rng)
             return self.apply_rows(table, rng)
         if backend == ATTACK_CODES:

@@ -42,10 +42,11 @@ plus the experiment harness (previously Python-API-only)::
                      --xs 0.2,0.4,0.6 --passes 15 \\
                      --backend vector --mode hoisted [--json out.json]
     repro-wm figure  --figure 4 --tuples 6000 --items 500 --passes 15 \\
-                     --backend auto --mode auto [--json out.json]
+                     --backend vector --mode auto [--json out.json]
 
 ``--backend`` selects the (bit-identical) execution backend of every
-pass's embed/verify; ``--mode`` the sweep engine's execution mode
+pass's embed/verify — ``vector`` (default) or the ``scalar`` reference;
+``--mode`` the sweep engine's execution mode
 (``serial`` re-embeds per cell — the reference cost model).
 
 Checkpointed embeds journal a chunk-hash manifest next to the
@@ -791,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.set_defaults(handler=cmd_detect)
 
-    backend_choices = ("auto", "scalar", "engine", "vector")
+    backend_choices = ("scalar", "vector")
     mode_choices = ("auto", "serial", "hoisted", "pooled")
 
     sweep = sub.add_parser(
@@ -826,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="alteration bit-kill probability p (paper's estimate: 0.7)",
     )
     sweep.add_argument(
-        "--backend", choices=backend_choices, default="auto",
+        "--backend", choices=backend_choices, default="vector",
         help="execution backend for embed/verify (bit-identical)",
     )
     sweep.add_argument(
@@ -853,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--passes", type=int, default=15, help="keyed passes per point"
     )
-    figure.add_argument("--backend", choices=backend_choices, default="auto")
+    figure.add_argument("--backend", choices=backend_choices, default="vector")
     figure.add_argument("--mode", choices=mode_choices, default="auto")
     figure.add_argument(
         "--json", default=None, help="optional JSON output path"

@@ -43,7 +43,6 @@ from .incremental import (
     verify_watermark_consistency,
 )
 from .fitness import count_fit, expected_bandwidth, fit_keys, fit_rows, is_fit
-from .kernels import VECTOR_MIN_ROWS, auto_backend, numpy_available
 from .frequency import (
     FrequencyEmbeddingResult,
     FrequencyMarkRecord,
@@ -100,11 +99,9 @@ __all__ = [
     "VoteAccumulator",
     "VerifyOutcome",
     "Watermark",
-    "VECTOR_MIN_ROWS",
     "Watermarker",
     "WatermarkingError",
     "add_watermarked_tuples",
-    "auto_backend",
     "apply_mapping",
     "build_pair_closure",
     "count_fit",
@@ -129,7 +126,6 @@ __all__ = [
     "integer_key_generator",
     "is_fit",
     "make_spec",
-    "numpy_available",
     "recover_mapping",
     "recovery_quality",
     "slot_index",

@@ -252,15 +252,15 @@ def extract_slots(
     domain and are skipped).
 
     ``engine`` selects the execution backend exactly as in
-    :func:`repro.core.embedding.embed` (SCALAR / ENGINE / VECTOR / AUTO or
-    an explicit :class:`HashEngine`); with a shared engine a repeated
-    detection of the same relation (attack sweeps, benchmarks) re-hashes
-    nothing at all, and the vector backend additionally runs the per-row
-    work as NumPy gathers over cached column codes.
+    :func:`repro.core.embedding.embed` (SCALAR, VECTOR / ``None``, or an
+    explicit :class:`HashEngine` for VECTOR); with a shared engine a
+    repeated detection of the same relation (attack sweeps, benchmarks)
+    re-hashes nothing at all, and the per-row work runs as NumPy gathers
+    over cached column codes.
     """
     resolved_domain = _resolve_domain(table, spec, embedding_map, domain)
 
-    if engine != SCALAR and kernels.use_vector(engine, table):
+    if engine != SCALAR:
         return kernels.extract_slots_vector(
             table,
             spec,
@@ -270,7 +270,7 @@ def extract_slots(
             resolve_backend(engine, key),
         )
     return _scan_votes(
-        table, key, spec, embedding_map, resolved_domain, value_mapping, engine
+        table, key, spec, embedding_map, resolved_domain, value_mapping
     ).resolve()
 
 
@@ -293,7 +293,7 @@ def extract_slot_votes(
     matches :func:`extract_slots` exactly.
     """
     resolved_domain = _resolve_domain(table, spec, embedding_map, domain)
-    if engine != SCALAR and kernels.use_vector(engine, table):
+    if engine != SCALAR:
         return SlotVotes.from_arrays(
             *kernels.extract_votes_vector(
                 table,
@@ -305,7 +305,7 @@ def extract_slot_votes(
             )
         )
     return _scan_votes(
-        table, key, spec, embedding_map, resolved_domain, value_mapping, engine
+        table, key, spec, embedding_map, resolved_domain, value_mapping
     )
 
 
@@ -316,9 +316,8 @@ def _scan_votes(
     embedding_map: dict[Hashable, int] | None,
     resolved_domain: CategoricalDomain,
     value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine | str | None,
 ) -> SlotVotes:
-    """The SCALAR/ENGINE row scan, tallying votes without resolving them.
+    """The SCALAR row scan, tallying votes without resolving them.
 
     Count-based voting: per-slot (total, ones, first-vote) tallies
     replace the list-of-vote-lists — same majority and same first-vote
@@ -330,23 +329,7 @@ def _scan_votes(
     votes_ones = [0] * spec.channel_length
     votes_first: list[int | None] = [None] * spec.channel_length
     fit_count = 0
-    if engine == SCALAR:
-        fit, slot_of = _scan_scalar(table, key, spec)
-    else:
-        engine = resolve_backend(engine, key)
-        plan = engine.plan(spec.e, spec.channel_length)
-        key_column = table.column_view(spec.key_attribute)
-        if spec.key_attribute == table.primary_key:
-            distinct = key_column  # primary keys are unique already
-        else:
-            distinct = dict.fromkeys(key_column)
-        fit = plan.fitness(distinct)
-        if spec.variant == VARIANT_KEYED:
-            slot_of = plan.slots(
-                [value for value in distinct if fit[value]]
-            )
-        else:
-            slot_of = None
+    fit, slot_of = _scan_scalar(table, key, spec)
 
     keyed_variant = spec.variant == VARIANT_KEYED
     in_domain = resolved_domain.__contains__
@@ -504,7 +487,7 @@ def extract_slots_multipass(
 
     Routes through the fused :func:`repro.core.kernels.detect_multipass`
     kernel — one carrier gather + one ``bincount`` for all passes — when
-    the backend is vector-eligible and every suspect relation shares one
+    the backend is VECTOR and every suspect relation shares one
     key-column factorization object (the §5 sweep-cell regime: attacked
     clones of one base).  Otherwise it degrades to per-pass
     :func:`extract_slots` calls; both routes are bit-identical.
@@ -528,7 +511,6 @@ def extract_slots_multipass(
     if (
         len(tables) > 1
         and engine != SCALAR
-        and all(kernels.use_vector(engine, table) for table in tables)
         and kernels.shared_key_codes(tables, spec.key_attribute) is not None
     ):
         domains = []

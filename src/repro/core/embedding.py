@@ -27,13 +27,11 @@ preserving both the keyed pseudo-randomness of the value choice and the
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from ..crypto import (
     SCALAR,
-    CarrierPlan,
     HashEngine,
     MarkKey,
     bit_length,
@@ -271,13 +269,10 @@ def embed(
     without one a permissive guard is used (all changes logged, none vetoed).
 
     ``engine`` selects the execution backend: ``None`` /
-    :data:`~repro.crypto.AUTO` pick the NumPy vector kernels for large
-    relations and the batched engine path otherwise (both on the shared
-    :class:`HashEngine` for ``key``), an explicit engine instance forces
-    the engine path with that instance, and the
-    :data:`~repro.crypto.SCALAR` / :data:`~repro.crypto.ENGINE` /
-    :data:`~repro.crypto.VECTOR` sentinels force a specific backend.  All
-    backends are bit-identical.
+    :data:`~repro.crypto.VECTOR` run the NumPy vector kernels on the
+    shared :class:`HashEngine` for ``key``, an explicit engine instance
+    runs them on that instance, and :data:`~repro.crypto.SCALAR` forces
+    the row-at-a-time reference.  Both backends are bit-identical.
     """
     _validate_against_table(spec, table)
     if len(watermark) != spec.watermark_length:
@@ -307,7 +302,7 @@ def embed(
         guard_report=guard.report,
     )
 
-    if engine != SCALAR and kernels.use_vector(engine, table):
+    if engine != SCALAR:
         return kernels.embed_vector(
             table,
             spec,
@@ -318,46 +313,23 @@ def embed(
             resolve_backend(engine, key),
         )
 
-    if engine == SCALAR:
-        carriers, carrier_pks, carrier_value, digests = _gather_scalar(
-            table, key, spec
-        )
-        slot_of = None
-        pair_of = None
-    else:
-        engine = resolve_backend(engine, key)
-        plan = engine.plan(spec.e, spec.channel_length, domain.size)
-        carriers, carrier_pks, carrier_value = _gather_batched(
-            table, plan, spec
-        )
-        digests = None
-        if spec.variant == VARIANT_KEYED:
-            slot_of = plan.slots(carriers)
-        else:
-            slot_of = None
-        pair_of = plan.pairs(carriers)
-
+    carriers, carrier_pks, carrier_value, digests = _gather_scalar(
+        table, key, spec
+    )
     sequential_index = 0
     for key_value in carriers:
         result.fit_count += 1
         if spec.variant == VARIANT_KEYED:
-            if slot_of is not None:
-                slot = slot_of[key_value]
-            else:
-                slot = slot_index(key_value, key.k2, spec.channel_length)
+            slot = slot_index(key_value, key.k2, spec.channel_length)
         else:
             slot = sequential_index % spec.channel_length
             assert result.embedding_map is not None
             result.embedding_map[key_value] = slot
             sequential_index += 1
         bit = wm_data[slot]
-        if pair_of is not None:
-            target_index = 2 * pair_of[key_value] + bit
-        else:
-            assert digests is not None
-            target_index = embedded_value_index_from_digest(
-                digests[key_value], bit, domain
-            )
+        target_index = embedded_value_index_from_digest(
+            digests[key_value], bit, domain
+        )
         new_value = domain.value_at(target_index)
 
         if carrier_value[key_value] == new_value:
@@ -417,47 +389,3 @@ def _gather_scalar(
         else:
             unfit.add(key_value)
     return carriers, carrier_pks, carrier_value, digests
-
-
-def _gather_batched(
-    table: Table, plan: "CarrierPlan", spec: EmbeddingSpec
-) -> tuple[
-    list[Hashable],
-    dict[Hashable, "Sequence[Hashable]"],
-    dict[Hashable, Any],
-]:
-    """Columnar carrier scan: batch-hash the distinct key values, then
-    group carriers without materializing row tuples.
-
-    Same carrier order (first physical encounter) and same outputs as
-    :func:`_gather_scalar`.
-    """
-    key_column = table.column_view(spec.key_attribute)
-    if spec.key_attribute == table.primary_key:
-        # Primary keys are unique: no dedup pass, every row is its own
-        # carrier group, and the few carrier mark values are fetched
-        # point-wise instead of materializing the whole mark column.
-        fit = plan.fitness(key_column)
-        carriers = [value for value in key_column if fit[value]]
-        carrier_pks = {value: (value,) for value in carriers}
-        carrier_value = dict(
-            zip(carriers, table.values_for(carriers, spec.mark_attribute))
-        )
-        return carriers, carrier_pks, carrier_value
-    fit = plan.fitness(dict.fromkeys(key_column))
-    mark_column = table.column_view(spec.mark_attribute)
-    pk_column = table.column_view(table.primary_key)
-    carrier_pks: dict[Hashable, list[Hashable]] = {}
-    carrier_value: dict[Hashable, Any] = {}
-    carriers: list[Hashable] = []
-    for key_value, pk, mark in zip(key_column, pk_column, mark_column):
-        if not fit[key_value]:
-            continue
-        group = carrier_pks.get(key_value)
-        if group is not None:
-            group.append(pk)
-            continue
-        carrier_pks[key_value] = [pk]
-        carrier_value[key_value] = mark
-        carriers.append(key_value)
-    return carriers, carrier_pks, carrier_value

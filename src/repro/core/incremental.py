@@ -156,14 +156,12 @@ class IncrementalWatermarker:
     def _prefetch_scan(self) -> None:
         """Batch-resolve fitness/slot/pair for every current key before a
         full-table sweep, so the per-row kernel only performs dict hits."""
-        plan = self._engine.plan(
-            self.spec.e, self.spec.channel_length, self._domain.size
-        )
+        engine = self._engine
         distinct = dict.fromkeys(self.table.column_view(self.table.primary_key))
-        fit = plan.fitness(distinct)
+        fit = engine.fitness_map(distinct, self.spec.e)
         fit_values = [value for value in distinct if fit[value]]
-        plan.slots(fit_values)
-        plan.pairs(fit_values)
+        engine.slot_map(fit_values, self.spec.channel_length)
+        engine.pair_map(fit_values, self._domain.size)
 
     def audit(self) -> int:
         """Count carrier tuples whose value disagrees with the channel.

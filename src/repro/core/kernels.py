@@ -1,11 +1,11 @@
 """NumPy vector kernels — the ``VECTOR`` execution backend.
 
-PR 1 made hashing O(distinct values) and PR 2 made sweeps
-embed-once/attack-many, which leaves the Python interpreter itself as the
-hot path: the engine-backed embed/detect loops still walk every row doing
-dict lookups (``fit[key_value]``, ``slot_of[key_value]``) at a few hundred
-nanoseconds each.  This module replaces those per-row loops with array
-programs over two cached building blocks:
+The hash engine makes hashing O(distinct values) and the sweep engine
+makes sweeps embed-once/attack-many, which leaves the Python interpreter
+itself as the hot path: a per-row embed/detect loop pays a few hundred
+nanoseconds of dict lookups (``fit[key_value]``, ``slot_of[key_value]``)
+per row.  This module replaces those per-row loops with array programs
+over two cached building blocks:
 
 * **column codes** — :meth:`repro.relational.table.Table.column_codes`
   factorizes a column once into ``(int32 codes, uniques)``; clones inherit
@@ -20,44 +20,33 @@ On top of those, detection is a handful of gathers and one
 ``np.bincount(slot * 2 + bit)`` tally, and embedding reduces to a boolean
 gather for carrier selection, ``t = 2 * pair + bit`` target coding, and a
 batched :meth:`~repro.relational.table.Table.set_values` write-back — all
-bit-identical to the SCALAR and ENGINE paths (pinned by the equivalence
-suites).  A warm vector re-detection performs zero SHA-256 calls *and*
-zero per-row Python-level hash lookups: only array code touches row-count
-data.
+bit-identical to the SCALAR reference (pinned by the equivalence suites).
+A warm vector re-detection performs zero SHA-256 calls *and* zero per-row
+Python-level hash lookups: only array code touches row-count data.
 
 Backend selection
 -----------------
 
-``engine=``/``backend=`` parameters across the stack accept, besides a
-:class:`~repro.crypto.HashEngine` instance:
+``engine=``/``backend=`` parameters across the stack accept:
 
-========  ==================================================================
-SCALAR    row-at-a-time reference implementation
-ENGINE    batched columnar engine path (PR 1)
-VECTOR    these kernels (requires numpy)
-AUTO      VECTOR when numpy imports and the relation has at least
-          :data:`VECTOR_MIN_ROWS` rows, ENGINE otherwise (the default)
-========  ==================================================================
+==========================  ================================================
+SCALAR                      row-at-a-time reference implementation
+VECTOR / ``None``           these kernels on the shared registry engine
+a :class:`HashEngine`       these kernels on that engine instance
+==========================  ================================================
 
-Below :data:`VECTOR_MIN_ROWS` the constant cost of array materialization
-is not worth amortizing and the engine path's warm dict lookups win.
+The kernels run at every relation size, the empty relation included.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable
 
-from ..crypto import AUTO, ENGINE, SCALAR, VECTOR, HashEngine
+import numpy as np
+
+from ..crypto import HashEngine
 from ..relational import Table
 from .errors import DetectionError
-
-try:  # numpy rides in on the scipy dependency; gate it anyway
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on slim installs
-    np = None
-
-#: auto heuristic: relations at least this large run on the vector backend
-VECTOR_MIN_ROWS = 4096
 
 _VARIANT_KEYED = "keyed"  # mirrors repro.core.embedding.VARIANT_KEYED
 
@@ -79,37 +68,6 @@ def reset_kernel_calls() -> None:
     """Zero the :data:`KERNEL_CALLS` counters (test isolation)."""
     for name in KERNEL_CALLS:
         KERNEL_CALLS[name] = 0
-
-
-def numpy_available() -> bool:
-    """Did numpy import? (The AUTO heuristic's gate.)"""
-    return np is not None
-
-
-def auto_backend(row_count: int) -> str:
-    """The backend AUTO resolves to for a relation of ``row_count`` rows."""
-    if np is not None and row_count >= VECTOR_MIN_ROWS:
-        return VECTOR
-    return ENGINE
-
-
-def use_vector(engine: HashEngine | str | None, table: Table) -> bool:
-    """Should this ``engine=`` parameter run on the vector kernels?
-
-    ``VECTOR`` forces them (and fails loudly without numpy); ``AUTO`` /
-    ``None`` consult :func:`auto_backend`; everything else — ``SCALAR``,
-    ``ENGINE``, or an explicit :class:`HashEngine` instance — keeps its
-    historical path.
-    """
-    if engine == VECTOR:
-        if np is None:
-            raise RuntimeError(
-                "the VECTOR backend requires numpy, which is not installed"
-            )
-        return True
-    if engine is None or engine == AUTO:
-        return auto_backend(len(table)) == VECTOR
-    return False
 
 
 def warm_codes(table: Table, *attributes: str) -> None:
@@ -296,7 +254,7 @@ def shared_key_codes(tables, key_attribute: str):
     *identical* factorization object.  Identity — not equality — is the
     test, because the stacked plan caches are keyed per object.
     """
-    if np is None or not tables:
+    if not tables:
         return None
     if all(table is tables[0] for table in tables[1:]):
         return tables[0].column_codes(key_attribute)
@@ -659,8 +617,6 @@ def cached_unique_counts(
     insertion order ``collections.Counter`` produces — and counts are
     integers, so histogram consumers are bit-identical either way.
     """
-    if np is None:
-        return None
     codes = table.column_codes(attribute, build=False)
     if codes is None:
         return None

@@ -239,8 +239,8 @@ def embed_pairs(
     per bit), and the reduced value is recorded in that pair's spec.
 
     ``backend`` selects the execution backend of every pass (the
-    :func:`repro.core.embedding.embed` vocabulary); the default picks per
-    relation size.  Note an explicit :class:`HashEngine` instance only
+    :func:`repro.core.embedding.embed` vocabulary); the default runs the
+    vector kernels.  Note an explicit :class:`HashEngine` instance only
     makes sense for a single-directive plan — each pass hashes under its
     own derived key.
     """

@@ -17,7 +17,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..crypto import AUTO, BACKENDS, HashEngine, MarkKey, resolve_engine
+from ..crypto import (
+    BACKENDS,
+    SCALAR,
+    VECTOR,
+    HashEngine,
+    MarkKey,
+    resolve_engine,
+)
 from ..quality import Constraint, QualityGuard
 from ..relational import Table
 from . import kernels
@@ -157,15 +164,13 @@ class Watermarker:
         engine: HashEngine | str | None = None,
     ):
         """``engine`` selects the execution backend for every embed/verify
-        this instance runs.  ``None`` / :data:`~repro.crypto.AUTO`
-        (default) pick per relation — vector kernels for large tables,
-        the batched engine path otherwise — always on the process-wide
-        shared :class:`HashEngine` for ``key``, so embedding warms the
-        caches detection then reads for free.  The
-        :data:`~repro.crypto.SCALAR` / :data:`~repro.crypto.ENGINE` /
-        :data:`~repro.crypto.VECTOR` sentinels force one backend; an
-        explicit :class:`HashEngine` instance forces the engine path on
-        that instance."""
+        this instance runs.  ``None`` / :data:`~repro.crypto.VECTOR`
+        (default) run the vector kernels on the process-wide shared
+        :class:`HashEngine` for ``key``, so embedding warms the caches
+        detection then reads for free; an explicit :class:`HashEngine`
+        instance runs them on that instance, and
+        :data:`~repro.crypto.SCALAR` forces the row-at-a-time
+        reference."""
         if e <= 0:
             raise SpecError(f"e must be positive, got {e}")
         self.key = key
@@ -174,7 +179,7 @@ class Watermarker:
         self.variant = variant
         self.significance = significance
         if engine is None:
-            self.engine: HashEngine | str = AUTO
+            self.engine: HashEngine | str = VECTOR
         elif isinstance(engine, str):
             if engine not in BACKENDS:
                 raise SpecError(
@@ -198,7 +203,7 @@ class Watermarker:
         frequency_quantum: float | None = None,
     ) -> EmbedOutcome:
         """Watermark a copy of ``table``; the input is never mutated."""
-        if kernels.use_vector(self.engine, table):
+        if self.engine != SCALAR:
             # Factorize on the *base* relation first: the clone below
             # inherits the column codes copy-on-write, so repeated embeds
             # of one base (sweeps, benches) never re-factorize, and the

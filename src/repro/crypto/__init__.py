@@ -13,12 +13,9 @@ from .bits import (
     set_bit,
 )
 from .engine import (
-    AUTO,
     BACKENDS,
-    ENGINE,
     SCALAR,
     VECTOR,
-    CarrierPlan,
     HashEngine,
     KeyedDigestCache,
     clear_engine_registry,
@@ -33,12 +30,9 @@ from .keys import KeyError_, MarkKey
 from .prng import keyed_rng, seeded_rng
 
 __all__ = [
-    "AUTO",
     "BACKENDS",
-    "ENGINE",
     "SCALAR",
     "VECTOR",
-    "CarrierPlan",
     "HashEngine",
     "KeyError_",
     "KeyedDigestCache",

@@ -1,4 +1,4 @@
-"""Batched keyed-hash engine — the columnar fast path for embed/detect.
+"""Batched keyed-hash engine behind the VECTOR backend's plan arrays.
 
 The scheme spends almost all of its CPU time in ``H(V, k)`` evaluations
 (§2.2): fitness selection hashes every distinct key value under ``k1``,
@@ -16,8 +16,7 @@ output bit:
   exactly as discriminating as :func:`~repro.crypto.hashing.keyed_hash`
   itself (``1``, ``True``, ``1.0`` and ``"1"`` all stay distinct);
 * **batched evaluation** — whole columns of distinct values are hashed in
-  one tight loop (:meth:`KeyedDigestCache.digest_many`), with optional
-  process-pool sharding for very large relations;
+  one tight loop (:meth:`KeyedDigestCache.digest_many`);
 * **derived-primitive caches** — the quantities hot loops actually need
   (``fitness``, ``slot index``, ``pair index``) are memoized per parameter
   (``e``, ``|wm_data|``, ``nA``) on top of the digest cache, so a repeated
@@ -46,7 +45,6 @@ hundredth re-detection skip re-hashing entirely.
 from __future__ import annotations
 
 import gc
-import os
 import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -61,24 +59,12 @@ from .keys import MarkKey
 #: row-at-a-time reference path (used by equivalence tests and benches)
 SCALAR = "scalar"
 
-#: force the batched columnar engine path (the PR-1 fast path) even where
-#: the auto heuristic would pick the vector kernels
-ENGINE = "engine"
-
-#: force the NumPy vector-kernel backend (column codes + plan arrays);
-#: requires numpy and is bit-identical to SCALAR and ENGINE
+#: the NumPy vector-kernel backend (column codes + plan arrays) — the one
+#: fast path, bit-identical to SCALAR; ``None`` means VECTOR
 VECTOR = "vector"
 
-#: pick per call: VECTOR for large relations when numpy imports, the
-#: columnar engine path otherwise (the default, equivalent to ``None``)
-AUTO = "auto"
-
 #: every string a ``backend=``/``engine=`` parameter accepts
-BACKENDS = (SCALAR, ENGINE, VECTOR, AUTO)
-
-#: below this many cache misses a single batch stays on one core;
-#: above it, the work is sharded across a process pool (when available)
-DEFAULT_POOL_THRESHOLD = 150_000
+BACKENDS = (SCALAR, VECTOR)
 
 #: batches at least this large pause the cyclic GC while they hash: the
 #: batch allocates several retained objects per value, and every threshold
@@ -106,8 +92,6 @@ DEFAULT_MAX_PLAN_CODES = 32
 #: process-wide bound on factorizations with cached multi-pass stacks
 _MAX_STACK_CODES = 16
 
-_DIGEST_BYTES = 32
-
 
 def _weak_lru_store(plans: "OrderedDict[weakref.ref, dict]", codes, bound: int) -> dict:
     """The per-factorization sub-store of a weak-keyed, LRU-bounded cache.
@@ -131,19 +115,6 @@ def _weak_lru_store(plans: "OrderedDict[weakref.ref, dict]", codes, bound: int) 
     return store
 
 
-def _digest_chunk(key: bytes, bodies: list[bytes]) -> bytes:
-    """Pool worker: SHA-256 of ``k;V;k`` for a shard of canonical bodies.
-
-    Returns the concatenated raw digests; the parent slices them back into
-    per-value integers.  Top-level function so it pickles under spawn too.
-    """
-    prefix = key + _SEPARATOR
-    suffix = _SEPARATOR + key
-    return b"".join(
-        sha256(prefix + body + suffix).digest() for body in bodies
-    )
-
-
 class KeyedDigestCache:
     """Memoized, batchable ``H(V, k)`` evaluation for one secret key.
 
@@ -153,25 +124,16 @@ class KeyedDigestCache:
     """
 
     __slots__ = (
-        "key", "computed", "_cache", "_prefix", "_suffix",
-        "_pool_threshold", "_max_workers", "_max_entries",
+        "key", "computed", "_cache", "_prefix", "_suffix", "_max_entries",
     )
 
-    def __init__(
-        self,
-        key: bytes,
-        pool_threshold: int = DEFAULT_POOL_THRESHOLD,
-        max_workers: int | None = None,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-    ):
+    def __init__(self, key: bytes, max_entries: int = DEFAULT_MAX_ENTRIES):
         if not isinstance(key, bytes) or not key:
             raise TypeError("key must be non-empty bytes")
         self.key = key
         self._prefix = key + _SEPARATOR
         self._suffix = _SEPARATOR + key
         self._cache: dict[bytes, int] = {}
-        self._pool_threshold = pool_threshold
-        self._max_workers = max_workers
         self._max_entries = max_entries
         #: digests actually computed (cache misses) — perf-smoke telemetry
         self.computed = 0
@@ -196,8 +158,7 @@ class KeyedDigestCache:
 
     def digest_many(self, values: Iterable[Any]) -> list[int]:
         """``H(V, key)`` for a whole batch, canonical-encoding each value
-        once and hashing only the cache misses (sharded across a process
-        pool when the miss count is large enough to amortize fork cost).
+        once and hashing only the cache misses.
 
         Duplicate values within one batch cost one redundant SHA-256 each
         (callers pass distinct values on the hot paths); the cache stays
@@ -270,19 +231,7 @@ class KeyedDigestCache:
         self.computed += len(bodies)
         return out
 
-    # -- batch back-ends ---------------------------------------------------
     def _compute(self, bodies: list[bytes]) -> list[int]:
-        workers = self._max_workers or os.cpu_count() or 1
-        if len(bodies) >= self._pool_threshold and workers >= 2:
-            try:
-                return self._compute_pooled(bodies, workers)
-            except Exception:  # pragma: no cover - any pool failure
-                # BrokenProcessPool (RuntimeError), fork/pipe OSErrors,
-                # "daemonic processes..." from nested workers: the serial
-                # loop below always works, so never let the pool kill a
-                # scan.  KeyboardInterrupt et al. are BaseException and
-                # still propagate.
-                pass
         prefix = self._prefix
         suffix = self._suffix
         from_bytes = int.from_bytes
@@ -290,65 +239,6 @@ class KeyedDigestCache:
             from_bytes(sha256(prefix + body + suffix).digest(), "big")
             for body in bodies
         ]
-
-    def _compute_pooled(self, bodies: list[bytes], workers: int) -> list[int]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shard_size = max(1, -(-len(bodies) // workers))
-        shards = [
-            bodies[start:start + shard_size]
-            for start in range(0, len(bodies), shard_size)
-        ]
-        from_bytes = int.from_bytes
-        results: list[int] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for blob in pool.map(
-                _digest_chunk, [self.key] * len(shards), shards
-            ):
-                results.extend(
-                    from_bytes(blob[i:i + _DIGEST_BYTES], "big")
-                    for i in range(0, len(blob), _DIGEST_BYTES)
-                )
-        return results
-
-
-class CarrierPlan:
-    """Per-``(key, spec)`` view over an engine's derived caches.
-
-    Bundles exactly the three lookups one embedding/detection pass needs —
-    fitness under ``e``, slot index under ``|wm_data|``, pair index under
-    ``nA`` — as *shared, persistent* dicts.  A second pass over the same
-    relation (or any attacked clone of it) finds every entry already
-    resolved and performs no hashing and no modular arithmetic at all.
-    """
-
-    __slots__ = ("engine", "e", "channel_length", "domain_size")
-
-    def __init__(
-        self,
-        engine: "HashEngine",
-        e: int,
-        channel_length: int,
-        domain_size: int | None,
-    ):
-        self.engine = engine
-        self.e = e
-        self.channel_length = channel_length
-        self.domain_size = domain_size
-
-    def fitness(self, values: Iterable[Hashable]) -> dict[Hashable, bool]:
-        """Shared ``value -> H(V, k1) mod e == 0`` map covering ``values``."""
-        return self.engine.fitness_map(values, self.e)
-
-    def slots(self, values: Iterable[Hashable]) -> dict[Hashable, int]:
-        """Shared ``value -> slot index`` map covering ``values``."""
-        return self.engine.slot_map(values, self.channel_length)
-
-    def pairs(self, values: Iterable[Hashable]) -> dict[Hashable, int]:
-        """Shared ``value -> pair index`` map covering ``values``."""
-        if self.domain_size is None:
-            raise ValueError("plan was built without a mark-value domain")
-        return self.engine.pair_map(values, self.domain_size)
 
 
 class HashEngine:
@@ -369,18 +259,12 @@ class HashEngine:
     def __init__(
         self,
         key: MarkKey,
-        pool_threshold: int = DEFAULT_POOL_THRESHOLD,
-        max_workers: int | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_plan_codes: int = DEFAULT_MAX_PLAN_CODES,
     ):
         self.key = key
-        self.k1 = KeyedDigestCache(
-            key.k1, pool_threshold, max_workers, max_entries
-        )
-        self.k2 = KeyedDigestCache(
-            key.k2, pool_threshold, max_workers, max_entries
-        )
+        self.k1 = KeyedDigestCache(key.k1, max_entries)
+        self.k2 = KeyedDigestCache(key.k2, max_entries)
         self._fit: dict[int, dict[Hashable, bool]] = {}
         self._slots: dict[int, dict[Hashable, int]] = {}
         self._pairs: dict[int, dict[Hashable, int]] = {}
@@ -533,7 +417,7 @@ class HashEngine:
         """Shared fit-masked plan-array builder for slot/pair indices.
 
         Only *fit* uniques (under ``e``) are resolved through ``map_for``
-        — exactly the values the scalar and engine paths hash — so digest
+        — exactly the values the scalar reference hashes — so digest
         counts match across backends; unfit entries hold 0 and must be
         masked by :meth:`fitness_array` before use.
         """
@@ -691,13 +575,6 @@ class HashEngine:
                 return cached
         return self.pair_map((value,), domain_size)[value]
 
-    # -- plans -------------------------------------------------------------
-    def plan(
-        self, e: int, channel_length: int, domain_size: int | None = None
-    ) -> CarrierPlan:
-        """A :class:`CarrierPlan` view for one embedding spec."""
-        return CarrierPlan(self, e, channel_length, domain_size)
-
 
 # -- multi-pass stack-plan cache -------------------------------------------
 #
@@ -774,12 +651,11 @@ def resolve_backend(
     """Normalize an ``engine=``/``backend=`` parameter to a
     :class:`HashEngine` for ``key``.
 
-    Backend *sentinels* (:data:`ENGINE`, :data:`VECTOR`, :data:`AUTO` —
-    the caller dispatches :data:`SCALAR` before ever needing an engine)
-    resolve to the shared registry engine; unknown strings raise instead
-    of silently running on a default backend, so a typo like
-    ``engine="vectr"`` fails loudly.  ``None`` and explicit instances
-    behave as in :func:`resolve_engine`.
+    The :data:`VECTOR` sentinel (the caller dispatches :data:`SCALAR`
+    before ever needing an engine) resolves to the shared registry
+    engine; unknown strings raise instead of silently running on a
+    default backend, so a typo like ``engine="vectr"`` fails loudly.
+    ``None`` and explicit instances behave as in :func:`resolve_engine`.
     """
     if isinstance(engine, str):
         if engine not in BACKENDS:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..attacks import DataLossAttack, SubsetAlterationAttack
-from ..crypto import AUTO
+from ..crypto import VECTOR
 from ..datagen import generate_item_scan
 from .runner import ExperimentPoint, PAPER_PASSES, sweep
 
@@ -56,7 +56,7 @@ def figure4_series(
     e_values: tuple[int, ...] = (65, 35),
     attack_sizes: tuple[float, ...] = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> dict[int, list[ExperimentPoint]]:
     """Figure 4: mark alteration vs attack size, one series per ``e``."""
     table = config.base_table()
@@ -83,7 +83,7 @@ def figure5_series(
     e_values: tuple[int, ...] = (10, 25, 50, 75, 100, 125, 150, 175, 200),
     attack_sizes: tuple[float, ...] = (0.55, 0.20),
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> dict[float, list[ExperimentPoint]]:
     """Figure 5: mark alteration vs ``e``, one series per attack size.
 
@@ -118,7 +118,7 @@ def figure6_surface(
     e_values: tuple[int, ...] = (20, 65, 110, 155, 200),
     attack_sizes: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8),
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> list[tuple[int, float, float]]:
     """Figure 6: the (attack size × e) → mark-loss surface.
 
@@ -153,7 +153,7 @@ def figure7_series(
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
     ),
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> list[ExperimentPoint]:
     """Figure 7: mark alteration vs data loss (attack A1).
 

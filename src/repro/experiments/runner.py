@@ -16,7 +16,7 @@ sweep point, instead of re-embedding per point.
 from __future__ import annotations
 
 from ..attacks import Attack
-from ..crypto import AUTO
+from ..crypto import VECTOR
 from ..relational import Table
 from .sweepengine import (
     ExperimentPoint,
@@ -46,7 +46,7 @@ def run_attack_experiment(
     ecc_name: str = "majority",
     variant: str = "keyed",
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> list[PassResult]:
     """Embed, attack and verify ``passes`` times with per-pass keys.
 
@@ -89,7 +89,7 @@ def sweep(
     variant: str = "keyed",
     seed_offset: int = 0,
     mode: str | None = None,
-    backend: str = AUTO,
+    backend: str = VECTOR,
 ) -> list[ExperimentPoint]:
     """Run the paper's pass protocol for every x in ``xs``.
 

@@ -66,7 +66,7 @@ from typing import Any, Hashable
 
 from ..attacks import Attack
 from ..core import Watermark, Watermarker, kernels, verify_multipass
-from ..crypto import AUTO, ENGINE, SCALAR, MarkKey
+from ..crypto import SCALAR, VECTOR, MarkKey
 from ..relational import CategoricalDomain, Table
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, DeadlineExceededError, check_deadline
@@ -157,9 +157,8 @@ class SweepProtocol:
     attack — varies per cell.
 
     ``backend`` is the execution backend every pass embeds and verifies
-    on (:data:`~repro.crypto.SCALAR` / :data:`~repro.crypto.ENGINE` /
-    :data:`~repro.crypto.VECTOR` / :data:`~repro.crypto.AUTO`); all four
-    are bit-identical, so it never changes results — only speed.
+    on (:data:`~repro.crypto.SCALAR` or :data:`~repro.crypto.VECTOR`);
+    both are bit-identical, so it never changes results — only speed.
     """
 
     mark_attribute: str
@@ -167,7 +166,7 @@ class SweepProtocol:
     watermark_length: int = 10
     ecc_name: str = "majority"
     variant: str = "keyed"
-    backend: str = AUTO
+    backend: str = VECTOR
 
 
 @dataclass
@@ -201,7 +200,7 @@ class EmbeddedPass:
             engine=protocol.backend,
         )
         outcome = marker.embed(base_table, watermark, protocol.mark_attribute)
-        if kernels.use_vector(marker.engine, outcome.table):
+        if marker.engine != SCALAR:
             # Re-factorize the mark column once per seed: embedding just
             # rewrote it, and every attacked clone of this pass inherits
             # the refreshed codes copy-on-write — so the code-level
@@ -288,17 +287,17 @@ def _fused_point_results(
     """Fused verification of one sweep point, or ``None`` to fall back.
 
     Fusable when every pass shares the protocol-shaped state (spec,
-    domain, backend, significance, no frequency channel) and every
-    attacked clone is vector-eligible and presents the same key-column
-    factorization object — the regime of every alteration-style sweep
-    cell.  The per-cell fallback produces bit-identical results.
+    domain, VECTOR backend, significance, no frequency channel) and every
+    attacked clone presents the same key-column factorization object —
+    the regime of every alteration-style sweep cell.  The per-cell
+    fallback produces bit-identical results.
     """
     first = passes[0]
     record = first.record
     spec = record.spec
     marker = first.marker
     backend = marker.engine
-    if not isinstance(backend, str) or backend in (SCALAR, ENGINE):
+    if not isinstance(backend, str) or backend == SCALAR:
         return None
     for embedded in passes:
         other = embedded.record
@@ -314,7 +313,6 @@ def _fused_point_results(
         if (
             spec.key_attribute not in suspect.schema
             or spec.mark_attribute not in suspect.schema
-            or not kernels.use_vector(backend, suspect)
         ):
             return None
     if kernels.shared_key_codes(attacked, spec.key_attribute) is None:
@@ -977,7 +975,7 @@ class SweepEngine:
         ecc_name: str = "majority",
         variant: str = "keyed",
         mode: str | None = None,
-        backend: str = AUTO,
+        backend: str = VECTOR,
         deadline: Deadline | None = None,
     ) -> list[ExperimentPoint]:
         """Embed ``passes`` seeds once, attack at every ``x``.

@@ -905,15 +905,8 @@ class Table:
             )
         position = target_schema.position(attribute)
         meta = target_schema.attribute(attribute)
-        try:
-            codes = self.column_codes(attribute)
-        except ImportError:  # pragma: no cover - slim installs only
-            codes = None
-        if codes is not None:
-            distinct: Iterable[Any] = codes.uniques
-        else:
-            distinct = dict.fromkeys(self.column_view(attribute))
-        images = {value: mapping[value] for value in distinct}
+        codes = self.column_codes(attribute)
+        images = {value: mapping[value] for value in codes.uniques}
         for value in images.values():
             meta.validate(value)
         self._flush_pending()
@@ -934,25 +927,22 @@ class Table:
             duplicate._pk_index = index
         else:
             duplicate._pk_index = dict(self._pk_index)
-        if codes is not None:
-            mapped_uniques = [images[v] for v in codes.uniques]
-            if len(set(mapped_uniques)) == len(mapped_uniques):
-                duplicate._codes_cache[attribute] = (
-                    duplicate._version,
-                    ColumnCodes(codes.codes, mapped_uniques),
-                )
-            # A non-injective mapping merges values: the carried-over codes
-            # would hold duplicate uniques (two codes for one value), which
-            # breaks the distinct-by-equality invariant every consumer
-            # assumes — leave the column cold and let a fresh scan
-            # canonicalize it instead.
-            for other, (cached_version, shared) in self._codes_cache.items():
-                if other != attribute and self._cache_fresh(
-                    cached_version, other
-                ):
-                    duplicate._codes_cache[other] = (
-                        duplicate._version, shared
-                    )
+        mapped_uniques = [images[v] for v in codes.uniques]
+        if len(set(mapped_uniques)) == len(mapped_uniques):
+            duplicate._codes_cache[attribute] = (
+                duplicate._version,
+                ColumnCodes(codes.codes, mapped_uniques),
+            )
+        # A non-injective mapping merges values: the carried-over codes
+        # would hold duplicate uniques (two codes for one value), which
+        # breaks the distinct-by-equality invariant every consumer
+        # assumes — leave the column cold and let a fresh scan
+        # canonicalize it instead.
+        for other, (cached_version, shared) in self._codes_cache.items():
+            if other != attribute and self._cache_fresh(
+                cached_version, other
+            ):
+                duplicate._codes_cache[other] = (duplicate._version, shared)
         return duplicate
 
     def with_schema(self, schema: Schema, name: str | None = None) -> "Table":

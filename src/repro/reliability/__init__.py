@@ -20,13 +20,10 @@ makes recovery *provable* instead of hoped-for:
   :class:`DeadlineExceededError` with a resumable position (exit code 7);
 * :mod:`~repro.reliability.watchdog` — heartbeat-based detection and
   ``SIGKILL`` of *hung* (not just dead) pool workers;
-* :mod:`~repro.reliability.budget` — a :class:`MemoryBudget` that halves
-  the effective chunk size and replays on breach or ``MemoryError``,
-  regrowing after sustained headroom;
 * :mod:`~repro.reliability.breaker` — a :class:`CircuitBreaker` opening
   after K consecutive transient failures on one label, steering runs
-  down the bit-identical degradation ladders instead of retrying
-  forever;
+  down the two bit-identical degradation ladders (pooled → hoisted
+  sweeps, parallel → serial streams) instead of retrying forever;
 * :mod:`~repro.reliability.integrity` — chunk-hash manifests journalled
   next to the checkpoint, :func:`audit_stream` corruption localization,
   verified (re-hashing) resume, and the :class:`RunLock` lease that
@@ -39,7 +36,6 @@ discipline applied to the streaming layer.
 """
 
 from .breaker import CircuitBreaker
-from .budget import MemoryBudget, rss_bytes
 from .deadline import Deadline, DeadlineExceededError, check_deadline
 from .faults import (
     BITFLIP,
@@ -104,7 +100,6 @@ __all__ = [
     "KILL",
     "KINDS",
     "MEMORY",
-    "MemoryBudget",
     "NO_RETRY",
     "PERMANENT",
     "ReliabilityReport",
@@ -129,5 +124,4 @@ __all__ = [
     "fault_point",
     "injection_armed",
     "journal_path",
-    "rss_bytes",
 ]

@@ -8,11 +8,11 @@ label and, at ``threshold``, *opens*: callers consult :meth:`allow` and
 take a degradation path instead of dispatching again.
 
 The degradation ladders it guards are the repo's bit-identical ones —
-pooled → hoisted → serial sweep modes, VECTOR → ENGINE stream backends —
-so an open breaker changes *how fast* a run executes, never *what* it
-produces.  Every open/close transition is recorded (with its cause) in
-:attr:`transitions` and surfaced through the owning component's
-:class:`~repro.reliability.report.ReliabilityReport`
+the pooled → hoisted sweep modes and the parallel → serial stream
+coordinator — so an open breaker changes *how fast* a run executes,
+never *what* it produces.  Every open/close transition is recorded
+(with its cause) in :attr:`transitions` and surfaced through the owning
+component's :class:`~repro.reliability.report.ReliabilityReport`
 (``breaker_trips``), because silent degradation is the failure mode this
 package exists to prevent.
 

@@ -70,9 +70,10 @@ HANG = "hang"
 #: deadline must tolerate without tripping
 SLOW = "slow"
 
-#: exhaustion: the injection point raises ``MemoryError`` — the trigger
-#: for :class:`~repro.reliability.budget.MemoryBudget` shrink/replay and
-#: for the transient-retry path at the I/O points
+#: exhaustion: the injection point raises ``MemoryError`` — a resumable
+#: stop in a chunk step (the previous chunk stays durable), the
+#: transient-retry path at the I/O points, and a re-dispatch in a pool
+#: worker
 MEMORY = "memory"
 
 #: cooperative: silent media damage — the injection point corrupts one

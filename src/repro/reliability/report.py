@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+#: counters that describe the input or an audit rather than a recovery
+_NOT_RECOVERY = frozenset({"bad_rows", "quarantined_rows", "chunks_verified"})
 
 
 @dataclass
@@ -36,14 +39,8 @@ class ReliabilityReport:
     cell_retries: int = 0
     #: hung pool workers SIGKILLed by the watchdog (heartbeat silence)
     watchdog_kills: int = 0
-    #: memory-budget adaptations: effective-chunk-size halvings (breach
-    #: or ``MemoryError``) and regrows after sustained headroom
-    chunk_shrinks: int = 0
-    chunk_regrows: int = 0
-    #: VECTOR -> ENGINE stream-backend degradations (bit-identical)
-    backend_fallbacks: int = 0
     #: circuit-breaker open transitions, by label (``"pool.worker"``,
-    #: ``"stream.vector"``)
+    #: ``"stream.parallel"``)
     breaker_trips: Counter = field(default_factory=Counter)
     #: integrity layer (see :mod:`~repro.reliability.integrity`):
     #: output-prefix chunks re-hashed during a verified resume
@@ -68,66 +65,28 @@ class ReliabilityReport:
     @property
     def any_recovery(self) -> bool:
         """Did this run survive at least one fault?"""
-        return bool(
-            self.total_retries
-            or self.sink_rollbacks
-            or self.source_reopens
-            or self.checkpoint_rollbacks
-            or self.pool_respawns
-            or self.pool_fallbacks
-            or self.cell_retries
-            or self.watchdog_kills
-            or self.chunk_shrinks
-            or self.chunk_regrows
-            or self.backend_fallbacks
-            or self.breaker_trips
-            or self.integrity_rewinds
-            or self.corrupt_chunks
-            or self.lease_takeovers
+        return any(
+            getattr(self, item.name)
+            for item in fields(self)
+            if item.name not in _NOT_RECOVERY
         )
 
     def merge(self, other: "ReliabilityReport") -> None:
-        self.retries.update(other.retries)
-        self.sink_rollbacks += other.sink_rollbacks
-        self.source_reopens += other.source_reopens
-        self.checkpoint_rollbacks += other.checkpoint_rollbacks
-        self.bad_rows += other.bad_rows
-        self.quarantined_rows += other.quarantined_rows
-        self.pool_respawns += other.pool_respawns
-        self.pool_fallbacks += other.pool_fallbacks
-        self.cell_retries += other.cell_retries
-        self.watchdog_kills += other.watchdog_kills
-        self.chunk_shrinks += other.chunk_shrinks
-        self.chunk_regrows += other.chunk_regrows
-        self.backend_fallbacks += other.backend_fallbacks
-        self.breaker_trips.update(other.breaker_trips)
-        self.chunks_verified += other.chunks_verified
-        self.integrity_rewinds += other.integrity_rewinds
-        self.corrupt_chunks += other.corrupt_chunks
-        self.lease_takeovers += other.lease_takeovers
+        for item in fields(self):
+            mine = getattr(self, item.name)
+            if isinstance(mine, Counter):
+                mine.update(getattr(other, item.name))
+            else:
+                setattr(self, item.name, mine + getattr(other, item.name))
 
     def to_dict(self) -> dict:
-        return {
-            "retries": dict(self.retries),
-            "total_retries": self.total_retries,
-            "sink_rollbacks": self.sink_rollbacks,
-            "source_reopens": self.source_reopens,
-            "checkpoint_rollbacks": self.checkpoint_rollbacks,
-            "bad_rows": self.bad_rows,
-            "quarantined_rows": self.quarantined_rows,
-            "pool_respawns": self.pool_respawns,
-            "pool_fallbacks": self.pool_fallbacks,
-            "cell_retries": self.cell_retries,
-            "watchdog_kills": self.watchdog_kills,
-            "chunk_shrinks": self.chunk_shrinks,
-            "chunk_regrows": self.chunk_regrows,
-            "backend_fallbacks": self.backend_fallbacks,
-            "breaker_trips": dict(self.breaker_trips),
-            "chunks_verified": self.chunks_verified,
-            "integrity_rewinds": self.integrity_rewinds,
-            "corrupt_chunks": self.corrupt_chunks,
-            "lease_takeovers": self.lease_takeovers,
-        }
+        payload: dict = {"total_retries": self.total_retries}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            payload[item.name] = (
+                dict(value) if isinstance(value, Counter) else value
+            )
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -163,20 +122,12 @@ class ReliabilityReport:
                 f"{self.pool_fallbacks} fallbacks, "
                 f"{self.watchdog_kills} watchdog kills"
             )
-        if self.chunk_shrinks or self.chunk_regrows:
-            parts.append(
-                f"memory: {self.chunk_shrinks} chunk shrinks, "
-                f"{self.chunk_regrows} regrows"
-            )
-        if self.backend_fallbacks or self.breaker_trips:
+        if self.breaker_trips:
             labels = ", ".join(
                 f"{label} x{count}"
                 for label, count in sorted(self.breaker_trips.items())
-            ) or "none"
-            parts.append(
-                f"degradation: {self.backend_fallbacks} backend fallbacks, "
-                f"breaker trips: {labels}"
             )
+            parts.append(f"degradation: breaker trips: {labels}")
         if (
             self.chunks_verified or self.integrity_rewinds
             or self.corrupt_chunks or self.lease_takeovers

@@ -39,9 +39,10 @@ PERMANENT = "permanent"
 #: is not, hence listed.  ``EOFError`` covers truncated streams surfaced
 #: by ``gzip``/``pickle`` readers.  ``MemoryError`` is transient by the
 #: same logic a disk error is: pressure from elsewhere in the process
-#: (caches, a sibling worker) can clear between attempts, and the
-#: streaming pipeline additionally halves its working set before a
-#: replay (see :class:`~repro.reliability.budget.MemoryBudget`).
+#: (caches, a sibling worker) can clear between attempts, so source/sink
+#: retries and pool re-dispatch replay it.  A ``MemoryError`` inside a
+#: stream chunk step is not retried: it propagates with the previous
+#: chunk durable, and a resume continues from there.
 TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     OSError,
     EOFError,

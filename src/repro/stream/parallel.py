@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from ..core import kernels
-from ..core.detection import SlotVotes, VoteAccumulator
-from ..core.embedding import EmbeddingSpec, VARIANT_MAP
+from ..core.detection import VoteAccumulator
+from ..core.embedding import EmbeddingSpec
 from ..core.errors import DetectionError
 from ..core.watermark import Watermark
-from ..crypto import SCALAR, MarkKey
+from ..crypto import HashEngine, MarkKey
 from ..quality import QualityGuard
 from ..relational import CategoricalDomain, Table
 from ..relational.csvio import cell_parsers, parse_row
@@ -84,10 +84,9 @@ from ..reliability.retry import (
 from ..reliability.watchdog import IDLE, Watchdog, beat
 from .errors import BadRowError, StreamError
 from .pipeline import (
-    _chunk_votes,
-    _chunk_votes_adaptive,
+    _chunk_tallies,
     _embed_chunk,
-    _vector_chunk,
+    _embed_one,
     stream_engine,
 )
 from .sources import (
@@ -232,8 +231,7 @@ def _worker_init(blob: bytes, heartbeat_dir: str | None) -> None:
     global _W, _W_ENGINES, _W_PARSERS, _W_HB, _W_CHUNKS
     _W = pickle.loads(blob)
     _W_ENGINES = [
-        None if _W["mode"] == SCALAR
-        else stream_engine(key, _W["chunk_size"])
+        None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
     ]
     schema = _W["schema"]
@@ -299,32 +297,10 @@ def _task_votes(task: ChunkTask, inject: tuple | None = None):
         domain = _W["domain"]
         if domain is None:
             domain = chunk.schema.attribute(spec.mark_attribute).domain
-        keys = _W["keys"]
-        maps = _W["maps"]
-        mode = _W["mode"]
-        value_mapping = _W["value_mapping"]
-        if len(keys) > 1 and _vector_chunk(mode, chunk):
-            tallies = [
-                SlotVotes.from_arrays(*tally)
-                for tally in kernels.detect_multipass_votes(
-                    [chunk] * len(keys),
-                    spec,
-                    [domain] * len(keys),
-                    maps if spec.variant == VARIANT_MAP else None,
-                    value_mapping,
-                    _W_ENGINES,
-                )
-            ]
-        else:
-            tallies = [
-                _chunk_votes(
-                    chunk, key, spec, embedding_map, domain, value_mapping,
-                    engine, mode,
-                )
-                for key, engine, embedding_map in zip(
-                    keys, _W_ENGINES, maps
-                )
-            ]
+        tallies = _chunk_tallies(
+            chunk, _W["keys"], spec, _W["maps"], domain,
+            _W["value_mapping"], _W_ENGINES,
+        )
         _W_CHUNKS += 1
         return tallies, len(chunk), _worker_stats()
     finally:
@@ -335,8 +311,6 @@ def _task_embed(task: ChunkTask, inject: tuple | None = None):
     """Pool task: embed one chunk in place; returns the marked rows plus
     the per-chunk embedding/guard reports for the ordered commit."""
     global _W_CHUNKS
-    from .pipeline import _embed_one
-
     beat(_W_HB)
     try:
         _misbehave(inject, task.index)
@@ -354,7 +328,7 @@ def _task_embed(task: ChunkTask, inject: tuple | None = None):
         guard.bind(chunk)
         pass_result = _embed_one(
             chunk, _W["watermark"], _W["keys"][0], spec, domain,
-            _W["wm_data"], guard, _W_ENGINES[0], _W["mode"],
+            _W["wm_data"], guard, _W_ENGINES[0],
         )
         _W_CHUNKS += 1
         return (
@@ -730,7 +704,7 @@ def _run_blob(
     spec: EmbeddingSpec,
     domain: CategoricalDomain | None,
     value_mapping: dict[Hashable, Hashable] | None,
-    mode: str,
+    scalar: bool,
     chunk_size: int,
     watermark: Watermark | None = None,
     wm_data=None,
@@ -746,7 +720,7 @@ def _run_blob(
         "spec": spec,
         "domain": domain,
         "value_mapping": value_mapping,
-        "mode": mode,
+        "scalar": scalar,
         "chunk_size": chunk_size,
         "watermark": watermark,
         "wm_data": wm_data,
@@ -776,7 +750,7 @@ def parallel_votes(
     maps: Sequence[dict[Hashable, int] | None],
     domain: CategoricalDomain | None,
     value_mapping: dict[Hashable, Hashable] | None,
-    mode: str,
+    engines: Sequence[HashEngine | None],
     chunk_size: int,
     workers: int,
     retry: RetryPolicy | None,
@@ -787,7 +761,9 @@ def parallel_votes(
 ) -> tuple[list[VoteAccumulator], int, int, ParallelReport]:
     """Parallel streamed tallies: ``(accumulators, chunks, rows,
     report)``, with every accumulator's state bit-identical to the
-    serial single-process scan."""
+    serial single-process scan.  ``engines`` (one per key, ``None`` for
+    SCALAR) compute in the coordinator once the breaker degrades the
+    pool; workers build their own."""
     from itertools import chain
 
     profile = payload_profile(source)
@@ -815,7 +791,8 @@ def parallel_votes(
 
     blob = _run_blob(
         profile, keys=keys, maps=maps, spec=spec, domain=domain,
-        value_mapping=value_mapping, mode=mode, chunk_size=chunk_size,
+        value_mapping=value_mapping, scalar=None in engines,
+        chunk_size=chunk_size,
     )
 
     chunks_seen = 0
@@ -832,8 +809,7 @@ def parallel_votes(
 
     serial_fn = _serial_votes_fn(
         profile, keys=keys, maps=maps, spec=spec, domain=domain,
-        value_mapping=value_mapping, mode=mode, chunk_size=chunk_size,
-        breaker=breaker, reliability=reliability,
+        value_mapping=value_mapping, engines=engines,
     )
     run = _OrderedRun(
         _task_votes, serial_fn, commit,
@@ -853,53 +829,21 @@ def _serial_votes_fn(
     spec: EmbeddingSpec,
     domain: CategoricalDomain,
     value_mapping: dict[Hashable, Hashable] | None,
-    mode: str,
-    chunk_size: int,
-    breaker: CircuitBreaker | None,
-    reliability: ReliabilityReport,
+    engines: Sequence[HashEngine | None],
 ):
     """Coordinator-side fallback compute — the degradation ladder's
-    serial twin of :func:`_task_votes` (same kernels, same order, plus
-    the serial path's own VECTOR -> ENGINE ladder for single-pass)."""
-    engines = [
-        None if mode == SCALAR else stream_engine(key, chunk_size)
-        for key in keys
-    ]
+    serial twin of :func:`_task_votes` (same kernels, same order)."""
     schema = profile["schema"]
     parsers = cell_parsers(schema) if schema is not None else None
-    state = {"mode": mode}
 
     def compute(task: ChunkTask):
         chunk = _build_chunk(
             task, schema, profile["name"], profile["path"],
             profile["infer"], profile["trusted"], parsers,
         )
-        if len(keys) == 1:
-            tallies, state["mode"] = _chunk_votes_adaptive(
-                chunk, keys[0], spec, maps[0], domain, value_mapping,
-                engines[0], state["mode"], task.index, None, breaker,
-                reliability,
-            )
-        elif _vector_chunk(state["mode"], chunk):
-            tallies = [
-                SlotVotes.from_arrays(*tally)
-                for tally in kernels.detect_multipass_votes(
-                    [chunk] * len(keys),
-                    spec,
-                    [domain] * len(keys),
-                    maps if spec.variant == VARIANT_MAP else None,
-                    value_mapping,
-                    engines,
-                )
-            ]
-        else:
-            tallies = [
-                _chunk_votes(
-                    chunk, key, spec, embedding_map, domain,
-                    value_mapping, engine, state["mode"],
-                )
-                for key, engine, embedding_map in zip(keys, engines, maps)
-            ]
+        tallies = _chunk_tallies(
+            chunk, keys, spec, maps, domain, value_mapping, engines
+        )
         return tallies, len(chunk), None
 
     return compute
@@ -915,7 +859,7 @@ def parallel_mark(
     spec: EmbeddingSpec,
     domain: CategoricalDomain,
     wm_data,
-    mode: str,
+    engine: HashEngine | None,
     chunk_size: int,
     workers: int,
     retry: RetryPolicy | None,
@@ -929,13 +873,14 @@ def parallel_mark(
     pass_result, guard_report, rows)`` in strict chunk order — the
     caller (``stream_mark``) writes, flushes and checkpoints exactly as
     the serial loop would, so output bytes, checkpoints and resume stay
-    identical."""
+    identical.  ``engine`` (``None`` for SCALAR) marks chunks in the
+    coordinator once the breaker degrades the pool."""
     profile = payload_profile(source)
     schema = profile["schema"]
     report = ParallelReport(workers=workers)
     blob = _run_blob(
         profile, keys=[key], maps=[None], spec=spec, domain=domain,
-        value_mapping=None, mode=mode, chunk_size=chunk_size,
+        value_mapping=None, scalar=engine is None, chunk_size=chunk_size,
         watermark=watermark, wm_data=wm_data,
     )
 
@@ -948,8 +893,6 @@ def parallel_mark(
         report.note(stats)
 
     parsers = cell_parsers(schema) if schema is not None else None
-    engine = None if mode == SCALAR else stream_engine(key, chunk_size)
-    state = {"mode": mode}
 
     def serial_fn(task: ChunkTask):
         chunk = _build_chunk(
@@ -963,11 +906,11 @@ def parallel_mark(
                 "stream_mark sources must be built with "
                 "infer_domains=False"
             )
-        marked, pass_result, guard_report, state["mode"] = _embed_chunk(
-            chunk, watermark, key, spec, domain, wm_data, None,
-            engine, state["mode"], task.index, None, breaker, reliability,
+        pass_result, guard_report = _embed_chunk(
+            chunk, watermark, key, spec, domain, wm_data, None, engine,
+            task.index,
         )
-        return list(iter(marked)), pass_result, guard_report, len(chunk), None
+        return list(iter(chunk)), pass_result, guard_report, len(chunk), None
 
     run = _OrderedRun(
         _task_embed, serial_fn, commit,

@@ -6,8 +6,8 @@ are embarrassingly chunkable:
 
 * :func:`stream_mark` pulls schema-typed chunks from a
   :class:`~repro.stream.sources.ChunkSource`, runs the existing embed
-  kernels on each chunk (the NumPy vector kernel for large chunks, on one
-  warm stream-scoped :class:`~repro.crypto.HashEngine`), and pushes the
+  kernels on each chunk (the NumPy vector kernel, on one warm
+  stream-scoped :class:`~repro.crypto.HashEngine`), and pushes the
   marked chunks into a :class:`~repro.stream.sinks.ChunkSink` — with an
   optional checkpoint file making the run resumable after interruption;
 * :func:`stream_verify` / :func:`stream_verify_multipass` keep running
@@ -55,11 +55,10 @@ from ..core.embedding import (
 )
 from ..core.errors import DetectionError, SpecError
 from ..core.watermark import Watermark
-from ..crypto import AUTO, BACKENDS, ENGINE, SCALAR, VECTOR, HashEngine, MarkKey
+from ..crypto import BACKENDS, SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Schema, Table
 from ..reliability.breaker import CircuitBreaker
-from ..reliability.budget import MemoryBudget
 from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.faults import fault_point
 from ..reliability.integrity import (
@@ -92,9 +91,6 @@ from .sinks import ChunkSink
 from .sources import DEFAULT_CHUNK_SIZE, resolve_chunks, source_schema
 
 logger = logging.getLogger(__name__)
-
-#: circuit-breaker label of the VECTOR -> ENGINE stream-backend ladder
-STREAM_VECTOR_LABEL = "stream.vector"
 
 #: floor on the stream engine's memoization-cache entry bound; the bound
 #: scales with the chunk size (see :func:`stream_engine`) so steady-state
@@ -131,47 +127,29 @@ def _resolve_stream_backend(
     backend: HashEngine | str | None,
     key: MarkKey,
     chunk_size: int,
-) -> tuple[HashEngine | None, str]:
-    """Normalize a ``backend=`` parameter to ``(engine, mode)``.
+) -> HashEngine | None:
+    """Normalize a ``backend=`` parameter to the engine every chunk runs
+    on — ``None`` for SCALAR.
 
-    ``mode`` is one of the :data:`~repro.crypto.BACKENDS` sentinels;
-    ``engine`` is the stream-scoped (or caller-supplied) instance every
-    non-SCALAR chunk runs on.  An explicit :class:`HashEngine` instance
-    keeps AUTO dispatch — unlike the in-memory entry points, the pipeline
-    can drive the vector kernels with any engine, so callers may pass a
-    differently-bounded (or shared, pre-warmed) instance without giving
-    up the fast path.
+    ``None`` and VECTOR get a fresh stream-scoped engine; an explicit
+    :class:`HashEngine` instance runs the vector kernels as is, so
+    callers may pass a differently-bounded (or shared, pre-warmed)
+    instance.
     """
     if isinstance(backend, HashEngine):
         if backend.key != key:
             raise StreamError(
                 "backend engine was built for a different MarkKey"
             )
-        return backend, AUTO
-    if backend is None:
-        backend = AUTO
-    if backend not in BACKENDS:
+        return backend
+    if backend is not None and backend not in BACKENDS:
         raise StreamError(
             f"backend must be one of {BACKENDS} or a HashEngine, "
             f"got {backend!r}"
         )
-    if backend == VECTOR and not kernels.numpy_available():
-        raise StreamError("the VECTOR backend requires numpy")
     if backend == SCALAR:
-        return None, SCALAR
-    return stream_engine(key, chunk_size), backend
-
-
-def _vector_chunk(mode: str, chunk: Table) -> bool:
-    """Should this chunk run on the vector kernels under ``mode``?"""
-    if mode == VECTOR:
-        return True
-    if mode == AUTO:
-        return (
-            kernels.numpy_available()
-            and len(chunk) >= kernels.VECTOR_MIN_ROWS
-        )
-    return False  # SCALAR and ENGINE force their historical paths
+        return None
+    return stream_engine(key, chunk_size)
 
 
 def _source_chunk_size(source) -> int:
@@ -307,7 +285,6 @@ def stream_mark(
     constraints_factory: Callable[[], list] | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    memory_budget: MemoryBudget | None = None,
     breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
@@ -317,12 +294,13 @@ def stream_mark(
 ) -> StreamMarkResult:
     """Embed ``watermark`` into a streamed relation, chunk by chunk.
 
-    Each chunk runs through the existing embed kernels (vector kernel for
-    large chunks) on one warm stream-scoped engine; marked chunks land in
-    ``sink`` and the per-chunk guard logs/reports are merged into the
-    returned :class:`StreamMarkResult`.  Because every decision is a pure
-    function of ``(key, tuple key value)``, the concatenated sink output
-    is cell-identical to an in-memory embed of the whole relation.
+    Each chunk runs through the existing embed kernels (the vector
+    kernel unless ``backend`` is SCALAR) on one warm stream-scoped
+    engine; marked chunks land in ``sink`` and the per-chunk guard
+    logs/reports are merged into the returned :class:`StreamMarkResult`.
+    Because every decision is a pure function of ``(key, tuple key
+    value)``, the concatenated sink output is cell-identical to an
+    in-memory embed of the whole relation.
 
     With ``checkpoint_path`` the pipeline flushes the sink and atomically
     records progress after every chunk; ``resume=True`` picks up from the
@@ -353,7 +331,10 @@ def stream_mark(
     commit loop writes marked chunks to the sink in sequence, so output
     bytes, checkpoints and ``--resume`` stay identical to ``workers=1``.
     ``watchdog`` (parallel runs only) heartbeat-monitors pool workers;
-    pass ``False`` to disable the default watchdog.
+    pass ``False`` to disable the default watchdog, and ``breaker``
+    (parallel runs only) degrades the pool to serial coordinator compute
+    after repeated worker failures.  A ``MemoryError`` propagates with
+    the previous chunk durable; ``resume=True`` continues from there.
 
     Integrity layer (see :mod:`repro.reliability.integrity`):
     ``manifest`` arms per-chunk sha256 recording in the sink, journalled
@@ -386,12 +367,6 @@ def stream_mark(
                 "constraints_factory: guard constraints are stateful "
                 "and chunk-scoped — run with workers=1"
             )
-        if memory_budget is not None:
-            raise StreamError(
-                "parallel stream_mark does not support a memory_budget: "
-                "adaptive chunk slicing is a serial-path feature — run "
-                "with workers=1"
-            )
     schema = source_schema(source)
     if schema is None:
         raise StreamError(
@@ -400,7 +375,7 @@ def stream_mark(
         )
     domain = _validate_mark_inputs(schema, watermark, spec)
     chunk_size = _source_chunk_size(source)
-    engine, mode = _resolve_stream_backend(backend, key, chunk_size)
+    engine = _resolve_stream_backend(backend, key, chunk_size)
     wm_data = spec.ecc().encode(watermark.bits, spec.channel_length)
 
     result = StreamMarkResult(
@@ -513,12 +488,11 @@ def stream_mark(
             source=source, sink=sink, schema=schema, result=result,
             reliability=reliability, start=start, fingerprint=fingerprint,
             watermark=watermark, key=key, spec=spec, domain=domain,
-            wm_data=wm_data, engine=engine, mode=mode,
+            wm_data=wm_data, engine=engine,
             chunk_size=chunk_size, constraints_factory=constraints_factory,
             checkpoint_path=checkpoint_path, journal=journal,
             run_lock=run_lock, retry=retry, deadline=deadline,
-            memory_budget=memory_budget, breaker=breaker,
-            worker_count=worker_count, watchdog=watchdog,
+            breaker=breaker, worker_count=worker_count, watchdog=watchdog,
             record_manifest=record_manifest,
         )
     finally:
@@ -529,10 +503,9 @@ def stream_mark(
 def _stream_mark_run(
     *,
     source, sink, schema, result, reliability, start, fingerprint,
-    watermark, key, spec, domain, wm_data, engine, mode, chunk_size,
+    watermark, key, spec, domain, wm_data, engine, chunk_size,
     constraints_factory, checkpoint_path, journal, run_lock, retry,
-    deadline, memory_budget, breaker, worker_count, watchdog,
-    record_manifest,
+    deadline, breaker, worker_count, watchdog, record_manifest,
 ) -> StreamMarkResult:
     """The chunk loop of :func:`stream_mark`, after the sink/journal/
     lease are positioned (split out so the lease's try/finally wraps
@@ -607,7 +580,7 @@ def _stream_mark_run(
             result.parallel = parallel_mark(
                 source, start, _commit_marked,
                 watermark=watermark, key=key, spec=spec, domain=domain,
-                wm_data=wm_data, mode=mode, chunk_size=chunk_size,
+                wm_data=wm_data, engine=engine, chunk_size=chunk_size,
                 workers=worker_count, retry=retry, deadline=deadline,
                 watchdog=resolve_watchdog(watchdog), breaker=breaker,
                 reliability=reliability,
@@ -631,13 +604,12 @@ def _stream_mark_run(
                         "stream_mark sources must be built with "
                         "infer_domains=False"
                     )
-                marked, pass_result, guard_report, mode = _embed_chunk(
+                pass_result, guard_report = _embed_chunk(
                     chunk, watermark, key, spec, domain, wm_data,
-                    constraints_factory, engine, mode, index,
-                    memory_budget, breaker, reliability,
+                    constraints_factory, engine, index,
                 )
                 _commit_marked(
-                    index, marked, pass_result, guard_report, len(chunk)
+                    index, chunk, pass_result, guard_report, len(chunk)
                 )
                 # Injection point: the chunk is fully durable here — a kill
                 # at this boundary is the canonical crash the chaos
@@ -779,85 +751,17 @@ def _embed_one(
     wm_data,
     guard: QualityGuard,
     engine: HashEngine | None,
-    mode: str,
 ) -> EmbeddingResult:
-    """Embed ``chunk`` in place under the resolved backend ``mode``."""
-    if _vector_chunk(mode, chunk):
-        pass_result = EmbeddingResult(
-            spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
-        )
-        kernels.embed_vector(
-            chunk, spec, domain, wm_data, guard, pass_result, engine
-        )
-        return pass_result
-    return embed(
-        chunk,
-        watermark,
-        key,
-        spec,
-        guard=guard,
-        engine=SCALAR if mode == SCALAR else engine,
-    )
-
-
-def _merge_pass(total: EmbeddingResult, part: EmbeddingResult) -> None:
-    total.fit_count += part.fit_count
-    total.applied += part.applied
-    total.vetoed += part.vetoed
-    total.unchanged += part.unchanged
-    total.slots_written |= part.slots_written
-
-
-def _merge_guard(total: GuardReport, part: GuardReport) -> None:
-    total.applied += part.applied
-    total.vetoed += part.vetoed
-    total.noop += part.noop
-    total.vetoes_by_constraint.update(part.vetoes_by_constraint)
-
-
-def _embed_slices(
-    chunk: Table,
-    slices: int,
-    watermark: Watermark,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    wm_data,
-    engine: HashEngine | None,
-    mode: str,
-) -> tuple[Table, EmbeddingResult, GuardReport]:
-    """Embed ``chunk`` in ``slices`` bounded pieces (memory-budget path).
-
-    Per-tuple decisions are pure functions of the keyed hash, so slicing
-    at any boundary is cell-identical to embedding the whole chunk; the
-    marked rows are reassembled into ONE table so the sink still receives
-    one write per *original* chunk — the gzip member framing (and hence
-    byte-identity with an unsliced run) is preserved.  Only guard-less
-    embeds may be sliced (guard budgets are chunk-scoped); the caller
-    enforces that.
-    """
-    total = EmbeddingResult(
+    """Embed ``chunk`` in place on ``engine`` (``None``: SCALAR)."""
+    if engine is None:
+        return embed(chunk, watermark, key, spec, guard=guard, engine=SCALAR)
+    pass_result = EmbeddingResult(
         spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
     )
-    report = GuardReport()
-    rows: list = []
-    n = len(chunk)
-    per = -(-n // slices)  # ceil: bounded working set per piece
-    for offset in range(0, n, per):
-        part = chunk.take(range(offset, min(offset + per, n)))
-        guard = QualityGuard([])
-        guard.bind(part)
-        _merge_pass(
-            total,
-            _embed_one(
-                part, watermark, key, spec, domain, wm_data, guard,
-                engine, mode,
-            ),
-        )
-        _merge_guard(report, guard.report)
-        rows.extend(iter(part))
-    marked = Table.from_trusted_rows(chunk.schema, rows, name=chunk.name)
-    return marked, total, report
+    kernels.embed_vector(
+        chunk, spec, domain, wm_data, guard, pass_result, engine
+    )
+    return pass_result
 
 
 def _embed_chunk(
@@ -869,104 +773,22 @@ def _embed_chunk(
     wm_data,
     constraints_factory: Callable[[], list] | None,
     engine: HashEngine | None,
-    mode: str,
     index: int,
-    budget: MemoryBudget | None,
-    breaker: CircuitBreaker | None,
-    reliability: ReliabilityReport,
-) -> tuple[Table, EmbeddingResult, GuardReport, str]:
-    """Embed one chunk, adapting to memory pressure and backend faults.
-
-    Returns ``(marked, pass_result, guard_report, mode)`` — ``marked`` is
-    the table to write (the chunk itself on the normal in-place path, a
-    reassembled table when the memory budget sliced the embed) and
-    ``mode`` is the possibly-degraded backend the *remaining* chunks
-    should keep using.  Two bit-identical adaptations can replay the
-    chunk:
-
-    * a :class:`MemoryBudget` breach (sampled here, at the boundary) or a
-      raised ``MemoryError`` halves the effective chunk size and replays;
-      refused when ``constraints_factory`` is set, because guard budgets
-      are chunk-scoped and slicing would change their semantics;
-    * when the circuit breaker opens on :data:`STREAM_VECTOR_LABEL`
-      (K consecutive vector-path transients), the run degrades down the
-      existing ladder to the ENGINE backend — same cells, no numpy.
-    """
-    while True:
-        if budget is not None and budget.over_budget():
-            if budget.shrink(f"over budget before chunk {index}"):
-                reliability.chunk_shrinks += 1
-        slices = (
-            budget.slices(len(chunk))
-            if budget is not None and constraints_factory is None
-            else 1
-        )
-        try:
-            # Injection point: embed-step faults (hang/slow/memory) land
-            # here, *inside* the adaptive retry, unlike the post-durability
-            # "pipeline.chunk" point.
-            fault_point("pipeline.embed", index)
-            if slices == 1:
-                guard = QualityGuard(
-                    list(constraints_factory()) if constraints_factory
-                    else []
-                )
-                guard.bind(chunk)
-                pass_result = _embed_one(
-                    chunk, watermark, key, spec, domain, wm_data, guard,
-                    engine, mode,
-                )
-                marked, report = chunk, guard.report
-            else:
-                marked, pass_result, report = _embed_slices(
-                    chunk, slices, watermark, key, spec, domain, wm_data,
-                    engine, mode,
-                )
-            if breaker is not None and _vector_chunk(mode, chunk):
-                breaker.record_success(STREAM_VECTOR_LABEL)
-            if budget is not None and budget.note_healthy():
-                reliability.chunk_regrows += 1
-            return marked, pass_result, report, mode
-        except TRANSIENT_TYPES as exc:
-            if classify(exc) is not TRANSIENT:
-                raise
-            vectored = _vector_chunk(mode, chunk)
-            if vectored and breaker is not None:
-                if breaker.record_failure(
-                    STREAM_VECTOR_LABEL, cause=repr(exc)
-                ):
-                    reliability.breaker_trips[STREAM_VECTOR_LABEL] += 1
-            if isinstance(exc, MemoryError):
-                if constraints_factory is not None:
-                    # Guard budgets are chunk-scoped: slicing would change
-                    # which alterations the budget admits, so the guarded
-                    # path refuses to adapt and lets the caller see it.
-                    raise
-                if budget is not None and budget.shrink(
-                    f"MemoryError at chunk {index}"
-                ):
-                    reliability.chunk_shrinks += 1
-                    logger.warning(
-                        "memory pressure at chunk %d: replaying in %d "
-                        "slices", index, budget.slices(len(chunk)),
-                    )
-                    continue
-            if (
-                vectored
-                and breaker is not None
-                and breaker.is_open(STREAM_VECTOR_LABEL)
-            ):
-                # Degrade down the existing bit-identical ladder: the
-                # ENGINE backend computes the same cells without numpy.
-                reliability.backend_fallbacks += 1
-                logger.warning(
-                    "circuit breaker open on %s after %r: degrading "
-                    "remaining chunks to the ENGINE backend",
-                    STREAM_VECTOR_LABEL, exc,
-                )
-                mode = ENGINE
-                continue
-            raise
+) -> tuple[EmbeddingResult, GuardReport]:
+    """Embed one chunk in place under a fresh per-chunk guard; returns
+    ``(pass_result, guard_report)``."""
+    # Injection point: embed-step faults (hang/slow/memory) land here,
+    # before the chunk is durable, unlike the post-durability
+    # "pipeline.chunk" point.
+    fault_point("pipeline.embed", index)
+    guard = QualityGuard(
+        list(constraints_factory()) if constraints_factory else []
+    )
+    guard.bind(chunk)
+    pass_result = _embed_one(
+        chunk, watermark, key, spec, domain, wm_data, guard, engine
+    )
+    return pass_result, guard.report
 
 
 def _merge_result(
@@ -1105,106 +927,50 @@ def _chunk_votes(
     domain: CategoricalDomain,
     value_mapping: dict[Hashable, Hashable] | None,
     engine: HashEngine | None,
-    mode: str,
 ) -> SlotVotes:
-    """One chunk's slot-vote tallies under the resolved backend."""
-    if _vector_chunk(mode, chunk):
-        return SlotVotes.from_arrays(
-            *kernels.extract_votes_vector(
-                chunk, spec, domain, embedding_map, value_mapping, engine
-            )
+    """One chunk's slot-vote tallies on ``engine`` (``None``: SCALAR)."""
+    if engine is None:
+        return extract_slot_votes(
+            chunk, key, spec, embedding_map, domain, value_mapping,
+            engine=SCALAR,
         )
-    return extract_slot_votes(
-        chunk,
-        key,
-        spec,
-        embedding_map,
-        domain,
-        value_mapping,
-        engine=SCALAR if mode == SCALAR else engine,
+    return SlotVotes.from_arrays(
+        *kernels.extract_votes_vector(
+            chunk, spec, domain, embedding_map, value_mapping, engine
+        )
     )
 
 
-def _chunk_votes_adaptive(
+def _chunk_tallies(
     chunk: Table,
-    key: MarkKey,
+    keys: Sequence[MarkKey],
     spec: EmbeddingSpec,
-    embedding_map: dict[Hashable, int] | None,
+    maps: Sequence[dict[Hashable, int] | None],
     domain: CategoricalDomain,
     value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine | None,
-    mode: str,
-    index: int,
-    budget: MemoryBudget | None,
-    breaker: CircuitBreaker | None,
-    reliability: ReliabilityReport,
-) -> tuple[list[SlotVotes], str]:
-    """One chunk's tallies, adapting like :func:`_embed_chunk` does.
-
-    Returns ``(tallies, mode)``: the tallies are produced *in row order*
-    (sub-slices of a split chunk stay ordered), so merging them into the
-    accumulator one by one preserves the global first-vote tie rule and
-    the verdict stays bit-identical to an unsplit scan.
-    """
-    while True:
-        if budget is not None and budget.over_budget():
-            if budget.shrink(f"over budget before chunk {index}"):
-                reliability.chunk_shrinks += 1
-        slices = budget.slices(len(chunk)) if budget is not None else 1
-        try:
-            if slices == 1:
-                tallies = [
-                    _chunk_votes(
-                        chunk, key, spec, embedding_map, domain,
-                        value_mapping, engine, mode,
-                    )
-                ]
-            else:
-                tallies = []
-                n = len(chunk)
-                per = -(-n // slices)
-                for offset in range(0, n, per):
-                    part = chunk.take(range(offset, min(offset + per, n)))
-                    tallies.append(
-                        _chunk_votes(
-                            part, key, spec, embedding_map, domain,
-                            value_mapping, engine, mode,
-                        )
-                    )
-            if breaker is not None and _vector_chunk(mode, chunk):
-                breaker.record_success(STREAM_VECTOR_LABEL)
-            if budget is not None and budget.note_healthy():
-                reliability.chunk_regrows += 1
-            return tallies, mode
-        except TRANSIENT_TYPES as exc:
-            if classify(exc) is not TRANSIENT:
-                raise
-            vectored = _vector_chunk(mode, chunk)
-            if vectored and breaker is not None:
-                if breaker.record_failure(
-                    STREAM_VECTOR_LABEL, cause=repr(exc)
-                ):
-                    reliability.breaker_trips[STREAM_VECTOR_LABEL] += 1
-            if isinstance(exc, MemoryError):
-                if budget is not None and budget.shrink(
-                    f"MemoryError at chunk {index}"
-                ):
-                    reliability.chunk_shrinks += 1
-                    continue
-            if (
-                vectored
-                and breaker is not None
-                and breaker.is_open(STREAM_VECTOR_LABEL)
-            ):
-                reliability.backend_fallbacks += 1
-                logger.warning(
-                    "circuit breaker open on %s after %r: degrading "
-                    "remaining chunks to the ENGINE backend",
-                    STREAM_VECTOR_LABEL, exc,
-                )
-                mode = ENGINE
-                continue
-            raise
+    engines: Sequence[HashEngine | None],
+) -> list[SlotVotes]:
+    """Every pass's tallies for one chunk: one fused kernel launch for
+    several VECTOR passes (they share the chunk's key factorization by
+    construction), per-pass tallies otherwise."""
+    if len(keys) > 1 and engines[0] is not None:
+        return [
+            SlotVotes.from_arrays(*tally)
+            for tally in kernels.detect_multipass_votes(
+                [chunk] * len(keys),
+                spec,
+                [domain] * len(keys),
+                maps if spec.variant == VARIANT_MAP else None,
+                value_mapping,
+                engines,
+            )
+        ]
+    return [
+        _chunk_votes(
+            chunk, key, spec, embedding_map, domain, value_mapping, engine
+        )
+        for key, engine, embedding_map in zip(keys, engines, maps)
+    ]
 
 
 def stream_detect(
@@ -1218,7 +984,6 @@ def stream_detect(
     backend: HashEngine | str | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    memory_budget: MemoryBudget | None = None,
     breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
@@ -1238,25 +1003,20 @@ def stream_detect(
     merged in chunk order, so the verdict is bit-identical to
     ``workers=1`` for every worker count.  ``watchdog`` (parallel runs
     only) heartbeat-monitors pool workers; ``False`` disables it.
+    ``breaker`` (parallel runs only) degrades the pool to serial
+    coordinator compute after repeated worker failures.
     """
     from .parallel import resolve_workers
 
     _check_map_inputs(spec, embedding_map)
     worker_count = resolve_workers(workers)
-    if worker_count > 1:
-        if isinstance(backend, HashEngine):
-            raise StreamError(
-                "parallel stream_detect cannot share a HashEngine across "
-                "processes; pass a backend sentinel instead"
-            )
-        if memory_budget is not None:
-            raise StreamError(
-                "parallel stream_detect does not support a memory_budget: "
-                "adaptive chunk slicing is a serial-path feature — run "
-                "with workers=1"
-            )
+    if worker_count > 1 and isinstance(backend, HashEngine):
+        raise StreamError(
+            "parallel stream_detect cannot share a HashEngine across "
+            "processes; pass a backend sentinel instead"
+        )
     chunk_size = _source_chunk_size(source)
-    engine, mode = _resolve_stream_backend(backend, key, chunk_size)
+    engine = _resolve_stream_backend(backend, key, chunk_size)
     resolved = _resolve_stream_domain(domain, source, spec)
     if worker_count > 1:
         from .parallel import parallel_votes, resolve_watchdog
@@ -1265,7 +1025,7 @@ def stream_detect(
         accumulators, chunks_seen, rows, report = parallel_votes(
             source, [key], spec,
             maps=[embedding_map], domain=resolved,
-            value_mapping=value_mapping, mode=mode,
+            value_mapping=value_mapping, engines=[engine],
             chunk_size=chunk_size, workers=worker_count, retry=retry,
             deadline=deadline, watchdog=resolve_watchdog(watchdog),
             breaker=breaker, reliability=reliability,
@@ -1298,12 +1058,12 @@ def stream_detect(
                 f"no categorical domain available for "
                 f"{spec.mark_attribute!r}"
             )
-        tallies, mode = _chunk_votes_adaptive(
-            chunk, key, spec, embedding_map, resolved, value_mapping,
-            engine, mode, index, memory_budget, breaker, reliability,
+        accumulator.add(
+            _chunk_votes(
+                chunk, key, spec, embedding_map, resolved, value_mapping,
+                engine,
+            )
         )
-        for tally in tallies:
-            accumulator.add(tally)
         rows += len(chunk)
         chunks_seen += 1
         fault_point("pipeline.chunk", index)
@@ -1332,7 +1092,6 @@ def stream_verify(
     backend: HashEngine | str | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    memory_budget: MemoryBudget | None = None,
     breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
@@ -1362,7 +1121,6 @@ def stream_verify(
         backend=backend,
         retry=retry,
         deadline=deadline,
-        memory_budget=memory_budget,
         breaker=breaker,
         workers=workers,
         watchdog=watchdog,
@@ -1437,11 +1195,9 @@ def stream_verify_multipass(
             "stream_verify_multipass needs one engine per pass; pass a "
             "backend sentinel instead"
         )
-    resolved_pairs = [
+    engines = [
         _resolve_stream_backend(backend, key, chunk_size) for key in keys
     ]
-    engines = [engine for engine, _ in resolved_pairs]
-    mode = resolved_pairs[0][1] if resolved_pairs else AUTO
     resolved = _resolve_stream_domain(domain, source, spec)
 
     from .parallel import resolve_workers
@@ -1455,7 +1211,7 @@ def stream_verify_multipass(
         accumulators, _, _, _ = parallel_votes(
             source, keys, spec,
             maps=maps, domain=resolved, value_mapping=value_mapping,
-            mode=mode, chunk_size=chunk_size, workers=worker_count,
+            engines=engines, chunk_size=chunk_size, workers=worker_count,
             retry=retry, deadline=deadline,
             watchdog=resolve_watchdog(watchdog), breaker=None,
             reliability=reliability,
@@ -1483,27 +1239,11 @@ def stream_verify_multipass(
                 f"no categorical domain available for "
                 f"{spec.mark_attribute!r}"
             )
-        if pass_count > 1 and _vector_chunk(mode, chunk):
-            tallies = kernels.detect_multipass_votes(
-                [chunk] * pass_count,
-                spec,
-                [resolved] * pass_count,
-                maps if spec.variant == VARIANT_MAP else None,
-                value_mapping,
-                engines,
-            )
-            for accumulator, tally in zip(accumulators, tallies):
-                accumulator.add(SlotVotes.from_arrays(*tally))
-        else:
-            for accumulator, pass_key, pass_engine, embedding_map in zip(
-                accumulators, keys, engines, maps
-            ):
-                accumulator.add(
-                    _chunk_votes(
-                        chunk, pass_key, spec, embedding_map, resolved,
-                        value_mapping, pass_engine, mode,
-                    )
-                )
+        tallies = _chunk_tallies(
+            chunk, keys, spec, maps, resolved, value_mapping, engines
+        )
+        for accumulator, tally in zip(accumulators, tallies):
+            accumulator.add(tally)
     ecc = spec.ecc()
     return [
         _assemble_verification(

@@ -6,7 +6,7 @@ codes) must be **bit-identical** to the historical per-row path for every
 attack that implements it, under the exact same
 ``random.Random(f"attack:{seed}:{x}")`` draw sequence — including the
 pk-collision and empty-subset edge cases — and the attacked relations
-must then detect identically across all three execution backends.
+must then detect identically on both execution backends.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.attacks import (
     SubsetAlterationAttack,
 )
 from repro.core import Watermark, Watermarker
-from repro.crypto import ENGINE, SCALAR, VECTOR, MarkKey
+from repro.crypto import SCALAR, VECTOR, MarkKey
 from repro.datagen import generate_item_scan
 from repro.relational import (
     DuplicateKeyError,
@@ -191,7 +191,7 @@ class TestRowsCodesEquivalence:
 
 
 class TestDetectionBackendsOnAttacked:
-    """Attacked relations verify identically on SCALAR / ENGINE / VECTOR,
+    """Attacked relations verify identically on SCALAR and VECTOR,
     whichever attack backend produced them."""
 
     @pytest.mark.parametrize("attack_backend", [ATTACK_ROWS, ATTACK_CODES])
@@ -205,12 +205,9 @@ class TestDetectionBackendsOnAttacked:
         ],
         ids=["alteration", "horizontal", "addition", "permute"],
     )
-    def test_three_backend_verdicts_match(
-        self, base_table, factory, attack_backend, monkeypatch
+    def test_backend_verdicts_match(
+        self, base_table, factory, attack_backend
     ):
-        from repro.core import kernels
-
-        monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 1)
         marker = Watermarker(MarkKey.from_seed("codes-eq-3b"), e=20)
         outcome = marker.embed(
             base_table, Watermark.from_int(0x155, 10), "Item_Nbr"
@@ -219,7 +216,7 @@ class TestDetectionBackendsOnAttacked:
         attack.backend = attack_backend
         attacked = attack.apply(outcome.table, _rng(0.5, seed=7))
         verdicts = []
-        for backend in (SCALAR, ENGINE, VECTOR):
+        for backend in (SCALAR, VECTOR):
             checker = Watermarker(
                 MarkKey.from_seed("codes-eq-3b"), e=20, engine=backend
             )
@@ -233,7 +230,7 @@ class TestDetectionBackendsOnAttacked:
                     result.detection.watermark.bits,
                 )
             )
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[0] == verdicts[1]
 
 
 class TestTableBatchPrimitives:

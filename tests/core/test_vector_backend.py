@@ -1,11 +1,11 @@
-"""Three-backend bit-identity: VECTOR vs ENGINE vs SCALAR.
+"""Two-backend bit-identity: VECTOR vs the SCALAR reference.
 
 The vector kernels (column codes + plan arrays + bincount tallies) must
 produce exactly the same marked relation, embedding statistics, guard
-state, recovered slots and verdicts as the engine and scalar paths — for
-both Figure 1 variants, §3.3 place-holder keys with duplicates, §4.5
-remapping recovery inputs, constrained guards, the frequency channel and
-the multi-attribute closure.
+state, recovered slots and verdicts as the row-at-a-time scalar path —
+for both Figure 1 variants, §3.3 place-holder keys with duplicates, §4.5
+remapping recovery inputs, constrained guards, the frequency channel, the
+multi-attribute closure, and relations of every size down to empty.
 """
 
 from __future__ import annotations
@@ -19,21 +19,16 @@ from repro.core import (
     Watermarker,
     embed_pairs,
     make_spec,
+    verify,
     verify_pairs,
 )
 from repro.core import kernels
 from repro.core.detection import extract_slots
 from repro.core.embedding import embed
 from repro.core.frequency import detect_frequency, embed_frequency
-from repro.crypto import (
-    ENGINE,
-    SCALAR,
-    VECTOR,
-    MarkKey,
-    clear_engine_registry,
-)
+from repro.crypto import SCALAR, VECTOR, MarkKey, clear_engine_registry
 from repro.datagen import generate_item_scan
-from repro.quality import Constraint, QualityGuard
+from repro.quality import Constraint, MaxAlterationFraction, QualityGuard
 from repro.relational import (
     Attribute,
     AttributeType,
@@ -42,13 +37,7 @@ from repro.relational import (
     Table,
 )
 
-BACKENDS = (SCALAR, ENGINE, VECTOR)
-
-
-@pytest.fixture(autouse=True)
-def force_vector_eligibility(monkeypatch):
-    """Let the AUTO heuristic and VECTOR path run on small test tables."""
-    monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 1)
+BACKENDS = (SCALAR, VECTOR)
 
 
 @pytest.fixture
@@ -116,9 +105,9 @@ def test_embed_and_extract_bit_identical(relation, watermark, key, variant):
         )
         tables.append(list(table))
         stats.append(_embed_stats(result))
-    assert tables[0] == tables[1] == tables[2]
-    assert stats[0] == stats[1] == stats[2]
-    assert slot_sets[0] == slot_sets[1] == slot_sets[2]
+    assert tables[0] == tables[1]
+    assert stats[0] == stats[1]
+    assert slot_sets[0] == slot_sets[1]
 
 
 @pytest.mark.parametrize("variant", ["keyed", "map"])
@@ -142,17 +131,16 @@ def test_placeholder_duplicates_bit_identical(
         tables.append(list(table))
         stats.append(_embed_stats(result))
         guards.append(guard)
-    assert tables[0] == tables[1] == tables[2]
-    assert stats[0] == stats[1] == stats[2]
+    assert tables[0] == tables[1]
+    assert stats[0] == stats[1]
     # The fast-path batched write-back must leave the guard's log, report
     # and incremental statistics exactly as the per-cell path does.
-    reference = guards[0]
-    for guard in guards[1:]:
-        assert guard.log.entries == reference.log.entries
-        assert guard.report.applied == reference.report.applied
-        assert guard.report.noop == reference.report.noop
-        assert guard.context.change_count == reference.context.change_count
-        assert guard.context.count_deltas == reference.context.count_deltas
+    reference, guard = guards
+    assert guard.log.entries == reference.log.entries
+    assert guard.report.applied == reference.report.applied
+    assert guard.report.noop == reference.report.noop
+    assert guard.context.change_count == reference.context.change_count
+    assert guard.context.count_deltas == reference.context.count_deltas
 
 
 def test_constrained_guard_vetoes_identically(
@@ -185,7 +173,7 @@ def test_constrained_guard_vetoes_identically(
             (list(table), _embed_stats(result), guard.log.entries,
              guard.report.vetoed)
         )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_remap_recovery_inputs_identical(placeholder_table, watermark, key):
@@ -228,7 +216,7 @@ def test_remap_recovery_inputs_identical(placeholder_table, watermark, key):
         )
         for backend in BACKENDS
     ]
-    assert recovered[0] == recovered[1] == recovered[2]
+    assert recovered[0] == recovered[1]
 
 
 def test_watermarker_verdicts_identical(relation, watermark, key):
@@ -246,7 +234,7 @@ def test_watermarker_verdicts_identical(relation, watermark, key):
                 verdict.association.detected,
             )
         )
-    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0] == verdicts[1]
     assert verdicts[0][3] is True
 
 
@@ -311,11 +299,83 @@ def test_multiattribute_identical(relation, watermark, key):
                 },
             )
         )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
 
 
-def test_auto_heuristic(monkeypatch):
-    monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 4096)
-    assert kernels.auto_backend(4096) == VECTOR
-    assert kernels.auto_backend(4095) == ENGINE
-    assert kernels.auto_backend(0) == ENGINE
+def _tiny_cases(relation, placeholder_table, watermark):
+    """``(name, table, spec, constraints)`` for relations far below any
+    size where array setup used to be thought not worth it."""
+    keyed = make_spec(relation, watermark, "Item_Nbr", e=20)
+    cases = [
+        ("empty", relation.take(range(0)), keyed, None),
+        ("one-row", relation.take(range(1)), keyed, None),
+        ("256-rows", relation.take(range(256)), keyed, None),
+        (
+            "no-carriers",
+            relation.take(range(256)),
+            make_spec(relation, watermark, "Item_Nbr", e=10**9,
+                      channel_length=10),
+            None,
+        ),
+        (
+            "map-variant",
+            relation.take(range(256)),
+            make_spec(relation, watermark, "Item_Nbr", e=20, variant="map"),
+            None,
+        ),
+    ]
+    small = placeholder_table.take(range(120))
+    placeholder = make_spec(
+        small, watermark, mark_attribute="B", e=2, key_attribute="A",
+    )
+    cases.append(("placeholder-duplicates", small, placeholder, None))
+    cases.append(
+        (
+            "constrained-guard",
+            small,
+            placeholder,
+            lambda: [MaxAlterationFraction(0.05)],
+        )
+    )
+    return cases
+
+
+def test_default_backend_runs_vector_on_tiny_relations(
+    relation, placeholder_table, watermark, key
+):
+    """With no backend argument, every relation size — the empty one
+    included — launches the vector kernels and matches SCALAR cell for
+    cell: there is no size threshold below which another path runs."""
+    cases = _tiny_cases(relation, placeholder_table, watermark)
+    for name, table, spec, constraints in cases:
+        outcomes = []
+        for backend in (SCALAR, None):
+            clear_engine_registry()
+            kernels.reset_kernel_calls()
+            marked = table.clone()
+            guard = QualityGuard(constraints() if constraints else [])
+            guard.bind(marked)
+            result = embed(
+                marked, watermark, key, spec, guard=guard, engine=backend
+            )
+            verdict = verify(
+                marked, key, spec, watermark,
+                embedding_map=result.embedding_map, engine=backend,
+            )
+            launches = dict(kernels.KERNEL_CALLS)
+            if backend is None:
+                assert launches["embed"] == 1, name
+                assert launches["detect"] == 1, name
+            else:
+                assert not any(launches.values()), name
+            outcomes.append(
+                (
+                    list(marked),
+                    _embed_stats(result),
+                    guard.log.entries,
+                    verdict.detection.fit_count,
+                    verdict.detection.decode.bits,
+                    verdict.matching_bits,
+                )
+            )
+        assert outcomes[0] == outcomes[1], name

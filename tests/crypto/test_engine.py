@@ -159,36 +159,6 @@ class TestDerivedPrimitives:
         with pytest.raises(ValueError):
             engine.pair_map(DISTINCT_VALUES, 1)  # single-value domain: no pairs
 
-    def test_carrier_plan_views_share_engine_caches(self, engine):
-        plan = engine.plan(e=7, channel_length=50, domain_size=10)
-        fit = plan.fitness(DISTINCT_VALUES)
-        assert fit is engine.fitness_map([], 7)
-        carriers = [value for value in DISTINCT_VALUES if fit[value]]
-        assert plan.slots(carriers) is engine.slot_map([], 50)
-        assert plan.pairs(carriers) is engine.pair_map([], 10)
-
-    def test_plan_without_domain_rejects_pairs(self, engine):
-        plan = engine.plan(e=7, channel_length=50)
-        with pytest.raises(ValueError):
-            plan.pairs(DISTINCT_VALUES)
-
-
-class TestProcessPool:
-    def test_pooled_digests_match_serial(self, key):
-        serial = HashEngine(key)
-        pooled = HashEngine(key, pool_threshold=10, max_workers=2)
-        values = [f"value-{i}" for i in range(64)] + VALUES
-        assert pooled.k1.digest_many(values) == serial.k1.digest_many(values)
-        assert pooled.fitness_mask(values, 13) == serial.fitness_mask(
-            values, 13
-        )
-
-    def test_below_threshold_stays_serial(self, key):
-        engine = HashEngine(key, pool_threshold=10**9, max_workers=2)
-        assert engine.k1.digest_many(VALUES) == [
-            keyed_hash(value, key.k1) for value in VALUES
-        ]
-
 
 class TestRegistry:
     def test_get_engine_is_shared_per_key(self):

@@ -271,8 +271,8 @@ class TestRunnerCompatibility:
 
 
 class TestBackendEquivalence:
-    """The execution backend (SCALAR / ENGINE / VECTOR) never changes a
-    sweep's results — in-process or across the worker pool."""
+    """The execution backend (SCALAR / VECTOR) never changes a sweep's
+    results — in-process or across the worker pool."""
 
     def _run(self, base_table, backend, mode, max_workers=None):
         from repro.crypto import clear_engine_registry
@@ -287,33 +287,29 @@ class TestBackendEquivalence:
             engine.run(base_table, protocol, _attacks(), SEEDS)
         )
 
-    def test_backends_bit_identical_hoisted(self, base_table, monkeypatch):
-        from repro.core import kernels
-        from repro.crypto import ENGINE, SCALAR, VECTOR
+    def test_backends_bit_identical_hoisted(self, base_table):
+        from repro.crypto import SCALAR, VECTOR
 
-        monkeypatch.setattr(kernels, "VECTOR_MIN_ROWS", 1)
         scalar = self._run(base_table, SCALAR, MODE_HOISTED)
-        engine = self._run(base_table, ENGINE, MODE_HOISTED)
         vector = self._run(base_table, VECTOR, MODE_HOISTED)
-        assert scalar == engine == vector
+        assert scalar == vector
 
     def test_vector_backend_bit_identical_pooled(self, base_table):
         """Acceptance: a pooled sweep on the vector backend matches the
-        hoisted engine-backend reference cell for cell.  (Workers resolve
-        the backend themselves; VECTOR_MIN_ROWS patching does not cross
-        the process boundary, so the protocol forces VECTOR explicitly.)"""
-        from repro.crypto import ENGINE, VECTOR
+        hoisted SCALAR reference cell for cell."""
+        from repro.crypto import SCALAR, VECTOR
 
-        reference = self._run(base_table, ENGINE, MODE_HOISTED)
+        reference = self._run(base_table, SCALAR, MODE_HOISTED)
         pooled = self._run(
             base_table, VECTOR, MODE_POOLED, max_workers=2
         )
         assert pooled == reference
 
-    def test_auto_backend_is_default_and_identical(self, base_table):
-        from repro.crypto import AUTO, SCALAR
+    def test_vector_backend_is_default_and_identical(self, base_table):
+        from repro.crypto import SCALAR, VECTOR
 
-        assert SweepProtocol(mark_attribute="Item_Nbr", e=40).backend == AUTO
-        auto = self._run(base_table, AUTO, MODE_HOISTED)
+        protocol = SweepProtocol(mark_attribute="Item_Nbr", e=40)
+        assert protocol.backend == VECTOR
+        vector = self._run(base_table, VECTOR, MODE_HOISTED)
         scalar = self._run(base_table, SCALAR, MODE_SERIAL)
-        assert auto == scalar
+        assert vector == scalar

@@ -240,9 +240,8 @@ class TestSweepCommand:
         outputs = []
         for backend, mode in (
             ("scalar", "serial"),
-            ("engine", "hoisted"),
             ("vector", "hoisted"),
-            ("auto", "auto"),
+            ("vector", "auto"),
         ):
             out = small_workspace / f"{backend}-{mode}.json"
             code = main(
@@ -271,12 +270,15 @@ class TestSweepCommand:
 
     def test_rejects_unknown_backend(self, small_workspace):
         out = small_workspace / "bad.json"
-        with pytest.raises(SystemExit):
-            main(
-                self._sweep(
-                    small_workspace, out, **{"--backend": "vectr"}
+        # a typo, and the two retired backend names
+        for backend in ("vectr", "engine", "auto"):
+            with pytest.raises(SystemExit):
+                main(
+                    self._sweep(
+                        small_workspace, out, **{"--backend": backend}
+                    )
                 )
-            )
+            assert not out.exists()
 
 
 class TestFigureCommand:
@@ -286,7 +288,7 @@ class TestFigureCommand:
             [
                 "figure", "--figure", "7", "--tuples", "500",
                 "--items", "50", "--passes", "2",
-                "--backend", "auto", "--mode", "auto",
+                "--backend", "vector", "--mode", "auto",
                 "--json", str(out),
             ]
         )

@@ -4,10 +4,10 @@ The kill-matrix proves crash-safety; this matrix proves *stall*-safety.
 Each cell arms a :class:`~repro.reliability.FaultPlan` with a stall kind
 (``hang`` sleeps and continues, ``slow`` throttles, ``memory`` raises
 ``MemoryError``) at one labeled injection point and asserts the run
-recovers — within its :class:`~repro.reliability.Deadline`, through the
-:class:`~repro.reliability.MemoryBudget` shrink/replay, via the worker
-watchdog, or down a circuit-breaker degradation ladder — with output
-**byte-identical** to an undisturbed run.
+recovers — within its :class:`~repro.reliability.Deadline`, through a
+checkpoint resume, via the worker watchdog, or down a circuit-breaker
+degradation ladder — with output **byte-identical** to an undisturbed
+run.
 
 Run with ``pytest -m chaos``; ``REPRO_CHAOS_REDUCED=1`` shrinks the
 matrix (the CI smoke job does).  All injected sleeps are tens of
@@ -22,8 +22,7 @@ import os
 import pytest
 
 from repro import MarkKey, Watermark
-from repro.core import EmbeddingSpec, kernels
-from repro.crypto import VECTOR
+from repro.core import EmbeddingSpec
 from repro.datagen import generate_item_scan
 from repro.experiments import (
     MODE_POOLED,
@@ -42,7 +41,6 @@ from repro.reliability import (
     Deadline,
     DeadlineExceededError,
     FaultPlan,
-    MemoryBudget,
     RetryPolicy,
     Watchdog,
 )
@@ -70,13 +68,17 @@ STALL_AT = {
     "sink.write": 2,
     "sink.flush": 2,       # fires inside the retry-wrapped write+flush
     "checkpoint.save": 2,  # chunks_done is 1-based at save time
-    "pipeline.embed": 1,   # inside the adaptive embed loop
+    "pipeline.embed": 1,   # before the chunk is durable
     "pipeline.chunk": 1,   # after the chunk is durable (crash-equivalent)
 }
 STALL_LABELS = (
     ["source.read", "pipeline.embed"] if REDUCED else list(STALL_AT)
 )
 STALL_KINDS = [HANG, MEMORY] if REDUCED else [HANG, SLOW, MEMORY]
+
+#: chunk steps with no in-process handler for exhaustion: a MemoryError
+#: there stops the run, and the checkpoint resumes it at this chunk
+RESUME_AT = {"pipeline.embed": 1, "pipeline.chunk": 2}
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +122,7 @@ def _stalled_mark(base, wm, key, spec, out, ckpt, plan, *, resume=False,
         return stream_mark(
             TableChunkSource(base, chunk_size=CHUNK), wm, key, spec,
             open_sink(out), checkpoint_path=ckpt, resume=resume,
-            retry=FAST, deadline=Deadline(deadline_s),
-            memory_budget=kwargs.pop("memory_budget", MemoryBudget()),
-            **kwargs,
+            retry=FAST, deadline=Deadline(deadline_s), **kwargs,
         )
 
 
@@ -133,28 +133,34 @@ class TestStreamStallMatrix:
         self, base, key, wm, spec, reference, tmp_path, chaos_report,
         label, kind,
     ):
+        if kind == MEMORY and label in RESUME_AT:
+            # Exhaustion in a chunk step is a resumable stop: the
+            # previous chunk is durable, and the checkpoint resumes.  Both
+            # formats run, so gzip member framing stays pinned too.
+            for fmt in ("csv", "csv.gz"):
+                out = tmp_path / f"out.{fmt}"
+                ckpt = tmp_path / f"run-{fmt}.ckpt"
+                plan = FaultPlan().add(label, kind, at=STALL_AT[label])
+                with pytest.raises(MemoryError):
+                    _stalled_mark(base, wm, key, spec, out, ckpt, plan)
+                assert plan.pending() == 0
+                result = _stalled_mark(
+                    base, wm, key, spec, out, ckpt, FaultPlan(), resume=True
+                )
+                assert result.resumed_at_chunk == RESUME_AT[label]
+                assert result.resumed_at_chunk + result.chunks == N_CHUNKS
+                assert out.read_bytes() == reference[fmt]
+                chaos_report(result.reliability)
+            return
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
         plan = FaultPlan(hang_seconds=0.05, slow_seconds=0.02).add(
             label, kind, at=STALL_AT[label]
         )
-        if (label, kind) == ("pipeline.chunk", MEMORY):
-            # The one post-durability point with no in-process handler:
-            # exhaustion there is crash-equivalent, and recovery is the
-            # checkpoint's job — resume with a fresh budget.
-            with pytest.raises(MemoryError):
-                _stalled_mark(base, wm, key, spec, out, ckpt, plan)
-            result = _stalled_mark(
-                base, wm, key, spec, out, ckpt, FaultPlan(), resume=True
-            )
-            assert result.resumed_at_chunk == STALL_AT[label] + 1
-        else:
-            result = _stalled_mark(base, wm, key, spec, out, ckpt, plan)
-            assert result.chunks == N_CHUNKS
+        result = _stalled_mark(base, wm, key, spec, out, ckpt, plan)
+        assert result.chunks == N_CHUNKS
         assert plan.pending() == 0
         assert out.read_bytes() == reference["csv"]
-        if kind == MEMORY and label != "pipeline.chunk":
-            # (the pipeline.chunk cell's recovery evidence is the resume
-            # offset asserted above — its second run is clean by design)
+        if kind == MEMORY:
             assert result.reliability.any_recovery
         chaos_report(result.reliability)
 
@@ -180,62 +186,6 @@ class TestStreamStallMatrix:
         assert out.read_bytes() == reference["csv"]
         chaos_report(result.reliability)
 
-    def test_memory_budget_shrinks_replays_and_regrows(
-        self, base, key, wm, spec, reference, tmp_path, chaos_report
-    ):
-        # gzip output pins the framing contract: the shrunk chunk is
-        # embedded in slices but written as ONE member, so the bytes
-        # (member boundaries included) match the undisturbed run.
-        out, ckpt = tmp_path / "out.csv.gz", tmp_path / "run.ckpt"
-        budget = MemoryBudget(regrow_after=2)
-        plan = FaultPlan().add("pipeline.embed", MEMORY, at=1)
-        result = _stalled_mark(
-            base, wm, key, spec, out, ckpt, plan, memory_budget=budget
-        )
-        assert out.read_bytes() == reference["csv.gz"]
-        assert result.reliability.chunk_shrinks == 1
-        assert result.reliability.chunk_regrows == 1  # chunks 2+3 healthy
-        assert budget.factor == 1
-        assert [event[0] for event in budget.events] == ["shrink", "regrow"]
-        chaos_report(result.reliability)
-
-    def test_guarded_embed_refuses_to_slice(self, base, key, wm, spec, tmp_path):
-        # Guard budgets are chunk-scoped: slicing would change which
-        # alterations they admit, so the guarded path must propagate.
-        plan = FaultPlan().add("pipeline.embed", MEMORY, at=0)
-        with pytest.raises(MemoryError):
-            _stalled_mark(
-                base, wm, key, spec, tmp_path / "out.csv",
-                tmp_path / "run.ckpt", plan,
-                constraints_factory=list,
-            )
-
-    def test_breaker_degrades_vector_to_engine_bit_identical(
-        self, base, key, wm, spec, reference, tmp_path, chaos_report
-    ):
-        if not kernels.numpy_available():
-            pytest.skip("the VECTOR backend requires numpy")
-        out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        breaker = CircuitBreaker(threshold=2, cooldown=60.0)
-        # Two consecutive exhaustions on the vector path, with the budget
-        # already at its floor after the first: the breaker opens and the
-        # run degrades down the bit-identical VECTOR -> ENGINE ladder.
-        plan = FaultPlan().add("pipeline.embed", MEMORY, at=1, times=2)
-        with plan.armed():
-            result = stream_mark(
-                TableChunkSource(base, chunk_size=CHUNK), wm, key, spec,
-                open_sink(out), checkpoint_path=ckpt, retry=FAST,
-                backend=VECTOR, breaker=breaker,
-                memory_budget=MemoryBudget(max_factor=2),
-            )
-        assert plan.pending() == 0
-        assert out.read_bytes() == reference["csv"]
-        assert result.reliability.chunk_shrinks == 1
-        assert result.reliability.backend_fallbacks == 1
-        assert result.reliability.breaker_trips["stream.vector"] == 1
-        assert breaker.is_open("stream.vector")
-        chaos_report(result.reliability)
-
 
 class TestStreamStallDetection:
     @pytest.fixture(scope="class")
@@ -249,23 +199,6 @@ class TestStreamStallDetection:
         from repro.stream import CSVChunkSource
 
         return lambda: CSVChunkSource(out, base.schema, chunk_size=CHUNK)
-
-    def test_budget_sliced_detection_is_vote_identical(
-        self, marked, key, wm, spec
-    ):
-        clean = stream_verify(marked(), key, spec, wm)
-        budget = MemoryBudget()
-        budget.shrink("pre-shrunk for the test")
-        budget.shrink("pre-shrunk for the test")
-        sliced = stream_verify(
-            marked(), key, spec, wm, memory_budget=budget,
-            deadline=Deadline(30.0),
-        )
-        assert sliced.detected == clean.detected
-        assert sliced.votes == clean.votes
-        assert sliced.verification.matching_bits == \
-            clean.verification.matching_bits
-        assert sliced.chunks == clean.chunks  # splits are not new chunks
 
     def test_memory_fault_on_read_recovers(self, marked, key, wm, spec):
         clean = stream_verify(marked(), key, spec, wm)

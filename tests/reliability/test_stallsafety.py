@@ -1,7 +1,7 @@
 """Unit tests for the stall-safety primitives.
 
-Deadlines, memory budgets, circuit breakers and the worker watchdog are
-small state machines; these tests pin their contracts (what counts as
+Deadlines, circuit breakers and the worker watchdog are small state
+machines; these tests pin their contracts (what counts as
 expired / stale / open, what the disarmed fast paths cost nothing for)
 before the chaos hang-matrix exercises them end to end.
 """
@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -24,7 +24,6 @@ from repro.reliability import (
     Deadline,
     DeadlineExceededError,
     FaultPlan,
-    MemoryBudget,
     PERMANENT,
     ReliabilityReport,
     TRANSIENT,
@@ -33,7 +32,6 @@ from repro.reliability import (
     check_deadline,
     classify,
     fault_point,
-    rss_bytes,
 )
 from repro.reliability.watchdog import BUSY, IDLE
 
@@ -89,87 +87,6 @@ class TestDeadline:
         time.sleep(0.002)
         with pytest.raises(DeadlineExceededError):
             check_deadline(armed, "sweep.cell", 2)
-
-
-class TestMemoryBudget:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="limit_bytes"):
-            MemoryBudget(limit_bytes=0)
-        with pytest.raises(ValueError, match="regrow_after"):
-            MemoryBudget(regrow_after=0)
-        with pytest.raises(ValueError, match="max_factor"):
-            MemoryBudget(max_factor=0)
-
-    def test_shrink_halves_until_the_floor(self):
-        budget = MemoryBudget(max_factor=4)
-        assert budget.factor == 1
-        assert budget.shrink("test") and budget.factor == 2
-        assert budget.shrink("test") and budget.factor == 4
-        # at the floor: the caller must let the failure propagate
-        assert not budget.shrink("test")
-        assert budget.factor == 4
-        assert [event[0] for event in budget.events] == ["shrink", "shrink"]
-
-    def test_regrow_needs_a_sustained_healthy_streak(self):
-        budget = MemoryBudget(regrow_after=2)
-        budget.shrink("pressure")
-        budget.shrink("pressure")
-        assert budget.factor == 4
-        assert not budget.note_healthy()   # streak 1
-        assert budget.note_healthy()       # streak 2 -> regrow
-        assert budget.factor == 2
-        assert not budget.note_healthy()
-        assert budget.note_healthy()
-        assert budget.factor == 1
-        # healthy at factor 1 is the steady state, not an event
-        assert not budget.note_healthy()
-        assert [event[0] for event in budget.events] == [
-            "shrink", "shrink", "regrow", "regrow",
-        ]
-
-    def test_shrink_resets_the_healthy_streak(self):
-        budget = MemoryBudget(regrow_after=2)
-        budget.shrink("a")
-        budget.note_healthy()
-        budget.shrink("b")       # streak back to zero
-        assert not budget.note_healthy()
-        assert budget.factor == 4
-
-    def test_slices_bounded_by_rows(self):
-        budget = MemoryBudget()
-        assert budget.slices(1000) == 1
-        budget.shrink("x")
-        budget.shrink("x")
-        assert budget.slices(1000) == 4
-        assert budget.slices(3) == 3    # never more slices than rows
-        assert budget.slices(0) == 1
-
-    def test_over_budget_without_limit_is_false(self):
-        assert not MemoryBudget().over_budget()
-
-    def test_over_budget_compares_against_sample(self):
-        # A 1-byte limit is always breached by a live interpreter.
-        budget = MemoryBudget(limit_bytes=1)
-        if budget.sample() == 0:
-            pytest.skip("no memory sampling source on this platform")
-        assert budget.over_budget()
-
-    def test_sample_prefers_tracemalloc_when_tracing(self):
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            ballast = ["x" * 64 for _ in range(1000)]
-            sampled = MemoryBudget().sample()
-            assert 0 < sampled <= tracemalloc.get_traced_memory()[1]
-            del ballast
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-
-    def test_rss_bytes_reads_proc(self):
-        if not os.path.exists("/proc/self/statm"):
-            pytest.skip("/proc is unavailable")
-        assert rss_bytes() > 0
 
 
 class TestCircuitBreaker:
@@ -329,8 +246,8 @@ class TestStallFaultKinds:
         assert plan.pending() == 0
 
     def test_memory_error_is_transient(self):
-        # MemoryError must route through retry/shrink, not abort: chunk
-        # replay at a smaller granularity is exactly how it is survived.
+        # MemoryError routes through source/sink retry and pool
+        # re-dispatch, where pressure from elsewhere can clear.
         assert classify(MemoryError()) == TRANSIENT
 
     def test_hang_sleeps_then_continues(self):
@@ -352,40 +269,56 @@ class TestStallFaultKinds:
 
 class TestReportStallFields:
     def test_new_counters_round_trip_and_merge(self):
-        first = ReliabilityReport(
-            watchdog_kills=1, chunk_shrinks=2, chunk_regrows=1,
-            backend_fallbacks=1,
-        )
-        first.breaker_trips["stream.vector"] = 1
-        second = ReliabilityReport(watchdog_kills=2)
+        first = ReliabilityReport(watchdog_kills=1, pool_fallbacks=2)
+        first.breaker_trips["stream.parallel"] = 1
+        first.retries["sink.write"] = 2
+        second = ReliabilityReport(watchdog_kills=2, bad_rows=3)
         second.breaker_trips["pool.worker"] = 1
+        second.retries["sink.write"] = 1
         first.merge(second)
         payload = first.to_dict()
         assert payload["watchdog_kills"] == 3
-        assert payload["chunk_shrinks"] == 2
-        assert payload["chunk_regrows"] == 1
-        assert payload["backend_fallbacks"] == 1
+        assert payload["pool_fallbacks"] == 2
+        assert payload["bad_rows"] == 3
+        assert payload["retries"] == {"sink.write": 3}
+        assert payload["total_retries"] == 3
         assert payload["breaker_trips"] == {
-            "stream.vector": 1, "pool.worker": 1,
+            "stream.parallel": 1, "pool.worker": 1,
         }
+        # every counter field, plus the derived retry total — and none of
+        # the memory-budget or backend-fallback counters
+        assert set(payload) == (
+            {item.name for item in fields(ReliabilityReport)}
+            | {"total_retries"}
+        )
+        assert not {"chunk_shrinks", "chunk_regrows", "backend_fallbacks"} & (
+            set(payload)
+        )
+
+    def test_every_counter_merges(self):
+        names = [
+            item.name for item in fields(ReliabilityReport)
+            if item.name not in ("retries", "breaker_trips")
+        ]
+        first = ReliabilityReport(**{name: 1 for name in names})
+        first.merge(ReliabilityReport(**{name: 2 for name in names}))
+        assert all(getattr(first, name) == 3 for name in names)
 
     def test_stall_recovery_counts_as_recovery(self):
         assert ReliabilityReport(watchdog_kills=1).any_recovery
-        assert ReliabilityReport(chunk_shrinks=1).any_recovery
-        assert ReliabilityReport(backend_fallbacks=1).any_recovery
+        assert ReliabilityReport(lease_takeovers=1).any_recovery
         tripped = ReliabilityReport()
         tripped.breaker_trips["pool.worker"] = 1
         assert tripped.any_recovery
         assert not ReliabilityReport().any_recovery
+        # input and audit counters are not recoveries
+        assert not ReliabilityReport(
+            bad_rows=4, quarantined_rows=2, chunks_verified=5
+        ).any_recovery
 
     def test_summary_names_the_stall_recoveries(self):
-        report = ReliabilityReport(
-            watchdog_kills=1, chunk_shrinks=2, chunk_regrows=1,
-            backend_fallbacks=1,
-        )
-        report.breaker_trips["stream.vector"] = 1
+        report = ReliabilityReport(watchdog_kills=1)
+        report.breaker_trips["stream.parallel"] = 1
         text = report.summary()
         assert "1 watchdog kills" in text
-        assert "2 chunk shrinks" in text
-        assert "1 backend fallbacks" in text
-        assert "stream.vector x1" in text
+        assert "stream.parallel x1" in text

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import MarkKey, Watermark
 from repro.core import EmbeddingSpec, extract_slots, verify, verify_multipass
-from repro.crypto import ENGINE, SCALAR, VECTOR
+from repro.crypto import SCALAR, VECTOR
 from repro.relational import (
     Attribute,
     AttributeType,
@@ -40,7 +40,7 @@ _SCHEMA = Schema(
     primary_key="K",
 )
 
-BACKENDS = [SCALAR, ENGINE, VECTOR]
+BACKENDS = [SCALAR, VECTOR]
 WORKER_COUNTS = [1, 2, 4]
 
 
@@ -93,7 +93,6 @@ def test_worker_matrix_bit_identical_to_in_memory():
         for chunk_size, backend in (
             (1, VECTOR),
             (7, SCALAR),
-            (7, ENGINE),
             (7, VECTOR),
             (len(marks), VECTOR),
         ):

@@ -17,7 +17,6 @@ from repro.crypto import HashEngine, VECTOR
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import Table, write_csv
-from repro.reliability import MemoryBudget
 from repro.stream import (
     AUTO_WORKERS,
     CSVChunkSink,
@@ -170,14 +169,6 @@ class TestParallelMark:
             stream_mark(
                 TableChunkSource(base, chunk_size=250), wm, key, spec,
                 TableChunkSink(), workers=2, backend=HashEngine(key),
-            )
-
-    def test_workers_refuse_memory_budget(self, base, key, wm, spec):
-        with pytest.raises(StreamError, match="memory"):
-            stream_mark(
-                TableChunkSource(base, chunk_size=250), wm, key, spec,
-                TableChunkSink(), workers=2,
-                memory_budget=MemoryBudget(limit_bytes=1 << 30),
             )
 
 

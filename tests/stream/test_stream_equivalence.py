@@ -23,7 +23,7 @@ from repro.core import (
     verify,
     verify_multipass,
 )
-from repro.crypto import ENGINE, SCALAR, VECTOR
+from repro.crypto import SCALAR, VECTOR
 from repro.relational import (
     Attribute,
     AttributeType,
@@ -44,7 +44,7 @@ _SCHEMA = Schema(
     primary_key="K",
 )
 
-BACKENDS = [SCALAR, ENGINE, VECTOR]
+BACKENDS = [SCALAR, VECTOR]
 
 
 def _table(marks: list[str]) -> Table:
