@@ -26,7 +26,14 @@ from repro.core import kernels
 from repro.core.detection import extract_slots
 from repro.core.embedding import embed
 from repro.core.frequency import detect_frequency, embed_frequency
-from repro.crypto import SCALAR, VECTOR, MarkKey, clear_engine_registry
+from repro.crypto import (
+    SCALAR,
+    VECTOR,
+    HashEngine,
+    MarkKey,
+    clear_engine_registry,
+    get_engine,
+)
 from repro.datagen import generate_item_scan
 from repro.quality import Constraint, MaxAlterationFraction, QualityGuard
 from repro.relational import (
@@ -302,80 +309,112 @@ def test_multiattribute_identical(relation, watermark, key):
     assert outcomes[0] == outcomes[1]
 
 
-def _tiny_cases(relation, placeholder_table, watermark):
-    """``(name, table, spec, constraints)`` for relations far below any
-    size where array setup used to be thought not worth it."""
+TINY_CASES = (
+    "empty",
+    "one-row",
+    "256-rows",
+    "no-carriers",
+    "map-variant",
+    "placeholder-duplicates",
+    "constrained-guard",
+)
+
+
+def _tiny_case(name, relation, placeholder_table, watermark):
+    """``(table, spec, constraints)`` for one relation far below any size
+    where array setup used to be thought not worth it."""
     keyed = make_spec(relation, watermark, "Item_Nbr", e=20)
-    cases = [
-        ("empty", relation.take(range(0)), keyed, None),
-        ("one-row", relation.take(range(1)), keyed, None),
-        ("256-rows", relation.take(range(256)), keyed, None),
-        (
-            "no-carriers",
+    small = placeholder_table.take(range(120))
+    placeholder = make_spec(
+        small, watermark, mark_attribute="B", e=2, key_attribute="A",
+    )
+    cases = {
+        "empty": (relation.take(range(0)), keyed, None),
+        "one-row": (relation.take(range(1)), keyed, None),
+        "256-rows": (relation.take(range(256)), keyed, None),
+        "no-carriers": (
             relation.take(range(256)),
             make_spec(relation, watermark, "Item_Nbr", e=10**9,
                       channel_length=10),
             None,
         ),
-        (
-            "map-variant",
+        "map-variant": (
             relation.take(range(256)),
             make_spec(relation, watermark, "Item_Nbr", e=20, variant="map"),
             None,
         ),
-    ]
-    small = placeholder_table.take(range(120))
-    placeholder = make_spec(
-        small, watermark, mark_attribute="B", e=2, key_attribute="A",
-    )
-    cases.append(("placeholder-duplicates", small, placeholder, None))
-    cases.append(
-        (
-            "constrained-guard",
-            small,
-            placeholder,
-            lambda: [MaxAlterationFraction(0.05)],
-        )
-    )
-    return cases
+        "placeholder-duplicates": (small, placeholder, None),
+        "constrained-guard": (
+            small, placeholder, lambda: [MaxAlterationFraction(0.05)],
+        ),
+    }
+    return cases[name]
 
 
+def _embed_and_verify(table, spec, constraints, watermark, key, backend):
+    """Embed into a clone of ``table`` and verify it, both on ``backend``;
+    returns everything the two backends must agree on."""
+    marked = table.clone()
+    guard = QualityGuard(constraints() if constraints else [])
+    guard.bind(marked)
+    result = embed(marked, watermark, key, spec, guard=guard, engine=backend)
+    verdict = verify(
+        marked, key, spec, watermark,
+        embedding_map=result.embedding_map, engine=backend,
+    )
+    return (
+        list(marked),
+        _embed_stats(result),
+        guard.log.entries,
+        verdict.detection.fit_count,
+        verdict.detection.decode.bits,
+        verdict.matching_bits,
+    )
+
+
+@pytest.mark.parametrize("case", TINY_CASES)
 def test_default_backend_runs_vector_on_tiny_relations(
-    relation, placeholder_table, watermark, key
+    relation, placeholder_table, watermark, key, case
 ):
     """With no backend argument, every relation size — the empty one
     included — launches the vector kernels and matches SCALAR cell for
     cell: there is no size threshold below which another path runs."""
-    cases = _tiny_cases(relation, placeholder_table, watermark)
-    for name, table, spec, constraints in cases:
-        outcomes = []
-        for backend in (SCALAR, None):
-            clear_engine_registry()
-            kernels.reset_kernel_calls()
-            marked = table.clone()
-            guard = QualityGuard(constraints() if constraints else [])
-            guard.bind(marked)
-            result = embed(
-                marked, watermark, key, spec, guard=guard, engine=backend
-            )
-            verdict = verify(
-                marked, key, spec, watermark,
-                embedding_map=result.embedding_map, engine=backend,
-            )
-            launches = dict(kernels.KERNEL_CALLS)
-            if backend is None:
-                assert launches["embed"] == 1, name
-                assert launches["detect"] == 1, name
-            else:
-                assert not any(launches.values()), name
-            outcomes.append(
-                (
-                    list(marked),
-                    _embed_stats(result),
-                    guard.log.entries,
-                    verdict.detection.fit_count,
-                    verdict.detection.decode.bits,
-                    verdict.matching_bits,
-                )
-            )
-        assert outcomes[0] == outcomes[1], name
+    table, spec, constraints = _tiny_case(
+        case, relation, placeholder_table, watermark
+    )
+    outcomes = []
+    for backend in (SCALAR, None):
+        clear_engine_registry()
+        kernels.reset_kernel_calls()
+        outcomes.append(
+            _embed_and_verify(table, spec, constraints, watermark, key, backend)
+        )
+        launches = dict(kernels.KERNEL_CALLS)
+        if backend is None:
+            assert launches["embed"] == 1
+            assert launches["detect"] == 1
+        else:
+            assert not any(launches.values())
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("variant", ["keyed", "map"])
+def test_explicit_engine_instance_runs_vector(
+    relation, watermark, key, variant
+):
+    """An explicit :class:`HashEngine` runs the vector kernels on that very
+    instance: its caches fill, the shared registry engine stays cold, and
+    the outcome matches SCALAR cell for cell."""
+    table = relation.take(range(300))
+    spec = make_spec(relation, watermark, "Item_Nbr", e=20, variant=variant)
+    reference = _embed_and_verify(table, spec, None, watermark, key, SCALAR)
+    clear_engine_registry()
+    kernels.reset_kernel_calls()
+    engine = HashEngine(key)
+    outcome = _embed_and_verify(table, spec, None, watermark, key, engine)
+    assert outcome == reference
+    assert kernels.KERNEL_CALLS["embed"] == 1
+    assert kernels.KERNEL_CALLS["detect"] == 1
+    assert engine.plan_arrays_built > 0
+    assert engine.computed_digests > 0
+    assert get_engine(key).computed_digests == 0

@@ -8,6 +8,8 @@ value type the canonical encoding supports.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.embedding import (
@@ -24,6 +26,7 @@ from repro.crypto import (
     get_engine,
     keyed_hash,
 )
+from repro.crypto.engine import GC_PAUSE_THRESHOLD
 from repro.relational import CategoricalDomain
 
 #: a deliberately nasty mix: negative/huge ints, non-ASCII text, bytes,
@@ -197,6 +200,62 @@ class TestCanonicalInlineFastPath:
         ]
         for value in tricky:
             assert canonical_bytes(value)  # still encodable
+
+
+class TestGcPause:
+    """Batches of at least ``GC_PAUSE_THRESHOLD`` values hash in-process
+    with the cyclic GC paused — and only those batches."""
+
+    @pytest.fixture
+    def pauses(self, monkeypatch):
+        calls = []
+        disable = gc.disable
+
+        def recording_disable():
+            calls.append("disable")
+            disable()
+
+        monkeypatch.setattr(gc, "disable", recording_disable)
+        return calls
+
+    def test_large_batch_matches_keyed_hash_and_resumes_gc(
+        self, key, pauses
+    ):
+        cache = KeyedDigestCache(key.k1)
+        cold = [f"cold-{i}" for i in range(GC_PAUSE_THRESHOLD)]
+        assert cache.digest_many(cold) == [
+            keyed_hash(value, key.k1) for value in cold
+        ]
+        # a warm batch mixes cache hits with misses
+        warm = cold[::2] + list(range(GC_PAUSE_THRESHOLD // 2))
+        assert cache.digest_many(warm) == [
+            keyed_hash(value, key.k1) for value in warm
+        ]
+        assert pauses == ["disable", "disable"]
+        assert gc.isenabled()
+        assert cache.computed == GC_PAUSE_THRESHOLD + GC_PAUSE_THRESHOLD // 2
+
+    def test_small_or_unsized_batches_leave_gc_alone(self, key, pauses):
+        cache = KeyedDigestCache(key.k1)
+        cache.digest_many([f"v{i}" for i in range(GC_PAUSE_THRESHOLD - 1)])
+        cache.digest_many(f"g{i}" for i in range(GC_PAUSE_THRESHOLD))
+        assert pauses == []
+
+    def test_gc_resumes_when_a_large_batch_fails(self, key):
+        cache = KeyedDigestCache(key.k1)
+        values = list(range(GC_PAUSE_THRESHOLD)) + [object()]
+        with pytest.raises(TypeError):
+            cache.digest_many(values)
+        assert gc.isenabled()
+
+    def test_caller_paused_gc_stays_paused(self, key):
+        cache = KeyedDigestCache(key.k1)
+        gc.disable()
+        try:
+            cache.digest_many(list(range(GC_PAUSE_THRESHOLD)))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestCacheBounds:

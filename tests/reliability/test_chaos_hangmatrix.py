@@ -32,6 +32,7 @@ from repro.experiments import (
     shutdown_sweep_pool,
 )
 from repro.attacks import SubsetAlterationAttack
+from repro.quality import MaxAlterationFraction
 from repro.reliability import (
     HANG,
     IO_ERROR,
@@ -187,6 +188,66 @@ class TestStreamStallMatrix:
         chaos_report(result.reliability)
 
 
+    def test_guarded_embed_memory_fault_resumes_byte_identical(
+        self, base, key, wm, spec, tmp_path, chaos_report
+    ):
+        # Guard budgets are chunk-scoped, so a guarded chunk is never
+        # split: exhaustion stops the run like an unguarded one, and the
+        # resume re-embeds the failed chunk under a fresh guard.
+        def constraints():
+            return [MaxAlterationFraction(0.02)]
+
+        undisturbed = tmp_path / "undisturbed.csv"
+        clean = stream_mark(
+            TableChunkSource(base, chunk_size=CHUNK), wm, key, spec,
+            open_sink(undisturbed), constraints_factory=constraints,
+        )
+        assert clean.vetoed > 0  # the guard actually binds
+        out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
+        plan = FaultPlan().add("pipeline.embed", MEMORY, at=2)
+        with pytest.raises(MemoryError):
+            _stalled_mark(
+                base, wm, key, spec, out, ckpt, plan,
+                constraints_factory=constraints,
+            )
+        assert plan.pending() == 0
+        result = _stalled_mark(
+            base, wm, key, spec, out, ckpt, FaultPlan(), resume=True,
+            constraints_factory=constraints,
+        )
+        assert result.resumed_at_chunk == 2
+        assert out.read_bytes() == undisturbed.read_bytes()
+        assert result.vetoed == clean.vetoed
+        assert result.guard_report.vetoes_by_constraint == \
+            clean.guard_report.vetoes_by_constraint
+        chaos_report(result.reliability)
+
+    def test_memory_fault_leaves_the_breaker_closed(
+        self, base, key, wm, spec, reference, tmp_path, chaos_report
+    ):
+        # A serial run has one backend and no rung to degrade to:
+        # exhaustion propagates without touching the breaker, and the
+        # resume runs on the same backend.
+        out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
+        breaker = CircuitBreaker(threshold=1, cooldown=60.0)
+        plan = FaultPlan().add("pipeline.embed", MEMORY, at=1)
+        with pytest.raises(MemoryError):
+            _stalled_mark(
+                base, wm, key, spec, out, ckpt, plan, breaker=breaker
+            )
+        assert plan.pending() == 0
+        assert breaker.transitions == []
+        result = _stalled_mark(
+            base, wm, key, spec, out, ckpt, FaultPlan(), resume=True,
+            breaker=breaker,
+        )
+        assert result.resumed_at_chunk == 1
+        assert out.read_bytes() == reference["csv"]
+        assert not result.reliability.breaker_trips
+        assert breaker.transitions == []
+        chaos_report(result.reliability)
+
+
 class TestStreamStallDetection:
     @pytest.fixture(scope="class")
     def marked(self, base, key, wm, spec, tmp_path_factory):
@@ -210,6 +271,26 @@ class TestStreamStallDetection:
             )
         assert recovered.votes == clean.votes
         assert recovered.reliability.source_reopens == 1
+
+    def test_memory_fault_in_a_detect_chunk_propagates(
+        self, marked, key, wm, spec
+    ):
+        # Detection keeps no checkpoint and never slices a chunk:
+        # exhaustion after a chunk's tally stops the scan, and a re-run
+        # from the start is vote-identical to an undisturbed one.
+        clean = stream_verify(marked(), key, spec, wm)
+        plan = FaultPlan().add("pipeline.chunk", MEMORY, at=1)
+        with plan.armed():
+            with pytest.raises(MemoryError):
+                stream_verify(
+                    marked(), key, spec, wm, retry=FAST,
+                    deadline=Deadline(30.0),
+                )
+        assert plan.pending() == 0
+        again = stream_verify(marked(), key, spec, wm)
+        assert again.votes == clean.votes
+        assert again.verification.matching_bits == \
+            clean.verification.matching_bits
 
     def test_expired_deadline_raises_before_scanning(
         self, marked, key, wm, spec

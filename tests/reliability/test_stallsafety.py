@@ -8,10 +8,12 @@ before the chaos hang-matrix exercises them end to end.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -315,6 +317,25 @@ class TestReportStallFields:
         assert not ReliabilityReport(
             bad_rows=4, quarantined_rows=2, chunks_verified=5
         ).any_recovery
+
+    def test_each_recovery_counter_alone_counts_as_recovery(self):
+        # any_recovery is derived from the fields, so a counter added
+        # later counts unless it is declared an input/audit counter
+        audit = {"bad_rows", "quarantined_rows", "chunks_verified"}
+        for item in fields(ReliabilityReport):
+            report = ReliabilityReport()
+            value = getattr(report, item.name)
+            if isinstance(value, Counter):
+                value["label"] = 1
+            else:
+                setattr(report, item.name, 1)
+            assert report.any_recovery is (item.name not in audit), item.name
+
+    def test_json_round_trip_matches_to_dict(self):
+        report = ReliabilityReport(sink_rollbacks=2, corrupt_chunks=1)
+        report.retries["source.read"] = 3
+        report.breaker_trips["pool.worker"] = 1
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_summary_names_the_stall_recoveries(self):
         report = ReliabilityReport(watchdog_kills=1)

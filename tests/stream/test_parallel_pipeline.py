@@ -1,9 +1,9 @@
 """Pipeline-level guarantees of ``workers=N`` streaming.
 
 Byte-identity of marked output files (ordered commit), resume across a
-kill boundary with a parallel re-run, multi-file fan-in, worker-count
-resolution, and the explicit refusals for features that cannot cross a
-process boundary.
+kill boundary with a parallel re-run, the open-breaker serial fallback,
+multi-file fan-in, worker-count resolution, and the explicit refusals for
+features that cannot cross a process boundary.
 """
 
 import hashlib
@@ -12,11 +12,12 @@ import os
 import pytest
 
 from repro import MarkKey, Watermark, Watermarker
-from repro.core import EmbeddingSpec, verify
-from repro.crypto import HashEngine, VECTOR
+from repro.core import EmbeddingSpec, kernels, verify
+from repro.crypto import SCALAR, VECTOR, HashEngine
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import Table, write_csv
+from repro.reliability import CircuitBreaker
 from repro.stream import (
     AUTO_WORKERS,
     CSVChunkSink,
@@ -31,6 +32,7 @@ from repro.stream import (
     stream_mark,
     stream_verify,
 )
+from repro.stream.parallel import STREAM_PARALLEL_LABEL
 
 E = 40
 CHANNEL = 60
@@ -170,6 +172,34 @@ class TestParallelMark:
                 TableChunkSource(base, chunk_size=250), wm, key, spec,
                 TableChunkSink(), workers=2, backend=HashEngine(key),
             )
+
+
+    @pytest.mark.parametrize("backend", [SCALAR, VECTOR])
+    def test_open_breaker_marks_serially_on_the_callers_backend(
+        self, base, key, wm, spec, tmp_path, backend
+    ):
+        serial_path = tmp_path / "serial.csv"
+        stream_mark(
+            TableChunkSource(base, chunk_size=250), wm, key, spec,
+            CSVChunkSink(serial_path), backend=backend,
+        )
+        breaker = CircuitBreaker(threshold=1, cooldown=300.0)
+        breaker.record_failure(STREAM_PARALLEL_LABEL, "earlier run")
+        kernels.reset_kernel_calls()
+        degraded_path = tmp_path / "degraded.csv"
+        degraded = stream_mark(
+            TableChunkSource(base, chunk_size=250), wm, key, spec,
+            CSVChunkSink(degraded_path), workers=2, backend=backend,
+            breaker=breaker,
+        )
+        # every chunk ran in the coordinator, on the backend the caller
+        # chose: no pool, no backend switch
+        assert degraded.parallel.chunks_parallel == 0
+        assert degraded.parallel.chunks_serial == degraded.chunks
+        assert degraded.reliability.pool_fallbacks == 1
+        expected = 0 if backend == SCALAR else degraded.chunks
+        assert kernels.KERNEL_CALLS["embed"] == expected
+        assert _sha(degraded_path) == _sha(serial_path)
 
 
 class TestMultiFile:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import MarkKey, Watermark, Watermarker
 from repro.core import EmbeddingSpec, verify
-from repro.crypto import SCALAR, VECTOR
+from repro.crypto import SCALAR, VECTOR, HashEngine
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import write_csv
@@ -29,6 +29,10 @@ from repro.stream import (
 
 E = 40
 CHANNEL = 120
+
+#: parameter stand-in for a caller-built :class:`HashEngine`, which needs
+#: the key fixture and so is built inside the test
+ENGINE_INSTANCE = object()
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +92,16 @@ class StoppingSource:
 
 class TestStreamMark:
     @pytest.mark.parametrize("chunk_size", [250, 1024, 3000])
-    @pytest.mark.parametrize("backend", [SCALAR, VECTOR, None])
+    @pytest.mark.parametrize(
+        "backend",
+        [SCALAR, VECTOR, None, pytest.param(ENGINE_INSTANCE, id="engine")],
+    )
     def test_cell_identical_to_in_memory_embed(
         self, base, key, wm, spec, reference, chunk_size, backend
     ):
+        if backend is ENGINE_INSTANCE:
+            # an explicit instance runs the vector kernels on itself
+            backend = HashEngine(key)
         sink = TableChunkSink()
         result = stream_mark(
             TableChunkSource(base, chunk_size=chunk_size),
@@ -102,6 +112,9 @@ class TestStreamMark:
         assert result.fit_count > 0
         assert result.applied + result.unchanged == result.fit_count
         assert result.slots_written and result.slot_coverage > 0
+        if isinstance(backend, HashEngine):
+            assert backend.computed_digests > 0
+            assert backend.plan_arrays_built >= result.chunks
 
     def test_counters_match_in_memory_embed(self, base, key, wm, spec):
         in_memory = Watermarker(key, e=E).embed(
@@ -307,6 +320,27 @@ class TestStreamDetect:
             streamed.verification.detection.fit_count
             == in_memory.detection.fit_count
         )
+
+    def test_explicit_engine_stays_warm_from_mark_to_verify(
+        self, base, key, spec, wm, reference
+    ):
+        engine = HashEngine(key)
+        sink = TableChunkSink()
+        stream_mark(
+            TableChunkSource(base, chunk_size=500), wm, key, spec, sink,
+            backend=engine,
+        )
+        hashed = engine.computed_digests
+        streamed = stream_verify(
+            TableChunkSource(sink.table, chunk_size=333), key, spec, wm,
+            backend=engine,
+        )
+        # detection re-derives every fitness/slot/value verdict from the
+        # caller's instance, warmed by the mark: no new SHA-256 at all
+        assert engine.computed_digests == hashed > 0
+        assert streamed.verification.matching_bits == \
+            reference[1].matching_bits
+        assert streamed.detected
 
     def test_stream_detect_exposes_votes(self, key, spec, wm, reference):
         marked, _ = reference
