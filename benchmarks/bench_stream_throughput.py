@@ -60,16 +60,11 @@ BENCH_WORKERS = int(
 ) or (min(4, CORES) if CORES >= 2 else 1)
 
 #: the parallel-speedup acceptance floor: >= 1.7x single-stream when a
-#: second core exists; with one core, workers resolve to 1 (the exact
-#: serial path) and must merely not regress (>= 0.95x).  ``None`` when
-#: an env override oversubscribes a single core (workers > cores) —
-#: that is measured and recorded, but not a supported perf claim.
-if BENCH_WORKERS >= 2 and CORES >= 2:
-    SPEEDUP_FLOOR = 1.7
-elif BENCH_WORKERS <= 1:
-    SPEEDUP_FLOOR = 0.95
-else:
-    SPEEDUP_FLOOR = None
+#: second core exists.  ``None`` otherwise — with one worker both columns
+#: run the same in-process loop, so the ratio only times that loop
+#: against itself; and an env override that oversubscribes a single core
+#: (workers > cores) is measured and recorded, but not a perf claim.
+SPEEDUP_FLOOR = 1.7 if BENCH_WORKERS >= 2 and CORES >= 2 else None
 
 #: the multi-million-rows/s kernel-only parallel tier only means
 #: anything with real parallel silicon behind it
@@ -191,7 +186,7 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
         + (
             f"(floor {SPEEDUP_FLOOR}x, {CORES} cores)"
             if SPEEDUP_FLOOR is not None
-            else f"(floor skipped: oversubscribed on {CORES} core(s))"
+            else f"(no floor: {BENCH_WORKERS} worker(s), {CORES} core(s))"
         )
     )
     if SPEEDUP_FLOOR is not None:

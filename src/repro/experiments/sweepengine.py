@@ -53,16 +53,13 @@ import logging
 import os
 import pickle
 import random
-import shutil
-import signal
-import tempfile
 import time
 import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
-from typing import Any, Hashable
+from typing import Any
 
 from ..attacks import Attack
 from ..core import Watermark, Watermarker, kernels, verify_multipass
@@ -70,14 +67,13 @@ from ..crypto import SCALAR, VECTOR, MarkKey
 from ..relational import CategoricalDomain, Table
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, DeadlineExceededError, check_deadline
-from ..reliability.faults import (
-    HANG,
-    KILL,
-    SLOW,
-    InjectedFaultError,
-    MEMORY,
-    active_plan,
-    injection_armed,
+from ..reliability.faults import active_plan
+from ..reliability.pool import (
+    PersistentPool,
+    heartbeat,
+    misbehave,
+    planned_fault,
+    resolve_watchdog,
 )
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
@@ -86,7 +82,7 @@ from ..reliability.retry import (
     RetryPolicy,
     classify,
 )
-from ..reliability.watchdog import IDLE, Watchdog, beat
+from ..reliability.watchdog import IDLE, Watchdog
 
 logger = logging.getLogger(__name__)
 
@@ -385,32 +381,25 @@ def _table_token(table: Table) -> bytes:
 
 # -- persistent worker pool ---------------------------------------------------
 #
-# One module-level executor, keyed by the base-table token.  Workers are
+# One module-level pool, keyed by the base-table token.  Workers are
 # initialized once with the base relation; each task covers one seed's
 # cells for a sweep, so a worker embeds each (protocol, seed) it meets at
 # most once and keeps the pass cached for later points and later sweeps.
 
-_pool = None
-_pool_token: bytes | None = None
-_pool_workers: int = 0
-#: pool-scoped heartbeat directory the workers beat into (watchdog state)
-_pool_hb_dir: str | None = None
+_pool = PersistentPool("sweep-heartbeat-")
 
 # Worker-process globals (set by _worker_init, used by _worker_run_seed).
 _WORKER_TABLE: Table | None = None
-_WORKER_HB_DIR: str | None = None
 _WORKER_PASSES: "OrderedDict[tuple[SweepProtocol, int], EmbeddedPass]" = (
     OrderedDict()
 )
 
 
-def _worker_init(table_blob: bytes, heartbeat_dir: str | None = None) -> None:
+def _worker_init(table: Table) -> None:
     """Pool initializer: install the base relation in the worker."""
-    global _WORKER_TABLE, _WORKER_HB_DIR
-    _WORKER_TABLE = pickle.loads(table_blob)
-    _WORKER_HB_DIR = heartbeat_dir
+    global _WORKER_TABLE
+    _WORKER_TABLE = table
     _WORKER_PASSES.clear()
-    beat(heartbeat_dir, state=IDLE)
 
 
 def _worker_embedded_pass(
@@ -441,38 +430,18 @@ def _worker_run_seed(
     ``busy``; the task's return beats ``idle``), so a worker stuck inside
     a cell is detectable from the parent.
 
-    ``inject`` ships a parent-planned fault across the process boundary
-    (the armed :class:`~repro.reliability.FaultPlan` lives in the parent):
-    ``(cell_index, kind, param)`` makes this task misbehave when it
-    reaches that cell — ``SIGKILL`` for a ``kill`` fault, a ``param``-
-    second stall for ``hang`` (then a transient error: whichever of the
-    watchdog or the retry path notices first recovers the seed) and
-    ``slow`` (then continue), ``MemoryError`` for ``memory``, and
-    :class:`InjectedFaultError` otherwise.  The parent consumed the plan
-    trigger at submit time, so the retried task runs clean.
+    ``inject`` is ``(cell_index, fault)``: a parent-planned ``pool.worker``
+    fault (see :func:`~repro.reliability.pool.planned_fault`) this task
+    replays when it reaches that cell.
     """
     embedded = _worker_embedded_pass(protocol, seed)
     results = []
     for index, (x, attack) in enumerate(cells):
-        beat(_WORKER_HB_DIR)
+        heartbeat()
         if inject is not None and index == inject[0]:
-            kind = inject[1]
-            param = inject[2] if len(inject) > 2 else 0.0
-            if kind == KILL:
-                os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
-            elif kind == HANG:
-                time.sleep(param)
-                raise InjectedFaultError("pool.worker", seed, kind)
-            elif kind == SLOW:
-                time.sleep(param)
-            elif kind == MEMORY:
-                raise MemoryError(
-                    f"injected memory fault at pool.worker[{seed}]"
-                )
-            else:
-                raise InjectedFaultError("pool.worker", seed, kind)
+            misbehave(inject[1], seed)
         results.append(run_cell(embedded, attack, x))
-    beat(_WORKER_HB_DIR, state=IDLE)
+    heartbeat(IDLE)
     return results
 
 
@@ -481,72 +450,16 @@ def _worker_call(fn, args: tuple) -> Any:
     protocol (e.g. the analysis Monte-Carlo loops): calls
     ``fn(worker_table, *args)``."""
     assert _WORKER_TABLE is not None, "pool worker was not initialized"
-    beat(_WORKER_HB_DIR)
+    heartbeat()
     try:
         return fn(_WORKER_TABLE, *args)
     finally:
-        beat(_WORKER_HB_DIR, state=IDLE)
-
-
-def _ensure_pool(token: bytes, table: Table, max_workers: int):
-    """The persistent executor for ``table`` (created or reused).
-
-    A new base relation retires the old pool: worker caches are only valid
-    for the table their initializer installed.
-    """
-    global _pool, _pool_token, _pool_workers, _pool_hb_dir
-    if (
-        _pool is not None
-        and _pool_token == token
-        and _pool_workers == max_workers
-    ):
-        return _pool
-    shutdown_sweep_pool()
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_hb_dir = tempfile.mkdtemp(prefix="sweep-heartbeat-")
-    _pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_worker_init,
-        initargs=(pickle.dumps(table), _pool_hb_dir),
-    )
-    _pool_token = token
-    _pool_workers = max_workers
-    return _pool
+        heartbeat(IDLE)
 
 
 def shutdown_sweep_pool() -> None:
     """Retire the persistent pool (test isolation, table change, exit)."""
-    global _pool, _pool_token, _pool_workers, _pool_hb_dir
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-    if _pool_hb_dir is not None:
-        shutil.rmtree(_pool_hb_dir, ignore_errors=True)
-    _pool = None
-    _pool_token = None
-    _pool_workers = 0
-    _pool_hb_dir = None
-
-
-def _pool_worker_pids() -> list[int]:
-    """PIDs of the live pool workers (empty when no pool is up)."""
-    if _pool is None:
-        return []
-    return list((getattr(_pool, "_processes", None) or {}).keys())
-
-
-def _kill_pool_workers() -> int:
-    """``SIGKILL`` every live pool worker (deadline/timeout cleanup: a
-    hung worker would otherwise outlive the pool shutdown, because
-    ``Executor.shutdown`` *joins* workers rather than signalling them)."""
-    killed = 0
-    for pid in _pool_worker_pids():
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            continue
-        killed += 1
-    return killed
+    _pool.shutdown()
 
 
 #: ceiling on any single pooled task's wall-clock (pool_table_tasks); far
@@ -580,7 +493,7 @@ def pool_table_tasks(
     # thread instead of raising; probe here so callers get a clean
     # exception (and can fall back to their serial loops).
     pickle.dumps((fn, list(task_args)))
-    pool = _ensure_pool(_table_token(table), table, workers)
+    pool = _pool.ensure(_table_token(table), workers, _worker_init, table)
     futures = [pool.submit(_worker_call, fn, args) for args in task_args]
     if timeout is None:
         return [future.result() for future in futures]
@@ -592,7 +505,7 @@ def pool_table_tasks(
     except FuturesTimeout as exc:
         for future in futures:
             future.cancel()
-        _kill_pool_workers()
+        _pool.kill_workers()
         shutdown_sweep_pool()
         raise TimeoutError(
             f"pooled task batch still running after {timeout:.6g}s; "
@@ -638,10 +551,7 @@ class SweepEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         #: heartbeat watchdog over the pooled workers (``False`` disables;
         #: ``None`` takes the default 300 s silence budget)
-        self.watchdog: Watchdog | None = (
-            None if watchdog is False
-            else (watchdog if isinstance(watchdog, Watchdog) else Watchdog())
-        )
+        self.watchdog = resolve_watchdog(watchdog)
         #: consecutive-failure breaker steering pooled -> hoisted
         #: degradation (label ``"pool.worker"``)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -841,7 +751,7 @@ class SweepEngine:
         cap = watchdog.poll if watchdog is not None else 1.0
         while True:
             if deadline is not None and deadline.expired():
-                _kill_pool_workers()
+                _pool.kill_workers()
                 shutdown_sweep_pool()
                 deadline.check("pool.worker", position)  # raises
             slice_timeout = (
@@ -851,15 +761,14 @@ class SweepEngine:
                 return future.result(timeout=slice_timeout)
             except FuturesTimeout:
                 pass
-            if watchdog is not None and _pool_hb_dir is not None:
-                killed = watchdog.kill_stale(_pool_hb_dir, _pool_worker_pids())
-                if killed:
-                    self.reliability.watchdog_kills += len(killed)
-                    logger.warning(
-                        "watchdog killed %d hung pool worker(s) silent "
-                        "past %.6gs: %s — respawning and re-dispatching",
-                        len(killed), watchdog.budget, killed,
-                    )
+            killed = _pool.kill_stale(watchdog)
+            if killed:
+                self.reliability.watchdog_kills += len(killed)
+                logger.warning(
+                    "watchdog killed %d hung pool worker(s) silent "
+                    "past %.6gs: %s — respawning and re-dispatching",
+                    len(killed), watchdog.budget, killed,
+                )
 
     def _run_pooled(self, base_table, protocol, attacks, seeds, deadline=None):
         from concurrent.futures import BrokenExecutor
@@ -876,7 +785,9 @@ class SweepEngine:
         pending = list(seeds)
         attempt = 0
         while pending:
-            pool = _ensure_pool(token, base_table, workers)
+            # A new base relation retires the old pool: worker caches
+            # are only valid for the table their initializer installed.
+            pool = _pool.ensure(token, workers, _worker_init, base_table)
             if self.watchdog is not None:
                 self.watchdog.start_round()
             futures = {
@@ -940,26 +851,15 @@ class SweepEngine:
 
     def _planned_worker_fault(
         self, seed: int, cell_count: int
-    ) -> tuple[int, str, float] | None:
+    ) -> tuple[int, tuple[str, float]] | None:
         """Consume any fault the armed plan scheduled for this seed's
-        pool task, shipping it as an inject instruction (the plan lives
-        in the parent; workers are separate processes).  The third field
-        carries the stall parameter (``hang_seconds``/``slow_seconds``)
-        for the stall kinds."""
-        if not injection_armed():
+        pool task as ``(cell_index, fault)``: the task replays it at a
+        plan-seeded cell."""
+        fault = planned_fault(seed)
+        if fault is None:
             return None
-        plan = active_plan()
-        kind = plan.draw("pool.worker", seed)
-        if kind is None:
-            return None
-        cell = plan.rng("pool.worker", seed).randrange(max(1, cell_count))
-        if kind == HANG:
-            param = plan.hang_seconds
-        elif kind == SLOW:
-            param = plan.slow_seconds
-        else:
-            param = 0.0
-        return (cell, kind, param)
+        rng = active_plan().rng("pool.worker", seed)
+        return rng.randrange(max(1, cell_count)), fault
 
     # -- the runner-shaped convenience --------------------------------------
     def sweep(

@@ -20,6 +20,9 @@ makes recovery *provable* instead of hoped-for:
   :class:`DeadlineExceededError` with a resumable position (exit code 7);
 * :mod:`~repro.reliability.watchdog` — heartbeat-based detection and
   ``SIGKILL`` of *hung* (not just dead) pool workers;
+* :mod:`~repro.reliability.pool` — the one persistent worker pool the
+  sweep engine and the parallel stream run share: lifecycle, heartbeat
+  directory, and the ``pool.worker`` faults shipped into tasks;
 * :mod:`~repro.reliability.breaker` — a :class:`CircuitBreaker` opening
   after K consecutive transient failures on one label, steering runs
   down the two bit-identical degradation ladders (pooled → hoisted

@@ -104,7 +104,8 @@ class Watchdog:
                 stale.append(pid)
         return stale
 
-    def kill(self, pids: list[int]) -> list[int]:
+    @staticmethod
+    def kill(pids: list[int]) -> list[int]:
         """``SIGKILL`` each pid; returns those actually signalled."""
         killed = []
         for pid in pids:

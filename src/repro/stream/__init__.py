@@ -12,8 +12,9 @@ the tuple's key value, so marking and detection chunk perfectly:
   :func:`stream_verify` / :func:`stream_verify_multipass` merge per-chunk
   vote tallies in O(chunk + channel) memory, bit-identical to the
   in-memory detector on the concatenated rows;
-* **parallel** — ``workers=N`` (or ``"auto"``) fans chunk decode + kernel
-  work across a persistent process pool with ordered, bit-identical
+* **the ordered run** — one chunk loop serves every entry point: in
+  process by default, and with ``workers=N`` (or ``"auto"``) across a
+  persistent process pool with the same ordered, bit-identical
   merge/commit (see :mod:`repro.stream.parallel`).
 
 Opens the million-row / on-disk workload class the in-memory
@@ -38,13 +39,13 @@ from .parallel import (
     ParallelReport,
     resolve_workers,
     shutdown_stream_pool,
+    stream_engine,
 )
 from .pipeline import (
     StreamDetection,
     StreamMarkResult,
     StreamVerification,
     stream_detect,
-    stream_engine,
     stream_mark,
     stream_verify,
     stream_verify_multipass,

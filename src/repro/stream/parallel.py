@@ -1,41 +1,47 @@
-"""Multicore streaming: read-ahead decode + parallel chunk kernels.
+"""The ordered chunk run behind every streaming mark and detect.
 
 The scheme's per-tuple decisions are pure functions of a keyed hash of
 the tuple's key value, so chunks are independent by construction and
-``VoteAccumulator`` merges are associative.  This module exploits both
-without giving up a single bit of determinism:
+``VoteAccumulator`` merges are associative.  One loop,
+:class:`_OrderedRun`, drives every ``stream_*`` call at every worker
+count, and each direction has one per-chunk function —
+:func:`_chunk_votes` and :func:`_embed_chunk` — that every chunk runs
+through wherever it is computed:
 
-* **Coordinator** (this process) — decodes chunk *payloads* (raw CSV
-  field lists, typed row tuples; see
+* **In process** (``workers=None`` or ``1``) — the run reads typed chunk
+  tables from the source's ``chunks()``, computes one chunk and commits
+  it before reading the next.  No pool, no pickled run state, no
+  breaker.
+* **On a pool** (``workers > 1``) — the coordinator reads chunk
+  *payloads* (raw CSV field lists, typed row tuples; see
   :func:`~repro.stream.sources.payload_chunks`) up to a bounded
   read-ahead window of ``2 × workers`` chunks ahead of the oldest
-  uncommitted chunk, submitting each to the pool so decode overlaps
-  compute.  It then always blocks on the *lowest-index* in-flight
-  future: detection merges that chunk's tallies into the accumulators,
-  embedding writes the marked chunk to the sink and checkpoints — both
-  in strict chunk order.  Ordered merge preserves the global first-vote
-  tie rule; ordered commit preserves the sink's one-gzip-member-per-
-  chunk framing — which is what pins ``workers=N`` bit-identical to
-  ``workers=1`` and to the in-memory verifiers.
+  uncommitted chunk, submitting each to a persistent process pool so
+  decode overlaps compute.  Workers are initialized once with the
+  pickled run state (keys, spec, domain, schema), build one warm
+  chunk-bounded :func:`stream_engine` per key, type each payload into
+  the chunk table the source would have yielded (the expensive per-cell
+  CSV typing happens *there*, not in the coordinator) and call the same
+  per-chunk function.
 
-* **Workers** (a persistent ``ProcessPoolExecutor``, keyed by the
-  pickled run state) — are initialized once with keys, spec, domain and
-  schema; each builds one warm chunk-bounded
-  :func:`~repro.stream.pipeline.stream_engine` per key, then
-  materializes every task's payload (the expensive per-cell CSV typing
-  happens *here*, not in the coordinator) and runs the exact serial
-  per-chunk kernels, so a worker's tallies and marked rows are the ones
-  the serial loop would produce.
+Either way, chunks commit in strict chunk order: detection merges each
+chunk's tallies into the accumulators, embedding writes the marked chunk
+to the sink and checkpoints.  Ordered merge preserves the global
+first-vote tie rule; ordered commit preserves the sink's
+one-gzip-member-per-chunk framing — which is what pins ``workers=N``
+bit-identical to ``workers=1`` and to the in-memory verifiers.
 
-Reliability integration: every pool wait is capped by the run's
-:class:`~repro.reliability.Deadline`; the PR-7
-:class:`~repro.reliability.Watchdog` heartbeats workers and SIGKILLs
-hung ones; a :class:`~repro.reliability.RetryPolicy` re-dispatches
-failed chunks (pure functions — the replay is bit-identical) and
-respawns a broken pool; and the :class:`~repro.reliability.CircuitBreaker`
-label :data:`STREAM_PARALLEL_LABEL` opens a ``parallel → serial``
-degradation ladder that computes the remaining chunks in the
-coordinator with the same kernels — same bits, one core.
+Reliability: a :class:`~repro.reliability.RetryPolicy` re-opens the
+source at the failed chunk after a transient read failure, and the run's
+:class:`~repro.reliability.Deadline` is checked at every chunk boundary,
+at every worker count.  Pools add the rest: every pool wait is capped by
+the deadline, the :class:`~repro.reliability.Watchdog` heartbeats workers
+and SIGKILLs hung ones, the retry policy re-dispatches failed chunks
+(pure functions — the replay is bit-identical) and respawns a broken
+pool, and the :class:`~repro.reliability.CircuitBreaker` label
+:data:`STREAM_PARALLEL_LABEL` degrades the run to computing the remaining
+chunks in the coordinator with the same per-chunk functions — same bits,
+one core.
 """
 
 from __future__ import annotations
@@ -44,9 +50,6 @@ import hashlib
 import logging
 import os
 import pickle
-import shutil
-import signal
-import tempfile
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
@@ -54,24 +57,28 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from ..core import kernels
-from ..core.detection import VoteAccumulator
-from ..core.embedding import EmbeddingSpec
+from ..core.detection import SlotVotes, VoteAccumulator, extract_slot_votes
+from ..core.embedding import (
+    VARIANT_MAP,
+    EmbeddingResult,
+    EmbeddingSpec,
+    embed,
+)
 from ..core.errors import DetectionError
 from ..core.watermark import Watermark
-from ..crypto import HashEngine, MarkKey
-from ..quality import QualityGuard
+from ..crypto import SCALAR, HashEngine, MarkKey
+from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Table
 from ..relational.csvio import cell_parsers, parse_row
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
-from ..reliability.faults import (
-    HANG,
-    KILL,
-    MEMORY,
-    SLOW,
-    InjectedFaultError,
-    active_plan,
-    fault_point,
+from ..reliability.faults import fault_point
+from ..reliability.pool import (
+    PersistentPool,
+    heartbeat,
+    misbehave,
+    planned_fault,
+    resolve_watchdog,
 )
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
@@ -81,21 +88,17 @@ from ..reliability.retry import (
     RetryPolicy,
     classify,
 )
-from ..reliability.watchdog import IDLE, Watchdog, beat
+from ..reliability.watchdog import IDLE, Watchdog
 from .errors import BadRowError, StreamError
-from .pipeline import (
-    _chunk_tallies,
-    _embed_chunk,
-    _embed_one,
-    stream_engine,
-)
 from .sources import (
+    DEFAULT_CHUNK_SIZE,
     PAYLOAD_RAW,
     PAYLOAD_TABLE,
     ChunkTask,
     build_chunk_table,
     payload_chunks,
     payload_profile,
+    table_tasks,
 )
 
 logger = logging.getLogger(__name__)
@@ -111,12 +114,42 @@ AUTO_WORKERS = "auto"
 #: small enough that coordinator memory stays O(workers × chunk)
 READAHEAD_FACTOR = 2
 
+#: floor on the stream engine's memoization-cache entry bound; the bound
+#: scales with the chunk size (see :func:`stream_engine`) so steady-state
+#: memory is O(chunk), not O(rows seen)
+MIN_ENGINE_ENTRIES = 8_192
+
+#: cache-entry bound as a multiple of the chunk size — large enough that
+#: a mark-then-verify pair (or repeated values across nearby chunks)
+#: stays warm, small enough to stay chunk-proportional
+ENGINE_ENTRY_FACTOR = 4
+
+
+def stream_engine(
+    key: MarkKey, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> HashEngine:
+    """A stream-scoped :class:`HashEngine` with chunk-bounded caches.
+
+    Unlike the process-wide :func:`~repro.crypto.get_engine` registry
+    engine (bounded at millions of entries — fine for in-memory
+    relations, O(rows) for an unbounded stream), this engine's digest and
+    derived caches are capped at ``max(MIN_ENGINE_ENTRIES,
+    ENGINE_ENTRY_FACTOR * chunk_size)`` entries — dropped wholesale when
+    the cap is crossed, so steady-state memory stays O(chunk) however
+    many rows flow past, while values re-seen within the window (a
+    mark-then-verify pair, repeated chunks) still re-hash nothing.
+    """
+    return HashEngine(
+        key,
+        max_entries=max(MIN_ENGINE_ENTRIES, ENGINE_ENTRY_FACTOR * chunk_size),
+    )
+
 
 def resolve_workers(workers: int | str | None) -> int:
     """Normalize a ``workers=`` parameter to a positive worker count.
 
-    ``None`` and ``1`` keep the historical single-process path (no pool,
-    no pickling — exact serial code).  ``"auto"`` applies the cpu_count
+    ``None`` and ``1`` run the ordered loop in process: no pool, no
+    pickled run state, no breaker.  ``"auto"`` applies the cpu_count
     heuristic: reserve one core for the coordinator's read-ahead decode
     and fan the rest, never fewer than two workers once a second core
     exists and never more than eight (the coordinator's record reading +
@@ -140,16 +173,6 @@ def resolve_workers(workers: int | str | None) -> int:
     return count
 
 
-def resolve_watchdog(watchdog: Watchdog | bool | None) -> Watchdog | None:
-    """``None`` takes the default heartbeat watchdog (parallel runs
-    should never block forever on a hung worker); ``False`` disables."""
-    if watchdog is False:
-        return None
-    if isinstance(watchdog, Watchdog):
-        return watchdog
-    return Watchdog()
-
-
 @dataclass
 class ParallelReport:
     """Telemetry of one parallel streaming run."""
@@ -166,31 +189,101 @@ class ParallelReport:
     #: launches and digests computed since the worker was forked
     worker_stats: dict[int, dict[str, Any]] = field(default_factory=dict)
 
-    def note(self, stats: dict[str, Any] | None) -> None:
-        if stats is not None:
-            self.worker_stats[stats["pid"]] = {
-                key: value for key, value in stats.items() if key != "pid"
-            }
+    def note(self, stats: dict[str, Any]) -> None:
+        self.worker_stats[stats["pid"]] = {
+            key: value for key, value in stats.items() if key != "pid"
+        }
 
 
-# -- chunk materialization (shared by workers and the serial fallback) ---------
+# -- the per-chunk functions (workers, in process, degraded path) --------------
 
-def _build_chunk(
-    task: ChunkTask,
-    schema,
-    name: str,
-    path: str | None,
-    infer: bool,
-    trusted: bool,
-    parsers,
-) -> Table:
-    """Materialize one payload into the exact chunk table the serial
-    source would have yielded."""
+def _chunk_votes(
+    chunk: Table,
+    keys: Sequence[MarkKey],
+    spec: EmbeddingSpec,
+    maps: Sequence[dict[Hashable, int] | None],
+    domain: CategoricalDomain,
+    value_mapping: dict[Hashable, Hashable] | None,
+    engines: Sequence[HashEngine | None],
+) -> list[SlotVotes]:
+    """Every pass's slot-vote tallies for one chunk on ``engines``
+    (``None``: SCALAR): one fused kernel launch for several VECTOR
+    passes (they share the chunk's key factorization by construction),
+    per-pass tallies otherwise."""
+    if len(keys) > 1 and engines[0] is not None:
+        return [
+            SlotVotes.from_arrays(*tally)
+            for tally in kernels.detect_multipass_votes(
+                [chunk] * len(keys),
+                spec,
+                [domain] * len(keys),
+                maps if spec.variant == VARIANT_MAP else None,
+                value_mapping,
+                engines,
+            )
+        ]
+    return [
+        extract_slot_votes(
+            chunk, key, spec, embedding_map, domain, value_mapping,
+            engine=SCALAR,
+        )
+        if engine is None
+        else SlotVotes.from_arrays(*kernels.extract_votes_vector(
+            chunk, spec, domain, embedding_map, value_mapping, engine
+        ))
+        for key, engine, embedding_map in zip(keys, engines, maps)
+    ]
+
+
+def _embed_chunk(
+    chunk: Table,
+    watermark: Watermark,
+    key: MarkKey,
+    spec: EmbeddingSpec,
+    domain: CategoricalDomain,
+    wm_data,
+    constraints_factory: Callable[[], list] | None,
+    engine: HashEngine | None,
+    index: int,
+) -> tuple[EmbeddingResult, GuardReport]:
+    """Embed one chunk in place under a fresh per-chunk guard on
+    ``engine`` (``None``: SCALAR); returns ``(pass_result,
+    guard_report)``."""
+    if chunk.schema.attribute(spec.mark_attribute).domain != domain:
+        raise StreamError(
+            "chunk domain drifted from the declared domain — "
+            "stream_mark sources must be built with infer_domains=False"
+        )
+    # Injection point: embed-step faults (hang/slow/memory) land here,
+    # before the chunk is durable, unlike the post-durability
+    # "pipeline.chunk" point.  Pool workers run disarmed.
+    fault_point("pipeline.embed", index)
+    guard = QualityGuard(
+        list(constraints_factory()) if constraints_factory else []
+    )
+    guard.bind(chunk)
+    if engine is None:
+        pass_result = embed(
+            chunk, watermark, key, spec, guard=guard, engine=SCALAR
+        )
+    else:
+        pass_result = EmbeddingResult(
+            spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
+        )
+        kernels.embed_vector(
+            chunk, spec, domain, wm_data, guard, pass_result, engine
+        )
+    return pass_result, guard.report
+
+
+def _build_chunk(task: ChunkTask, profile: dict[str, Any], parsers) -> Table:
+    """Materialize one payload into the exact chunk table the source's
+    ``chunks()`` would have yielded."""
     if task.kind == PAYLOAD_TABLE:
         return task.payload
     if task.kind == PAYLOAD_RAW:
-        arity = schema.arity
-        origin = task.origin or path or name
+        arity = profile["schema"].arity
+        origin = task.origin or profile["path"] or profile["name"]
         number = task.first_row_number
         rows = []
         for record in task.payload:
@@ -202,212 +295,113 @@ def _build_chunk(
     else:
         rows = task.payload
     return build_chunk_table(
-        schema, rows, task.index, name, infer=infer, trusted=trusted
+        profile["schema"], rows, task.index, profile["name"],
+        infer=profile["infer"], trusted=profile["trusted"],
     )
 
 
-# -- the persistent worker pool ------------------------------------------------
+# -- pool workers --------------------------------------------------------------
 #
-# One module-level executor, keyed by (hash of the pickled run state,
-# worker count) — mirroring the sweep engine's pool.  Workers hold warm
-# per-key stream engines, so a mark-then-verify pair (or repeated verify
-# calls with the same run state) re-hashes nothing.
+# One persistent pool, keyed by (hash of the pickled run state, worker
+# count).  Workers hold warm per-key stream engines, so repeated verify
+# calls with the same run state re-hash nothing.
 
-_pool = None
-_pool_token: tuple[bytes, int] | None = None
-_pool_hb_dir: str | None = None
+_pool = PersistentPool("stream-heartbeat-")
 
 # Worker-process globals (set by _worker_init, used by the task fns).
 _W: dict[str, Any] | None = None
 _W_ENGINES: list | None = None
 _W_PARSERS = None
-_W_HB: str | None = None
 _W_CHUNKS = 0
 
 
-def _worker_init(blob: bytes, heartbeat_dir: str | None) -> None:
+def _worker_init(blob: bytes) -> None:
     """Pool initializer: install the run state, build one warm
     chunk-bounded stream engine per key, zero worker-local telemetry."""
-    global _W, _W_ENGINES, _W_PARSERS, _W_HB, _W_CHUNKS
+    global _W, _W_ENGINES, _W_PARSERS, _W_CHUNKS
     _W = pickle.loads(blob)
     _W_ENGINES = [
         None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
     ]
-    schema = _W["schema"]
+    schema = _W["profile"]["schema"]
     _W_PARSERS = cell_parsers(schema) if schema is not None else None
-    _W_HB = heartbeat_dir
     _W_CHUNKS = 0
     # Worker-local counters must count this worker's launches only,
     # whatever the parent process had accumulated before the fork.
     kernels.reset_kernel_calls()
-    beat(heartbeat_dir, state=IDLE)
 
 
-def _worker_stats() -> dict[str, Any]:
-    return {
-        "pid": os.getpid(),
-        "chunks": _W_CHUNKS,
-        "kernel_calls": dict(kernels.KERNEL_CALLS),
-        "computed_digests": sum(
-            engine.computed_digests
-            for engine in _W_ENGINES
-            if engine is not None
-        ),
-    }
-
-
-def _misbehave(inject: tuple | None, index: int) -> None:
-    """Execute a parent-planned fault shipped across the process
-    boundary (the armed :class:`~repro.reliability.FaultPlan` lives in
-    the parent; the trigger was consumed at submit time, so a retried
-    task runs clean — same pattern as the sweep pool)."""
-    if inject is None:
-        return
-    kind, param = inject
-    if kind == KILL:
-        os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover — fatal
-    if kind == HANG:
-        time.sleep(param)
-        raise InjectedFaultError("pool.worker", index, kind)
-    if kind == SLOW:
-        time.sleep(param)
-        return
-    if kind == MEMORY:
-        raise MemoryError(f"injected memory fault at pool.worker[{index}]")
-    raise InjectedFaultError("pool.worker", index, kind)
-
-
-def _worker_chunk(task: ChunkTask) -> Table:
-    return _build_chunk(
-        task, _W["schema"], _W["name"], _W["path"], _W["infer"],
-        _W["trusted"], _W_PARSERS,
-    )
-
-
-def _task_votes(task: ChunkTask, inject: tuple | None = None):
-    """Pool task: one chunk's per-pass slot-vote tallies — exactly the
-    tallies the serial per-chunk kernels produce."""
+def _in_worker(task: ChunkTask, fault, compute):
+    """Run ``compute(chunk)`` on one payload inside a pool worker;
+    returns ``(result, worker stats)``."""
     global _W_CHUNKS
-    beat(_W_HB)
+    heartbeat()
     try:
-        _misbehave(inject, task.index)
-        chunk = _worker_chunk(task)
-        spec = _W["spec"]
-        domain = _W["domain"]
-        if domain is None:
-            domain = chunk.schema.attribute(spec.mark_attribute).domain
-        tallies = _chunk_tallies(
-            chunk, _W["keys"], spec, _W["maps"], domain,
+        misbehave(fault, task.index)
+        result = compute(_build_chunk(task, _W["profile"], _W_PARSERS))
+        _W_CHUNKS += 1
+        return result, {
+            "pid": os.getpid(),
+            "chunks": _W_CHUNKS,
+            "kernel_calls": dict(kernels.KERNEL_CALLS),
+            "computed_digests": sum(
+                engine.computed_digests
+                for engine in _W_ENGINES
+                if engine is not None
+            ),
+        }
+    finally:
+        heartbeat(IDLE)
+
+
+def _task_votes(task: ChunkTask, fault=None):
+    """Pool task: one chunk's per-pass tallies and row count."""
+    def votes(chunk):
+        tallies = _chunk_votes(
+            chunk, _W["keys"], _W["spec"], _W["maps"], _W["domain"],
             _W["value_mapping"], _W_ENGINES,
         )
-        _W_CHUNKS += 1
-        return tallies, len(chunk), _worker_stats()
-    finally:
-        beat(_W_HB, state=IDLE)
+        return tallies, len(chunk)
+
+    return _in_worker(task, fault, votes)
 
 
-def _task_embed(task: ChunkTask, inject: tuple | None = None):
-    """Pool task: embed one chunk in place; returns the marked rows plus
-    the per-chunk embedding/guard reports for the ordered commit."""
-    global _W_CHUNKS
-    beat(_W_HB)
-    try:
-        _misbehave(inject, task.index)
-        chunk = _worker_chunk(task)
-        spec = _W["spec"]
-        domain = _W["domain"]
-        chunk_domain = chunk.schema.attribute(spec.mark_attribute).domain
-        if chunk_domain != domain:
-            raise StreamError(
-                "chunk domain drifted from the declared domain — "
-                "stream_mark sources must be built with "
-                "infer_domains=False"
-            )
-        guard = QualityGuard([])
-        guard.bind(chunk)
-        pass_result = _embed_one(
-            chunk, _W["watermark"], _W["keys"][0], spec, domain,
-            _W["wm_data"], guard, _W_ENGINES[0],
+def _task_embed(task: ChunkTask, fault=None):
+    """Pool task: embed one chunk; ships the marked rows back with the
+    chunk's embedding and guard reports."""
+    def marked_rows(chunk):
+        pass_result, guard_report = _embed_chunk(
+            chunk, _W["watermark"], _W["keys"][0], _W["spec"], _W["domain"],
+            _W["wm_data"], None, _W_ENGINES[0], task.index,
         )
-        _W_CHUNKS += 1
-        return (
-            list(iter(chunk)), pass_result, guard.report, len(chunk),
-            _worker_stats(),
-        )
-    finally:
-        beat(_W_HB, state=IDLE)
+        return list(iter(chunk)), pass_result, guard_report
 
-
-def _ensure_pool(blob: bytes, workers: int):
-    """The persistent executor for this run state (created or reused).
-
-    A different run state (other keys, spec, domain, chunk size) retires
-    the old pool: worker engines are only warm for the state their
-    initializer installed.
-    """
-    global _pool, _pool_token, _pool_hb_dir
-    token = (hashlib.sha256(blob).digest(), workers)
-    if _pool is not None and _pool_token == token:
-        return _pool
-    shutdown_stream_pool()
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_hb_dir = tempfile.mkdtemp(prefix="stream-heartbeat-")
-    _pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(blob, _pool_hb_dir),
-    )
-    _pool_token = token
-    return _pool
+    return _in_worker(task, fault, marked_rows)
 
 
 def shutdown_stream_pool() -> None:
     """Retire the persistent stream pool (test isolation, run-state
     change, interpreter exit)."""
-    global _pool, _pool_token, _pool_hb_dir
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-    if _pool_hb_dir is not None:
-        shutil.rmtree(_pool_hb_dir, ignore_errors=True)
-    _pool = None
-    _pool_token = None
-    _pool_hb_dir = None
+    _pool.shutdown()
 
 
-def _pool_worker_pids() -> list[int]:
-    if _pool is None:
-        return []
-    return list((getattr(_pool, "_processes", None) or {}).keys())
-
-
-def _kill_pool_workers() -> int:
-    """``SIGKILL`` every live pool worker (``Executor.shutdown`` *joins*
-    workers, so a hung one would outlive a plain shutdown)."""
-    killed = 0
-    for pid in _pool_worker_pids():
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            continue
-        killed += 1
-    return killed
-
-
-def _planned_injection(index: int) -> tuple | None:
-    """Consume a parent-armed ``"pool.worker"`` trigger at submit time
-    and ship it into the task — workers run in other processes, where
-    the armed plan cannot reach."""
-    plan = active_plan()
-    if plan is None or not plan.scheduled("pool.worker", index):
-        return None
-    kind = plan.draw("pool.worker", index)
-    if kind == HANG:
-        return (kind, plan.hang_seconds)
-    if kind == SLOW:
-        return (kind, plan.slow_seconds)
-    return (kind, 0.0)
+def _run_blob(state: dict[str, Any]) -> bytes:
+    """The pickled run state every pool worker is initialized with."""
+    try:
+        return pickle.dumps(state)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        # The three ways pickling actually fails: a declared-unpicklable
+        # object, an unsupported type (lambda, local class), or a lookup
+        # that dies during __reduce__.  Anything else is a real bug in
+        # run-state assembly and should surface with its own traceback.
+        logger.warning(
+            "run state for %s is not picklable: %r",
+            state["profile"]["name"], exc,
+        )
+        raise StreamError(
+            f"parallel streaming needs a picklable run state: {exc}"
+        ) from exc
 
 
 def _failed_future(exc: BaseException):
@@ -418,30 +412,49 @@ def _failed_future(exc: BaseException):
     return future
 
 
+def _pool_breakage():
+    from concurrent.futures import BrokenExecutor
+
+    return BrokenExecutor
+
+
+# -- reading -------------------------------------------------------------------
+
 def _tasks_with_retry(
     source,
     start: int,
     policy: RetryPolicy | None,
     report: ReliabilityReport,
-    sleep: Callable[[float], None] = time.sleep,
+    workers: int,
 ) -> Iterator[ChunkTask]:
-    """Payload tasks of ``source``, re-opening on transient read failures
-    (the payload twin of the serial ``_chunks_with_retry``).
+    """Chunk tasks of ``source`` from ``start`` — typed chunk tables
+    (:func:`~repro.stream.sources.table_tasks`) in process, payloads
+    (:func:`~repro.stream.sources.payload_chunks`) for a pool —
+    re-opening the source on transient read failures.
 
-    The read-ahead window holds already-yielded tasks in memory, so a
-    re-open at the reader's position never loses or duplicates a chunk.
+    A failed read never loses or duplicates a chunk: the source is
+    re-opened at the position after the last task yielded (tasks already
+    handed out — committed, or held in the read-ahead window — are never
+    re-read), so a retried read re-produces the exact chunk whose read
+    failed.  Attempts are bounded per position; plain iterables cannot
+    be re-opened and propagate their failures unchanged.
     """
+    read = payload_chunks if workers > 1 else table_tasks
     if policy is None or not hasattr(source, "chunks"):
-        yield from payload_chunks(source, start)
+        yield from read(source, start)
         return
     position = start
     attempt = 0
-    iterator = payload_chunks(source, position)
+    iterator = read(source, position)
     while True:
         try:
             task = next(iterator)
         except StopIteration:
             return
+        # Only the transient taxonomy is caught at all: a permanent
+        # failure (BadRowError, schema violations, deadline expiry, a
+        # plain bug) propagates with its original traceback instead of
+        # being routed through retry classification.
         except TRANSIENT_TYPES as exc:
             if classify(exc) is not TRANSIENT:
                 raise
@@ -449,65 +462,106 @@ def _tasks_with_retry(
             if attempt >= policy.max_attempts:
                 raise RetryError("source.read", attempt) from exc
             report.record_retry("source.read", attempt, exc)
-            sleep(policy.delay("source.read", attempt))
+            time.sleep(policy.delay("source.read", attempt))
             report.source_reopens += 1
-            iterator = payload_chunks(source, position)
+            iterator = read(source, position)
             continue
         attempt = 0
         yield task
         position += 1
 
 
-# -- the ordered coordinator ---------------------------------------------------
+def _peek_domain(
+    tasks: Iterator[ChunkTask], spec: EmbeddingSpec
+) -> tuple[CategoricalDomain | None, Iterator[ChunkTask]]:
+    """Pin the canonical domain from the first chunk (schema-less
+    iterable sources): ``(domain, tasks)`` where ``tasks`` still yields
+    the peeked task first.  No reference to it survives that yield, so
+    the run releases chunk 0 as soon as it commits."""
+    held = [next(tasks, None)]
+    if held[0] is None:
+        return None, iter(())
+    first = held[0]
+    domain = None
+    if first.kind == PAYLOAD_TABLE:
+        domain = first.payload.schema.attribute(spec.mark_attribute).domain
+    if domain is None:
+        raise DetectionError(
+            f"no categorical domain available for {spec.mark_attribute!r}"
+        )
+
+    def replay():
+        yield held.pop()
+        yield from tasks
+
+    return domain, replay()
+
+
+# -- the ordered run -----------------------------------------------------------
 
 class _OrderedRun:
-    """Bounded read-ahead dispatch with strictly ordered commit.
+    """Ordered commit over a chunk-task stream, in process or on a pool.
 
+    ``compute(index, chunk)`` runs one chunk in this process and
     ``commit(task, result)`` is only ever called with the lowest
     uncommitted chunk index — the invariant every bit-identity claim of
-    this module rests on.
+    this module rests on.  With one worker every chunk is computed and
+    committed before the next is read.  With more, ``pool_task(task,
+    fault)`` runs in workers initialized with the pickled ``state``, a
+    bounded read-ahead window stays in flight, and ``compute`` serves
+    only the breaker's degraded path.
     """
 
     def __init__(
         self,
-        task_fn,
-        serial_fn,
+        profile: dict[str, Any],
+        compute,
         commit,
         *,
-        blob: bytes,
+        pool_task,
+        state: dict[str, Any],
         workers: int,
         retry: RetryPolicy | None,
         deadline: Deadline | None,
-        watchdog: Watchdog | None,
+        watchdog: Watchdog | bool | None,
         breaker: CircuitBreaker | None,
         reliability: ReliabilityReport,
-        report: ParallelReport,
-        sleep: Callable[[float], None] = time.sleep,
     ):
-        self.task_fn = task_fn
-        self.serial_fn = serial_fn
+        self.profile = profile
+        self.compute = compute
         self.commit = commit
-        self.blob = blob
+        self.pool_task = pool_task
+        self.state = state
         self.workers = workers
         self.retry = retry
         self.deadline = deadline
-        self.watchdog = watchdog
-        self.breaker = breaker
         self.reliability = reliability
-        self.report = report
-        self.sleep = sleep
+        self.report = ParallelReport(workers=workers)
         self.window = READAHEAD_FACTOR * workers
         self.in_flight: "OrderedDict[int, list]" = OrderedDict()
-        self.pool = None
-        self.serial_mode = (
-            breaker is not None and breaker.is_open(STREAM_PARALLEL_LABEL)
-        )
+        self.executor = None
+        self.blob: bytes | None = None
+        self.parsers = None
+        self.watchdog = None
+        self.breaker = None
+        self.serial_mode = workers == 1
         if self.serial_mode:
+            return
+        self.watchdog = resolve_watchdog(watchdog)
+        self.breaker = breaker
+        schema = profile["schema"]
+        self.parsers = cell_parsers(schema) if schema is not None else None
+        if breaker is not None and breaker.is_open(STREAM_PARALLEL_LABEL):
+            self.serial_mode = True
             self.reliability.pool_fallbacks += 1
+
+    @property
+    def parallel(self) -> ParallelReport | None:
+        """The run's :class:`ParallelReport`; ``None`` in process."""
+        return self.report if self.workers > 1 else None
 
     # -- driving loop -----------------------------------------------------------
     def run(self, tasks: Iterator[ChunkTask]) -> None:
-        tasks = iter(tasks)
         exhausted = False
         while True:
             while (
@@ -537,12 +591,17 @@ class _OrderedRun:
 
     # -- submission -------------------------------------------------------------
     def _submit(self, entry: list) -> None:
-        if self.pool is None:
-            self.pool = _ensure_pool(self.blob, self.workers)
+        if self.executor is None:
+            if self.blob is None:
+                self.blob = _run_blob({**self.state, "profile": self.profile})
+            self.executor = _pool.ensure(
+                hashlib.sha256(self.blob).digest(), self.workers,
+                _worker_init, self.blob,
+            )
         task = entry[1]
-        inject = _planned_injection(task.index)
+        fault = planned_fault(task.index)
         try:
-            entry[0] = self.pool.submit(self.task_fn, task, inject)
+            entry[0] = self.executor.submit(self.pool_task, task, fault)
         except _pool_breakage() as exc:
             # A worker died between commits; leave a pre-failed future so
             # the ordered commit path runs its usual pool recovery.
@@ -551,14 +610,18 @@ class _OrderedRun:
     # -- commits ----------------------------------------------------------------
     def _commit_serial(self, task: ChunkTask) -> None:
         check_deadline(self.deadline, "pipeline.chunk", task.index)
-        self.commit(task, self.serial_fn(task))
+        chunk = _build_chunk(task, self.profile, self.parsers)
+        self.commit(task, self.compute(task.index, chunk))
         self.report.chunks_serial += 1
+        # Injection point: the chunk is fully committed (for an embed:
+        # durable) here — a kill at this boundary is the canonical crash
+        # the chaos kill-matrix resumes from.
         fault_point("pipeline.chunk", task.index)
 
     def _commit_head(self) -> None:
         index, entry = next(iter(self.in_flight.items()))
         try:
-            result = self._await(entry)
+            result, stats = self._await(entry)
         except _pool_breakage() as exc:
             self._trip(exc)
             if self.retry is None:
@@ -585,6 +648,7 @@ class _OrderedRun:
             self.breaker.record_success(STREAM_PARALLEL_LABEL)
         del self.in_flight[index]
         self.commit(entry[1], result)
+        self.report.note(stats)
         self.report.chunks_parallel += 1
         fault_point("pipeline.chunk", index)
 
@@ -604,12 +668,8 @@ class _OrderedRun:
                 check_deadline(
                     self.deadline, "pipeline.chunk", entry[1].index
                 )
-                if self.watchdog is not None and _pool_hb_dir is not None:
-                    killed = self.watchdog.kill_stale(
-                        _pool_hb_dir, _pool_worker_pids()
-                    )
-                    if killed:
-                        self.reliability.watchdog_kills += len(killed)
+                killed = _pool.kill_stale(self.watchdog)
+                self.reliability.watchdog_kills += len(killed)
 
     # -- recovery ---------------------------------------------------------------
     def _trip(self, exc: BaseException) -> None:
@@ -624,7 +684,7 @@ class _OrderedRun:
         if entry[2] >= self.retry.max_attempts:
             raise RetryError("pool.worker", entry[2]) from exc
         self.reliability.record_retry("pool.worker", entry[2], exc)
-        self.sleep(self.retry.delay("pool.worker", entry[2]))
+        time.sleep(self.retry.delay("pool.worker", entry[2]))
 
     def _recover_task(self, entry: list, exc: BaseException) -> None:
         """One task failed, the pool is alive: re-dispatch that chunk
@@ -650,9 +710,9 @@ class _OrderedRun:
             "re-dispatching %d in-flight chunks",
             entry[1].index, exc, len(self.in_flight),
         )
-        _kill_pool_workers()
-        shutdown_stream_pool()
-        self.pool = None
+        _pool.kill_workers()
+        _pool.shutdown()
+        self.executor = None
         if self.breaker is not None and self.breaker.is_open(
             STREAM_PARALLEL_LABEL
         ):
@@ -672,7 +732,7 @@ class _OrderedRun:
     def _degrade(self) -> None:
         """The parallel -> serial bit-identical ladder: compute every
         in-flight (and all remaining) chunks in the coordinator with the
-        same kernels, in the same order."""
+        same per-chunk functions, in the same order."""
         self.serial_mode = True
         self.reliability.pool_fallbacks += 1
         logger.warning(
@@ -688,61 +748,9 @@ class _OrderedRun:
             self._commit_serial(entry[1])
 
 
-def _pool_breakage():
-    from concurrent.futures import BrokenExecutor
+# -- the two directions --------------------------------------------------------
 
-    return BrokenExecutor
-
-
-# -- run-state assembly --------------------------------------------------------
-
-def _run_blob(
-    profile: dict[str, Any],
-    *,
-    keys: Sequence[MarkKey],
-    maps: Sequence[dict[Hashable, int] | None],
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain | None,
-    value_mapping: dict[Hashable, Hashable] | None,
-    scalar: bool,
-    chunk_size: int,
-    watermark: Watermark | None = None,
-    wm_data=None,
-) -> bytes:
-    state = {
-        "schema": profile["schema"],
-        "infer": profile["infer"],
-        "trusted": profile["trusted"],
-        "name": profile["name"],
-        "path": profile["path"],
-        "keys": list(keys),
-        "maps": list(maps),
-        "spec": spec,
-        "domain": domain,
-        "value_mapping": value_mapping,
-        "scalar": scalar,
-        "chunk_size": chunk_size,
-        "watermark": watermark,
-        "wm_data": wm_data,
-    }
-    try:
-        return pickle.dumps(state)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        # The three ways pickling actually fails: a declared-unpicklable
-        # object, an unsupported type (lambda, local class), or a lookup
-        # that dies during __reduce__.  Anything else is a real bug in
-        # run-state assembly and should surface with its own traceback.
-        logger.warning(
-            "run state for %s is not picklable: %r", profile["name"], exc
-        )
-        raise StreamError(
-            f"parallel streaming needs a picklable run state: {exc}"
-        ) from exc
-
-
-# -- public coordinators -------------------------------------------------------
-
-def parallel_votes(
+def ordered_votes(
     source,
     keys: Sequence[MarkKey],
     spec: EmbeddingSpec,
@@ -755,101 +763,51 @@ def parallel_votes(
     workers: int,
     retry: RetryPolicy | None,
     deadline: Deadline | None,
-    watchdog: Watchdog | None,
+    watchdog: Watchdog | bool | None,
     breaker: CircuitBreaker | None,
     reliability: ReliabilityReport,
-) -> tuple[list[VoteAccumulator], int, int, ParallelReport]:
-    """Parallel streamed tallies: ``(accumulators, chunks, rows,
-    report)``, with every accumulator's state bit-identical to the
-    serial single-process scan.  ``engines`` (one per key, ``None`` for
-    SCALAR) compute in the coordinator once the breaker degrades the
-    pool; workers build their own."""
-    from itertools import chain
-
-    profile = payload_profile(source)
-    report = ParallelReport(workers=workers)
-    tasks = _tasks_with_retry(source, 0, retry, reliability)
-    first = next(tasks, None)
-    accumulators = [
-        VoteAccumulator(spec.channel_length) for _ in keys
-    ]
-    if first is None:
-        return accumulators, 0, 0, report
+) -> tuple[list[VoteAccumulator], int, int, ParallelReport | None]:
+    """Streamed tallies of ``source`` for every key: ``(accumulators,
+    chunks, rows, parallel report)``, merged in chunk order, so every
+    accumulator's state is identical at every worker count.  ``engines``
+    (one per key, ``None`` for SCALAR) compute in this process; pool
+    workers build their own."""
+    tasks = _tasks_with_retry(source, 0, retry, reliability, workers)
     if domain is None:
-        # Schema-less iterable sources pin the canonical domain from the
-        # first chunk, exactly like the serial path — resolved here,
-        # before the pool forks, so every worker decodes the same way.
-        if first.kind == PAYLOAD_TABLE:
-            domain = first.payload.schema.attribute(
-                spec.mark_attribute
-            ).domain
-        if domain is None:
-            raise DetectionError(
-                f"no categorical domain available for "
-                f"{spec.mark_attribute!r}"
-            )
+        domain, tasks = _peek_domain(tasks, spec)
+    accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
+    chunks = rows = 0
 
-    blob = _run_blob(
-        profile, keys=keys, maps=maps, spec=spec, domain=domain,
-        value_mapping=value_mapping, scalar=None in engines,
-        chunk_size=chunk_size,
-    )
-
-    chunks_seen = 0
-    rows = 0
-
-    def commit(task: ChunkTask, result) -> None:
-        nonlocal chunks_seen, rows
-        tallies, nrows, stats = result
-        for accumulator, tally in zip(accumulators, tallies):
-            accumulator.add(tally)
-        chunks_seen += 1
-        rows += nrows
-        report.note(stats)
-
-    serial_fn = _serial_votes_fn(
-        profile, keys=keys, maps=maps, spec=spec, domain=domain,
-        value_mapping=value_mapping, engines=engines,
-    )
-    run = _OrderedRun(
-        _task_votes, serial_fn, commit,
-        blob=blob, workers=workers, retry=retry, deadline=deadline,
-        watchdog=watchdog, breaker=breaker, reliability=reliability,
-        report=report,
-    )
-    run.run(chain([first], tasks))
-    return accumulators, chunks_seen, rows, report
-
-
-def _serial_votes_fn(
-    profile: dict[str, Any],
-    *,
-    keys: Sequence[MarkKey],
-    maps: Sequence[dict[Hashable, int] | None],
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines: Sequence[HashEngine | None],
-):
-    """Coordinator-side fallback compute — the degradation ladder's
-    serial twin of :func:`_task_votes` (same kernels, same order)."""
-    schema = profile["schema"]
-    parsers = cell_parsers(schema) if schema is not None else None
-
-    def compute(task: ChunkTask):
-        chunk = _build_chunk(
-            task, schema, profile["name"], profile["path"],
-            profile["infer"], profile["trusted"], parsers,
-        )
-        tallies = _chunk_tallies(
+    def compute(index: int, chunk: Table):
+        tallies = _chunk_votes(
             chunk, keys, spec, maps, domain, value_mapping, engines
         )
-        return tallies, len(chunk), None
+        return tallies, len(chunk)
 
-    return compute
+    def commit(task: ChunkTask, result) -> None:
+        nonlocal chunks, rows
+        tallies, nrows = result
+        for accumulator, tally in zip(accumulators, tallies):
+            accumulator.add(tally)
+        chunks += 1
+        rows += nrows
+
+    run = _OrderedRun(
+        payload_profile(source), compute, commit,
+        pool_task=_task_votes,
+        state={
+            "keys": list(keys), "maps": list(maps), "spec": spec,
+            "domain": domain, "value_mapping": value_mapping,
+            "scalar": None in engines, "chunk_size": chunk_size,
+        },
+        workers=workers, retry=retry, deadline=deadline,
+        watchdog=watchdog, breaker=breaker, reliability=reliability,
+    )
+    run.run(tasks)
+    return accumulators, chunks, rows, run.parallel
 
 
-def parallel_mark(
+def ordered_mark(
     source,
     start: int,
     commit_marked,
@@ -860,63 +818,51 @@ def parallel_mark(
     domain: CategoricalDomain,
     wm_data,
     engine: HashEngine | None,
+    constraints_factory: Callable[[], list] | None,
     chunk_size: int,
     workers: int,
     retry: RetryPolicy | None,
     deadline: Deadline | None,
-    watchdog: Watchdog | None,
+    watchdog: Watchdog | bool | None,
     breaker: CircuitBreaker | None,
     reliability: ReliabilityReport,
-) -> ParallelReport:
-    """Parallel streamed embed: workers mark chunks, the ordered commit
-    loop hands each marked chunk to ``commit_marked(index, marked,
-    pass_result, guard_report, rows)`` in strict chunk order — the
-    caller (``stream_mark``) writes, flushes and checkpoints exactly as
-    the serial loop would, so output bytes, checkpoints and resume stay
-    identical.  ``engine`` (``None`` for SCALAR) marks chunks in the
-    coordinator once the breaker degrades the pool."""
+) -> ParallelReport | None:
+    """Streamed embed from chunk ``start``: hands every marked chunk to
+    ``commit_marked(index, marked, pass_result, guard_report, rows)`` in
+    strict chunk order — the caller (``stream_mark``) writes, flushes
+    and checkpoints, so output bytes, checkpoints and resume are
+    identical at every worker count.  In process the marked chunk is the
+    source's own table; pool workers ship marked rows, rebuilt here as a
+    trusted table.  Returns the parallel report (``None`` in process)."""
     profile = payload_profile(source)
-    schema = profile["schema"]
-    report = ParallelReport(workers=workers)
-    blob = _run_blob(
-        profile, keys=[key], maps=[None], spec=spec, domain=domain,
-        value_mapping=None, scalar=engine is None, chunk_size=chunk_size,
-        watermark=watermark, wm_data=wm_data,
-    )
+
+    def compute(index: int, chunk: Table):
+        return (chunk, *_embed_chunk(
+            chunk, watermark, key, spec, domain, wm_data,
+            constraints_factory, engine, index,
+        ))
 
     def commit(task: ChunkTask, result) -> None:
-        rows, pass_result, guard_report, nrows, stats = result
-        marked = Table.from_trusted_rows(
-            schema, rows, name=f"{profile['name']}[{task.index}]"
-        )
-        commit_marked(task.index, marked, pass_result, guard_report, nrows)
-        report.note(stats)
-
-    parsers = cell_parsers(schema) if schema is not None else None
-
-    def serial_fn(task: ChunkTask):
-        chunk = _build_chunk(
-            task, schema, profile["name"], profile["path"],
-            profile["infer"], profile["trusted"], parsers,
-        )
-        chunk_domain = chunk.schema.attribute(spec.mark_attribute).domain
-        if chunk_domain != domain:
-            raise StreamError(
-                "chunk domain drifted from the declared domain — "
-                "stream_mark sources must be built with "
-                "infer_domains=False"
+        marked, pass_result, guard_report = result
+        if not isinstance(marked, Table):  # a pool worker's marked rows
+            marked = Table.from_trusted_rows(
+                profile["schema"], marked,
+                name=f"{profile['name']}[{task.index}]",
             )
-        pass_result, guard_report = _embed_chunk(
-            chunk, watermark, key, spec, domain, wm_data, None, engine,
-            task.index,
+        commit_marked(
+            task.index, marked, pass_result, guard_report, len(marked)
         )
-        return list(iter(chunk)), pass_result, guard_report, len(chunk), None
 
     run = _OrderedRun(
-        _task_embed, serial_fn, commit,
-        blob=blob, workers=workers, retry=retry, deadline=deadline,
+        profile, compute, commit,
+        pool_task=_task_embed,
+        state={
+            "keys": [key], "spec": spec, "domain": domain,
+            "scalar": engine is None, "chunk_size": chunk_size,
+            "watermark": watermark, "wm_data": wm_data,
+        },
+        workers=workers, retry=retry, deadline=deadline,
         watchdog=watchdog, breaker=breaker, reliability=reliability,
-        report=report,
     )
-    run.run(_tasks_with_retry(source, start, retry, reliability))
-    return report
+    run.run(_tasks_with_retry(source, start, retry, reliability, workers))
+    return run.parallel

@@ -5,17 +5,25 @@ keyed hash of the tuple's (primary-key) value alone, so both directions
 are embarrassingly chunkable:
 
 * :func:`stream_mark` pulls schema-typed chunks from a
-  :class:`~repro.stream.sources.ChunkSource`, runs the existing embed
-  kernels on each chunk (the NumPy vector kernel, on one warm
-  stream-scoped :class:`~repro.crypto.HashEngine`), and pushes the
-  marked chunks into a :class:`~repro.stream.sinks.ChunkSink` — with an
-  optional checkpoint file making the run resumable after interruption;
+  :class:`~repro.stream.sources.ChunkSource`, runs the embed kernels on
+  each chunk (the NumPy vector kernel, on one warm stream-scoped
+  :class:`~repro.crypto.HashEngine`), and pushes the marked chunks into
+  a :class:`~repro.stream.sinks.ChunkSink` — with an optional checkpoint
+  file making the run resumable after interruption;
 * :func:`stream_verify` / :func:`stream_verify_multipass` keep running
   per-slot vote accumulators (:class:`~repro.core.VoteAccumulator`) that
   merge each chunk's bincount tallies associatively, preserving the
   global first-vote tie rule — streamed detection over an arbitrarily
   large file uses O(chunk + channel length) memory and is bit-identical
   to the in-memory :func:`~repro.core.verify` on the concatenated rows.
+
+This module owns what is specific to each entry point — validation,
+resume, the sink/journal/checkpoint commit of a marked chunk, the final
+verdicts.  The chunk loop itself is one ordered run for both directions
+and every worker count (:mod:`repro.stream.parallel`): ``workers=None``
+or ``1`` computes each chunk in process and commits it before reading
+the next; ``workers > 1`` fans the same per-chunk functions across a
+process pool and commits in the same order.
 
 Memory discipline: the stream-scoped engine bounds its memoization caches
 relative to the chunk size (fresh key values arrive forever; an unbounded
@@ -30,37 +38,31 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..core import kernels
 from ..core.detection import (
     DEFAULT_SIGNIFICANCE,
     DetectionResult,
     SlotVotes,
     VerificationResult,
-    VoteAccumulator,
     _assemble_verification,
-    extract_slot_votes,
 )
 from ..core.embedding import (
     EmbeddingResult,
     EmbeddingSpec,
     VARIANT_KEYED,
     VARIANT_MAP,
-    embed,
     value_pair_count,
 )
 from ..core.errors import DetectionError, SpecError
 from ..core.watermark import Watermark
 from ..crypto import BACKENDS, SCALAR, HashEngine, MarkKey
-from ..quality import GuardReport, QualityGuard
-from ..relational import CategoricalDomain, Schema, Table
+from ..quality import GuardReport
+from ..relational import CategoricalDomain, Schema
 from ..reliability.breaker import CircuitBreaker
-from ..reliability.deadline import Deadline, check_deadline
-from ..reliability.faults import fault_point
+from ..reliability.deadline import Deadline
 from ..reliability.integrity import (
     RunLock,
     append_journal_chunk,
@@ -72,14 +74,7 @@ from ..reliability.integrity import (
     write_journal_header,
 )
 from ..reliability.report import ReliabilityReport
-from ..reliability.retry import (
-    TRANSIENT,
-    TRANSIENT_TYPES,
-    RetryError,
-    RetryPolicy,
-    call_with_retry,
-    classify,
-)
+from ..reliability.retry import RetryPolicy, call_with_retry
 from .checkpoint import (
     MarkCheckpoint,
     load_verified_checkpoint,
@@ -87,40 +82,16 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .errors import CheckpointError, StreamError
+from .parallel import (
+    ordered_mark,
+    ordered_votes,
+    resolve_workers,
+    stream_engine,
+)
 from .sinks import ChunkSink
-from .sources import DEFAULT_CHUNK_SIZE, resolve_chunks, source_schema
+from .sources import DEFAULT_CHUNK_SIZE, source_schema
 
 logger = logging.getLogger(__name__)
-
-#: floor on the stream engine's memoization-cache entry bound; the bound
-#: scales with the chunk size (see :func:`stream_engine`) so steady-state
-#: memory is O(chunk), not O(rows seen)
-MIN_ENGINE_ENTRIES = 8_192
-
-#: cache-entry bound as a multiple of the chunk size — large enough that
-#: a mark-then-verify pair (or repeated values across nearby chunks)
-#: stays warm, small enough to stay chunk-proportional
-ENGINE_ENTRY_FACTOR = 4
-
-
-def stream_engine(
-    key: MarkKey, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> HashEngine:
-    """A stream-scoped :class:`HashEngine` with chunk-bounded caches.
-
-    Unlike the process-wide :func:`~repro.crypto.get_engine` registry
-    engine (bounded at millions of entries — fine for in-memory
-    relations, O(rows) for an unbounded stream), this engine's digest and
-    derived caches are capped at ``max(MIN_ENGINE_ENTRIES,
-    ENGINE_ENTRY_FACTOR * chunk_size)`` entries — dropped wholesale when
-    the cap is crossed, so steady-state memory stays O(chunk) however
-    many rows flow past, while values re-seen within the window (a
-    mark-then-verify pair, repeated chunks) still re-hash nothing.
-    """
-    return HashEngine(
-        key,
-        max_entries=max(MIN_ENGINE_ENTRIES, ENGINE_ENTRY_FACTOR * chunk_size),
-    )
 
 
 def _resolve_stream_backend(
@@ -156,52 +127,11 @@ def _source_chunk_size(source) -> int:
     return getattr(source, "chunk_size", DEFAULT_CHUNK_SIZE)
 
 
-def _chunks_with_retry(
-    source,
-    start: int,
-    policy: RetryPolicy | None,
-    report: ReliabilityReport,
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Chunks of ``source`` from ``start``, re-opening on transient read
-    failures.
-
-    A failed read never loses a chunk: the source is re-opened at the
-    last *completed* chunk boundary (chunks are only counted once they
-    have been fully yielded downstream), so a retried read re-produces
-    the exact chunk whose read failed.  Attempts are bounded per
-    position; plain iterables cannot be re-opened and propagate their
-    failures unchanged.
-    """
-    if policy is None or not hasattr(source, "chunks"):
-        yield from resolve_chunks(source, start)
-        return
-    position = start
-    attempt = 0
-    iterator = resolve_chunks(source, position)
-    while True:
-        try:
-            chunk = next(iterator)
-        except StopIteration:
-            return
-        # Only the transient taxonomy is caught at all: a permanent
-        # failure (BadRowError, schema violations, deadline expiry, a
-        # plain bug) propagates with its original traceback instead of
-        # being routed through retry classification.
-        except TRANSIENT_TYPES as exc:
-            if classify(exc) is not TRANSIENT:
-                raise
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                raise RetryError("source.read", attempt) from exc
-            report.record_retry("source.read", attempt, exc)
-            sleep(policy.delay("source.read", attempt))
-            report.source_reopens += 1
-            iterator = resolve_chunks(source, position)
-            continue
-        attempt = 0
-        yield chunk
-        position += 1
+def _count_source_losses(reliability: ReliabilityReport, source) -> None:
+    """Fold the rows and chunks the source dropped into ``reliability``."""
+    reliability.bad_rows += getattr(source, "bad_row_count", 0)
+    reliability.quarantined_rows += getattr(source, "quarantined_rows", 0)
+    reliability.corrupt_chunks += getattr(source, "corrupt_chunks", 0)
 
 
 # -- streaming embed -----------------------------------------------------------
@@ -330,11 +260,13 @@ def stream_mark(
     process pool (``"auto"`` sizes it from ``cpu_count``); the ordered
     commit loop writes marked chunks to the sink in sequence, so output
     bytes, checkpoints and ``--resume`` stay identical to ``workers=1``.
-    ``watchdog`` (parallel runs only) heartbeat-monitors pool workers;
-    pass ``False`` to disable the default watchdog, and ``breaker``
-    (parallel runs only) degrades the pool to serial coordinator compute
-    after repeated worker failures.  A ``MemoryError`` propagates with
-    the previous chunk durable; ``resume=True`` continues from there.
+    ``watchdog`` (pool runs only) heartbeat-monitors pool workers; pass
+    ``False`` to disable the default watchdog, and ``breaker`` (pool
+    runs only) degrades the pool to serial coordinator compute after
+    repeated worker failures.  Pool workers cannot take a
+    ``constraints_factory`` or a shared :class:`HashEngine` instance.  A
+    ``MemoryError`` propagates with the previous chunk durable;
+    ``resume=True`` continues from there.
 
     Integrity layer (see :mod:`repro.reliability.integrity`):
     ``manifest`` arms per-chunk sha256 recording in the sink, journalled
@@ -352,8 +284,6 @@ def stream_mark(
     :class:`~repro.reliability.integrity.RunLockedError` instead of
     interleaving writes; a lease whose holder died is taken over.
     """
-    from .parallel import resolve_workers
-
     worker_count = resolve_workers(workers)
     if worker_count > 1:
         if isinstance(backend, HashEngine):
@@ -517,9 +447,9 @@ def _stream_mark_run(
     def _commit_marked(index, marked, pass_result, guard_report, nrows):
         """Make one marked chunk durable: merge its reports, write it to
         the sink (rolling back and rewriting under ``retry``) and record
-        the checkpoint.  Shared by the serial loop and the parallel
-        ordered-commit loop — both call it in strict chunk order, which
-        is what keeps output bytes and checkpoints identical."""
+        the checkpoint.  The ordered run calls it in strict chunk order,
+        which is what keeps output bytes and checkpoints identical at
+        every worker count."""
         nonlocal last_good
         _merge_result(result, pass_result, guard_report, nrows)
 
@@ -574,52 +504,17 @@ def _stream_mark_run(
                 )
 
     try:
-        if worker_count > 1:
-            from .parallel import parallel_mark, resolve_watchdog
-
-            result.parallel = parallel_mark(
-                source, start, _commit_marked,
-                watermark=watermark, key=key, spec=spec, domain=domain,
-                wm_data=wm_data, engine=engine, chunk_size=chunk_size,
-                workers=worker_count, retry=retry, deadline=deadline,
-                watchdog=resolve_watchdog(watchdog), breaker=breaker,
-                reliability=reliability,
-            )
-        else:
-            for chunk in _chunks_with_retry(
-                source, start, retry, reliability
-            ):
-                index = start + result.chunks  # global chunk index
-                # Cooperative stall-safety: the deadline is consulted at
-                # every chunk boundary, so a budgeted run stops (resumably
-                # — the checkpoint of chunk index-1 is durable) instead of
-                # hanging.
-                check_deadline(deadline, "pipeline.chunk", index)
-                chunk_domain = chunk.schema.attribute(
-                    spec.mark_attribute
-                ).domain
-                if chunk_domain != domain:
-                    raise StreamError(
-                        "chunk domain drifted from the declared domain — "
-                        "stream_mark sources must be built with "
-                        "infer_domains=False"
-                    )
-                pass_result, guard_report = _embed_chunk(
-                    chunk, watermark, key, spec, domain, wm_data,
-                    constraints_factory, engine, index,
-                )
-                _commit_marked(
-                    index, chunk, pass_result, guard_report, len(chunk)
-                )
-                # Injection point: the chunk is fully durable here — a kill
-                # at this boundary is the canonical crash the chaos
-                # kill-matrix resumes from.
-                fault_point("pipeline.chunk", index)
+        result.parallel = ordered_mark(
+            source, start, _commit_marked,
+            watermark=watermark, key=key, spec=spec, domain=domain,
+            wm_data=wm_data, engine=engine,
+            constraints_factory=constraints_factory, chunk_size=chunk_size,
+            workers=worker_count, retry=retry, deadline=deadline,
+            watchdog=watchdog, breaker=breaker, reliability=reliability,
+        )
     finally:
         sink.close()
-    reliability.bad_rows += getattr(source, "bad_row_count", 0)
-    reliability.quarantined_rows += getattr(source, "quarantined_rows", 0)
-    reliability.corrupt_chunks += getattr(source, "corrupt_chunks", 0)
+    _count_source_losses(reliability, source)
     result.resumed_at_chunk = start
     if record_manifest:
         result.manifest = getattr(sink, "manifest", None)
@@ -740,55 +635,6 @@ def _verified_restore(
     sink.restore_manifest(manifest_from_journal(header, records[:verified]))
     truncate_journal(journal, verified)
     return verified
-
-
-def _embed_one(
-    chunk: Table,
-    watermark: Watermark,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    wm_data,
-    guard: QualityGuard,
-    engine: HashEngine | None,
-) -> EmbeddingResult:
-    """Embed ``chunk`` in place on ``engine`` (``None``: SCALAR)."""
-    if engine is None:
-        return embed(chunk, watermark, key, spec, guard=guard, engine=SCALAR)
-    pass_result = EmbeddingResult(
-        spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
-    )
-    kernels.embed_vector(
-        chunk, spec, domain, wm_data, guard, pass_result, engine
-    )
-    return pass_result
-
-
-def _embed_chunk(
-    chunk: Table,
-    watermark: Watermark,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    wm_data,
-    constraints_factory: Callable[[], list] | None,
-    engine: HashEngine | None,
-    index: int,
-) -> tuple[EmbeddingResult, GuardReport]:
-    """Embed one chunk in place under a fresh per-chunk guard; returns
-    ``(pass_result, guard_report)``."""
-    # Injection point: embed-step faults (hang/slow/memory) land here,
-    # before the chunk is durable, unlike the post-durability
-    # "pipeline.chunk" point.
-    fault_point("pipeline.embed", index)
-    guard = QualityGuard(
-        list(constraints_factory()) if constraints_factory else []
-    )
-    guard.bind(chunk)
-    pass_result = _embed_one(
-        chunk, watermark, key, spec, domain, wm_data, guard, engine
-    )
-    return pass_result, guard.report
 
 
 def _merge_result(
@@ -919,60 +765,6 @@ def _check_map_inputs(
         )
 
 
-def _chunk_votes(
-    chunk: Table,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    embedding_map: dict[Hashable, int] | None,
-    domain: CategoricalDomain,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine | None,
-) -> SlotVotes:
-    """One chunk's slot-vote tallies on ``engine`` (``None``: SCALAR)."""
-    if engine is None:
-        return extract_slot_votes(
-            chunk, key, spec, embedding_map, domain, value_mapping,
-            engine=SCALAR,
-        )
-    return SlotVotes.from_arrays(
-        *kernels.extract_votes_vector(
-            chunk, spec, domain, embedding_map, value_mapping, engine
-        )
-    )
-
-
-def _chunk_tallies(
-    chunk: Table,
-    keys: Sequence[MarkKey],
-    spec: EmbeddingSpec,
-    maps: Sequence[dict[Hashable, int] | None],
-    domain: CategoricalDomain,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines: Sequence[HashEngine | None],
-) -> list[SlotVotes]:
-    """Every pass's tallies for one chunk: one fused kernel launch for
-    several VECTOR passes (they share the chunk's key factorization by
-    construction), per-pass tallies otherwise."""
-    if len(keys) > 1 and engines[0] is not None:
-        return [
-            SlotVotes.from_arrays(*tally)
-            for tally in kernels.detect_multipass_votes(
-                [chunk] * len(keys),
-                spec,
-                [domain] * len(keys),
-                maps if spec.variant == VARIANT_MAP else None,
-                value_mapping,
-                engines,
-            )
-        ]
-    return [
-        _chunk_votes(
-            chunk, key, spec, embedding_map, domain, value_mapping, engine
-        )
-        for key, engine, embedding_map in zip(keys, engines, maps)
-    ]
-
-
 def stream_detect(
     source,
     key: MarkKey,
@@ -1001,13 +793,11 @@ def stream_detect(
     ``workers`` fans chunk decode + kernel work across a persistent
     process pool (``"auto"`` sizes it from ``cpu_count``); tallies are
     merged in chunk order, so the verdict is bit-identical to
-    ``workers=1`` for every worker count.  ``watchdog`` (parallel runs
-    only) heartbeat-monitors pool workers; ``False`` disables it.
-    ``breaker`` (parallel runs only) degrades the pool to serial
-    coordinator compute after repeated worker failures.
+    ``workers=1`` for every worker count.  ``watchdog`` (pool runs only)
+    heartbeat-monitors pool workers; ``False`` disables it.  ``breaker``
+    (pool runs only) degrades the pool to serial coordinator compute
+    after repeated worker failures.
     """
-    from .parallel import resolve_workers
-
     _check_map_inputs(spec, embedding_map)
     worker_count = resolve_workers(workers)
     if worker_count > 1 and isinstance(backend, HashEngine):
@@ -1016,66 +806,25 @@ def stream_detect(
             "processes; pass a backend sentinel instead"
         )
     chunk_size = _source_chunk_size(source)
-    engine = _resolve_stream_backend(backend, key, chunk_size)
-    resolved = _resolve_stream_domain(domain, source, spec)
-    if worker_count > 1:
-        from .parallel import parallel_votes, resolve_watchdog
-
-        reliability = ReliabilityReport()
-        accumulators, chunks_seen, rows, report = parallel_votes(
-            source, [key], spec,
-            maps=[embedding_map], domain=resolved,
-            value_mapping=value_mapping, engines=[engine],
-            chunk_size=chunk_size, workers=worker_count, retry=retry,
-            deadline=deadline, watchdog=resolve_watchdog(watchdog),
-            breaker=breaker, reliability=reliability,
-        )
-        accumulator = accumulators[0]
-        reliability.bad_rows += getattr(source, "bad_row_count", 0)
-        reliability.quarantined_rows += getattr(
-            source, "quarantined_rows", 0
-        )
-        reliability.corrupt_chunks += getattr(source, "corrupt_chunks", 0)
-        return StreamDetection(
-            detection=accumulator.detection(spec),
-            votes=accumulator.votes(),
-            chunks=chunks_seen,
-            rows=rows,
-            reliability=reliability,
-            parallel=report,
-        )
-    accumulator = VoteAccumulator(spec.channel_length)
     reliability = ReliabilityReport()
-    rows = 0
-    chunks_seen = 0
-    for chunk in _chunks_with_retry(source, 0, retry, reliability):
-        index = chunks_seen
-        check_deadline(deadline, "pipeline.chunk", index)
-        if resolved is None:
-            resolved = chunk.schema.attribute(spec.mark_attribute).domain
-        if resolved is None:
-            raise DetectionError(
-                f"no categorical domain available for "
-                f"{spec.mark_attribute!r}"
-            )
-        accumulator.add(
-            _chunk_votes(
-                chunk, key, spec, embedding_map, resolved, value_mapping,
-                engine,
-            )
-        )
-        rows += len(chunk)
-        chunks_seen += 1
-        fault_point("pipeline.chunk", index)
-    reliability.bad_rows += getattr(source, "bad_row_count", 0)
-    reliability.quarantined_rows += getattr(source, "quarantined_rows", 0)
-    reliability.corrupt_chunks += getattr(source, "corrupt_chunks", 0)
+    accumulators, chunks, rows, report = ordered_votes(
+        source, [key], spec,
+        maps=[embedding_map],
+        domain=_resolve_stream_domain(domain, source, spec),
+        value_mapping=value_mapping,
+        engines=[_resolve_stream_backend(backend, key, chunk_size)],
+        chunk_size=chunk_size, workers=worker_count, retry=retry,
+        deadline=deadline, watchdog=watchdog, breaker=breaker,
+        reliability=reliability,
+    )
+    _count_source_losses(reliability, source)
     return StreamDetection(
-        detection=accumulator.detection(spec),
-        votes=accumulator.votes(),
-        chunks=chunks_seen,
+        detection=accumulators[0].detection(spec),
+        votes=accumulators[0].votes(),
+        chunks=chunks,
         rows=rows,
         reliability=reliability,
+        parallel=report,
     )
 
 
@@ -1195,55 +944,19 @@ def stream_verify_multipass(
             "stream_verify_multipass needs one engine per pass; pass a "
             "backend sentinel instead"
         )
-    engines = [
-        _resolve_stream_backend(backend, key, chunk_size) for key in keys
-    ]
-    resolved = _resolve_stream_domain(domain, source, spec)
-
-    from .parallel import resolve_workers
-
-    worker_count = resolve_workers(workers)
-    pass_count = len(keys)
-    if worker_count > 1:
-        from .parallel import parallel_votes, resolve_watchdog
-
-        reliability = ReliabilityReport()
-        accumulators, _, _, _ = parallel_votes(
-            source, keys, spec,
-            maps=maps, domain=resolved, value_mapping=value_mapping,
-            engines=engines, chunk_size=chunk_size, workers=worker_count,
-            retry=retry, deadline=deadline,
-            watchdog=resolve_watchdog(watchdog), breaker=None,
-            reliability=reliability,
-        )
-        ecc = spec.ecc()
-        return [
-            _assemble_verification(
-                accumulator.detection(spec, ecc=ecc), expected,
-                significance,
-            )
-            for accumulator, expected in zip(accumulators, expecteds)
-        ]
-    accumulators = [
-        VoteAccumulator(spec.channel_length) for _ in range(pass_count)
-    ]
-    reliability = ReliabilityReport()
-    chunks_seen = 0
-    for chunk in _chunks_with_retry(source, 0, retry, reliability):
-        check_deadline(deadline, "pipeline.chunk", chunks_seen)
-        chunks_seen += 1
-        if resolved is None:
-            resolved = chunk.schema.attribute(spec.mark_attribute).domain
-        if resolved is None:
-            raise DetectionError(
-                f"no categorical domain available for "
-                f"{spec.mark_attribute!r}"
-            )
-        tallies = _chunk_tallies(
-            chunk, keys, spec, maps, resolved, value_mapping, engines
-        )
-        for accumulator, tally in zip(accumulators, tallies):
-            accumulator.add(tally)
+    accumulators, _, _, _ = ordered_votes(
+        source, keys, spec,
+        maps=maps,
+        domain=_resolve_stream_domain(domain, source, spec),
+        value_mapping=value_mapping,
+        engines=[
+            _resolve_stream_backend(backend, key, chunk_size)
+            for key in keys
+        ],
+        chunk_size=chunk_size, workers=resolve_workers(workers),
+        retry=retry, deadline=deadline, watchdog=watchdog, breaker=None,
+        reliability=ReliabilityReport(),
+    )
     ecc = spec.ecc()
     return [
         _assemble_verification(

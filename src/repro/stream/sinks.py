@@ -72,12 +72,9 @@ class ChunkSink:
     def write_chunk(self, chunk: Table) -> None:
         """Append one marked chunk.
 
-        The pipeline calls this exactly once per *original source chunk*,
-        whatever adaptation happened upstream: a memory-budget shrink
-        slices the embed, then reassembles the marked rows so the sink
-        still sees the original framing — which is what keeps gzip member
-        boundaries (hence output bytes) identical across adapted and
-        unadapted runs.
+        The pipeline calls this exactly once per source chunk, in chunk
+        order, at every worker count — which is what keeps gzip member
+        boundaries (hence output bytes) identical across runs.
         """
         raise NotImplementedError
 

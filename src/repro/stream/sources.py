@@ -110,12 +110,13 @@ PAYLOAD_TABLE = "table"    # a finished Table (pickled whole)
 
 @dataclass
 class ChunkTask:
-    """One chunk's work unit for the parallel pipeline — picklable.
+    """One chunk's work unit for the ordered stream run — picklable.
 
-    ``payload`` holds the cheapest representation the source can produce
-    without typing work: raw CSV field lists keep the expensive per-cell
-    parsing *in the worker*, which is what makes parallel file detection
-    scale (the coordinator then only reads records and pickles strings).
+    In process, ``payload`` is the typed chunk table.  For a pool it is
+    the cheapest representation the source can produce without typing
+    work: raw CSV field lists keep the expensive per-cell parsing *in the
+    worker*, which is what makes parallel file detection scale (the
+    coordinator then only reads records and pickles strings).
     """
 
     index: int
@@ -253,23 +254,26 @@ def payload_profile(source) -> dict[str, Any]:
     }
 
 
+def table_tasks(source, start: int = 0) -> Iterator[ChunkTask]:
+    """The typed chunk tables of ``source`` as :class:`ChunkTask` s —
+    what an in-process stream run reads, and the pool payload of sources
+    without a cheaper one."""
+    for offset, chunk in enumerate(resolve_chunks(source, start)):
+        yield ChunkTask(start + offset, PAYLOAD_TABLE, chunk, len(chunk))
+
+
 def payload_chunks(source, start: int = 0) -> Iterator[ChunkTask]:
-    """Chunk payloads of ``source`` for the parallel pipeline.
+    """Chunk payloads of ``source`` for a pooled stream run.
 
     Sources that implement ``payloads`` ship their cheapest
     representation (raw CSV records, typed row tuples); everything else
     — including plain iterables of tables — falls back to pickling whole
-    chunk tables, which is always correct, just less overlapped.
+    chunk tables (:func:`table_tasks`), which is always correct, just
+    less overlapped.
     """
     if hasattr(source, "payloads"):
         return source.payloads(start)
-
-    def tables() -> Iterator[ChunkTask]:
-        for offset, chunk in enumerate(resolve_chunks(source, start)):
-            index = start + offset
-            yield ChunkTask(index, PAYLOAD_TABLE, chunk, len(chunk))
-
-    return tables()
+    return table_tasks(source, start)
 
 
 #: bad-row policies of :class:`CSVChunkSource`
@@ -436,7 +440,7 @@ class CSVChunkSource(ChunkSource):
         return False, "byte-segment digest mismatch"
 
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Chunk payloads for the parallel pipeline.
+        """Chunk payloads for a pooled stream run.
 
         Under the default ``raise`` policy the payload is the *raw* CSV
         field lists: typing every cell is the dominant cost of file
@@ -449,9 +453,7 @@ class CSVChunkSource(ChunkSource):
         skip-policy chunk accounting must happen exactly once.
         """
         if self.on_bad_rows != BAD_ROWS_RAISE or self.verify_manifest is not None:
-            for offset, chunk in enumerate(self.chunks(start)):
-                index = start + offset
-                yield ChunkTask(index, PAYLOAD_TABLE, chunk, len(chunk))
+            yield from table_tasks(self, start)
             return
         self.bad_row_count = 0
         self.quarantined_rows = 0
@@ -605,10 +607,7 @@ class SQLiteChunkSource(ChunkSource):
         Verified-read mode ships finished chunk tables instead, so the
         digest check and skip accounting happen exactly once, here."""
         if self.verify_manifest is not None:
-            for offset, chunk in enumerate(self.chunks(start)):
-                yield ChunkTask(
-                    start + offset, PAYLOAD_TABLE, chunk, len(chunk)
-                )
+            yield from table_tasks(self, start)
             return
         table = resolve_sqlite_table(self.path, self.table)
         connection = sqlite3.connect(self.path)
@@ -841,19 +840,22 @@ class MultiFileChunkSource(ChunkSource):
                     )
                 index += 1
 
-    # Aggregated bad-row telemetry (the pipeline reads these attributes
-    # off whatever source it was handed).
+    # Aggregated read telemetry (the pipeline reads these attributes off
+    # whatever source it was handed).
     @property
     def bad_row_count(self) -> int:
-        return sum(
-            getattr(source, "bad_row_count", 0) for source in self.sources
-        )
+        return self._total("bad_row_count")
 
     @property
     def quarantined_rows(self) -> int:
-        return sum(
-            getattr(source, "quarantined_rows", 0) for source in self.sources
-        )
+        return self._total("quarantined_rows")
+
+    @property
+    def corrupt_chunks(self) -> int:
+        return self._total("corrupt_chunks")
+
+    def _total(self, counter: str) -> int:
+        return sum(getattr(source, counter, 0) for source in self.sources)
 
 
 def open_source(

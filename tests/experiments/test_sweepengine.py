@@ -177,24 +177,24 @@ class TestPersistentPool:
     def test_pool_survives_across_runs(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        first_pool = sweepengine._pool
+        first_pool = sweepengine._pool.executor
         assert first_pool is not None
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        assert sweepengine._pool is first_pool
+        assert sweepengine._pool.executor is first_pool
 
     def test_new_table_retires_the_pool(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
-        first_pool = sweepengine._pool
+        first_pool = sweepengine._pool.executor
         other = generate_item_scan(1000, item_count=80, seed=15)
         engine.run(other, PROTOCOL, _attacks(), SEEDS)
-        assert sweepengine._pool is not first_pool
+        assert sweepengine._pool.executor is not first_pool
 
     def test_shutdown_clears_state(self, base_table):
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
         shutdown_sweep_pool()
-        assert sweepengine._pool is None
+        assert sweepengine._pool.executor is None
 
 
 class TestRunnerCompatibility:

@@ -44,10 +44,13 @@ from repro.reliability.integrity import (
 )
 from repro.stream import (
     CSVChunkSource,
+    MultiFileChunkSource,
     SQLiteChunkSource,
     TableChunkSource,
     open_sink,
+    shutdown_stream_pool,
     stream_mark,
+    stream_verify,
 )
 
 E = 40
@@ -491,6 +494,39 @@ class TestVerifiedRead:
         chunks = list(source.chunks())
         assert len(chunks) == ROWS // CHUNK - 1
         assert source.corrupt_chunks == 1
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_multi_file_run_counts_skipped_chunks(
+        self, base, key, wm, spec, tmp_path, workers
+    ):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        manifests = [
+            _mark(
+                base, wm, key, spec, path,
+                checkpoint_path=path.with_suffix(".ckpt"),
+            ).manifest
+            for path in paths
+        ]
+        blob = bytearray(paths[1].read_bytes())
+        blob[manifests[1].entries[1].start + 20] ^= 0x01
+        paths[1].write_bytes(bytes(blob))
+        children = [
+            CSVChunkSource(
+                path, base.schema, chunk_size=CHUNK,
+                verify_manifest=manifest, on_corrupt_chunks="skip",
+            )
+            for path, manifest in zip(paths, manifests)
+        ]
+        try:
+            result = stream_verify(
+                MultiFileChunkSource(children), key, spec, wm,
+                workers=workers,
+            )
+        finally:
+            shutdown_stream_pool()
+        assert result.chunks == 2 * ROWS // CHUNK - 1
+        assert [child.corrupt_chunks for child in children] == [0, 1]
+        assert result.reliability.corrupt_chunks == 1
 
     def test_sqlite_verified_read(self, base, key, wm, spec, tmp_path):
         out = tmp_path / "marked.sqlite"
