@@ -17,7 +17,8 @@ The full file pipeline (synthetic stream -> gzip CSV mark -> streamed
 blind verify, the CI *stream-smoke* round trip) is timed end to end and
 recorded — rows/sec for mark, file detect (serial and ``workers=N``
 parallel, which must be bit-identical and >= 1.7x with a second core),
-and kernel-only detect, plus peak RSS — in
+file decode alone (one pass of the typed chunks, no hashing; recorded
+without a floor) and kernel-only detect, plus peak RSS — in
 ``benchmarks/results/stream_throughput.json``; every entry is stamped
 with ``cpu_count``/``backend``/``workers``.
 
@@ -150,6 +151,19 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
         f"  detect <- gzip CSV : {ROWS / detect_file_seconds:>12,.0f} rows/s "
         f"({detect_file_seconds:.2f}s, "
         f"{verdict.verification.matching_bits}/{len(WATERMARK)} bits)"
+    )
+
+    # -- decode stage alone: the detect source's typed chunks, no hashing --
+    decode_source = CSVChunkSource(
+        marked_path, source.schema, chunk_size=CHUNK, infer_domains=True
+    )
+    started = time.perf_counter()
+    decoded = sum(len(chunk) for chunk in decode_source.chunks())
+    decode_seconds = time.perf_counter() - started
+    assert decoded == ROWS
+    lines.append(
+        f"  decode <- gzip CSV : {ROWS / decode_seconds:>12,.0f} rows/s "
+        f"({decode_seconds:.2f}s, typed chunks, no hashing)"
     )
 
     # -- parallel file detect: workers=1 vs workers=N ----------------------
@@ -320,6 +334,7 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
             "workers": BENCH_WORKERS,
             "mark_rows_per_second": round(ROWS / mark_seconds),
             "detect_file_rows_per_second": round(ROWS / detect_file_seconds),
+            "decode_rows_per_second": round(ROWS / decode_seconds),
             "detect_file_serial_best_rows_per_second": round(
                 ROWS / serial_best
             ),

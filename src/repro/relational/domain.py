@@ -64,6 +64,11 @@ class CategoricalDomain:
     def __contains__(self, value: Hashable) -> bool:
         return value in self._index
 
+    def contains_all(self, values: Iterable[Hashable]) -> bool:
+        """``all(value in self for value in values)`` in one C-level scan
+        (an unhashable value raises ``TypeError``, as ``in`` does)."""
+        return all(map(self._index.__contains__, values))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CategoricalDomain):
             return NotImplemented

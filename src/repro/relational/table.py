@@ -11,12 +11,16 @@ primary key — because the watermarking algorithms only ever need
 
 The table validates every inserted or updated cell against the schema, so a
 buggy attack or encoder fails loudly instead of producing an out-of-domain
-relation.
+relation.  The rows handed to the constructor are validated a column at a
+time; anything that check refuses is re-checked row by row, so the errors
+are those of inserting the rows one at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from itertools import count
+from operator import itemgetter
 from typing import Any, Hashable
 
 from .errors import DuplicateKeyError, MissingKeyError, SchemaError
@@ -61,6 +65,13 @@ class ColumnCodes:
         return len(self.codes)
 
 
+def _key_index(rows: list[list[Any]], position: int) -> dict | None:
+    """Primary-key index of ``rows`` (key -> slot), ``None`` when a key
+    repeats."""
+    index = dict(zip(map(itemgetter(position), rows), count()))
+    return index if len(index) == len(rows) else None
+
+
 def _canonical_codes(np, raw, uniques: list[Any]) -> ColumnCodes:
     """Re-canonicalize a raw code array into first-encounter form.
 
@@ -84,7 +95,17 @@ def _canonical_codes(np, raw, uniques: list[Any]) -> ColumnCodes:
 
 
 class Table:
-    """A mutable relation instance over a fixed :class:`Schema`."""
+    """A mutable relation instance over a fixed :class:`Schema`.
+
+    ``Table(schema, rows)`` materializes ``rows`` whole, then checks
+    arity, types and domain membership a column at a time
+    (:meth:`Schema.admits_rows`) and adopts the batch in one step, with
+    the :attr:`version` a loop of :meth:`insert` calls would leave.  A
+    batch the column check refuses — it is conservative — or one with a
+    repeated key goes through that :meth:`insert` loop instead, which
+    accepts what was legal and raises the exact error otherwise (after
+    ``rows`` has been consumed).
+    """
 
     __slots__ = (
         "_schema", "_rows", "_pk_index", "_pk_position", "name",
@@ -132,8 +153,22 @@ class Table:
         # never trigger the flush — a sweep's attacked clones die without
         # ever paying the per-row write loop.
         self._pending: tuple[str, int, list[int], list[int], list[Any]] | None = None
-        for row in rows:
-            self.insert(row)
+        staged = list(map(list, rows))
+        if not staged:
+            return
+        index = None
+        if schema.admits_rows(staged):
+            index = _key_index(staged, self._pk_position)
+        if index is None:
+            # Refused column-wise (which may be over-cautious) or a
+            # repeated key: the per-row loop admits what was legal and
+            # raises the exact error otherwise.
+            for row in staged:
+                self.insert(row)
+            return
+        self._rows = staged
+        self._pk_index = index
+        self._version = self._structural_version = len(staged)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -400,24 +435,21 @@ class Table:
         rows: Iterable[Iterable[Any]],
         name: str = "relation",
     ) -> "Table":
-        """Adopt ``rows`` wholesale, skipping per-cell validation.
+        """Adopt ``rows`` wholesale, skipping cell validation.
 
         The chunk-pipeline constructor: a streaming source re-windows rows
         that are schema-valid *by construction* — tuples of an existing
         validated :class:`Table`, CSV cells typed by parsers whose domains
-        were just inference-widened over those very rows — and per-cell
-        re-validation would dominate the chunk's whole processing cost.
-        Primary-key uniqueness is still enforced (the index is built
-        anyway); everything else is the caller's contract.
+        were just inference-widened over those very rows — so even the
+        constructor's column-wise checks would be a pass per column for
+        nothing.  Primary-key uniqueness is still enforced (the index is
+        built anyway); everything else is the caller's contract.
         """
         table = cls(schema, (), name=name)
-        materialised = [list(row) for row in rows]
+        materialised = list(map(list, rows))
         pk_position = table._pk_position
-        index = {
-            row[pk_position]: slot
-            for slot, row in enumerate(materialised)
-        }
-        if len(index) != len(materialised):
+        index = _key_index(materialised, pk_position)
+        if index is None:
             seen: set[Hashable] = set()
             for row in materialised:
                 key = row[pk_position]

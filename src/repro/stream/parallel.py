@@ -20,9 +20,9 @@ through wherever it is computed:
   decode overlaps compute.  Workers are initialized once with the
   pickled run state (keys, spec, domain, schema), build one warm
   chunk-bounded :func:`stream_engine` per key, type each payload into
-  the chunk table the source would have yielded (the expensive per-cell
-  CSV typing happens *there*, not in the coordinator) and call the same
-  per-chunk function.
+  the chunk table the source would have yielded (CSV typing happens
+  *there*, not in the coordinator) and call the same per-chunk
+  function.
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
@@ -69,7 +69,13 @@ from ..core.watermark import Watermark
 from ..crypto import SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Table
-from ..relational.csvio import cell_parsers, parse_row
+from ..relational.csvio import (
+    TYPE_SLICE,
+    cell_parsers,
+    column_typers,
+    parse_row,
+    type_records,
+)
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.faults import fault_point
@@ -276,22 +282,38 @@ def _embed_chunk(
     return pass_result, guard.report
 
 
-def _build_chunk(task: ChunkTask, profile: dict[str, Any], parsers) -> Table:
+def _decoders(schema) -> tuple[list, list] | None:
+    """The cell parsers and column typers :func:`_build_chunk` types raw
+    payloads with, built once per run state."""
+    if schema is None:
+        return None
+    return cell_parsers(schema), column_typers(schema)
+
+
+def _build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
     """Materialize one payload into the exact chunk table the source's
     ``chunks()`` would have yielded."""
     if task.kind == PAYLOAD_TABLE:
         return task.payload
     if task.kind == PAYLOAD_RAW:
+        parsers, typers = decoders
         arity = profile["schema"].arity
         origin = task.origin or profile["path"] or profile["name"]
-        number = task.first_row_number
+        records = task.payload
         rows = []
-        for record in task.payload:
-            number += 1
-            try:
-                rows.append(parse_row(record, parsers, arity, number))
-            except ValueError as exc:
-                raise BadRowError(origin, number, str(exc)) from exc
+        for begin in range(0, len(records), TYPE_SLICE):
+            batch = records[begin:begin + TYPE_SLICE]
+            typed = type_records(batch, typers, arity)
+            if typed is None:
+                # The refused slice, record by record: the exact error.
+                first = task.first_row_number + begin + 1
+                typed = []
+                for number, record in enumerate(batch, start=first):
+                    try:
+                        typed.append(parse_row(record, parsers, arity, number))
+                    except ValueError as exc:
+                        raise BadRowError(origin, number, str(exc)) from exc
+            rows += typed
     else:
         rows = task.payload
     return build_chunk_table(
@@ -311,21 +333,21 @@ _pool = PersistentPool("stream-heartbeat-")
 # Worker-process globals (set by _worker_init, used by the task fns).
 _W: dict[str, Any] | None = None
 _W_ENGINES: list | None = None
-_W_PARSERS = None
+_W_DECODERS = None
 _W_CHUNKS = 0
 
 
 def _worker_init(blob: bytes) -> None:
     """Pool initializer: install the run state, build one warm
     chunk-bounded stream engine per key, zero worker-local telemetry."""
-    global _W, _W_ENGINES, _W_PARSERS, _W_CHUNKS
+    global _W, _W_ENGINES, _W_DECODERS, _W_CHUNKS
     _W = pickle.loads(blob)
     _W_ENGINES = [
         None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
     ]
     schema = _W["profile"]["schema"]
-    _W_PARSERS = cell_parsers(schema) if schema is not None else None
+    _W_DECODERS = _decoders(schema)
     _W_CHUNKS = 0
     # Worker-local counters must count this worker's launches only,
     # whatever the parent process had accumulated before the fork.
@@ -339,7 +361,7 @@ def _in_worker(task: ChunkTask, fault, compute):
     heartbeat()
     try:
         misbehave(fault, task.index)
-        result = compute(_build_chunk(task, _W["profile"], _W_PARSERS))
+        result = compute(_build_chunk(task, _W["profile"], _W_DECODERS))
         _W_CHUNKS += 1
         return result, {
             "pid": os.getpid(),
@@ -541,7 +563,7 @@ class _OrderedRun:
         self.in_flight: "OrderedDict[int, list]" = OrderedDict()
         self.executor = None
         self.blob: bytes | None = None
-        self.parsers = None
+        self.decoders = None
         self.watchdog = None
         self.breaker = None
         self.serial_mode = workers == 1
@@ -549,8 +571,7 @@ class _OrderedRun:
             return
         self.watchdog = resolve_watchdog(watchdog)
         self.breaker = breaker
-        schema = profile["schema"]
-        self.parsers = cell_parsers(schema) if schema is not None else None
+        self.decoders = _decoders(profile["schema"])
         if breaker is not None and breaker.is_open(STREAM_PARALLEL_LABEL):
             self.serial_mode = True
             self.reliability.pool_fallbacks += 1
@@ -610,7 +631,7 @@ class _OrderedRun:
     # -- commits ----------------------------------------------------------------
     def _commit_serial(self, task: ChunkTask) -> None:
         check_deadline(self.deadline, "pipeline.chunk", task.index)
-        chunk = _build_chunk(task, self.profile, self.parsers)
+        chunk = _build_chunk(task, self.profile, self.decoders)
         self.commit(task, self.compute(task.index, chunk))
         self.report.chunks_serial += 1
         # Injection point: the chunk is fully committed (for an embed:

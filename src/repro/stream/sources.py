@@ -33,6 +33,7 @@ import hashlib
 import sqlite3
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Any
@@ -43,7 +44,12 @@ from ..datagen import (
     iter_item_scan_rows,
 )
 from ..relational import Schema, Table, infer_domains
-from ..relational.csvio import cell_parsers, check_header, parse_row
+from ..relational.csvio import (
+    TYPE_SLICE,
+    RecordSlices,
+    check_header,
+    parse_row,
+)
 from ..reliability.faults import fault_point
 from ..reliability.integrity import IntegrityError, digest_rows
 from .errors import BadRowError, StreamError
@@ -103,7 +109,7 @@ def build_chunk_table(
 
 #: :class:`ChunkTask` payload kinds — what a parallel worker receives
 #: and how it must materialize the chunk from it
-PAYLOAD_RAW = "raw"        # untyped CSV field lists (worker runs parse_row)
+PAYLOAD_RAW = "raw"        # untyped CSV field lists (worker types them)
 PAYLOAD_TYPED = "typed"    # typed row tuples (worker builds the Table)
 PAYLOAD_TABLE = "table"    # a finished Table (pickled whole)
 
@@ -114,9 +120,10 @@ class ChunkTask:
 
     In process, ``payload`` is the typed chunk table.  For a pool it is
     the cheapest representation the source can produce without typing
-    work: raw CSV field lists keep the expensive per-cell parsing *in the
-    worker*, which is what makes parallel file detection scale (the
-    coordinator then only reads records and pickles strings).
+    work: raw CSV field lists keep the typing (column-wise, see
+    :func:`~repro.relational.csvio.type_records`) *in the worker*, which
+    is what makes parallel file detection scale (the coordinator then
+    only reads records and pickles strings).
     """
 
     index: int
@@ -152,7 +159,7 @@ class ChunkSource:
 
     # -- shared chunk assembly -------------------------------------------------
     #: rows are schema-valid by construction (tuples of a validated
-    #: table, generator output) — skip per-cell re-validation
+    #: table, generator output) — skip re-validation
     trusted_rows = False
 
     #: optional verified-read mode: a
@@ -202,15 +209,17 @@ class ChunkSource:
         return False, "row-content digest mismatch"
 
     def _batched(
-        self, rows: Iterator[tuple], start: int, infer: bool
+        self, read_rows: Callable[[], list[tuple]], start: int, infer: bool
     ) -> Iterator[Table]:
+        """Chunk tables of the row lists ``read_rows()`` returns, until
+        an empty one."""
         index = start
         while True:
             # Injection point: a chunk read failing (disk error, NFS
             # hiccup) — the pipeline's retry layer re-opens the source at
             # the last completed chunk boundary.
             fault_point("source.read", index)
-            batch = list(islice(rows, self.chunk_size))
+            batch = read_rows()
             if not batch:
                 return
             table = self._table(batch, index, infer)
@@ -291,10 +300,14 @@ CORRUPT_POLICIES = (CORRUPT_RAISE, CORRUPT_SKIP)
 class CSVChunkSource(ChunkSource):
     """Chunked reader over a CSV file (gzip detected automatically).
 
-    The file is parsed with the same typed cell parsers as
-    :func:`repro.relational.read_csv`, so a relation round-trips through
-    ``write_csv`` / streamed reading value-identically.  Quoted fields may
-    contain delimiters and newlines.
+    The file is typed exactly like :func:`repro.relational.read_csv`
+    types it, so a relation round-trips through ``write_csv`` / streamed
+    reading value-identically.  Records are read in slices of at most
+    :data:`~repro.relational.csvio.TYPE_SLICE` that never run past a
+    chunk's last record, and each slice is typed a column at a time
+    (:func:`~repro.relational.csvio.type_records`); a slice it refuses is
+    re-typed record by record with ``parse_row`` under ``on_bad_rows``.
+    Quoted fields may contain delimiters and newlines.
 
     ``on_bad_rows`` decides what happens to a record the schema cannot
     type (wrong field count — a stray delimiter, a half-written line):
@@ -376,45 +389,65 @@ class CSVChunkSource(ChunkSource):
                 if header is None:
                     return
                 check_header(header, self.schema)
-                parsers = cell_parsers(self.schema)
-                arity = self.schema.arity
+                number = 0
                 if self.on_bad_rows == BAD_ROWS_RAISE:
                     # Raw fast-forward on resume is sound under the raise
                     # policy only: every skipped raw record was a typed
                     # row of the interrupted run (a bad one would have
                     # aborted it before the checkpoint landed).
-                    number = 0
                     for _ in range(start * self.chunk_size):
                         if next(reader, None) is None:
                             return
                         number += 1
-                    typed = self._typed_rows(reader, parsers, arity, number)
-                else:
-                    typed = self._typed_rows(reader, parsers, arity, 0)
-                    if start:
-                        # Chunk boundaries count *surviving* rows, so the
-                        # fast-forward must apply the same bad-row policy
-                        # (re-quarantining deterministically rewrites the
-                        # sidecar with identical content).
-                        for _ in islice(typed, start * self.chunk_size):
-                            pass
-                        self.fastforward_bad_rows = self.bad_row_count
-                yield from self._batched(typed, start, self.infer)
+                records = RecordSlices(reader, self.schema, number)
+                read_rows = partial(self._chunk_rows, records)
+                if self.on_bad_rows != BAD_ROWS_RAISE and start:
+                    # Chunk boundaries count *surviving* rows, so the
+                    # fast-forward must apply the same bad-row policy
+                    # (re-quarantining deterministically rewrites the
+                    # sidecar with identical content).
+                    for _ in range(start):
+                        read_rows()
+                    self.fastforward_bad_rows = self.bad_row_count
+                yield from self._batched(read_rows, start, self.infer)
         finally:
             self._close_sidecar()
 
-    def _typed_rows(
-        self, reader, parsers, arity: int, first: int
-    ) -> Iterator[tuple]:
-        for number, row in enumerate(reader, start=first + 1):
+    def _chunk_rows(self, records: RecordSlices) -> list[tuple]:
+        """The next chunk's typed rows: ``chunk_size`` surviving rows, or
+        fewer at the end of the file.
+
+        Records are typed a column at a time in slices that never run
+        past the chunk's last record, so a read error or bad record
+        beyond it surfaces with the next chunk, as it would reading one
+        record at a time.
+        """
+        rows: list[tuple] = []
+        more = True
+        while more and len(rows) < self.chunk_size:
+            typed, more = records.typed(
+                min(TYPE_SLICE, self.chunk_size - len(rows)),
+                self._reference_rows,
+            )
+            rows += typed
+        return rows
+
+    def _reference_rows(
+        self, records: list, parsers, arity: int, number: int
+    ) -> list[tuple]:
+        """Type a slice record by record with ``parse_row``, applying
+        ``on_bad_rows`` to each record it rejects."""
+        rows = []
+        for number, record in enumerate(records, start=number + 1):
             try:
-                yield parse_row(row, parsers, arity, number)
+                rows.append(parse_row(record, parsers, arity, number))
             except ValueError as exc:
                 if self.on_bad_rows == BAD_ROWS_RAISE:
                     raise BadRowError(self.path, number, str(exc)) from exc
                 self.bad_row_count += 1
                 if self.on_bad_rows == BAD_ROWS_QUARANTINE:
-                    self._quarantine(number, row, exc)
+                    self._quarantine(number, record, exc)
+        return rows
 
     def _verify_chunk(self, table: Table, index: int) -> tuple[bool, str]:
         # CSV files are byte-canonical, so a verified read checks the
@@ -443,8 +476,8 @@ class CSVChunkSource(ChunkSource):
         """Chunk payloads for a pooled stream run.
 
         Under the default ``raise`` policy the payload is the *raw* CSV
-        field lists: typing every cell is the dominant cost of file
-        decoding, and shipping it to the workers is what lets parallel
+        field lists: typing is the largest cost of file decoding, and
+        shipping it to the workers is what lets parallel
         detection beat the serial reader.  The lossy policies must count
         surviving rows for chunk boundaries (and write the quarantine
         sidecar) in one deterministic place, so they type rows here and
@@ -639,8 +672,8 @@ class SyntheticChunkSource(ChunkSource):
     (the lazy ``iter_*_rows`` generators of :mod:`repro.datagen` qualify):
     that is what makes the source re-iterable and resumable — a skip is a
     deterministic fast-forward through the same pseudo-random stream.
-    Rows must be schema-valid; they are adopted without per-cell
-    validation (the generators draw from the schema's own domains).
+    Rows must be schema-valid; they are adopted without validation (the
+    generators draw from the schema's own domains).
     """
 
     trusted_rows = True
@@ -664,7 +697,9 @@ class SyntheticChunkSource(ChunkSource):
         if start:
             for _ in islice(rows, start * self.chunk_size):
                 pass
-        yield from self._batched(rows, start, infer=False)
+        yield from self._batched(
+            lambda: list(islice(rows, self.chunk_size)), start, infer=False
+        )
 
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
         """Typed trusted-row payloads (the generators draw from the
@@ -718,7 +753,7 @@ class TableChunkSource(ChunkSource):
     """
 
     #: rows of a validated Table are schema-valid by construction, so
-    #: parallel workers may adopt them without per-cell re-validation
+    #: parallel workers may adopt them without re-validation
     trusted_rows = True
 
     def __init__(

@@ -405,3 +405,121 @@ def test_warm_parallel_verify_is_coordinator_hash_free_and_fused():
     assert elapsed < 10.0, (
         f"parallel perf smoke took {elapsed:.2f}s (budget 10s)"
     )
+
+
+def _sales_csv(path, rows, bad_at=None):
+    """A Sales CSV of ``rows`` (gzip by suffix); record ``bad_at`` loses a
+    field."""
+    import csv
+    import gzip
+
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "wt", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ("Scan_Id", "Item_Nbr", "Store_Nbr", "Dept", "Quantity")
+        )
+        for number, row in enumerate(rows, start=1):
+            writer.writerow(row[:-1] if number == bad_at else row)
+    return path
+
+
+@pytest.mark.perf_smoke
+def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
+    """Clean CSV input never reaches the row-at-a-time reference typer.
+
+    ``parse_row`` (where the sources, the pool workers and ``read_csv``
+    bind it) and ``Schema.validate_row`` are made to raise: streamed
+    detect and checkpointed mark in process, a pool worker's raw payload
+    and ``read_csv`` must all type and validate a column at a time.
+    """
+    from repro.core import EmbeddingSpec
+    from repro.datagen import generate_sales
+    from repro.relational import Schema, Table, csvio, read_csv
+    from repro.stream import (
+        CSVChunkSink,
+        CSVChunkSource,
+        parallel,
+        sources,
+        stream_mark,
+        stream_verify,
+    )
+
+    started = time.perf_counter()
+    table = generate_sales(3_000, item_count=60, seed=5)
+    schema = table.schema
+    rows = list(table)
+    path = _sales_csv(tmp_path / "sales.csv.gz", rows)
+    plain = _sales_csv(tmp_path / "sales.csv", rows)
+    key = MarkKey.from_seed("perf-smoke-decode")
+    spec = EmbeddingSpec("Scan_Id", "Item_Nbr", 40, 10, 60)
+    watermark = Watermark.from_int(0x2AB, 10)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clean input went through the row-wise path")
+
+    for module in (sources, parallel, csvio):
+        monkeypatch.setattr(module, "parse_row", forbidden)
+    monkeypatch.setattr(Schema, "validate_row", forbidden)
+
+    assert list(Table(schema, rows)) == rows
+    assert list(read_csv(plain, schema)) == rows
+    marked = tmp_path / "marked.csv.gz"
+    mark = stream_mark(
+        CSVChunkSource(path, schema, chunk_size=1_000), watermark, key,
+        spec, CSVChunkSink(marked), checkpoint_path=tmp_path / "mark.ckpt",
+    )
+    assert mark.rows == 3_000
+    verdict = stream_verify(
+        CSVChunkSource(marked, schema, chunk_size=1_000, infer_domains=True),
+        key, spec, watermark, domain=schema.attribute("Item_Nbr").domain,
+    )
+    assert verdict.rows == 3_000 and verdict.detected
+    source = CSVChunkSource(path, schema, chunk_size=1_000)
+    task = next(source.payloads())
+    assert task.kind == sources.PAYLOAD_RAW
+    chunk = parallel._build_chunk(
+        task, sources.payload_profile(source), parallel._decoders(schema)
+    )
+    assert list(chunk) == rows[:1_000]
+
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"decode perf smoke took {elapsed:.2f}s (budget 2s)"
+
+
+@pytest.mark.perf_smoke
+def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
+    """One short record among clean ones is re-typed by ``parse_row`` and
+    reported exactly as the row-at-a-time reader reports it."""
+    from repro.datagen import generate_sales
+    from repro.relational import csvio, read_csv
+    from repro.stream import BadRowError, CSVChunkSource, parallel, sources
+
+    table = generate_sales(3_000, item_count=60, seed=5)
+    schema = table.schema
+    path = _sales_csv(tmp_path / "sales.csv.gz", list(table), bad_at=1_234)
+    plain = _sales_csv(tmp_path / "sales.csv", list(table), bad_at=1_234)
+    reason = "CSV row 1234 has 4 fields, schema has 5"
+    calls = []
+
+    for module in (sources, parallel, csvio):
+        def spy(*args, _real=module.parse_row, **kwargs):
+            calls.append(args[-1])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "parse_row", spy)
+
+    source = CSVChunkSource(path, schema, chunk_size=1_000)
+    with pytest.raises(BadRowError) as excinfo:
+        list(source.chunks())
+    assert str(excinfo.value) == f"{path}: bad CSV row 1234: {reason}"
+    tasks = list(source.payloads())
+    with pytest.raises(BadRowError) as excinfo:
+        parallel._build_chunk(
+            tasks[1], sources.payload_profile(source),
+            parallel._decoders(schema),
+        )
+    assert str(excinfo.value) == f"{path}: bad CSV row 1234: {reason}"
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        read_csv(plain, schema)
+    assert calls.count(1234) == 3

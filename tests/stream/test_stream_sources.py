@@ -1,5 +1,6 @@
 """Tests for repro.stream sources and sinks — chunked file I/O."""
 
+import csv
 import gzip
 import sqlite3
 
@@ -15,6 +16,7 @@ from repro.relational import (
     write_csv,
 )
 from repro.stream import (
+    BadRowError,
     CSVChunkSink,
     CSVChunkSource,
     NullChunkSink,
@@ -119,6 +121,105 @@ class TestCSVChunkSource:
             CSVChunkSource(path, schema, chunk_size=10, infer_domains=True)
         )
         assert "zz" in chunks[0].schema.attribute("A").domain
+
+
+class TestTruncatedGzip:
+    """A gzip CSV cut off two thirds of the way through, read in chunks of
+    100 rows: every chunk before the cut is yielded and the read error
+    surfaces with the chunk that holds the cut, as reading one record at
+    a time makes it — so a reader must never read past a chunk's last
+    record, however it batches records."""
+
+    CHUNK = 100
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        relation = generate_item_scan(3000, item_count=60, seed=13)
+        return [
+            f"{key},{item}\n"
+            for key, item in relation.iter_cells("Visit_Nbr", "Item_Nbr")
+        ]
+
+    @staticmethod
+    def write_cut(path, lines):
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as handle:
+            handle.write("Visit_Nbr,Item_Nbr\n" + "".join(lines))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) * 2 // 3])
+
+    @staticmethod
+    def records_before_cut(path):
+        """Records a record-at-a-time reader gets before the read error."""
+        count = 0
+        with gzip.open(path, "rt", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            with pytest.raises(EOFError):
+                for _ in reader:
+                    count += 1
+        return count
+
+    def drain(self, source, error):
+        chunks = []
+        with pytest.raises(error) as excinfo:
+            for chunk in source.chunks():
+                chunks.append(list(chunk))
+        return chunks, excinfo.value
+
+    @pytest.mark.parametrize("policy", ["raise", "skip", "quarantine"])
+    def test_chunks_before_the_cut_then_eof(
+        self, relation, lines, policy, tmp_path
+    ):
+        path = tmp_path / "cut.csv.gz"
+        self.write_cut(path, lines)
+        read = self.records_before_cut(path)
+        assert read // self.CHUNK >= 3
+        source = CSVChunkSource(
+            path, relation.schema, chunk_size=self.CHUNK, on_bad_rows=policy
+        )
+        chunks, _ = self.drain(source, EOFError)
+        assert len(chunks) == read // self.CHUNK
+        assert [row for chunk in chunks for row in chunk] == [
+            tuple(int(cell) for cell in line.split(","))
+            for line in lines[: len(chunks) * self.CHUNK]
+        ]
+        assert source.bad_row_count == 0
+
+    @pytest.mark.parametrize("policy", ["raise", "skip", "quarantine"])
+    def test_bad_record_in_the_cut_chunk_comes_first(
+        self, relation, lines, policy, tmp_path
+    ):
+        clean = tmp_path / "clean.csv.gz"
+        self.write_cut(clean, lines)
+        cut_chunk = self.records_before_cut(clean) // self.CHUNK
+        # The first record of the chunk holding the cut, made unparseable
+        # at the same length (the cut stays in that chunk).
+        bad = cut_chunk * self.CHUNK + 1
+        key, item = lines[bad - 1].split(",")
+        dirty = list(lines)
+        dirty[bad - 1] = "x" * len(key) + "," + item
+        path = tmp_path / "dirty.csv.gz"
+        self.write_cut(path, dirty)
+        read = self.records_before_cut(path)
+        assert read // self.CHUNK == cut_chunk and read > bad
+        source = CSVChunkSource(
+            path, relation.schema, chunk_size=self.CHUNK, on_bad_rows=policy
+        )
+        if policy == "raise":
+            chunks, error = self.drain(source, BadRowError)
+            assert error.number == bad
+            assert len(chunks) == cut_chunk
+            return
+        chunks, _ = self.drain(source, EOFError)
+        assert len(chunks) == cut_chunk
+        assert source.bad_row_count == 1
+        if policy == "quarantine":
+            assert source.quarantined_rows == 1
+            with open(
+                source.quarantine_path, newline="", encoding="utf-8"
+            ) as handle:
+                sidecar = list(csv.reader(handle))
+            assert [record[0] for record in sidecar[1:]] == [str(bad)]
 
 
 class TestSQLiteChunkSource:
