@@ -8,21 +8,22 @@ count, and each direction has one per-chunk function —
 :func:`_chunk_votes` and :func:`_embed_chunk` — that every chunk runs
 through wherever it is computed:
 
-* **In process** (``workers=None`` or ``1``) — the run reads typed chunk
-  tables from the source's ``chunks()``, computes one chunk and commits
-  it before reading the next.  No pool, no pickled run state, no
-  breaker.
-* **On a pool** (``workers > 1``) — the coordinator reads chunk
-  *payloads* (raw CSV field lists, typed row tuples; see
-  :func:`~repro.stream.sources.payload_chunks`) up to a bounded
-  read-ahead window of ``2 × workers`` chunks ahead of the oldest
-  uncommitted chunk, submitting each to a persistent process pool so
-  decode overlaps compute.  Workers are initialized once with the
+Every run reads the same chunk tasks — the source's one reader,
+:func:`~repro.stream.sources.payload_chunks` (raw CSV field lists, typed
+row tuples, finished tables) — and every chunk is built from its task by
+the same function, :func:`~repro.stream.sources.build_chunk`:
+
+* **In process** (``workers=None`` or ``1``) — the run reads one task,
+  builds and computes its chunk and commits it before reading the next.
+  No pool, no pickled run state, no breaker.
+* **On a pool** (``workers > 1``) — the coordinator reads tasks up to a
+  bounded read-ahead window of ``2 × workers`` chunks ahead of the
+  oldest uncommitted chunk, submitting each to a persistent process pool
+  so decode overlaps compute.  Workers are initialized once with the
   pickled run state (keys, spec, domain, schema), build one warm
-  chunk-bounded :func:`stream_engine` per key, type each payload into
-  the chunk table the source would have yielded (CSV typing happens
-  *there*, not in the coordinator) and call the same per-chunk
-  function.
+  chunk-bounded :func:`stream_engine` per key, build each task's chunk
+  (CSV typing happens *there*, not in the coordinator) and call the
+  same per-chunk function.
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
@@ -69,13 +70,6 @@ from ..core.watermark import Watermark
 from ..crypto import SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Table
-from ..relational.csvio import (
-    TYPE_SLICE,
-    cell_parsers,
-    column_typers,
-    parse_row,
-    type_records,
-)
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.faults import fault_point
@@ -95,16 +89,15 @@ from ..reliability.retry import (
     classify,
 )
 from ..reliability.watchdog import IDLE, Watchdog
-from .errors import BadRowError, StreamError
+from .errors import StreamError
 from .sources import (
     DEFAULT_CHUNK_SIZE,
-    PAYLOAD_RAW,
     PAYLOAD_TABLE,
     ChunkTask,
-    build_chunk_table,
+    build_chunk,
     payload_chunks,
+    payload_decoders,
     payload_profile,
-    table_tasks,
 )
 
 logger = logging.getLogger(__name__)
@@ -282,46 +275,6 @@ def _embed_chunk(
     return pass_result, guard.report
 
 
-def _decoders(schema) -> tuple[list, list] | None:
-    """The cell parsers and column typers :func:`_build_chunk` types raw
-    payloads with, built once per run state."""
-    if schema is None:
-        return None
-    return cell_parsers(schema), column_typers(schema)
-
-
-def _build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
-    """Materialize one payload into the exact chunk table the source's
-    ``chunks()`` would have yielded."""
-    if task.kind == PAYLOAD_TABLE:
-        return task.payload
-    if task.kind == PAYLOAD_RAW:
-        parsers, typers = decoders
-        arity = profile["schema"].arity
-        origin = task.origin or profile["path"] or profile["name"]
-        records = task.payload
-        rows = []
-        for begin in range(0, len(records), TYPE_SLICE):
-            batch = records[begin:begin + TYPE_SLICE]
-            typed = type_records(batch, typers, arity)
-            if typed is None:
-                # The refused slice, record by record: the exact error.
-                first = task.first_row_number + begin + 1
-                typed = []
-                for number, record in enumerate(batch, start=first):
-                    try:
-                        typed.append(parse_row(record, parsers, arity, number))
-                    except ValueError as exc:
-                        raise BadRowError(origin, number, str(exc)) from exc
-            rows += typed
-    else:
-        rows = task.payload
-    return build_chunk_table(
-        profile["schema"], rows, task.index, profile["name"],
-        infer=profile["infer"], trusted=profile["trusted"],
-    )
-
-
 # -- pool workers --------------------------------------------------------------
 #
 # One persistent pool, keyed by (hash of the pickled run state, worker
@@ -346,8 +299,7 @@ def _worker_init(blob: bytes) -> None:
         None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
     ]
-    schema = _W["profile"]["schema"]
-    _W_DECODERS = _decoders(schema)
+    _W_DECODERS = payload_decoders(_W["profile"]["schema"])
     _W_CHUNKS = 0
     # Worker-local counters must count this worker's launches only,
     # whatever the parent process had accumulated before the fork.
@@ -361,7 +313,7 @@ def _in_worker(task: ChunkTask, fault, compute):
     heartbeat()
     try:
         misbehave(fault, task.index)
-        result = compute(_build_chunk(task, _W["profile"], _W_DECODERS))
+        result = compute(build_chunk(task, _W["profile"], _W_DECODERS))
         _W_CHUNKS += 1
         return result, {
             "pid": os.getpid(),
@@ -447,12 +399,10 @@ def _tasks_with_retry(
     start: int,
     policy: RetryPolicy | None,
     report: ReliabilityReport,
-    workers: int,
 ) -> Iterator[ChunkTask]:
-    """Chunk tasks of ``source`` from ``start`` — typed chunk tables
-    (:func:`~repro.stream.sources.table_tasks`) in process, payloads
-    (:func:`~repro.stream.sources.payload_chunks`) for a pool —
-    re-opening the source on transient read failures.
+    """Chunk tasks of ``source`` from ``start``
+    (:func:`~repro.stream.sources.payload_chunks`), re-opening the source
+    on transient read failures.
 
     A failed read never loses or duplicates a chunk: the source is
     re-opened at the position after the last task yielded (tasks already
@@ -461,13 +411,12 @@ def _tasks_with_retry(
     failed.  Attempts are bounded per position; plain iterables cannot
     be re-opened and propagate their failures unchanged.
     """
-    read = payload_chunks if workers > 1 else table_tasks
     if policy is None or not hasattr(source, "chunks"):
-        yield from read(source, start)
+        yield from payload_chunks(source, start)
         return
     position = start
     attempt = 0
-    iterator = read(source, position)
+    iterator = payload_chunks(source, position)
     while True:
         try:
             task = next(iterator)
@@ -486,7 +435,7 @@ def _tasks_with_retry(
             report.record_retry("source.read", attempt, exc)
             time.sleep(policy.delay("source.read", attempt))
             report.source_reopens += 1
-            iterator = read(source, position)
+            iterator = payload_chunks(source, position)
             continue
         attempt = 0
         yield task
@@ -563,7 +512,7 @@ class _OrderedRun:
         self.in_flight: "OrderedDict[int, list]" = OrderedDict()
         self.executor = None
         self.blob: bytes | None = None
-        self.decoders = None
+        self.decoders = payload_decoders(profile["schema"])
         self.watchdog = None
         self.breaker = None
         self.serial_mode = workers == 1
@@ -571,7 +520,6 @@ class _OrderedRun:
             return
         self.watchdog = resolve_watchdog(watchdog)
         self.breaker = breaker
-        self.decoders = _decoders(profile["schema"])
         if breaker is not None and breaker.is_open(STREAM_PARALLEL_LABEL):
             self.serial_mode = True
             self.reliability.pool_fallbacks += 1
@@ -631,7 +579,7 @@ class _OrderedRun:
     # -- commits ----------------------------------------------------------------
     def _commit_serial(self, task: ChunkTask) -> None:
         check_deadline(self.deadline, "pipeline.chunk", task.index)
-        chunk = _build_chunk(task, self.profile, self.decoders)
+        chunk = build_chunk(task, self.profile, self.decoders)
         self.commit(task, self.compute(task.index, chunk))
         self.report.chunks_serial += 1
         # Injection point: the chunk is fully committed (for an embed:
@@ -793,7 +741,7 @@ def ordered_votes(
     accumulator's state is identical at every worker count.  ``engines``
     (one per key, ``None`` for SCALAR) compute in this process; pool
     workers build their own."""
-    tasks = _tasks_with_retry(source, 0, retry, reliability, workers)
+    tasks = _tasks_with_retry(source, 0, retry, reliability)
     if domain is None:
         domain, tasks = _peek_domain(tasks, spec)
     accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
@@ -885,5 +833,5 @@ def ordered_mark(
         workers=workers, retry=retry, deadline=deadline,
         watchdog=watchdog, breaker=breaker, reliability=reliability,
     )
-    run.run(_tasks_with_retry(source, start, retry, reliability, workers))
+    run.run(_tasks_with_retry(source, start, retry, reliability))
     return run.parallel

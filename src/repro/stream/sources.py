@@ -2,11 +2,17 @@
 
 A :class:`ChunkSource` turns a relation that does not fit in memory — a
 CSV file (plain or gzip), a SQLite table, a synthetic ``datagen`` row
-stream — into an iterator of schema-typed :class:`~repro.relational.Table`
-chunks of a configurable row count.  Every chunk is a fully validated
-in-memory relation, so the existing embed/detect kernels run on it
-unchanged; only the *pipeline* (``repro.stream.pipeline``) knows the
-chunks are windows of one larger relation.
+stream — into chunks of a configurable row count.  Each source has one
+reader, :meth:`~ChunkSource.payloads`: picklable :class:`ChunkTask` s
+carrying every chunk in the cheapest form the source can produce.  One
+function, :func:`build_chunk`, turns a task into its schema-typed
+:class:`~repro.relational.Table` chunk wherever the chunk is computed —
+in :meth:`ChunkSource.chunks`, in an in-process stream run, on the
+breaker's degraded path or in a pool worker — so every chunk is decoded
+by the same lines.  Every chunk is a fully validated in-memory relation,
+so the existing embed/detect kernels run on it unchanged; only the
+*pipeline* (``repro.stream.pipeline``) knows the chunks are windows of
+one larger relation.
 
 Chunks are yielded in file order, which the streaming detector relies on:
 its accumulator preserves the global first-vote tie rule by merging chunk
@@ -28,11 +34,12 @@ domain, so the per-chunk widening never influences a verdict.
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
 import hashlib
 import sqlite3
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -47,8 +54,11 @@ from ..relational import Schema, Table, infer_domains
 from ..relational.csvio import (
     TYPE_SLICE,
     RecordSlices,
+    cell_parsers,
     check_header,
+    column_typers,
     parse_row,
+    type_records,
 )
 from ..reliability.faults import fault_point
 from ..reliability.integrity import IntegrityError, digest_rows
@@ -89,10 +99,9 @@ def build_chunk_table(
 ) -> Table:
     """Assemble one chunk :class:`Table` from typed rows.
 
-    The single chunk-materialization rule, shared by the serial sources
-    and the parallel workers (which receive rows as picklable payloads
-    and must type them into the *identical* table the serial path would
-    build — same inference, same trust shortcut, same name).
+    The single chunk-materialization rule behind :func:`build_chunk` —
+    same inference, same trust shortcut, same name, wherever the chunk
+    is built.
     """
     label = f"{name}[{index}]"
     if infer:
@@ -107,23 +116,23 @@ def build_chunk_table(
     return Table(schema, rows, name=label)
 
 
-#: :class:`ChunkTask` payload kinds — what a parallel worker receives
-#: and how it must materialize the chunk from it
-PAYLOAD_RAW = "raw"        # untyped CSV field lists (worker types them)
-PAYLOAD_TYPED = "typed"    # typed row tuples (worker builds the Table)
-PAYLOAD_TABLE = "table"    # a finished Table (pickled whole)
+#: :class:`ChunkTask` payload kinds — what a task carries and how
+#: :func:`build_chunk` materializes the chunk from it
+PAYLOAD_RAW = "raw"        # untyped CSV field lists (typed by build_chunk)
+PAYLOAD_TYPED = "typed"    # typed row tuples (build_chunk builds the Table)
+PAYLOAD_TABLE = "table"    # a finished Table, used as is
 
 
 @dataclass
 class ChunkTask:
     """One chunk's work unit for the ordered stream run — picklable.
 
-    In process, ``payload`` is the typed chunk table.  For a pool it is
-    the cheapest representation the source can produce without typing
-    work: raw CSV field lists keep the typing (column-wise, see
-    :func:`~repro.relational.csvio.type_records`) *in the worker*, which
-    is what makes parallel file detection scale (the coordinator then
-    only reads records and pickles strings).
+    ``payload`` is the cheapest representation the source can produce
+    (see ``PAYLOAD_*``): raw CSV field lists leave the typing (column-wise,
+    see :func:`~repro.relational.csvio.type_records`) to
+    :func:`build_chunk`, which on a pool runs *in the worker* — what
+    makes parallel file detection scale (the coordinator then only reads
+    records and pickles strings).
     """
 
     index: int
@@ -131,20 +140,84 @@ class ChunkTask:
     payload: Any
     count: int
     #: 1-based data-row number preceding the first payload record (RAW
-    #: payloads only) — keeps worker-side BadRowError messages identical
-    #: to the serial reader's
+    #: payloads only) — keeps BadRowError messages identical to a
+    #: record-at-a-time reader's
     first_row_number: int = 0
-    #: originating file (RAW payloads of multi-file sources) for error
-    #: messages; ``None`` means the pool profile's path applies
+    #: originating file (RAW payloads) for error messages; ``None``
+    #: means the profile's path applies
     origin: str | None = None
+
+
+def payload_decoders(schema: Schema | None) -> tuple[list, list] | None:
+    """The cell parsers and column typers :func:`build_chunk` types raw
+    payloads with, built once per run (closures: never pickled)."""
+    if schema is None:
+        return None
+    return cell_parsers(schema), column_typers(schema)
+
+
+def build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
+    """Materialize one task into its chunk table — the one build every
+    chunk goes through, in process, on the degraded path and in pool
+    workers.
+
+    ``profile`` is :func:`payload_profile` of the source and
+    ``decoders`` its :func:`payload_decoders`.  A raw payload is typed a
+    slice of :data:`~repro.relational.csvio.TYPE_SLICE` records at a
+    time; a slice the column typer refuses is re-typed record by record
+    with ``parse_row``, which names the first bad record.
+
+    A raw payload is consumed: each slice's records are deleted from
+    ``task.payload`` once typed, so typed rows never sit beside a whole
+    raw chunk.  That is safe because a task is built once: by the
+    in-process run, by the breaker's degraded path, or by a pool worker,
+    which owns its unpickled copy — and no future is awaited for a task
+    after the coordinator has built it.
+    """
+    if task.kind == PAYLOAD_TABLE:
+        return task.payload
+    if task.kind == PAYLOAD_RAW:
+        parsers, typers = decoders
+        arity = profile["schema"].arity
+        origin = task.origin or profile["path"] or profile["name"]
+        records = task.payload
+        number = task.first_row_number
+        rows = []
+        while records:
+            batch = records[:TYPE_SLICE]
+            del records[:TYPE_SLICE]
+            typed = type_records(batch, typers, arity)
+            if typed is None:
+                # The refused slice, record by record: the exact error.
+                typed = []
+                for row_number, record in enumerate(batch, start=number + 1):
+                    try:
+                        typed.append(
+                            parse_row(record, parsers, arity, row_number)
+                        )
+                    except ValueError as exc:
+                        raise BadRowError(
+                            origin, row_number, str(exc)
+                        ) from exc
+            number += len(batch)
+            rows += typed
+    else:
+        rows = task.payload
+    return build_chunk_table(
+        profile["schema"], rows, task.index, profile["name"],
+        infer=profile["infer"], trusted=profile["trusted"],
+    )
 
 
 class ChunkSource:
     """Iterable of schema-typed :class:`Table` chunks of one relation.
 
-    Subclasses implement :meth:`chunks`; ``start`` skips that many whole
-    chunks cheaply (raw records are consumed but never typed or
-    validated), which is what checkpoint resume uses.
+    Subclasses implement :meth:`payloads`, the source's one reader:
+    chunk tasks in file order from chunk ``start``, which skips that
+    many whole chunks cheaply (raw records are consumed but never typed
+    or validated) — what checkpoint resume uses.  :meth:`chunks` builds
+    them.  A subclass may implement only :meth:`chunks` instead; stream
+    runs then read its tables as they are (:func:`payload_chunks`).
     """
 
     schema: Schema
@@ -152,12 +225,16 @@ class ChunkSource:
     name: str
 
     def chunks(self, start: int = 0) -> Iterator[Table]:
-        raise NotImplementedError
+        """The chunk tables from chunk ``start``: every task of
+        :meth:`payloads` through :func:`build_chunk`."""
+        profile = payload_profile(self)
+        decoders = payload_decoders(self.schema)
+        for task in self.payloads(start):
+            yield build_chunk(task, profile, decoders)
 
     def __iter__(self) -> Iterator[Table]:
         return self.chunks()
 
-    # -- shared chunk assembly -------------------------------------------------
     #: rows are schema-valid by construction (tuples of a validated
     #: table, generator output) — skip re-validation
     trusted_rows = False
@@ -175,24 +252,51 @@ class ChunkSource:
     #: chunks dropped by verified-read during the most recent iteration
     corrupt_chunks = 0
 
-    def _table(self, rows: list[tuple], index: int, infer: bool) -> Table:
-        return build_chunk_table(
-            self.schema, rows, index, self.name, infer, self.trusted_rows
-        )
+    def _typed_tasks(
+        self, read_rows: Callable[[], list[tuple]], start: int
+    ) -> Iterator[ChunkTask]:
+        """Tasks of the typed row lists ``read_rows()`` returns, until an
+        empty one — the read loop of every source that types its own
+        rows.
 
-    def _admit(self, table: Table, index: int) -> bool:
-        """Verified-read gate: does chunk ``index`` match the manifest?"""
-        if self.verify_manifest is None:
-            return True
-        ok, reason = self._verify_chunk(table, index)
+        Under a verified read each chunk is built and checked here, in
+        the reading process: the table's own validation comes before the
+        digest check, and a skipped chunk is counted exactly once.  The
+        task then carries the finished table.
+        """
+        profile = payload_profile(self)
+        index = start
+        while True:
+            # Injection point: a chunk read failing (disk error, NFS
+            # hiccup) — the pipeline's retry layer re-opens the source at
+            # the last completed chunk boundary.
+            fault_point("source.read", index)
+            rows = read_rows()
+            if not rows:
+                return
+            task = ChunkTask(index, PAYLOAD_TYPED, rows, len(rows))
+            if self.verify_manifest is not None:
+                task = self._admit(task, profile)
+            if task is not None:
+                yield task
+            index += 1
+
+    def _admit(
+        self, task: ChunkTask, profile: dict[str, Any]
+    ) -> ChunkTask | None:
+        """Verified-read gate: ``task`` as its finished table when the
+        chunk matches the manifest, ``None`` when the skip policy drops
+        it."""
+        table = build_chunk(task, profile, None)
+        ok, reason = self._verify_chunk(table, task.index)
         if ok:
-            return True
+            return ChunkTask(task.index, PAYLOAD_TABLE, table, task.count)
         if self.on_corrupt_chunks != CORRUPT_SKIP:
             raise IntegrityError(
-                getattr(self, "path", self.name), reason, chunk=index
+                getattr(self, "path", self.name), reason, chunk=task.index
             )
         self.corrupt_chunks += 1
-        return False
+        return None
 
     def _verify_chunk(self, table: Table, index: int) -> tuple[bool, str]:
         """Row-content check: the default for row-canonical manifests
@@ -208,41 +312,6 @@ class ChunkSource:
             return True, ""
         return False, "row-content digest mismatch"
 
-    def _batched(
-        self, read_rows: Callable[[], list[tuple]], start: int, infer: bool
-    ) -> Iterator[Table]:
-        """Chunk tables of the row lists ``read_rows()`` returns, until
-        an empty one."""
-        index = start
-        while True:
-            # Injection point: a chunk read failing (disk error, NFS
-            # hiccup) — the pipeline's retry layer re-opens the source at
-            # the last completed chunk boundary.
-            fault_point("source.read", index)
-            batch = read_rows()
-            if not batch:
-                return
-            table = self._table(batch, index, infer)
-            if self._admit(table, index):
-                yield table
-            index += 1
-
-
-def resolve_chunks(source, start: int = 0) -> Iterator[Table]:
-    """Chunks of ``source``: a :class:`ChunkSource` or any iterable of
-    :class:`Table` objects (handy for tests and in-memory pipelines).
-
-    Plain iterables cannot skip, so ``start > 0`` — checkpoint resume —
-    requires a real source.
-    """
-    if isinstance(source, ChunkSource) or hasattr(source, "chunks"):
-        return source.chunks(start)
-    if start:
-        raise StreamError(
-            "resuming needs a restartable ChunkSource, not a plain iterable"
-        )
-    return iter(source)
-
 
 def source_schema(source) -> Schema | None:
     """The declared schema of ``source`` when it carries one."""
@@ -250,9 +319,9 @@ def source_schema(source) -> Schema | None:
 
 
 def payload_profile(source) -> dict[str, Any]:
-    """Source-level constants a parallel worker needs to materialize
-    :class:`ChunkTask` payloads — shipped once in the pool initializer,
-    never per chunk."""
+    """Source-level constants :func:`build_chunk` needs to materialize
+    the source's :class:`ChunkTask` s — shipped once in the pool
+    initializer, never per chunk."""
     path = getattr(source, "path", None)
     return {
         "schema": source_schema(source),
@@ -263,26 +332,30 @@ def payload_profile(source) -> dict[str, Any]:
     }
 
 
-def table_tasks(source, start: int = 0) -> Iterator[ChunkTask]:
-    """The typed chunk tables of ``source`` as :class:`ChunkTask` s —
-    what an in-process stream run reads, and the pool payload of sources
-    without a cheaper one."""
-    for offset, chunk in enumerate(resolve_chunks(source, start)):
-        yield ChunkTask(start + offset, PAYLOAD_TABLE, chunk, len(chunk))
-
-
 def payload_chunks(source, start: int = 0) -> Iterator[ChunkTask]:
-    """Chunk payloads of ``source`` for a pooled stream run.
+    """The chunk tasks of ``source`` from chunk ``start`` — what every
+    stream run reads, in process and on a pool.
 
-    Sources that implement ``payloads`` ship their cheapest
-    representation (raw CSV records, typed row tuples); everything else
-    — including plain iterables of tables — falls back to pickling whole
-    chunk tables (:func:`table_tasks`), which is always correct, just
-    less overlapped.
+    A source's :meth:`~ChunkSource.payloads` ships its cheapest form.  A
+    source that implements only ``chunks()``, and any plain iterable of
+    :class:`Table` objects (handy for tests and in-memory pipelines),
+    ship their tables as they are.  Plain iterables cannot skip, so
+    ``start > 0`` — checkpoint resume — requires a real source.
     """
     if hasattr(source, "payloads"):
         return source.payloads(start)
-    return table_tasks(source, start)
+    if hasattr(source, "chunks"):
+        chunks = source.chunks(start)
+    elif start:
+        raise StreamError(
+            "resuming needs a restartable ChunkSource, not a plain iterable"
+        )
+    else:
+        chunks = iter(source)
+    return (
+        ChunkTask(index, PAYLOAD_TABLE, chunk, len(chunk))
+        for index, chunk in enumerate(chunks, start)
+    )
 
 
 #: bad-row policies of :class:`CSVChunkSource`
@@ -302,12 +375,12 @@ class CSVChunkSource(ChunkSource):
 
     The file is typed exactly like :func:`repro.relational.read_csv`
     types it, so a relation round-trips through ``write_csv`` / streamed
-    reading value-identically.  Records are read in slices of at most
-    :data:`~repro.relational.csvio.TYPE_SLICE` that never run past a
-    chunk's last record, and each slice is typed a column at a time
-    (:func:`~repro.relational.csvio.type_records`); a slice it refuses is
-    re-typed record by record with ``parse_row`` under ``on_bad_rows``.
-    Quoted fields may contain delimiters and newlines.
+    reading value-identically: slices of at most
+    :data:`~repro.relational.csvio.TYPE_SLICE` records that never run
+    past a chunk's last record are typed a column at a time
+    (:func:`~repro.relational.csvio.type_records`), and a slice it
+    refuses is re-typed record by record with ``parse_row``.  Quoted
+    fields may contain delimiters and newlines.
 
     ``on_bad_rows`` decides what happens to a record the schema cannot
     type (wrong field count — a stray delimiter, a half-written line):
@@ -377,7 +450,18 @@ class CSVChunkSource(ChunkSource):
         self._sidecar = None
         self._sidecar_writer = None
 
-    def chunks(self, start: int = 0) -> Iterator[Table]:
+    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
+        """Chunk tasks from chunk ``start``.
+
+        Under the default ``raise`` policy the payload is the *raw* CSV
+        field lists: typing is the largest cost of file decoding, and
+        :func:`build_chunk` does it where the chunk is computed — on a
+        pool, in the workers, which is what lets parallel detection beat
+        one process.  The lossy policies must count surviving rows for
+        chunk boundaries (and write the quarantine sidecar) in one
+        deterministic place, and a verified read checks each chunk
+        exactly once, so both type rows here (:meth:`_typed_tasks`).
+        """
         self.bad_row_count = 0
         self.quarantined_rows = 0
         self.fastforward_bad_rows = 0
@@ -399,6 +483,9 @@ class CSVChunkSource(ChunkSource):
                         if next(reader, None) is None:
                             return
                         number += 1
+                    if self.verify_manifest is None:
+                        yield from self._raw_tasks(reader, start, number)
+                        return
                 records = RecordSlices(reader, self.schema, number)
                 read_rows = partial(self._chunk_rows, records)
                 if self.on_bad_rows != BAD_ROWS_RAISE and start:
@@ -409,9 +496,48 @@ class CSVChunkSource(ChunkSource):
                     for _ in range(start):
                         read_rows()
                     self.fastforward_bad_rows = self.bad_row_count
-                yield from self._batched(read_rows, start, self.infer)
+                yield from self._typed_tasks(read_rows, start)
         finally:
             self._close_sidecar()
+
+    def _raw_tasks(
+        self, reader, start: int, number: int
+    ) -> Iterator[ChunkTask]:
+        """Raw-record tasks of ``reader`` — ``number`` data rows read —
+        from chunk ``start``."""
+        index = start
+        while True:
+            fault_point("source.read", index)
+            records: list = []
+            # A chunk's record lists all stay alive until it is typed, so
+            # a cyclic GC pass while they pile up would only re-scan them.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                records.extend(islice(reader, self.chunk_size))
+            except Exception:
+                # Reading can fail in the OS, the decompressor, the text
+                # decoder or the CSV parser.  The records read before
+                # the error come first, as a record-at-a-time reader
+                # meets them: a bad one among them is what is reported.
+                self._reference_rows(
+                    records, cell_parsers(self.schema), self.schema.arity,
+                    number,
+                )
+                raise
+            finally:
+                if collecting:
+                    gc.enable()
+            if not records:
+                return
+            task = ChunkTask(
+                index, PAYLOAD_RAW, records, len(records),
+                first_row_number=number, origin=str(self.path),
+            )
+            # Counted before the yield: building the task empties it.
+            number += task.count
+            index += 1
+            yield task
 
     def _chunk_rows(self, records: RecordSlices) -> list[tuple]:
         """The next chunk's typed rows: ``chunk_size`` surviving rows, or
@@ -471,49 +597,6 @@ class CSVChunkSource(ChunkSource):
         ):
             return True, ""
         return False, "byte-segment digest mismatch"
-
-    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Chunk payloads for a pooled stream run.
-
-        Under the default ``raise`` policy the payload is the *raw* CSV
-        field lists: typing is the largest cost of file decoding, and
-        shipping it to the workers is what lets parallel
-        detection beat the serial reader.  The lossy policies must count
-        surviving rows for chunk boundaries (and write the quarantine
-        sidecar) in one deterministic place, so they type rows here and
-        ship finished chunk tables instead.  Verified-read mode takes
-        the same fallback: the digest check needs the typed chunk, and
-        skip-policy chunk accounting must happen exactly once.
-        """
-        if self.on_bad_rows != BAD_ROWS_RAISE or self.verify_manifest is not None:
-            yield from table_tasks(self, start)
-            return
-        self.bad_row_count = 0
-        self.quarantined_rows = 0
-        self.fastforward_bad_rows = 0
-        with open_text(self.path) as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                return
-            check_header(header, self.schema)
-            number = 0
-            for _ in range(start * self.chunk_size):
-                if next(reader, None) is None:
-                    return
-                number += 1
-            index = start
-            while True:
-                fault_point("source.read", index)
-                batch = list(islice(reader, self.chunk_size))
-                if not batch:
-                    return
-                yield ChunkTask(
-                    index, PAYLOAD_RAW, batch, len(batch),
-                    first_row_number=number, origin=str(self.path),
-                )
-                number += len(batch)
-                index += 1
 
     def _quarantine(self, number: int, row: list, exc: Exception) -> None:
         if self._sidecar is None:
@@ -606,7 +689,11 @@ class SQLiteChunkSource(ChunkSource):
         self.verify_manifest = verify_manifest
         self.on_corrupt_chunks = on_corrupt_chunks
 
-    def chunks(self, start: int = 0) -> Iterator[Table]:
+    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
+        """Typed-row tasks: SQLite already typed the values, so
+        :func:`build_chunk` only validates and builds (``trusted`` is
+        False — the database enforces affinity, not the declared
+        schema)."""
         table = resolve_sqlite_table(self.path, self.table)
         self.corrupt_chunks = 0
         connection = sqlite3.connect(self.path)
@@ -619,48 +706,9 @@ class SQLiteChunkSource(ChunkSource):
                 f"ORDER BY rowid LIMIT -1 OFFSET ?",
                 (start * self.chunk_size,),
             )
-            index = start
-            while True:
-                batch = cursor.fetchmany(self.chunk_size)
-                if not batch:
-                    return
-                chunk = self._table(
-                    [tuple(row) for row in batch], index, self.infer
-                )
-                if self._admit(chunk, index):
-                    yield chunk
-                index += 1
-        finally:
-            connection.close()
-
-    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Typed-row payloads: SQLite already typed the values, so the
-        workers only validate and build (``trusted`` is False — the
-        database enforces affinity, not the declared schema).
-        Verified-read mode ships finished chunk tables instead, so the
-        digest check and skip accounting happen exactly once, here."""
-        if self.verify_manifest is not None:
-            yield from table_tasks(self, start)
-            return
-        table = resolve_sqlite_table(self.path, self.table)
-        connection = sqlite3.connect(self.path)
-        try:
-            columns = ", ".join(
-                _quote_identifier(column) for column in self.schema.names
+            yield from self._typed_tasks(
+                partial(cursor.fetchmany, self.chunk_size), start
             )
-            cursor = connection.execute(
-                f"SELECT {columns} FROM {_quote_identifier(table)} "
-                f"ORDER BY rowid LIMIT -1 OFFSET ?",
-                (start * self.chunk_size,),
-            )
-            index = start
-            while True:
-                batch = cursor.fetchmany(self.chunk_size)
-                if not batch:
-                    return
-                rows = [tuple(row) for row in batch]
-                yield ChunkTask(index, PAYLOAD_TYPED, rows, len(rows))
-                index += 1
         finally:
             connection.close()
 
@@ -692,30 +740,15 @@ class SyntheticChunkSource(ChunkSource):
         self.chunk_size = chunk_size
         self.name = name
 
-    def chunks(self, start: int = 0) -> Iterator[Table]:
-        rows = iter(self.rows_factory())
-        if start:
-            for _ in islice(rows, start * self.chunk_size):
-                pass
-        yield from self._batched(
-            lambda: list(islice(rows, self.chunk_size)), start, infer=False
-        )
-
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Typed trusted-row payloads (the generators draw from the
-        schema's own domains, exactly like the serial adoption path)."""
+        """Typed trusted-row tasks (the generators draw from the schema's
+        own domains)."""
         rows = iter(self.rows_factory())
-        if start:
-            for _ in islice(rows, start * self.chunk_size):
-                pass
-        index = start
-        while True:
-            fault_point("source.read", index)
-            batch = list(islice(rows, self.chunk_size))
-            if not batch:
-                return
-            yield ChunkTask(index, PAYLOAD_TYPED, batch, len(batch))
-            index += 1
+        for _ in islice(rows, start * self.chunk_size):
+            pass
+        yield from self._typed_tasks(
+            lambda: list(islice(rows, self.chunk_size)), start
+        )
 
 
 def item_scan_source(
@@ -752,8 +785,7 @@ class TableChunkSource(ChunkSource):
     *pipeline's* overhead, not redundant row copying.
     """
 
-    #: rows of a validated Table are schema-valid by construction, so
-    #: parallel workers may adopt them without re-validation
+    #: rows of a validated Table are schema-valid by construction
     trusted_rows = True
 
     def __init__(
@@ -769,29 +801,19 @@ class TableChunkSource(ChunkSource):
         self.chunk_size = chunk_size
         self.name = name or table.name
 
-    def chunks(self, start: int = 0) -> Iterator[Table]:
+    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
+        """Table tasks of the chunks' :meth:`Table.take` windows."""
         total = len(self.table)
         index = start
         for begin in range(start * self.chunk_size, total, self.chunk_size):
             # Same injection surface as the file-backed sources: chaos
             # scenarios address "source.read" whatever the source type.
             fault_point("source.read", index)
-            yield self.table.take(
+            window = self.table.take(
                 range(begin, min(begin + self.chunk_size, total)),
                 name=f"{self.name}[{index}]",
             )
-            index += 1
-
-    def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        total = len(self.table)
-        index = start
-        for begin in range(start * self.chunk_size, total, self.chunk_size):
-            fault_point("source.read", index)
-            window = self.table.take(
-                range(begin, min(begin + self.chunk_size, total))
-            )
-            rows = list(iter(window))
-            yield ChunkTask(index, PAYLOAD_TYPED, rows, len(rows))
+            yield ChunkTask(index, PAYLOAD_TABLE, window, len(window))
             index += 1
 
 
@@ -806,9 +828,9 @@ class MultiFileChunkSource(ChunkSource):
     concatenated rows.
 
     All children must share one declared schema and the same typing rules
-    (``infer_domains``, trusted rows) — the parallel workers materialize
-    every file's payloads under a single shipped profile.  Resume-style
-    skips (``start > 0``) decode and discard the skipped files' records;
+    (``infer_domains``, trusted rows) — :func:`build_chunk` materializes
+    every file's tasks under this source's one profile.  Resume-style
+    skips (``start > 0``) read and discard the skipped chunks' payloads;
     checkpointed embeds over huge multi-file inputs should prefer one
     run per file.
     """
@@ -853,26 +875,12 @@ class MultiFileChunkSource(ChunkSource):
             getattr(source, "name", "stream") for source in sources
         )
 
-    def chunks(self, start: int = 0) -> Iterator[Table]:
-        index = 0
-        for source in self.sources:
-            for chunk in source.chunks():
-                if index >= start:
-                    yield chunk
-                index += 1
-
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
         index = 0
         for source in self.sources:
-            origin = getattr(source, "path", None)
             for task in payload_chunks(source):
                 if index >= start:
-                    yield ChunkTask(
-                        index, task.kind, task.payload, task.count,
-                        first_row_number=task.first_row_number,
-                        origin=task.origin
-                        or (str(origin) if origin is not None else None),
-                    )
+                    yield replace(task, index=index)
                 index += 1
 
     # Aggregated read telemetry (the pipeline reads these attributes off

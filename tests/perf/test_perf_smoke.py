@@ -428,10 +428,10 @@ def _sales_csv(path, rows, bad_at=None):
 def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     """Clean CSV input never reaches the row-at-a-time reference typer.
 
-    ``parse_row`` (where the sources, the pool workers and ``read_csv``
-    bind it) and ``Schema.validate_row`` are made to raise: streamed
-    detect and checkpointed mark in process, a pool worker's raw payload
-    and ``read_csv`` must all type and validate a column at a time.
+    ``parse_row`` (where the sources' chunk build and ``read_csv`` bind
+    it) and ``Schema.validate_row`` are made to raise: streamed detect
+    and checkpointed mark in process, the build of a raw payload and
+    ``read_csv`` must all type and validate a column at a time.
     """
     from repro.core import EmbeddingSpec
     from repro.datagen import generate_sales
@@ -439,7 +439,6 @@ def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     from repro.stream import (
         CSVChunkSink,
         CSVChunkSource,
-        parallel,
         sources,
         stream_mark,
         stream_verify,
@@ -458,7 +457,7 @@ def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("clean input went through the row-wise path")
 
-    for module in (sources, parallel, csvio):
+    for module in (sources, csvio):
         monkeypatch.setattr(module, "parse_row", forbidden)
     monkeypatch.setattr(Schema, "validate_row", forbidden)
 
@@ -478,8 +477,9 @@ def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     source = CSVChunkSource(path, schema, chunk_size=1_000)
     task = next(source.payloads())
     assert task.kind == sources.PAYLOAD_RAW
-    chunk = parallel._build_chunk(
-        task, sources.payload_profile(source), parallel._decoders(schema)
+    chunk = sources.build_chunk(
+        task, sources.payload_profile(source),
+        sources.payload_decoders(schema),
     )
     assert list(chunk) == rows[:1_000]
 
@@ -493,7 +493,7 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
     reported exactly as the row-at-a-time reader reports it."""
     from repro.datagen import generate_sales
     from repro.relational import csvio, read_csv
-    from repro.stream import BadRowError, CSVChunkSource, parallel, sources
+    from repro.stream import BadRowError, CSVChunkSource, sources
 
     table = generate_sales(3_000, item_count=60, seed=5)
     schema = table.schema
@@ -502,7 +502,7 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
     reason = "CSV row 1234 has 4 fields, schema has 5"
     calls = []
 
-    for module in (sources, parallel, csvio):
+    for module in (sources, csvio):
         def spy(*args, _real=module.parse_row, **kwargs):
             calls.append(args[-1])
             return _real(*args, **kwargs)
@@ -515,11 +515,40 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
     assert str(excinfo.value) == f"{path}: bad CSV row 1234: {reason}"
     tasks = list(source.payloads())
     with pytest.raises(BadRowError) as excinfo:
-        parallel._build_chunk(
+        sources.build_chunk(
             tasks[1], sources.payload_profile(source),
-            parallel._decoders(schema),
+            sources.payload_decoders(schema),
         )
     assert str(excinfo.value) == f"{path}: bad CSV row 1234: {reason}"
     with pytest.raises(ValueError, match=f"^{reason}$"):
         read_csv(plain, schema)
     assert calls.count(1234) == 3
+
+
+@pytest.mark.perf_smoke
+def test_building_a_raw_task_drops_its_records(tmp_path):
+    """Building a raw task drops each slice's records from the payload
+    once they are typed, so typed rows never sit beside a whole raw
+    chunk — what keeps an in-process run's peak memory from growing by
+    a chunk of records (a peak-RSS assertion would be flaky; this one is
+    not)."""
+    import gc
+
+    from repro.datagen import generate_sales
+    from repro.relational.csvio import TYPE_SLICE
+    from repro.stream import CSVChunkSource, sources
+
+    table = generate_sales(3 * TYPE_SLICE, item_count=60, seed=5)
+    rows = list(table)
+    path = _sales_csv(tmp_path / "sales.csv.gz", rows)
+    source = CSVChunkSource(path, table.schema, chunk_size=len(rows))
+    task = next(source.payloads())
+    assert task.kind == sources.PAYLOAD_RAW
+    records = list(task.payload)
+    chunk = sources.build_chunk(
+        task, sources.payload_profile(source),
+        sources.payload_decoders(table.schema),
+    )
+    assert list(chunk) == rows
+    held = {id(item) for item in gc.get_referents(task.payload)}
+    assert held.isdisjoint(map(id, records))

@@ -26,10 +26,12 @@ from repro.stream import (
     BadRowError,
     CSVChunkSource,
     CheckpointCorruptError,
+    SQLiteChunkSource,
     TableChunkSource,
     load_checkpoint,
     load_verified_checkpoint,
     open_sink,
+    shutdown_stream_pool,
     stream_mark,
     stream_verify,
 )
@@ -164,6 +166,32 @@ class TestSourceRecovery:
             clean.verification.matching_bits
         assert recovered.votes == clean.votes
         assert recovered.reliability.source_reopens == 2
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sqlite_read_fault_reopens_at_failed_chunk(
+        self, base, key, wm, spec, tmp_path, workers
+    ):
+        db = tmp_path / "marked.sqlite"
+        _mark(base, wm, key, spec, db)
+        clean = stream_verify(
+            SQLiteChunkSource(db, base.schema, chunk_size=CHUNK),
+            key, spec, wm,
+        )
+        plan = FaultPlan().add("source.read", IO_ERROR, at=1)
+        try:
+            with plan.armed():
+                recovered = stream_verify(
+                    SQLiteChunkSource(db, base.schema, chunk_size=CHUNK),
+                    key, spec, wm, retry=FAST, workers=workers,
+                )
+        finally:
+            shutdown_stream_pool()
+        assert plan.fired == [("source.read", 1, IO_ERROR)]
+        assert recovered.reliability.source_reopens == 1
+        assert recovered.detected and clean.detected
+        assert recovered.verification.matching_bits == \
+            clean.verification.matching_bits
+        assert recovered.votes == clean.votes
 
 
 class TestCheckpointRecovery:

@@ -1,11 +1,14 @@
 """Tests for repro.stream sources and sinks — chunked file I/O."""
 
 import csv
+import gc
 import gzip
 import sqlite3
 
 import pytest
 
+from repro import MarkKey, Watermark, cli
+from repro.core import EmbeddingSpec
 from repro.datagen import generate_item_scan, iter_item_scan_rows
 from repro.relational import (
     Attribute,
@@ -13,6 +16,7 @@ from repro.relational import (
     CategoricalDomain,
     Schema,
     Table,
+    schema_to_json,
     write_csv,
 )
 from repro.stream import (
@@ -30,6 +34,8 @@ from repro.stream import (
     item_scan_source,
     open_sink,
     open_source,
+    shutdown_stream_pool,
+    stream_verify,
 )
 
 
@@ -164,6 +170,7 @@ class TestTruncatedGzip:
         with pytest.raises(error) as excinfo:
             for chunk in source.chunks():
                 chunks.append(list(chunk))
+        assert gc.isenabled()
         return chunks, excinfo.value
 
     @pytest.mark.parametrize("policy", ["raise", "skip", "quarantine"])
@@ -185,10 +192,9 @@ class TestTruncatedGzip:
         ]
         assert source.bad_row_count == 0
 
-    @pytest.mark.parametrize("policy", ["raise", "skip", "quarantine"])
-    def test_bad_record_in_the_cut_chunk_comes_first(
-        self, relation, lines, policy, tmp_path
-    ):
+    def write_dirty_cut(self, lines, tmp_path):
+        """A cut file whose chunk holding the cut starts with a bad
+        record: ``(path, bad record's row number, that chunk's index)``."""
         clean = tmp_path / "clean.csv.gz"
         self.write_cut(clean, lines)
         cut_chunk = self.records_before_cut(clean) // self.CHUNK
@@ -202,6 +208,13 @@ class TestTruncatedGzip:
         self.write_cut(path, dirty)
         read = self.records_before_cut(path)
         assert read // self.CHUNK == cut_chunk and read > bad
+        return path, bad, cut_chunk
+
+    @pytest.mark.parametrize("policy", ["raise", "skip", "quarantine"])
+    def test_bad_record_in_the_cut_chunk_comes_first(
+        self, relation, lines, policy, tmp_path
+    ):
+        path, bad, cut_chunk = self.write_dirty_cut(lines, tmp_path)
         source = CSVChunkSource(
             path, relation.schema, chunk_size=self.CHUNK, on_bad_rows=policy
         )
@@ -220,6 +233,60 @@ class TestTruncatedGzip:
             ) as handle:
                 sidecar = list(csv.reader(handle))
             assert [record[0] for record in sidecar[1:]] == [str(bad)]
+
+    def test_bad_record_in_the_cut_chunk_fails_alike_at_every_worker_count(
+        self, relation, lines, tmp_path
+    ):
+        path, bad, _ = self.write_dirty_cut(lines, tmp_path)
+        spec = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 20, 10, 60)
+        key = MarkKey.from_seed("truncated")
+        watermark = Watermark.from_int(0x2AB, 10)
+        numbers = []
+        try:
+            for workers in (None, 2):
+                source = CSVChunkSource(
+                    path, relation.schema, chunk_size=self.CHUNK
+                )
+                with pytest.raises(BadRowError) as excinfo:
+                    stream_verify(
+                        source, key, spec, watermark, workers=workers
+                    )
+                numbers.append(excinfo.value.number)
+        finally:
+            shutdown_stream_pool()
+        assert numbers == [bad, bad]
+
+    def test_cli_exits_6_at_every_worker_count_and_retry_budget(
+        self, relation, lines, tmp_path
+    ):
+        path, _, _ = self.write_dirty_cut(lines, tmp_path)
+        write_csv(relation, tmp_path / "clean.csv")
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_to_json(relation.schema), encoding="utf-8")
+        key = tmp_path / "key.json"
+        record = tmp_path / "record.json"
+        assert cli.main(["genkey", "--out", str(key), "--seed", "cut"]) == 0
+        assert cli.main([
+            "embed", "--data", str(tmp_path / "clean.csv"),
+            "--schema", str(schema), "--key", str(key),
+            "--attribute", "Item_Nbr", "--watermark", "bits:1010101011",
+            "--e", "20", "--out", str(tmp_path / "marked.csv"),
+            "--record", str(record),
+        ]) == 0
+        detect = [
+            "detect", "--input", str(path), "--chunk-size", str(self.CHUNK),
+            "--schema", str(schema), "--key", str(key),
+            "--record", str(record),
+        ]
+        try:
+            codes = [
+                cli.main(detect + ["--workers", workers, "--retries", retries])
+                for workers in ("1", "2")
+                for retries in ("0", "2")
+            ]
+        finally:
+            shutdown_stream_pool()
+        assert codes == [cli.EXIT_BAD_ROWS] * 4
 
 
 class TestSQLiteChunkSource:
