@@ -43,6 +43,7 @@ from repro.reliability.integrity import (
     write_journal_header,
 )
 from repro.stream import (
+    CSVChunkSink,
     CSVChunkSource,
     MultiFileChunkSource,
     SQLiteChunkSource,
@@ -448,6 +449,54 @@ class TestStreamIntegration:
         # lease gone: the same run now proceeds and cleans up after itself
         _mark(base, wm, key, spec, out, checkpoint_path=ckpt, lock=True)
         assert not (tmp_path / "run.ckpt.lock").exists()
+
+
+# -- injected sink damage -----------------------------------------------------
+
+class TestSinkBitflip:
+    """``sink.bitflip`` damages the chunk it names, recorded or not."""
+
+    CHUNKS = 4
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return generate_item_scan(100 * self.CHUNKS, item_count=20, seed=5)
+
+    @staticmethod
+    def _write(path, table, record):
+        """Write ``table`` in 100-row chunks; returns the flush offset
+        after the header and after every chunk."""
+        sink = CSVChunkSink(path)
+        if record:
+            sink.arm_manifest()
+        sink.open(table.schema)
+        offsets = [sink.flush_state()["offset"]]
+        for chunk in TableChunkSource(table, chunk_size=100).chunks():
+            sink.write_chunk(chunk)
+            offsets.append(sink.flush_state()["offset"])
+        sink.close()
+        return offsets
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("suffix", ["csv", "csv.gz"])
+    @pytest.mark.parametrize("at", range(CHUNKS))
+    def test_flip_lands_inside_the_named_chunk(
+        self, table, tmp_path, at, suffix, record
+    ):
+        clean = tmp_path / f"clean.{suffix}"
+        offsets = self._write(clean, table, record)
+        flipped = tmp_path / f"flipped.{suffix}"
+        plan = FaultPlan(seed=0).add("sink.bitflip", BITFLIP, at=at)
+        with plan.armed():
+            assert self._write(flipped, table, record) == offsets
+        assert plan.pending() == 0
+        changed = [
+            position for position, (a, b) in enumerate(
+                zip(clean.read_bytes(), flipped.read_bytes())
+            ) if a != b
+        ]
+        assert len(changed) == 1
+        assert offsets[at] <= changed[0] < offsets[at + 1]
 
 
 # -- verified read ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for repro.stream.pipeline — streamed mark/detect correctness."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -10,6 +11,18 @@ from repro.crypto import SCALAR, VECTOR, HashEngine
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import write_csv
+from repro.reliability import (
+    TORN_WRITE,
+    FaultPlan,
+    RetryPolicy,
+    journal_path,
+)
+from repro.reliability.integrity import (
+    ChunkDigest,
+    append_journal_chunk,
+    load_journal,
+    write_journal_header,
+)
 from repro.stream import (
     CheckpointError,
     CSVChunkSink,
@@ -20,12 +33,14 @@ from repro.stream import (
     TableChunkSink,
     TableChunkSource,
     load_checkpoint,
+    save_checkpoint,
     stream_detect,
     stream_engine,
     stream_mark,
     stream_verify,
     stream_verify_multipass,
 )
+from repro.stream import sinks
 
 E = 40
 CHANNEL = 120
@@ -195,6 +210,120 @@ class TestCheckpointResume:
             hashlib.sha256(part.read_bytes()).hexdigest()
             == hashlib.sha256(full.read_bytes()).hexdigest()
         )
+
+    @pytest.fixture()
+    def mark(self, base, key, wm, spec):
+        def run(path, stop_after=None, **kwargs):
+            source = TableChunkSource(base, chunk_size=500)
+            if stop_after is not None:
+                source = StoppingSource(source, stop_after)
+            return stream_mark(
+                source, wm, key, spec, CSVChunkSink(path), **kwargs
+            )
+        return run
+
+    @pytest.fixture()
+    def level_9_run(self, mark, tmp_path, monkeypatch):
+        """Uninterrupted gzip runs at level 9 and at the default, and a
+        level-9 run interrupted after chunk 3; returns its checkpoint
+        (whose sink states, like the journal's, record ``level: 9``)."""
+        checkpoint = tmp_path / "mark.ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(sinks, "GZIP_LEVEL", 9)
+            mark(tmp_path / "full9.csv.gz")
+            with pytest.raises(Interrupt):
+                mark(
+                    tmp_path / "part.csv.gz", stop_after=3,
+                    checkpoint_path=checkpoint,
+                )
+        mark(tmp_path / "full6.csv.gz")
+        return checkpoint
+
+    @staticmethod
+    def _forget_level(checkpoint):
+        """Rewrite a run's checkpoint and journal as a recorder that
+        predates the level would have: no ``level`` in any sink state."""
+        def drop(state):
+            return {k: v for k, v in state.items() if k != "level"}
+
+        record = load_checkpoint(checkpoint)
+        save_checkpoint(checkpoint, dataclasses.replace(
+            record, sink_state=drop(record.sink_state)
+        ))
+        journal = journal_path(checkpoint)
+        header, chunks = load_journal(journal)
+        write_journal_header(
+            journal, fingerprint=header["fingerprint"], kind=header["kind"],
+            header_entry=ChunkDigest.from_dict(header["header_entry"]),
+            open_state=drop(header["open_state"]),
+        )
+        for chunk in chunks:
+            append_journal_chunk(
+                journal, index=chunk["chunk"],
+                entry=ChunkDigest.from_dict(chunk["entry"]),
+                delta=chunk["delta"], sink_state=drop(chunk["sink_state"]),
+            )
+        assert "level" not in load_checkpoint(checkpoint).sink_state
+        assert "level" not in load_journal(journal)[0]["open_state"]
+
+    @pytest.mark.parametrize(
+        "verify", [False, True], ids=["plain", "verified"]
+    )
+    @pytest.mark.parametrize(
+        "recorded", [False, True], ids=["pre-change", "level-9"]
+    )
+    def test_resume_continues_at_the_recorded_level(
+        self, mark, level_9_run, tmp_path, recorded, verify
+    ):
+        checkpoint = level_9_run
+        if not recorded:
+            self._forget_level(checkpoint)
+        resumed = mark(
+            tmp_path / "part.csv.gz", checkpoint_path=checkpoint,
+            resume=True, verify_resume=verify,
+        )
+        assert resumed.resumed_at_chunk == 3
+        part = (tmp_path / "part.csv.gz").read_bytes()
+        assert part == (tmp_path / "full9.csv.gz").read_bytes()
+        assert part != (tmp_path / "full6.csv.gz").read_bytes()
+        assert load_checkpoint(checkpoint).sink_state["level"] == 9
+
+    def test_retry_rollback_in_a_resumed_run_keeps_its_level(
+        self, mark, level_9_run, tmp_path
+    ):
+        checkpoint = level_9_run
+        self._forget_level(checkpoint)
+        plan = FaultPlan().add("sink.write.mid", TORN_WRITE, at=4)
+        with plan.armed():
+            resumed = mark(
+                tmp_path / "part.csv.gz", checkpoint_path=checkpoint,
+                resume=True,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            )
+        assert plan.pending() == 0
+        assert resumed.reliability.sink_rollbacks == 1
+        assert (
+            (tmp_path / "part.csv.gz").read_bytes()
+            == (tmp_path / "full9.csv.gz").read_bytes()
+        )
+
+    @pytest.mark.parametrize("suffix", ["csv", "csv.gz"])
+    def test_fresh_run_records_the_gzip_level(
+        self, base, mark, tmp_path, suffix
+    ):
+        checkpoint = tmp_path / "mark.ckpt"
+        mark(tmp_path / f"out.{suffix}", checkpoint_path=checkpoint)
+        header, chunks = load_journal(journal_path(checkpoint))
+        states = [
+            load_checkpoint(checkpoint).sink_state, header["open_state"],
+            *(chunk["sink_state"] for chunk in chunks),
+        ]
+        assert len(states) == 2 + len(base) // 500
+        for state in states:
+            if suffix == "csv.gz":
+                assert state["level"] == 6
+            else:
+                assert "level" not in state
 
     def test_resume_merges_counters(self, base, key, wm, spec, tmp_path):
         whole = stream_mark(
