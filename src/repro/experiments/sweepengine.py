@@ -53,7 +53,6 @@ import logging
 import os
 import pickle
 import random
-import time
 import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
@@ -65,23 +64,19 @@ from ..attacks import Attack
 from ..core import Watermark, Watermarker, kernels, verify_multipass
 from ..crypto import SCALAR, VECTOR, MarkKey
 from ..relational import CategoricalDomain, Table
-from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, DeadlineExceededError, check_deadline
 from ..reliability.faults import active_plan
 from ..reliability.pool import (
+    POOL_LABEL,
     PersistentPool,
     heartbeat,
     misbehave,
     planned_fault,
     resolve_watchdog,
+    spend_attempt,
 )
 from ..reliability.report import ReliabilityReport
-from ..reliability.retry import (
-    TRANSIENT,
-    RetryError,
-    RetryPolicy,
-    classify,
-)
+from ..reliability.retry import TRANSIENT, RetryPolicy, classify
 from ..reliability.watchdog import IDLE, Watchdog
 
 logger = logging.getLogger(__name__)
@@ -462,8 +457,8 @@ def shutdown_sweep_pool() -> None:
     _pool.shutdown()
 
 
-#: ceiling on any single pooled task's wall-clock (pool_table_tasks); far
-#: above any legitimate cell batch, so tripping it means a hung worker
+#: wall-clock budget of one pool_table_tasks batch; far above any
+#: legitimate batch, so spending it means a hung worker
 DEFAULT_TASK_TIMEOUT = 600.0
 
 
@@ -472,7 +467,6 @@ def pool_table_tasks(
     fn,
     task_args: Sequence[tuple],
     max_workers: int | None = None,
-    timeout: float | None = DEFAULT_TASK_TIMEOUT,
 ) -> list[Any]:
     """Run ``fn(table, *args)`` for every ``args`` on the persistent pool.
 
@@ -482,11 +476,11 @@ def pool_table_tasks(
     Raises whatever the tasks raise; pool-infrastructure failures
     propagate too (callers fall back to a serial loop).
 
-    ``timeout`` bounds the whole batch's wall-clock (``None`` restores
-    the historical unbounded wait): a hung worker trips it, the pool's
-    workers are killed and the executor retired, and ``TimeoutError``
-    propagates so callers take their serial fallback instead of blocking
-    forever.
+    The batch runs under a :data:`DEFAULT_TASK_TIMEOUT` deadline: a hung
+    worker spends it, the pool's workers are killed and the executor
+    retired, and :class:`~repro.reliability.DeadlineExceededError`
+    propagates at ``pool.worker[<tasks done>]`` so callers take their
+    serial fallback instead of blocking forever.
     """
     workers = max_workers or os.cpu_count() or 1
     # An unpicklable payload would deadlock the executor's queue-feeder
@@ -495,22 +489,15 @@ def pool_table_tasks(
     pickle.dumps((fn, list(task_args)))
     pool = _pool.ensure(_table_token(table), workers, _worker_init, table)
     futures = [pool.submit(_worker_call, fn, args) for args in task_args]
-    if timeout is None:
-        return [future.result() for future in futures]
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
-    batch = Deadline(timeout)
-    try:
-        return [future.result(timeout=batch.timeout()) for future in futures]
-    except FuturesTimeout as exc:
-        for future in futures:
-            future.cancel()
-        _pool.kill_workers()
-        shutdown_sweep_pool()
-        raise TimeoutError(
-            f"pooled task batch still running after {timeout:.6g}s; "
-            f"workers killed, pool retired"
-        ) from exc
+    batch = Deadline(DEFAULT_TASK_TIMEOUT)
+    report = ReliabilityReport()  # no watchdog: the wait counts nothing
+    return [
+        _pool.wait(
+            future, watchdog=None, deadline=batch, label=POOL_LABEL,
+            position=done, report=report,
+        )
+        for done, future in enumerate(futures)
+    ]
 
 
 # -- the engine ---------------------------------------------------------------
@@ -535,7 +522,6 @@ class SweepEngine:
         fused: bool = True,
         retry: RetryPolicy | None = None,
         watchdog: Watchdog | bool | None = None,
-        breaker: CircuitBreaker | None = None,
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -547,14 +533,12 @@ class SweepEngine:
         self.fused = fused
         #: bounded-attempt policy for pooled-mode task retries and pool
         #: respawns (per-seed tasks are pure functions of their labels,
-        #: so a retried task is bit-identical to a first-try one)
+        #: so a retried task is bit-identical to a first-try one); a seed
+        #: that spends it finishes the run on the hoisted path
         self.retry = retry if retry is not None else RetryPolicy()
         #: heartbeat watchdog over the pooled workers (``False`` disables;
         #: ``None`` takes the default 300 s silence budget)
         self.watchdog = resolve_watchdog(watchdog)
-        #: consecutive-failure breaker steering pooled -> hoisted
-        #: degradation (label ``"pool.worker"``)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._passes: "OrderedDict[tuple[bytes, SweepProtocol, int], EmbeddedPass]" = (
             OrderedDict()
         )
@@ -645,22 +629,17 @@ class SweepEngine:
         :class:`~repro.reliability.DeadlineExceededError` — never
         swallowed by the pooled -> hoisted fallback, because falling back
         *after* the budget is spent would bust the budget twice over.
+
+        A pooled run whose pool fails — a seed that spends the retry
+        budget, an unpicklable attack, a broken pool — finishes on the
+        bit-identical hoisted path, logging one warning and counting one
+        ``pool_fallbacks``; the next run tries the pool again.
         """
         seeds = list(seeds)
         attacks = list(attacks)
         resolved = self._resolve_mode(
             mode, len(seeds) * len(attacks) * len(base_table)
         )
-        if resolved == MODE_POOLED and not self.breaker.allow("pool.worker"):
-            # Open circuit, still cooling down: dispatching would burn
-            # the retry budget against a known-sick pool — degrade
-            # straight down the bit-identical ladder.
-            logger.warning(
-                "circuit breaker open on pool.worker: degrading sweep to "
-                "the bit-identical hoisted path"
-            )
-            self.reliability.pool_fallbacks += 1
-            resolved = MODE_HOISTED
         if resolved == MODE_POOLED:
             from concurrent.futures import BrokenExecutor
 
@@ -734,42 +713,6 @@ class SweepEngine:
             points.append(ExperimentPoint(x=x, passes=results))
         return points
 
-    def _await_result(self, future, deadline: Deadline | None, position: int):
-        """Bounded replacement for the historical unbounded
-        ``future.result()`` wait.
-
-        Polls in watchdog-sized slices; every wakeup scans the pool's
-        heartbeat directory and ``SIGKILL``-s workers that went silent
-        mid-task past the watchdog budget (the broken executor then takes
-        the existing respawn path, so the hung seed is re-dispatched
-        bit-identically), and an armed deadline turns the wait into an
-        immediate-timeout poll once its budget is spent.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        watchdog = self.watchdog
-        cap = watchdog.poll if watchdog is not None else 1.0
-        while True:
-            if deadline is not None and deadline.expired():
-                _pool.kill_workers()
-                shutdown_sweep_pool()
-                deadline.check("pool.worker", position)  # raises
-            slice_timeout = (
-                deadline.timeout(cap) if deadline is not None else cap
-            )
-            try:
-                return future.result(timeout=slice_timeout)
-            except FuturesTimeout:
-                pass
-            killed = _pool.kill_stale(watchdog)
-            if killed:
-                self.reliability.watchdog_kills += len(killed)
-                logger.warning(
-                    "watchdog killed %d hung pool worker(s) silent "
-                    "past %.6gs: %s — respawning and re-dispatching",
-                    len(killed), watchdog.budget, killed,
-                )
-
     def _run_pooled(self, base_table, protocol, attacks, seeds, deadline=None):
         from concurrent.futures import BrokenExecutor
 
@@ -780,7 +723,6 @@ class SweepEngine:
         # the bit-identical hoisted path.
         pickle.dumps((protocol, attacks))
         token = _table_token(base_table)
-        policy = self.retry
         by_seed: dict[int, list[PassResult]] = {}
         pending = list(seeds)
         attempt = 0
@@ -788,8 +730,6 @@ class SweepEngine:
             # A new base relation retires the old pool: worker caches
             # are only valid for the table their initializer installed.
             pool = _pool.ensure(token, workers, _worker_init, base_table)
-            if self.watchdog is not None:
-                self.watchdog.start_round()
             futures = {
                 seed: pool.submit(
                     _worker_run_seed,
@@ -805,8 +745,10 @@ class SweepEngine:
             broken = False
             for seed, future in futures.items():
                 try:
-                    by_seed[seed] = self._await_result(
-                        future, deadline, len(by_seed)
+                    by_seed[seed] = _pool.wait(
+                        future, watchdog=self.watchdog, deadline=deadline,
+                        label=POOL_LABEL, position=len(by_seed),
+                        report=self.reliability,
                     )
                 except BrokenExecutor as exc:
                     # A worker died (OOM kill, injected or watchdog
@@ -822,18 +764,10 @@ class SweepEngine:
                     last_exc = exc
             if failed:
                 attempt += 1
-                if self.breaker.record_failure(
-                    "pool.worker", cause=repr(last_exc)
-                ):
-                    # K consecutive failed rounds: stop burning the retry
-                    # budget; run() degrades to the hoisted ladder.
-                    self.reliability.breaker_trips["pool.worker"] += 1
-                    raise RetryError("pool.worker", attempt) from last_exc
-                if attempt >= policy.max_attempts:
-                    raise RetryError("pool.worker", attempt) from last_exc
+                # At the budget this raises RetryError, and run() finishes
+                # on the hoisted path.
+                spend_attempt(self.retry, attempt, last_exc, self.reliability)
                 self.reliability.cell_retries += len(failed) * len(attacks)
-                self.reliability.record_retry("pool.worker", attempt, last_exc)
-                time.sleep(policy.delay("pool.worker", attempt))
                 if broken:
                     # Respawn: per-seed tasks are pure functions of their
                     # labels, so a fresh pool reproduces the lost results
@@ -841,7 +775,6 @@ class SweepEngine:
                     shutdown_sweep_pool()
                     self.reliability.pool_respawns += 1
             pending = failed
-        self.breaker.record_success("pool.worker")
         points = []
         for index, (x, _) in enumerate(attacks):
             results = [by_seed[seed][index] for seed in seeds]

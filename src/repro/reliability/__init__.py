@@ -22,11 +22,11 @@ makes recovery *provable* instead of hoped-for:
   ``SIGKILL`` of *hung* (not just dead) pool workers;
 * :mod:`~repro.reliability.pool` — the one persistent worker pool the
   sweep engine and the parallel stream run share: lifecycle, heartbeat
-  directory, and the ``pool.worker`` faults shipped into tasks;
-* :mod:`~repro.reliability.breaker` — a :class:`CircuitBreaker` opening
-  after K consecutive transient failures on one label, steering runs
-  down the two bit-identical degradation ladders (pooled → hoisted
-  sweeps, parallel → serial streams) instead of retrying forever;
+  directory, the ``pool.worker`` faults shipped into tasks, the one
+  deadline-capped, watchdog-scanned result wait, and the one retry
+  budget.  A chunk or sweep cell that spends the budget on the pool
+  finishes the run in process with the same per-chunk or per-cell
+  function — bit-identical, logged and counted as ``pool_fallbacks``;
 * :mod:`~repro.reliability.integrity` — chunk-hash manifests journalled
   next to the checkpoint, :func:`audit_stream` corruption localization,
   verified (re-hashing) resume, and the :class:`RunLock` lease that
@@ -38,7 +38,6 @@ uninterrupted ones — the enumerate-every-reachable-failure-state
 discipline applied to the streaming layer.
 """
 
-from .breaker import CircuitBreaker
 from .deadline import Deadline, DeadlineExceededError, check_deadline
 from .faults import (
     BITFLIP,
@@ -90,7 +89,6 @@ __all__ = [
     "CORRUPT_JSON",
     "ChunkDigest",
     "ChunkManifest",
-    "CircuitBreaker",
     "DISK_FULL",
     "Deadline",
     "DeadlineExceededError",

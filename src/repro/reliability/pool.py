@@ -1,4 +1,4 @@
-"""One persistent worker pool: lifecycle, heartbeats and shipped faults.
+"""One persistent worker pool and the one rule for its failures.
 
 The sweep engine and the parallel stream pipeline each keep a single
 ``ProcessPoolExecutor`` alive across runs, keyed by the state its workers
@@ -7,9 +7,23 @@ state.  Both use this module for everything around the executor:
 
 * **lifecycle** — :class:`PersistentPool` creates the executor for a
   ``(token, workers)`` key, reuses it while the key holds, retires it
-  (and its heartbeat directory) on a new key or on shutdown, and sends
-  its workers ``SIGKILL`` on demand, because ``Executor.shutdown``
-  *joins* workers and a hung one would outlive it;
+  (and its heartbeat directory) on a new key or on shutdown, and
+  :meth:`~PersistentPool.retire` sends its workers ``SIGKILL`` first,
+  because ``Executor.shutdown`` *joins* workers and a hung one would
+  outlive it;
+* **the wait** — :meth:`PersistentPool.wait` is the only place a pool
+  result is read: it polls in watchdog-sized slices capped by the run's
+  :class:`~repro.reliability.Deadline`, lets the
+  :class:`~repro.reliability.Watchdog` kill workers silent mid-task, and
+  on expiry retires the pool before raising
+  :class:`~repro.reliability.DeadlineExceededError`;
+* **the retry budget** — :func:`spend_attempt` counts one failed attempt
+  of a task against the run's :class:`~repro.reliability.RetryPolicy`.
+  Every chunk and sweep cell is a pure function of its keyed inputs, so
+  when one spends the whole budget the run finishes in process with the
+  same per-chunk or per-cell function — same bits, one core — logging one
+  warning and counting one ``pool_fallbacks``.  A stream run with
+  ``retry=None`` fails fast instead;
 * **heartbeats** — every worker beats into the pool-scoped directory
   (:func:`heartbeat`) that the :class:`~repro.reliability.Watchdog`
   resolved by :func:`resolve_watchdog` scans;
@@ -22,12 +36,14 @@ state.  Both use this module for everything around the executor:
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
 import signal
 import tempfile
 import time
 
+from .deadline import Deadline
 from .faults import (
     HANG,
     KILL,
@@ -37,7 +53,14 @@ from .faults import (
     active_plan,
     disarm,
 )
+from .report import ReliabilityReport
+from .retry import RetryError, RetryPolicy
 from .watchdog import BUSY, IDLE, Watchdog, beat
+
+logger = logging.getLogger(__name__)
+
+#: the label of pool-task faults and retries (and of sweep deadline stops)
+POOL_LABEL = "pool.worker"
 
 #: the heartbeat directory of the pool this process works for (set in
 #: each worker by the pool initializer; ``None`` in the parent)
@@ -116,16 +139,80 @@ class PersistentPool:
             return []
         return list((getattr(self.executor, "_processes", None) or {}).keys())
 
-    def kill_workers(self) -> int:
-        """``SIGKILL`` every live worker; returns how many were signalled."""
-        return len(Watchdog.kill(self.worker_pids()))
+    def retire(self) -> None:
+        """``SIGKILL`` every live worker, then retire the executor: a run
+        that stops or gives up on the pool leaves no worker running, and
+        the next run starts a fresh pool."""
+        Watchdog.kill(self.worker_pids())
+        self.shutdown()
 
-    def kill_stale(self, watchdog: Watchdog | None) -> list[int]:
-        """Let ``watchdog`` kill workers silent mid-task past its budget;
-        returns the pids killed."""
-        if watchdog is None or self.heartbeat_dir is None:
-            return []
-        return watchdog.kill_stale(self.heartbeat_dir, self.worker_pids())
+    def check_deadline(
+        self, deadline: Deadline | None, label: str, position: int
+    ) -> None:
+        """Raise :class:`~repro.reliability.DeadlineExceededError` at
+        ``label[position]`` once ``deadline`` has expired, retiring the
+        pool first so no hung task outlives the stop."""
+        if deadline is not None and deadline.expired():
+            self.retire()
+            deadline.check(label, position)
+
+    def wait(
+        self,
+        future,
+        *,
+        watchdog: Watchdog | None,
+        deadline: Deadline | None,
+        label: str,
+        position: int,
+        report: ReliabilityReport,
+    ):
+        """The result of ``future``, a task on this pool.
+
+        Polls in watchdog-sized slices (1 s without a watchdog) capped by
+        ``deadline``.  Each wakeup lets ``watchdog`` ``SIGKILL`` workers
+        silent mid-task past its budget — counted as ``watchdog_kills``;
+        the broken executor then raises from the future and the caller
+        re-dispatches.  Once ``deadline`` expires the pool is retired and
+        the deadline error raised at ``label[position]``.
+        """
+        from concurrent.futures import TimeoutError as FuturesTimeout
+
+        poll = watchdog.poll if watchdog is not None else 1.0
+        while True:
+            self.check_deadline(deadline, label, position)
+            try:
+                return future.result(
+                    timeout=poll if deadline is None else deadline.timeout(poll)
+                )
+            except FuturesTimeout:
+                pass
+            if watchdog is None or self.heartbeat_dir is None:
+                continue
+            killed = watchdog.kill_stale(
+                self.heartbeat_dir, self.worker_pids()
+            )
+            if killed:
+                report.watchdog_kills += len(killed)
+                logger.warning(
+                    "watchdog killed %d hung pool worker(s) silent past "
+                    "%.6gs: %s", len(killed), watchdog.budget, killed,
+                )
+
+
+def spend_attempt(
+    policy: RetryPolicy,
+    attempt: int,
+    exc: BaseException,
+    report: ReliabilityReport,
+) -> None:
+    """Count failed attempt ``attempt`` (1-based) of a pool task against
+    ``policy``: below the budget, record the retry and back off; at the
+    budget, raise :class:`~repro.reliability.RetryError` from ``exc`` —
+    the caller then finishes the run in process."""
+    if attempt >= policy.max_attempts:
+        raise RetryError(POOL_LABEL, attempt) from exc
+    report.record_retry(POOL_LABEL, attempt, exc)
+    time.sleep(policy.delay(POOL_LABEL, attempt))
 
 
 def planned_fault(index: int) -> tuple[str, float] | None:
@@ -135,7 +222,7 @@ def planned_fault(index: int) -> tuple[str, float] | None:
     plan = active_plan()
     if plan is None:
         return None
-    kind = plan.draw("pool.worker", index)
+    kind = plan.draw(POOL_LABEL, index)
     if kind is None:
         return None
     if kind == HANG:
@@ -158,10 +245,10 @@ def misbehave(fault: tuple[str, float] | None, index: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover — fatal
     if kind == HANG:
         time.sleep(seconds)
-        raise InjectedFaultError("pool.worker", index, kind)
+        raise InjectedFaultError(POOL_LABEL, index, kind)
     if kind == SLOW:
         time.sleep(seconds)
         return
     if kind == MEMORY:
         raise MemoryError(f"injected memory fault at pool.worker[{index}]")
-    raise InjectedFaultError("pool.worker", index, kind)
+    raise InjectedFaultError(POOL_LABEL, index, kind)

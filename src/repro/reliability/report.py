@@ -33,15 +33,15 @@ class ReliabilityReport:
     #: malformed input rows skipped or quarantined (CSV ``on_bad_rows``)
     bad_rows: int = 0
     quarantined_rows: int = 0
-    #: sweep-pool recovery (see :class:`~repro.experiments.SweepEngine`)
+    #: pool recovery (see :mod:`~repro.reliability.pool`): broken pools
+    #: respawned, and runs finished in process after a chunk or cell
+    #: spent the retry budget on the pool
     pool_respawns: int = 0
     pool_fallbacks: int = 0
+    #: sweep cells re-dispatched (see :class:`~repro.experiments.SweepEngine`)
     cell_retries: int = 0
     #: hung pool workers SIGKILLed by the watchdog (heartbeat silence)
     watchdog_kills: int = 0
-    #: circuit-breaker open transitions, by label (``"pool.worker"``,
-    #: ``"stream.parallel"``)
-    breaker_trips: Counter = field(default_factory=Counter)
     #: integrity layer (see :mod:`~repro.reliability.integrity`):
     #: output-prefix chunks re-hashed during a verified resume
     chunks_verified: int = 0
@@ -122,12 +122,6 @@ class ReliabilityReport:
                 f"{self.pool_fallbacks} fallbacks, "
                 f"{self.watchdog_kills} watchdog kills"
             )
-        if self.breaker_trips:
-            labels = ", ".join(
-                f"{label} x{count}"
-                for label, count in sorted(self.breaker_trips.items())
-            )
-            parts.append(f"degradation: breaker trips: {labels}")
         if (
             self.chunks_verified or self.integrity_rewinds
             or self.corrupt_chunks or self.lease_takeovers

@@ -73,10 +73,6 @@ class Watchdog:
         #: how often the parent's result wait wakes to scan for staleness
         self.poll = poll
 
-    def start_round(self) -> None:
-        """Mark a dispatch round (kept for call-site symmetry; staleness
-        is measured purely from busy beats)."""
-
     def last_beat(self, heartbeat_dir: str, pid: int) -> tuple[float, str]:
         """``(epoch mtime, state)`` of ``pid``'s last heartbeat, or
         ``(0.0, IDLE)`` when the worker never beat.

@@ -15,7 +15,7 @@ the same function, :func:`~repro.stream.sources.build_chunk`:
 
 * **In process** (``workers=None`` or ``1``) — the run reads one task,
   builds and computes its chunk and commits it before reading the next.
-  No pool, no pickled run state, no breaker.
+  No pool, no pickled run state.
 * **On a pool** (``workers > 1``) — the coordinator reads tasks up to a
   bounded read-ahead window of ``2 × workers`` chunks ahead of the
   oldest uncommitted chunk, submitting each to a persistent process pool
@@ -35,14 +35,16 @@ bit-identical to ``workers=1`` and to the in-memory verifiers.
 Reliability: a :class:`~repro.reliability.RetryPolicy` re-opens the
 source at the failed chunk after a transient read failure, and the run's
 :class:`~repro.reliability.Deadline` is checked at every chunk boundary,
-at every worker count.  Pools add the rest: every pool wait is capped by
-the deadline, the :class:`~repro.reliability.Watchdog` heartbeats workers
-and SIGKILLs hung ones, the retry policy re-dispatches failed chunks
-(pure functions — the replay is bit-identical) and respawns a broken
-pool, and the :class:`~repro.reliability.CircuitBreaker` label
-:data:`STREAM_PARALLEL_LABEL` degrades the run to computing the remaining
-chunks in the coordinator with the same per-chunk functions — same bits,
-one core.
+at every worker count.  Pools add the rest, through the one wait and the
+one retry budget of :mod:`repro.reliability.pool`: every pool wait is
+capped by the deadline (a deadline stop retires the pool), the
+:class:`~repro.reliability.Watchdog` heartbeats workers and SIGKILLs hung
+ones, and the retry policy re-dispatches failed chunks (pure functions —
+the replay is bit-identical) and respawns a broken pool.  A chunk that
+spends the whole retry budget finishes the run in process: the
+coordinator computes it and every remaining chunk with the same
+per-chunk functions — same bits, one core.  ``retry=None`` fails fast,
+and a broken pool is retired either way.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from ..core.watermark import Watermark
 from ..crypto import SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Table
-from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.faults import fault_point
 from ..reliability.pool import (
@@ -79,6 +80,7 @@ from ..reliability.pool import (
     misbehave,
     planned_fault,
     resolve_watchdog,
+    spend_attempt,
 )
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
@@ -101,9 +103,6 @@ from .sources import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: circuit-breaker label of the parallel -> serial degradation ladder
-STREAM_PARALLEL_LABEL = "stream.parallel"
 
 #: ``workers=`` sentinel: size the pool from the machine
 AUTO_WORKERS = "auto"
@@ -148,7 +147,7 @@ def resolve_workers(workers: int | str | None) -> int:
     """Normalize a ``workers=`` parameter to a positive worker count.
 
     ``None`` and ``1`` run the ordered loop in process: no pool, no
-    pickled run state, no breaker.  ``"auto"`` applies the cpu_count
+    pickled run state.  ``"auto"`` applies the cpu_count
     heuristic: reserve one core for the coordinator's read-ahead decode
     and fan the rest, never fewer than two workers once a second core
     exists and never more than eight (the coordinator's record reading +
@@ -179,8 +178,8 @@ class ParallelReport:
     workers: int
     #: chunks whose result came from a pool worker
     chunks_parallel: int = 0
-    #: chunks computed in the coordinator after the parallel -> serial
-    #: degradation ladder engaged (bit-identical, one core)
+    #: chunks finished in process after a chunk spent the retry budget
+    #: on the pool (bit-identical, one core)
     chunks_serial: int = 0
     #: tasks re-submitted after a worker failure (bit-identical replays)
     redispatches: int = 0
@@ -194,7 +193,7 @@ class ParallelReport:
         }
 
 
-# -- the per-chunk functions (workers, in process, degraded path) --------------
+# -- the per-chunk functions (workers, in process, pool fallback) --------------
 
 def _chunk_votes(
     chunk: Table,
@@ -480,7 +479,7 @@ class _OrderedRun:
     committed before the next is read.  With more, ``pool_task(task,
     fault)`` runs in workers initialized with the pickled ``state``, a
     bounded read-ahead window stays in flight, and ``compute`` serves
-    only the breaker's degraded path.
+    only the in-process finish after a chunk spent the retry budget.
     """
 
     def __init__(
@@ -495,7 +494,6 @@ class _OrderedRun:
         retry: RetryPolicy | None,
         deadline: Deadline | None,
         watchdog: Watchdog | bool | None,
-        breaker: CircuitBreaker | None,
         reliability: ReliabilityReport,
     ):
         self.profile = profile
@@ -513,16 +511,8 @@ class _OrderedRun:
         self.executor = None
         self.blob: bytes | None = None
         self.decoders = payload_decoders(profile["schema"])
-        self.watchdog = None
-        self.breaker = None
         self.serial_mode = workers == 1
-        if self.serial_mode:
-            return
         self.watchdog = resolve_watchdog(watchdog)
-        self.breaker = breaker
-        if breaker is not None and breaker.is_open(STREAM_PARALLEL_LABEL):
-            self.serial_mode = True
-            self.reliability.pool_fallbacks += 1
 
     @property
     def parallel(self) -> ParallelReport | None:
@@ -542,7 +532,9 @@ class _OrderedRun:
                 if task is None:
                     exhausted = True
                     break
-                check_deadline(self.deadline, "pipeline.chunk", task.index)
+                _pool.check_deadline(
+                    self.deadline, "pipeline.chunk", task.index
+                )
                 entry = [None, task, 0]
                 self._submit(entry)
                 self.in_flight[task.index] = entry
@@ -590,129 +582,84 @@ class _OrderedRun:
     def _commit_head(self) -> None:
         index, entry = next(iter(self.in_flight.items()))
         try:
-            result, stats = self._await(entry)
+            result, stats = _pool.wait(
+                entry[0], watchdog=self.watchdog, deadline=self.deadline,
+                label="pipeline.chunk", position=index,
+                report=self.reliability,
+            )
         except _pool_breakage() as exc:
-            self._trip(exc)
+            # Retire the broken executor before anything else, the
+            # fail-fast raise included: the next run with this run state
+            # would otherwise be handed it.
+            _pool.retire()
+            self.executor = None
             if self.retry is None:
                 raise
-            self._recover_pool(entry, exc)
+            self._recover(entry, exc, broken=True)
             return
         except TRANSIENT_TYPES as exc:
             # Anything outside the shared transient taxonomy propagates
             # untouched (a logic error replayed is a logic error twice);
             # ``classify`` still vets members of the tuple, because some
             # carry a permanent payload (e.g. ``OSError`` + ENOSPC).
-            if classify(exc) is not TRANSIENT:
+            if classify(exc) is not TRANSIENT or self.retry is None:
                 raise
             logger.warning(
                 "parallel chunk %d failed with transient %r; recovering",
-                entry[1].index, exc,
+                index, exc,
             )
-            self._trip(exc)
-            if self.retry is None:
-                raise
-            self._recover_task(entry, exc)
+            self._recover(entry, exc, broken=False)
             return
-        if self.breaker is not None:
-            self.breaker.record_success(STREAM_PARALLEL_LABEL)
         del self.in_flight[index]
         self.commit(entry[1], result)
         self.report.note(stats)
         self.report.chunks_parallel += 1
         fault_point("pipeline.chunk", index)
 
-    def _await(self, entry: list):
-        """Deadline-capped, watchdog-scanned wait on the head future."""
-        future = entry[0]
-        poll = self.watchdog.poll if self.watchdog is not None else 1.0
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        while True:
-            budget = poll
-            if self.deadline is not None:
-                budget = self.deadline.timeout(cap=poll)
-            try:
-                return future.result(timeout=budget)
-            except FuturesTimeout:
-                check_deadline(
-                    self.deadline, "pipeline.chunk", entry[1].index
-                )
-                killed = _pool.kill_stale(self.watchdog)
-                self.reliability.watchdog_kills += len(killed)
-
     # -- recovery ---------------------------------------------------------------
-    def _trip(self, exc: BaseException) -> None:
-        if self.breaker is not None:
-            if self.breaker.record_failure(
-                STREAM_PARALLEL_LABEL, cause=repr(exc)
-            ):
-                self.reliability.breaker_trips[STREAM_PARALLEL_LABEL] += 1
-
-    def _spend_attempt(self, entry: list, exc: BaseException) -> None:
+    def _recover(self, entry: list, exc: BaseException, broken: bool) -> None:
+        """Re-dispatch a failed chunk (trigger consumed at first submit —
+        the replay runs clean).  A broken pool respawns and re-dispatches
+        every in-flight chunk in order — pure functions of their
+        payloads, so the replayed run is bit-identical.  A chunk that
+        spent the retry budget finishes the run in process instead."""
         entry[2] += 1
-        if entry[2] >= self.retry.max_attempts:
-            raise RetryError("pool.worker", entry[2]) from exc
-        self.reliability.record_retry("pool.worker", entry[2], exc)
-        time.sleep(self.retry.delay("pool.worker", entry[2]))
-
-    def _recover_task(self, entry: list, exc: BaseException) -> None:
-        """One task failed, the pool is alive: re-dispatch that chunk
-        (trigger consumed at first submit — the replay runs clean)."""
-        self._spend_attempt(entry, exc)
-        if self.breaker is not None and self.breaker.is_open(
-            STREAM_PARALLEL_LABEL
-        ):
-            self._degrade()
+        try:
+            spend_attempt(self.retry, entry[2], exc, self.reliability)
+        except RetryError:
+            logger.warning(
+                "stream chunk %d spent its retry budget on the pool (%r); "
+                "finishing the run in process", entry[1].index, exc,
+            )
+            self._finish_in_process()
             return
-        self.report.redispatches += 1
-        self._submit(entry)
-
-    def _recover_pool(self, entry: list, exc: BaseException) -> None:
-        """The executor broke (a worker was SIGKILLed, or died): kill
-        any stragglers, respawn, and re-dispatch every in-flight chunk
-        in order — pure functions of their payloads, so the replayed run
-        is bit-identical."""
-        self._spend_attempt(entry, exc)
+        if not broken:
+            self.report.redispatches += 1
+            self._submit(entry)
+            return
         self.reliability.pool_respawns += 1
         logger.warning(
             "stream pool broke at chunk %d (%r): respawning and "
             "re-dispatching %d in-flight chunks",
             entry[1].index, exc, len(self.in_flight),
         )
-        _pool.kill_workers()
-        _pool.shutdown()
-        self.executor = None
-        if self.breaker is not None and self.breaker.is_open(
-            STREAM_PARALLEL_LABEL
-        ):
-            self._degrade()
-            return
         for waiting in self.in_flight.values():
             future = waiting[0]
-            if (
-                future is not None
-                and future.done()
-                and future.exception() is None
-            ):
+            if future.done() and future.exception() is None:
                 continue  # completed before the breakage; keep the result
             self.report.redispatches += 1
             self._submit(waiting)
 
-    def _degrade(self) -> None:
-        """The parallel -> serial bit-identical ladder: compute every
-        in-flight (and all remaining) chunks in the coordinator with the
-        same per-chunk functions, in the same order."""
+    def _finish_in_process(self) -> None:
+        """Retire the pool and compute every in-flight (and all
+        remaining) chunks in the coordinator with the same per-chunk
+        functions, in the same order — same bits, one core."""
         self.serial_mode = True
         self.reliability.pool_fallbacks += 1
-        logger.warning(
-            "circuit breaker open on %s: computing remaining chunks "
-            "serially in the coordinator", STREAM_PARALLEL_LABEL,
-        )
+        _pool.retire()
+        self.executor = None
         entries = list(self.in_flight.values())
         self.in_flight.clear()
-        for entry in entries:
-            if entry[0] is not None:
-                entry[0].cancel()
         for entry in entries:
             self._commit_serial(entry[1])
 
@@ -733,7 +680,6 @@ def ordered_votes(
     retry: RetryPolicy | None,
     deadline: Deadline | None,
     watchdog: Watchdog | bool | None,
-    breaker: CircuitBreaker | None,
     reliability: ReliabilityReport,
 ) -> tuple[list[VoteAccumulator], int, int, ParallelReport | None]:
     """Streamed tallies of ``source`` for every key: ``(accumulators,
@@ -770,7 +716,7 @@ def ordered_votes(
             "scalar": None in engines, "chunk_size": chunk_size,
         },
         workers=workers, retry=retry, deadline=deadline,
-        watchdog=watchdog, breaker=breaker, reliability=reliability,
+        watchdog=watchdog, reliability=reliability,
     )
     run.run(tasks)
     return accumulators, chunks, rows, run.parallel
@@ -793,7 +739,6 @@ def ordered_mark(
     retry: RetryPolicy | None,
     deadline: Deadline | None,
     watchdog: Watchdog | bool | None,
-    breaker: CircuitBreaker | None,
     reliability: ReliabilityReport,
 ) -> ParallelReport | None:
     """Streamed embed from chunk ``start``: hands every marked chunk to
@@ -831,7 +776,7 @@ def ordered_mark(
             "watermark": watermark, "wm_data": wm_data,
         },
         workers=workers, retry=retry, deadline=deadline,
-        watchdog=watchdog, breaker=breaker, reliability=reliability,
+        watchdog=watchdog, reliability=reliability,
     )
     run.run(_tasks_with_retry(source, start, retry, reliability))
     return run.parallel

@@ -61,7 +61,6 @@ from ..core.watermark import Watermark
 from ..crypto import BACKENDS, SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport
 from ..relational import CategoricalDomain, Schema
-from ..reliability.breaker import CircuitBreaker
 from ..reliability.deadline import Deadline
 from ..reliability.integrity import (
     RunLock,
@@ -215,7 +214,6 @@ def stream_mark(
     constraints_factory: Callable[[], list] | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
     manifest: bool | None = None,
@@ -261,12 +259,13 @@ def stream_mark(
     commit loop writes marked chunks to the sink in sequence, so output
     bytes, checkpoints and ``--resume`` stay identical to ``workers=1``.
     ``watchdog`` (pool runs only) heartbeat-monitors pool workers; pass
-    ``False`` to disable the default watchdog, and ``breaker`` (pool
-    runs only) degrades the pool to serial coordinator compute after
-    repeated worker failures.  Pool workers cannot take a
-    ``constraints_factory`` or a shared :class:`HashEngine` instance.  A
-    ``MemoryError`` propagates with the previous chunk durable;
-    ``resume=True`` continues from there.
+    ``False`` to disable the default watchdog.  Under ``retry``, a chunk
+    whose pool attempts spend the whole budget finishes the run in
+    process — the same output bytes, counted as ``pool_fallbacks``;
+    ``retry=None`` fails fast on a pool failure.  Pool workers cannot
+    take a ``constraints_factory`` or a shared :class:`HashEngine`
+    instance.  A ``MemoryError`` propagates with the previous chunk
+    durable; ``resume=True`` continues from there.
 
     Integrity layer (see :mod:`repro.reliability.integrity`):
     ``manifest`` arms per-chunk sha256 recording in the sink, journalled
@@ -422,7 +421,7 @@ def stream_mark(
             chunk_size=chunk_size, constraints_factory=constraints_factory,
             checkpoint_path=checkpoint_path, journal=journal,
             run_lock=run_lock, retry=retry, deadline=deadline,
-            breaker=breaker, worker_count=worker_count, watchdog=watchdog,
+            worker_count=worker_count, watchdog=watchdog,
             record_manifest=record_manifest,
         )
     finally:
@@ -435,7 +434,7 @@ def _stream_mark_run(
     source, sink, schema, result, reliability, start, fingerprint,
     watermark, key, spec, domain, wm_data, engine, chunk_size,
     constraints_factory, checkpoint_path, journal, run_lock, retry,
-    deadline, breaker, worker_count, watchdog, record_manifest,
+    deadline, worker_count, watchdog, record_manifest,
 ) -> StreamMarkResult:
     """The chunk loop of :func:`stream_mark`, after the sink/journal/
     lease are positioned (split out so the lease's try/finally wraps
@@ -510,7 +509,7 @@ def _stream_mark_run(
             wm_data=wm_data, engine=engine,
             constraints_factory=constraints_factory, chunk_size=chunk_size,
             workers=worker_count, retry=retry, deadline=deadline,
-            watchdog=watchdog, breaker=breaker, reliability=reliability,
+            watchdog=watchdog, reliability=reliability,
         )
     finally:
         sink.close()
@@ -776,7 +775,6 @@ def stream_detect(
     backend: HashEngine | str | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
 ) -> StreamDetection:
@@ -794,9 +792,10 @@ def stream_detect(
     process pool (``"auto"`` sizes it from ``cpu_count``); tallies are
     merged in chunk order, so the verdict is bit-identical to
     ``workers=1`` for every worker count.  ``watchdog`` (pool runs only)
-    heartbeat-monitors pool workers; ``False`` disables it.  ``breaker``
-    (pool runs only) degrades the pool to serial coordinator compute
-    after repeated worker failures.
+    heartbeat-monitors pool workers; ``False`` disables it.  Under
+    ``retry``, a chunk whose pool attempts spend the whole budget
+    finishes the scan in process — the same verdict, counted as
+    ``pool_fallbacks``; ``retry=None`` fails fast on a pool failure.
     """
     _check_map_inputs(spec, embedding_map)
     worker_count = resolve_workers(workers)
@@ -814,8 +813,7 @@ def stream_detect(
         value_mapping=value_mapping,
         engines=[_resolve_stream_backend(backend, key, chunk_size)],
         chunk_size=chunk_size, workers=worker_count, retry=retry,
-        deadline=deadline, watchdog=watchdog, breaker=breaker,
-        reliability=reliability,
+        deadline=deadline, watchdog=watchdog, reliability=reliability,
     )
     _count_source_losses(reliability, source)
     return StreamDetection(
@@ -841,7 +839,6 @@ def stream_verify(
     backend: HashEngine | str | None = None,
     retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
-    breaker: CircuitBreaker | None = None,
     workers: int | str | None = None,
     watchdog=None,
 ) -> StreamVerification:
@@ -870,7 +867,6 @@ def stream_verify(
         backend=backend,
         retry=retry,
         deadline=deadline,
-        breaker=breaker,
         workers=workers,
         watchdog=watchdog,
     )
@@ -954,7 +950,7 @@ def stream_verify_multipass(
             for key in keys
         ],
         chunk_size=chunk_size, workers=resolve_workers(workers),
-        retry=retry, deadline=deadline, watchdog=watchdog, breaker=None,
+        retry=retry, deadline=deadline, watchdog=watchdog,
         reliability=ReliabilityReport(),
     )
     ecc = spec.ecc()

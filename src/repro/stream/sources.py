@@ -8,11 +8,11 @@ carrying every chunk in the cheapest form the source can produce.  One
 function, :func:`build_chunk`, turns a task into its schema-typed
 :class:`~repro.relational.Table` chunk wherever the chunk is computed —
 in :meth:`ChunkSource.chunks`, in an in-process stream run, on the
-breaker's degraded path or in a pool worker — so every chunk is decoded
-by the same lines.  Every chunk is a fully validated in-memory relation,
-so the existing embed/detect kernels run on it unchanged; only the
-*pipeline* (``repro.stream.pipeline``) knows the chunks are windows of
-one larger relation.
+pool's in-process fallback or in a pool worker — so every chunk is
+decoded by the same lines.  Every chunk is a fully validated in-memory
+relation, so the existing embed/detect kernels run on it unchanged; only
+the *pipeline* (``repro.stream.pipeline``) knows the chunks are windows
+of one larger relation.
 
 Chunks are yielded in file order, which the streaming detector relies on:
 its accumulator preserves the global first-vote tie rule by merging chunk
@@ -170,9 +170,9 @@ def build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
     A raw payload is consumed: each slice's records are deleted from
     ``task.payload`` once typed, so typed rows never sit beside a whole
     raw chunk.  That is safe because a task is built once: by the
-    in-process run, by the breaker's degraded path, or by a pool worker,
-    which owns its unpickled copy — and no future is awaited for a task
-    after the coordinator has built it.
+    in-process run, by the pool's in-process fallback (which retires the
+    pool first), or by a pool worker, which owns its unpickled copy — and
+    no future is awaited for a task after the coordinator has built it.
     """
     if task.kind == PAYLOAD_TABLE:
         return task.payload

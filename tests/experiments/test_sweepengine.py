@@ -10,6 +10,7 @@ the engine is free to pick the fastest path without changing the science.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.experiments import (
     sweep,
 )
 from repro.experiments import sweepengine
+from repro.reliability import DeadlineExceededError
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,12 @@ def _attacks():
 
 def _flatten(points):
     return [(point.x, result) for point in points for result in point.passes]
+
+
+def _row_count_after(table, seconds):
+    """A pool_table_tasks task: sleeps, then counts the table's rows."""
+    time.sleep(seconds)
+    return len(table)
 
 
 class TestModeEquivalence:
@@ -194,6 +202,25 @@ class TestPersistentPool:
         engine = SweepEngine(mode=MODE_POOLED, max_workers=1)
         engine.run(base_table, PROTOCOL, _attacks(), SEEDS)
         shutdown_sweep_pool()
+        assert sweepengine._pool.executor is None
+
+    def test_table_task_batch_past_its_deadline_retires_the_pool(
+        self, base_table, monkeypatch
+    ):
+        assert sweepengine.pool_table_tasks(
+            base_table, _row_count_after, [(0.0,), (0.0,)], max_workers=1,
+        ) == [len(base_table)] * 2
+        monkeypatch.setattr(sweepengine, "DEFAULT_TASK_TIMEOUT", 0.5)
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            sweepengine.pool_table_tasks(
+                base_table, _row_count_after, [(0.0,), (60.0,)],
+                max_workers=1,
+            )
+        assert time.monotonic() - started < 10.0
+        assert (excinfo.value.label, excinfo.value.position) == (
+            "pool.worker", 1,
+        )
         assert sweepengine._pool.executor is None
 
 

@@ -5,9 +5,9 @@ Each cell arms a :class:`~repro.reliability.FaultPlan` with a stall kind
 (``hang`` sleeps and continues, ``slow`` throttles, ``memory`` raises
 ``MemoryError``) at one labeled injection point and asserts the run
 recovers — within its :class:`~repro.reliability.Deadline`, through a
-checkpoint resume, via the worker watchdog, or down a circuit-breaker
-degradation ladder — with output **byte-identical** to an undisturbed
-run.
+checkpoint resume, via the worker watchdog, or by finishing in process
+once a cell spends the pool's retry budget — with output
+**byte-identical** to an undisturbed run.
 
 Run with ``pytest -m chaos``; ``REPRO_CHAOS_REDUCED=1`` shrinks the
 matrix (the CI smoke job does).  All injected sleeps are tens of
@@ -31,6 +31,7 @@ from repro.experiments import (
     SweepProtocol,
     shutdown_sweep_pool,
 )
+from repro.experiments import sweepengine
 from repro.attacks import SubsetAlterationAttack
 from repro.quality import MaxAlterationFraction
 from repro.reliability import (
@@ -38,7 +39,6 @@ from repro.reliability import (
     IO_ERROR,
     MEMORY,
     SLOW,
-    CircuitBreaker,
     Deadline,
     DeadlineExceededError,
     FaultPlan,
@@ -222,29 +222,25 @@ class TestStreamStallMatrix:
             clean.guard_report.vetoes_by_constraint
         chaos_report(result.reliability)
 
-    def test_memory_fault_leaves_the_breaker_closed(
+    def test_memory_fault_in_process_is_not_a_pool_fallback(
         self, base, key, wm, spec, reference, tmp_path, chaos_report
     ):
-        # A serial run has one backend and no rung to degrade to:
-        # exhaustion propagates without touching the breaker, and the
-        # resume runs on the same backend.
+        # An in-process run has no pool to fall back from: exhaustion
+        # propagates under a retry policy, and the resume runs in process
+        # again.
         out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
-        breaker = CircuitBreaker(threshold=1, cooldown=60.0)
         plan = FaultPlan().add("pipeline.embed", MEMORY, at=1)
         with pytest.raises(MemoryError):
-            _stalled_mark(
-                base, wm, key, spec, out, ckpt, plan, breaker=breaker
-            )
+            _stalled_mark(base, wm, key, spec, out, ckpt, plan, workers=1)
         assert plan.pending() == 0
-        assert breaker.transitions == []
         result = _stalled_mark(
             base, wm, key, spec, out, ckpt, FaultPlan(), resume=True,
-            breaker=breaker,
+            workers=1,
         )
         assert result.resumed_at_chunk == 1
         assert out.read_bytes() == reference["csv"]
-        assert not result.reliability.breaker_trips
-        assert breaker.transitions == []
+        assert result.parallel is None
+        assert result.reliability.pool_fallbacks == 0
         chaos_report(result.reliability)
 
 
@@ -412,7 +408,7 @@ class TestPoolStallChaos:
                 )
         assert excinfo.value.label == "pool.worker"
 
-    def test_breaker_opens_after_consecutive_rounds_and_degrades(
+    def test_spent_retry_budget_finishes_hoisted_and_next_run_pools(
         self, base, chaos_report
     ):
         serial = SweepEngine(mode=MODE_SERIAL).run(
@@ -420,24 +416,24 @@ class TestPoolStallChaos:
         )
         engine = SweepEngine(
             mode=MODE_POOLED, max_workers=2,
-            retry=RetryPolicy(max_attempts=10, base_delay=0.0),
-            breaker=CircuitBreaker(threshold=2, cooldown=60.0),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
         )
-        # Seed 0 fails every round: after two consecutive failed rounds
-        # the breaker opens and the run degrades to the hoisted ladder
-        # instead of burning all ten retry attempts.
-        plan = FaultPlan().add("pool.worker", IO_ERROR, at=0, times=8)
+        # Seed 0 fails past its two attempts: the run finishes on the
+        # bit-identical hoisted path.
+        plan = FaultPlan().add("pool.worker", IO_ERROR, at=0, times=3)
         with plan.armed():
             first = engine.run(
                 base, self.PROTOCOL, self._attacks(), self.SEEDS
             )
         assert self._flatten(first) == self._flatten(serial)
+        assert plan.pending() == 1  # the third trigger was never drawn
         report = engine.reliability_report()
-        assert report.breaker_trips["pool.worker"] == 1
         assert report.pool_fallbacks == 1
-        assert engine.breaker.is_open("pool.worker")
-        # While cooling down, the next run skips the pool entirely.
+        assert report.retries["pool.worker"] == 1
+        assert sweepengine._pool.executor is None
+        # No cooldown: the next run goes back to the pool.
         second = engine.run(base, self.PROTOCOL, self._attacks(), self.SEEDS)
         assert self._flatten(second) == self._flatten(serial)
-        assert engine.reliability_report().pool_fallbacks == 2
+        assert engine.reliability_report().pool_fallbacks == 1
+        assert sweepengine._pool.executor is not None
         chaos_report(engine.reliability_report())

@@ -1,11 +1,13 @@
 """Chaos suite for the multicore streaming path.
 
-Faults aimed at the worker pool (SIGKILL, hard hangs, breaker trips)
-must never change a verdict or a byte of marked output: the ordered
-merge re-dispatches or degrades, and the result stays bit-identical to
-the serial path.  The torn-commit matrix SIGKILLs a *parallel* embed
-coordinator in a real subprocess and resumes it with workers on — the
-resumed file must equal an uninterrupted serial run byte for byte.
+Faults aimed at the worker pool (SIGKILL, hard hangs, a spent retry
+budget) must never change a verdict or a byte of marked output: the
+ordered merge re-dispatches or finishes the run in process, and the
+result stays bit-identical to the serial path.  A run that stops instead
+— a deadline, or ``retry=None`` — must leave no worker behind that the
+next run could trip over.  The torn-commit matrix SIGKILLs a *parallel*
+embed coordinator in a real subprocess and resumes it with workers on —
+the resumed file must equal an uninterrupted serial run byte for byte.
 
 Run with ``pytest -m chaos``; ``REPRO_CHAOS_REDUCED=1`` shrinks the
 kill matrix to one boundary (the CI smoke job does).
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,12 +30,17 @@ from repro.core import EmbeddingSpec
 from repro.datagen import generate_item_scan
 from repro.reliability import (
     HANG,
+    IO_ERROR,
     KILL,
-    CircuitBreaker,
+    SLOW,
+    Deadline,
+    DeadlineExceededError,
     FaultPlan,
+    InjectedFaultError,
     RetryPolicy,
     Watchdog,
 )
+from repro.stream import parallel
 from repro.stream import (
     TableChunkSource,
     open_sink,
@@ -147,32 +155,100 @@ class TestParallelDetectChaos:
         assert wall < 30.0, f"watchdog recovery took {wall:.1f}s"
         chaos_report(verdict.reliability)
 
-    def test_breaker_degrades_to_serial_bit_identical(
+    def test_spent_retry_budget_finishes_in_process_bit_identical(
         self, base, key, spec, serial_verdict, chaos_report
     ):
         shutdown_stream_pool()
-        plan = FaultPlan().add("pool.worker", KILL, at=0)
-        breaker = CircuitBreaker(threshold=1, cooldown=300.0)
+        # chunk 0 kills its worker on both of its two attempts: the
+        # budget is spent, and every chunk finishes in the coordinator
+        plan = FaultPlan().add("pool.worker", KILL, at=0, times=2)
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0)
         with plan.armed():
             verdict = stream_detect(
                 TableChunkSource(base, chunk_size=CHUNK), key, spec,
-                workers=2, retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-                breaker=breaker,
+                workers=2, retry=retry,
             )
         _assert_same_detection(verdict, serial_verdict)
-        assert verdict.reliability.pool_fallbacks >= 1
-        assert verdict.reliability.breaker_trips
-        assert verdict.parallel.chunks_serial > 0
-        # an already-open breaker starts the next run serial outright
-        with plan.armed():
+        assert plan.pending() == 0
+        assert verdict.reliability.pool_fallbacks == 1
+        assert verdict.reliability.pool_respawns == 1
+        assert verdict.parallel.chunks_parallel == 0
+        assert verdict.parallel.chunks_serial == N_CHUNKS
+        # no cooldown: the next run uses the pool again
+        again = stream_detect(
+            TableChunkSource(base, chunk_size=CHUNK), key, spec,
+            workers=2, retry=retry,
+        )
+        _assert_same_detection(again, serial_verdict)
+        assert again.parallel.chunks_parallel == N_CHUNKS
+        assert again.reliability.pool_fallbacks == 0
+        chaos_report(verdict.reliability)
+
+    def test_fail_fast_raises_without_falling_back(self, base, key, spec):
+        shutdown_stream_pool()
+        plan = FaultPlan().add("pool.worker", IO_ERROR, at=0)
+        with plan.armed(), pytest.raises(InjectedFaultError) as excinfo:
+            stream_detect(
+                TableChunkSource(base, chunk_size=CHUNK), key, spec,
+                workers=2, retry=None,
+            )
+        assert (excinfo.value.label, excinfo.value.index) == (
+            "pool.worker", 0,
+        )
+        assert plan.pending() == 0
+
+    def test_fail_fast_worker_crash_leaves_no_broken_pool(
+        self, base, key, spec, serial_verdict
+    ):
+        shutdown_stream_pool()
+        plan = FaultPlan().add("pool.worker", KILL, at=1)
+        with plan.armed(), pytest.raises(BrokenProcessPool):
+            stream_detect(
+                TableChunkSource(base, chunk_size=CHUNK), key, spec,
+                workers=2,
+            )
+        # the broken executor was retired before the raise, so runs with
+        # the same run state get a fresh pool
+        for _ in range(2):
             again = stream_detect(
                 TableChunkSource(base, chunk_size=CHUNK), key, spec,
-                workers=2, retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-                breaker=breaker,
+                workers=2,
             )
-        _assert_same_detection(again, serial_verdict)
-        assert again.parallel.chunks_parallel == 0
-        chaos_report(verdict.reliability)
+            _assert_same_detection(again, serial_verdict)
+
+    @pytest.mark.parametrize("observed_at", [1, 4])
+    def test_deadline_stop_retires_the_hung_pool(self, base, spec, observed_at):
+        shutdown_stream_pool()
+        # No watchdog: a worker hangs on chunk 1, and the deadline stops
+        # the run either in the wait on chunk 1 or, once chunk 0 has
+        # committed, in a slow read-ahead of chunk 4
+        plan = FaultPlan(hang_seconds=30.0, slow_seconds=3.0)
+        plan.add("pool.worker", HANG, at=1)
+        if observed_at == 4:
+            plan.add("source.read", SLOW, at=4)
+        with plan.armed(), pytest.raises(DeadlineExceededError) as excinfo:
+            stream_detect(
+                TableChunkSource(base, chunk_size=CHUNK),
+                MarkKey.from_seed("hung"), spec, workers=2,
+                deadline=Deadline(1.5), watchdog=False,
+            )
+        assert (excinfo.value.label, excinfo.value.position) == (
+            "pipeline.chunk", observed_at,
+        )
+        assert parallel._pool.executor is None
+        # the next run, under another key, must not wait on the hung
+        # worker when it replaces the pool
+        other = MarkKey.from_seed("after-the-hang")
+        started = time.monotonic()
+        verdict = stream_detect(
+            TableChunkSource(base, chunk_size=CHUNK), other, spec,
+            workers=2, deadline=Deadline(10.0),
+        )
+        assert time.monotonic() - started < 10.0
+        _assert_same_detection(
+            verdict,
+            stream_detect(TableChunkSource(base, chunk_size=CHUNK), other, spec),
+        )
 
 
 class TestParallelTornCommit:

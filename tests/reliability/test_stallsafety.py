@@ -1,9 +1,9 @@
 """Unit tests for the stall-safety primitives.
 
-Deadlines, circuit breakers and the worker watchdog are small state
-machines; these tests pin their contracts (what counts as
-expired / stale / open, what the disarmed fast paths cost nothing for)
-before the chaos hang-matrix exercises them end to end.
+Deadlines and the worker watchdog are small state machines; these tests
+pin their contracts (what counts as expired / stale, what the disarmed
+fast paths cost nothing for) before the chaos hang-matrix exercises them
+end to end.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.reliability import (
     HANG,
     MEMORY,
     SLOW,
-    CircuitBreaker,
     Deadline,
     DeadlineExceededError,
     FaultPlan,
@@ -89,86 +88,6 @@ class TestDeadline:
         time.sleep(0.002)
         with pytest.raises(DeadlineExceededError):
             check_deadline(armed, "sweep.cell", 2)
-
-
-class TestCircuitBreaker:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError, match="cooldown"):
-            CircuitBreaker(cooldown=-1.0)
-
-    def test_opens_on_kth_consecutive_failure(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert not breaker.record_failure("pool.worker")
-        assert not breaker.record_failure("pool.worker")
-        assert breaker.record_failure("pool.worker", cause="boom")
-        assert breaker.is_open("pool.worker")
-        assert breaker.trips("pool.worker") == 1
-        assert ("pool.worker", "open", "boom") in breaker.transitions
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure("a")
-        breaker.record_success("a")
-        assert not breaker.record_failure("a")  # streak restarted
-        assert not breaker.is_open("a")
-
-    def test_labels_are_independent(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure("a")
-        breaker.record_failure("b")
-        assert not breaker.is_open("a") and not breaker.is_open("b")
-        breaker.record_failure("a")
-        assert breaker.is_open("a") and not breaker.is_open("b")
-        assert breaker.allow("b")
-
-    def test_open_circuit_blocks_until_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure("a")
-        assert not breaker.allow("a")
-        clock.advance(9.0)
-        assert not breaker.allow("a")
-        clock.advance(1.5)
-        assert breaker.allow("a")  # half-open: one trial admitted
-
-    def test_half_open_failure_reopens_for_a_fresh_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure("a")
-        clock.advance(11.0)
-        assert breaker.allow("a")
-        # The trial fails: no new open transition, but the cooldown
-        # restarts from now.
-        assert not breaker.record_failure("a")
-        assert breaker.trips("a") == 1
-        assert not breaker.allow("a")
-        clock.advance(11.0)
-        assert breaker.allow("a")
-
-    def test_half_open_success_closes_with_a_transition(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=0.0, clock=clock)
-        breaker.record_failure("a")
-        assert breaker.allow("a")  # zero cooldown: immediately half-open
-        breaker.record_success("a")
-        assert not breaker.is_open("a")
-        assert ("a", "close", "successful call") in breaker.transitions
-        assert breaker.trips() == 1
-
-
-class FakeClock:
-    """Deterministic monotonic clock for breaker cooldown tests."""
-
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestWatchdog:
@@ -272,35 +191,33 @@ class TestStallFaultKinds:
 class TestReportStallFields:
     def test_new_counters_round_trip_and_merge(self):
         first = ReliabilityReport(watchdog_kills=1, pool_fallbacks=2)
-        first.breaker_trips["stream.parallel"] = 1
         first.retries["sink.write"] = 2
+        first.retries["pool.worker"] = 1
         second = ReliabilityReport(watchdog_kills=2, bad_rows=3)
-        second.breaker_trips["pool.worker"] = 1
         second.retries["sink.write"] = 1
+        second.retries["pool.worker"] = 1
         first.merge(second)
         payload = first.to_dict()
         assert payload["watchdog_kills"] == 3
         assert payload["pool_fallbacks"] == 2
         assert payload["bad_rows"] == 3
-        assert payload["retries"] == {"sink.write": 3}
-        assert payload["total_retries"] == 3
-        assert payload["breaker_trips"] == {
-            "stream.parallel": 1, "pool.worker": 1,
-        }
+        assert payload["retries"] == {"sink.write": 3, "pool.worker": 2}
+        assert payload["total_retries"] == 5
         # every counter field, plus the derived retry total — and none of
-        # the memory-budget or backend-fallback counters
+        # the memory-budget, backend-fallback or breaker counters
         assert set(payload) == (
             {item.name for item in fields(ReliabilityReport)}
             | {"total_retries"}
         )
-        assert not {"chunk_shrinks", "chunk_regrows", "backend_fallbacks"} & (
-            set(payload)
-        )
+        assert not {
+            "chunk_shrinks", "chunk_regrows", "backend_fallbacks",
+            "breaker_trips",
+        } & set(payload)
 
     def test_every_counter_merges(self):
         names = [
             item.name for item in fields(ReliabilityReport)
-            if item.name not in ("retries", "breaker_trips")
+            if item.name != "retries"
         ]
         first = ReliabilityReport(**{name: 1 for name in names})
         first.merge(ReliabilityReport(**{name: 2 for name in names}))
@@ -309,9 +226,7 @@ class TestReportStallFields:
     def test_stall_recovery_counts_as_recovery(self):
         assert ReliabilityReport(watchdog_kills=1).any_recovery
         assert ReliabilityReport(lease_takeovers=1).any_recovery
-        tripped = ReliabilityReport()
-        tripped.breaker_trips["pool.worker"] = 1
-        assert tripped.any_recovery
+        assert ReliabilityReport(pool_fallbacks=1).any_recovery
         assert not ReliabilityReport().any_recovery
         # input and audit counters are not recoveries
         assert not ReliabilityReport(
@@ -334,12 +249,13 @@ class TestReportStallFields:
     def test_json_round_trip_matches_to_dict(self):
         report = ReliabilityReport(sink_rollbacks=2, corrupt_chunks=1)
         report.retries["source.read"] = 3
-        report.breaker_trips["pool.worker"] = 1
+        report.retries["pool.worker"] = 1
         assert json.loads(report.to_json()) == report.to_dict()
 
     def test_summary_names_the_stall_recoveries(self):
-        report = ReliabilityReport(watchdog_kills=1)
-        report.breaker_trips["stream.parallel"] = 1
+        report = ReliabilityReport(watchdog_kills=1, pool_fallbacks=1)
+        report.retries["pool.worker"] = 2
         text = report.summary()
         assert "1 watchdog kills" in text
-        assert "stream.parallel x1" in text
+        assert "1 fallbacks" in text
+        assert "pool.worker x2" in text

@@ -1,8 +1,8 @@
 """The one ordered chunk loop: in-process contract, chunk release, faults.
 
 ``workers=None`` and ``workers=1`` run the same ordered loop as a pool
-run, in process: no pool, no pickled run state, no breaker.  These tests
-pin that contract, that a run releases chunk 0 once it commits (the
+run, in process: no pool, no pickled run state, no pool fallback.  These
+tests pin that contract, that a run releases chunk 0 once it commits (the
 read-ahead must not pin it for the rest of the run), and that every
 entry point fires the ``pipeline.chunk`` fault point after each
 committed chunk.
@@ -20,7 +20,7 @@ from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.reliability import (
     IO_ERROR,
-    CircuitBreaker,
+    NO_RETRY,
     FaultPlan,
     InjectedFaultError,
 )
@@ -37,7 +37,6 @@ from repro.stream import (
     stream_verify_multipass,
 )
 from repro.stream import parallel
-from repro.stream.parallel import STREAM_PARALLEL_LABEL
 
 E = 40
 CHANNEL = 60
@@ -77,10 +76,10 @@ def marked(base, key, wm):
     ).table
 
 
-def _open_breaker():
-    breaker = CircuitBreaker(threshold=1, cooldown=300.0)
-    breaker.record_failure(STREAM_PARALLEL_LABEL, "earlier run")
-    return breaker
+def _pool_fault():
+    """A pool-worker fault that would spend a ``NO_RETRY`` budget — if
+    the run had a pool to fire it in."""
+    return FaultPlan().add("pool.worker", IO_ERROR, at=0)
 
 
 # -- in process ----------------------------------------------------------------
@@ -100,34 +99,34 @@ class TestInProcess:
     def test_mark_with_engine_and_constraints(
         self, no_pool, base, key, wm, spec, marked, workers
     ):
-        breaker = _open_breaker()
-        before = list(breaker.transitions)
+        plan = _pool_fault()
         sink = TableChunkSink()
-        result = stream_mark(
-            TableChunkSource(base, chunk_size=CHUNK), wm, key, spec, sink,
-            backend=HashEngine(key),
-            constraints_factory=lambda: [MaxAlterationFraction(1.0)],
-            breaker=breaker, workers=workers,
-        )
+        with plan.armed():
+            result = stream_mark(
+                TableChunkSource(base, chunk_size=CHUNK), wm, key, spec,
+                sink, backend=HashEngine(key),
+                constraints_factory=lambda: [MaxAlterationFraction(1.0)],
+                retry=NO_RETRY, workers=workers,
+            )
         assert list(sink.table) == list(marked)
         assert result.chunks == len(base) // CHUNK
         assert result.parallel is None
         assert result.reliability.pool_fallbacks == 0
-        assert breaker.transitions == before
+        assert plan.pending() == 1
 
     def test_verify(self, no_pool, key, wm, spec, marked, workers):
-        breaker = _open_breaker()
-        before = list(breaker.transitions)
-        streamed = stream_verify(
-            TableChunkSource(marked, chunk_size=CHUNK), key, spec, wm,
-            breaker=breaker, workers=workers,
-        )
+        plan = _pool_fault()
+        with plan.armed():
+            streamed = stream_verify(
+                TableChunkSource(marked, chunk_size=CHUNK), key, spec, wm,
+                retry=NO_RETRY, workers=workers,
+            )
         in_memory = verify(marked, key, spec, wm)
         assert streamed.verification == in_memory
         assert streamed.rows == len(marked)
         assert streamed.parallel is None
         assert streamed.reliability.pool_fallbacks == 0
-        assert breaker.transitions == before
+        assert plan.pending() == 1
 
     def test_verify_multipass(self, no_pool, key, wm, spec, marked, workers):
         keys = [key, MarkKey.from_seed("ordered-run-other")]

@@ -1,8 +1,8 @@
 """Pipeline-level guarantees of ``workers=N`` streaming.
 
 Byte-identity of marked output files (ordered commit), resume across a
-kill boundary with a parallel re-run, the open-breaker serial fallback,
-multi-file fan-in, worker-count resolution, and the explicit refusals for
+kill boundary with a parallel re-run, the in-process finish after a
+spent retry budget, multi-file fan-in, worker-count resolution, and the explicit refusals for
 features that cannot cross a process boundary.
 """
 
@@ -17,7 +17,7 @@ from repro.crypto import SCALAR, VECTOR, HashEngine
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
 from repro.relational import Table, write_csv
-from repro.reliability import CircuitBreaker
+from repro.reliability import IO_ERROR, NO_RETRY, FaultPlan
 from repro.stream import (
     AUTO_WORKERS,
     CSVChunkSink,
@@ -32,7 +32,6 @@ from repro.stream import (
     stream_mark,
     stream_verify,
 )
-from repro.stream.parallel import STREAM_PARALLEL_LABEL
 
 E = 40
 CHANNEL = 60
@@ -175,7 +174,7 @@ class TestParallelMark:
 
 
     @pytest.mark.parametrize("backend", [SCALAR, VECTOR])
-    def test_open_breaker_marks_serially_on_the_callers_backend(
+    def test_spent_budget_marks_in_process_on_the_callers_backend(
         self, base, key, wm, spec, tmp_path, backend
     ):
         serial_path = tmp_path / "serial.csv"
@@ -183,17 +182,18 @@ class TestParallelMark:
             TableChunkSource(base, chunk_size=250), wm, key, spec,
             CSVChunkSink(serial_path), backend=backend,
         )
-        breaker = CircuitBreaker(threshold=1, cooldown=300.0)
-        breaker.record_failure(STREAM_PARALLEL_LABEL, "earlier run")
         kernels.reset_kernel_calls()
         degraded_path = tmp_path / "degraded.csv"
-        degraded = stream_mark(
-            TableChunkSource(base, chunk_size=250), wm, key, spec,
-            CSVChunkSink(degraded_path), workers=2, backend=backend,
-            breaker=breaker,
-        )
+        # NO_RETRY spends the whole budget on chunk 0's first failure
+        plan = FaultPlan().add("pool.worker", IO_ERROR, at=0)
+        with plan.armed():
+            degraded = stream_mark(
+                TableChunkSource(base, chunk_size=250), wm, key, spec,
+                CSVChunkSink(degraded_path), workers=2, backend=backend,
+                retry=NO_RETRY,
+            )
         # every chunk ran in the coordinator, on the backend the caller
-        # chose: no pool, no backend switch
+        # chose: no pool result, no backend switch
         assert degraded.parallel.chunks_parallel == 0
         assert degraded.parallel.chunks_serial == degraded.chunks
         assert degraded.reliability.pool_fallbacks == 1
