@@ -17,8 +17,10 @@ The full file pipeline (synthetic stream -> gzip CSV mark -> streamed
 blind verify, the CI *stream-smoke* round trip) is timed end to end and
 recorded — rows/sec for mark, file detect (serial and ``workers=N``
 parallel, which must be bit-identical and >= 1.7x with a second core),
-file decode alone (one pass of the typed chunks, no hashing; recorded
-without a floor) and kernel-only detect, plus peak RSS — in
+file decode alone (one pass of the typed chunk tables that ``chunks()``
+and marking build, and one pass of the key and mark column codes that
+VECTOR detection builds instead, no hashing; both recorded without a
+floor) and kernel-only detect, plus peak RSS — in
 ``benchmarks/results/stream_throughput.json``; every entry is stamped
 with ``cpu_count``/``backend``/``workers``.
 
@@ -44,6 +46,11 @@ from repro.stream import (
     shutdown_stream_pool,
     stream_mark,
     stream_verify,
+)
+from repro.stream.sources import (
+    build_chunk_codes,
+    payload_decoders,
+    payload_profile,
 )
 
 ROWS = int(os.environ.get("REPRO_BENCH_STREAM_ROWS", "1000000"))
@@ -153,7 +160,7 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
         f"{verdict.verification.matching_bits}/{len(WATERMARK)} bits)"
     )
 
-    # -- decode stage alone: the detect source's typed chunks, no hashing --
+    # -- decode stage alone: typed chunk tables, no hashing ----------------
     decode_source = CSVChunkSource(
         marked_path, source.schema, chunk_size=CHUNK, infer_domains=True
     )
@@ -163,7 +170,23 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
     assert decoded == ROWS
     lines.append(
         f"  decode <- gzip CSV : {ROWS / decode_seconds:>12,.0f} rows/s "
-        f"({decode_seconds:.2f}s, typed chunks, no hashing)"
+        f"({decode_seconds:.2f}s, typed chunk tables, no hashing)"
+    )
+
+    # -- the same payloads as detection builds them: column codes ---------
+    profile = payload_profile(decode_source)
+    decoders = payload_decoders(source.schema)
+    attributes = (spec.key_attribute, spec.mark_attribute)
+    started = time.perf_counter()
+    decoded = sum(
+        len(build_chunk_codes(task, profile, decoders, attributes))
+        for task in decode_source.payloads()
+    )
+    decode_vote_seconds = time.perf_counter() - started
+    assert decoded == ROWS
+    lines.append(
+        f"  decode for detect  : {ROWS / decode_vote_seconds:>12,.0f} rows/s "
+        f"({decode_vote_seconds:.2f}s, key and mark column codes)"
     )
 
     # -- parallel file detect: workers=1 vs workers=N ----------------------
@@ -335,6 +358,7 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
             "mark_rows_per_second": round(ROWS / mark_seconds),
             "detect_file_rows_per_second": round(ROWS / detect_file_seconds),
             "decode_rows_per_second": round(ROWS / decode_seconds),
+            "decode_vote_rows_per_second": round(ROWS / decode_vote_seconds),
             "detect_file_serial_best_rows_per_second": round(
                 ROWS / serial_best
             ),

@@ -6,10 +6,11 @@ follow (mark, publish, later download the suspect copy and detect).
 
 Typing has two forms.  :func:`parse_row` with :func:`cell_parsers` types
 one record at a time and is the reference: it defines every value and
-every error.  :func:`type_records` with :func:`column_typers` types a
+every error.  :func:`type_columns` with :func:`column_typers` types a
 slice of records a column at a time, one C-level ``map`` per column, and
-gives the same rows or refuses the slice, which the reader then re-types
-with ``parse_row``.  :func:`read_csv` and the chunked
+gives the same values or refuses the slice, which the reader then
+re-types with ``parse_row``; :func:`type_records` zips its columns into
+rows.  :func:`read_csv` and the chunked
 :class:`repro.stream.CSVChunkSource` read through :class:`RecordSlices`.
 """
 
@@ -126,30 +127,36 @@ def _reference_rows(records, parsers, arity: int, number: int) -> list:
     ]
 
 
-def type_records(records: list, typers, arity: int) -> list[tuple] | None:
+def type_columns(records: list, typers, arity: int) -> list | None:
     """Type a slice of raw CSV records a column at a time.
 
     The batch form of :func:`parse_row`: the records are transposed and
     each column is typed by one :func:`column_typers` entry, which gives
-    the rows ``parse_row`` would give record by record, value types
-    included.  Returns ``None`` instead of raising when some record would
-    make ``parse_row`` raise (a wrong field count, a number that does not
-    parse); the caller then re-types the slice record by record with
-    ``parse_row``, which reports the exact error and row number.
+    the values ``parse_row`` would give record by record, value types
+    included.  Returns the typed columns in schema order, or ``None``
+    instead of raising when some record would make ``parse_row`` raise
+    (a wrong field count, a number that does not parse); the caller then
+    re-types the slice record by record with ``parse_row``, which reports
+    the exact error and row number.
     """
     if any(map(arity.__ne__, map(len, records))):
         return None
     try:
-        columns = [
+        return [
             typer(column) for typer, column in zip(typers, zip(*records))
         ]
     except ValueError:
         return None
-    return list(zip(*columns))
+
+
+def type_records(records: list, typers, arity: int) -> list[tuple] | None:
+    """:func:`type_columns` as the row tuples ``parse_row`` gives."""
+    columns = type_columns(records, typers, arity)
+    return None if columns is None else list(zip(*columns))
 
 
 def column_typers(schema: Schema) -> list:
-    """Per-attribute column typers of :func:`type_records`, in schema
+    """Per-attribute column typers of :func:`type_columns`, in schema
     order: each maps a column of cell texts to the values its
     :func:`cell_parsers` entry gives cell by cell, raising ``ValueError``
     where that parser would."""

@@ -3,6 +3,12 @@
 The relational layer is deliberately strict: schema violations, duplicate
 primary keys and unknown attributes raise immediately rather than silently
 corrupting a relation that is about to be watermarked.
+
+Every error that takes its own constructor arguments also pickles them
+(``__reduce__``): by default an exception unpickles as ``cls(*args)``,
+and ``args`` holds only the formatted message, so an error raised in a
+pool worker would come back with wrong attributes, a re-wrapped message,
+or not at all.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ class UnknownAttributeError(RelationalError):
             msg += f" (schema has: {', '.join(available)})"
         super().__init__(msg)
 
+    def __reduce__(self):
+        return (UnknownAttributeError, (self.name, self.available))
+
 
 class DuplicateKeyError(RelationalError):
     """An insert would create a second tuple with an existing primary key."""
@@ -35,6 +44,9 @@ class DuplicateKeyError(RelationalError):
         self.key = key
         super().__init__(f"duplicate primary key value: {key!r}")
 
+    def __reduce__(self):
+        return (DuplicateKeyError, (self.key,))
+
 
 class MissingKeyError(RelationalError):
     """A lookup referenced a primary key value not present in the table."""
@@ -42,6 +54,9 @@ class MissingKeyError(RelationalError):
     def __init__(self, key):
         self.key = key
         super().__init__(f"no tuple with primary key value: {key!r}")
+
+    def __reduce__(self):
+        return (MissingKeyError, (self.key,))
 
 
 class DomainError(RelationalError):
@@ -52,6 +67,9 @@ class DomainError(RelationalError):
         self.attribute = attribute
         where = f" for attribute {attribute!r}" if attribute else ""
         super().__init__(f"value {value!r} is outside the categorical domain{where}")
+
+    def __reduce__(self):
+        return (DomainError, (self.value, self.attribute))
 
 
 class TypeMismatchError(RelationalError):
@@ -65,3 +83,6 @@ class TypeMismatchError(RelationalError):
         super().__init__(
             f"value {value!r} does not match declared type {expected}{where}"
         )
+
+    def __reduce__(self):
+        return (TypeMismatchError, (self.value, self.expected, self.attribute))

@@ -65,6 +65,38 @@ class ColumnCodes:
         return len(self.codes)
 
 
+def factorize(values: Iterable[Any], unique: bool) -> ColumnCodes:
+    """Factorize a column of ``values`` into :class:`ColumnCodes` — the
+    one factorization rule behind :meth:`Table.column_codes` and the
+    streamed detector's chunk codes.
+
+    ``unique`` marks a primary-key column: every row is its own code and
+    the uniques *are* the column (``values`` must then be a list, which
+    is adopted) — no dict pass at all.  Any other column gets dense
+    codes in first physical encounter order.
+    """
+    np = _require_numpy()
+    if unique:
+        uniques = values
+        codes = np.arange(len(uniques), dtype=np.int32)
+    else:
+        index: dict[Any, int] = {}
+        uniques = []
+        lookup = index.get
+        remember = uniques.append
+        out: list[int] = []
+        emit = out.append
+        for value in values:
+            code = lookup(value)
+            if code is None:
+                code = index[value] = len(uniques)
+                remember(value)
+            emit(code)
+        codes = np.asarray(out, dtype=np.int32)
+    codes.setflags(write=False)
+    return ColumnCodes(codes, uniques)
+
+
 def _key_index(rows: list[list[Any]], position: int) -> dict | None:
     """Primary-key index of ``rows`` (key -> slot), ``None`` when a key
     repeats."""
@@ -355,30 +387,13 @@ class Table:
             return None
         self._codes_misses += 1
         self._flush_if(attribute)
-        np = _require_numpy()
         if attribute == self._schema.primary_key:
-            # Primary keys are unique: every row is its own code and the
-            # uniques *are* the column — no dict pass at all.
-            uniques = self.column_view(attribute)
-            codes = np.arange(len(uniques), dtype=np.int32)
+            entry = factorize(self.column_view(attribute), unique=True)
         else:
             position = self._schema.position(attribute)
-            index: dict[Any, int] = {}
-            uniques = []
-            lookup = index.get
-            remember = uniques.append
-            out: list[int] = []
-            emit = out.append
-            for row in self._rows:
-                value = row[position]
-                code = lookup(value)
-                if code is None:
-                    code = index[value] = len(uniques)
-                    remember(value)
-                emit(code)
-            codes = np.asarray(out, dtype=np.int32)
-        codes.setflags(write=False)
-        entry = ColumnCodes(codes, uniques)
+            entry = factorize(
+                map(itemgetter(position), self._rows), unique=False
+            )
         self._codes_cache[attribute] = (self._version, entry)
         return entry
 

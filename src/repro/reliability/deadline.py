@@ -47,6 +47,12 @@ class DeadlineExceededError(Exception):
             f"after {elapsed:.6g}s"
         )
 
+    def __reduce__(self):
+        return (
+            DeadlineExceededError,
+            (self.label, self.position, self.budget, self.elapsed),
+        )
+
 
 class Deadline:
     """A monotonic wall-clock budget with a remaining/expired API.

@@ -118,6 +118,14 @@ class InjectedFaultError(OSError):
             err, f"injected {kind} fault at {label}[{index}]"
         )
 
+    def __reduce__(self):
+        # ``OSError`` pickles ``(errno, strerror)`` as the constructor
+        # arguments; this constructor takes ``(label, index, kind, err)``.
+        return (
+            InjectedFaultError,
+            (self.label, self.index, self.kind, self.errno),
+        )
+
 
 @dataclass(frozen=True)
 class Fault:

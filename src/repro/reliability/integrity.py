@@ -67,6 +67,9 @@ class IntegrityError(Exception):
         where = self.path if chunk is None else f"{self.path} chunk {chunk}"
         super().__init__(f"integrity violation at {where}: {reason}")
 
+    def __reduce__(self):
+        return (IntegrityError, (self.path, self.reason, self.chunk))
+
 
 class RunLockedError(Exception):
     """Another process holds the run lease on this checkpoint/sink."""
@@ -79,6 +82,9 @@ class RunLockedError(Exception):
             f"run is locked by an active lease at {self.path}{holder}; "
             f"a concurrent embed/resume on the same output is refused"
         )
+
+    def __reduce__(self):
+        return (RunLockedError, (self.path, self.holder_pid))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,9 @@ class RetryError(Exception):
             f"{label!r} still failing after {attempts} attempt(s)"
         )
 
+    def __reduce__(self):
+        return (RetryError, (self.label, self.attempts))
+
 
 @dataclass(frozen=True)
 class RetryPolicy:

@@ -30,6 +30,9 @@ class CheckpointCorruptError(CheckpointError):
             f"corrupt checkpoint {self.path} (offset {offset}): {reason}"
         )
 
+    def __reduce__(self):
+        return (CheckpointCorruptError, (self.path, self.reason, self.offset))
+
 
 class BadRowError(StreamError, ValueError):
     """A CSV record could not be parsed under the declared schema.

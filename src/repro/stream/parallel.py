@@ -10,8 +10,12 @@ through wherever it is computed:
 
 Every run reads the same chunk tasks — the source's one reader,
 :func:`~repro.stream.sources.payload_chunks` (raw CSV field lists, typed
-row tuples, finished tables) — and every chunk is built from its task by
-the same function, :func:`~repro.stream.sources.build_chunk`:
+row tuples, finished tables) — and builds every chunk from its task with
+one function wherever the chunk is computed:
+:func:`~repro.stream.sources.build_chunk` (a chunk table) for marking
+and the SCALAR reference, :func:`~repro.stream.sources.build_chunk_codes`
+(the key and mark column codes of a raw CSV payload) for VECTOR
+detection:
 
 * **In process** (``workers=None`` or ``1``) — the run reads one task,
   builds and computes its chunk and commits it before reading the next.
@@ -57,6 +61,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Hashable
 
 from ..core import kernels
@@ -95,8 +100,10 @@ from .errors import StreamError
 from .sources import (
     DEFAULT_CHUNK_SIZE,
     PAYLOAD_TABLE,
+    ChunkCodes,
     ChunkTask,
     build_chunk,
+    build_chunk_codes,
     payload_chunks,
     payload_decoders,
     payload_profile,
@@ -196,7 +203,7 @@ class ParallelReport:
 # -- the per-chunk functions (workers, in process, pool fallback) --------------
 
 def _chunk_votes(
-    chunk: Table,
+    chunk: Table | ChunkCodes,
     keys: Sequence[MarkKey],
     spec: EmbeddingSpec,
     maps: Sequence[dict[Hashable, int] | None],
@@ -205,9 +212,9 @@ def _chunk_votes(
     engines: Sequence[HashEngine | None],
 ) -> list[SlotVotes]:
     """Every pass's slot-vote tallies for one chunk on ``engines``
-    (``None``: SCALAR): one fused kernel launch for several VECTOR
-    passes (they share the chunk's key factorization by construction),
-    per-pass tallies otherwise."""
+    (``None``: SCALAR, which needs the chunk table): one fused kernel
+    launch for several VECTOR passes (they share the chunk's key
+    factorization by construction), per-pass tallies otherwise."""
     if len(keys) > 1 and engines[0] is not None:
         return [
             SlotVotes.from_arrays(*tally)
@@ -312,7 +319,7 @@ def _in_worker(task: ChunkTask, fault, compute):
     heartbeat()
     try:
         misbehave(fault, task.index)
-        result = compute(build_chunk(task, _W["profile"], _W_DECODERS))
+        result = compute(_W["build"](task, _W["profile"], _W_DECODERS))
         _W_CHUNKS += 1
         return result, {
             "pid": os.getpid(),
@@ -472,12 +479,14 @@ def _peek_domain(
 class _OrderedRun:
     """Ordered commit over a chunk-task stream, in process or on a pool.
 
-    ``compute(index, chunk)`` runs one chunk in this process and
-    ``commit(task, result)`` is only ever called with the lowest
-    uncommitted chunk index — the invariant every bit-identity claim of
-    this module rests on.  With one worker every chunk is computed and
-    committed before the next is read.  With more, ``pool_task(task,
-    fault)`` runs in workers initialized with the pickled ``state``, a
+    ``build(task, profile, decoders)`` turns each task into the chunk
+    ``compute(index, chunk)`` runs on in this process, and ``commit(task,
+    result)`` is only ever called with the lowest uncommitted chunk
+    index — the invariant every bit-identity claim of this module rests
+    on.  With one worker every chunk is built, computed and committed
+    before the next is read.  With more, ``pool_task(task, fault)`` runs
+    in workers initialized with the pickled ``state`` and ``build`` (so
+    a run builds its chunks one way wherever they are computed), a
     bounded read-ahead window stays in flight, and ``compute`` serves
     only the in-process finish after a chunk spent the retry budget.
     """
@@ -488,6 +497,7 @@ class _OrderedRun:
         compute,
         commit,
         *,
+        build,
         pool_task,
         state: dict[str, Any],
         workers: int,
@@ -499,6 +509,7 @@ class _OrderedRun:
         self.profile = profile
         self.compute = compute
         self.commit = commit
+        self.build = build
         self.pool_task = pool_task
         self.state = state
         self.workers = workers
@@ -554,7 +565,10 @@ class _OrderedRun:
     def _submit(self, entry: list) -> None:
         if self.executor is None:
             if self.blob is None:
-                self.blob = _run_blob({**self.state, "profile": self.profile})
+                self.blob = _run_blob({
+                    **self.state, "profile": self.profile,
+                    "build": self.build,
+                })
             self.executor = _pool.ensure(
                 hashlib.sha256(self.blob).digest(), self.workers,
                 _worker_init, self.blob,
@@ -571,7 +585,7 @@ class _OrderedRun:
     # -- commits ----------------------------------------------------------------
     def _commit_serial(self, task: ChunkTask) -> None:
         check_deadline(self.deadline, "pipeline.chunk", task.index)
-        chunk = build_chunk(task, self.profile, self.decoders)
+        chunk = self.build(task, self.profile, self.decoders)
         self.commit(task, self.compute(task.index, chunk))
         self.report.chunks_serial += 1
         # Injection point: the chunk is fully committed (for an embed:
@@ -686,14 +700,23 @@ def ordered_votes(
     chunks, rows, parallel report)``, merged in chunk order, so every
     accumulator's state is identical at every worker count.  ``engines``
     (one per key, ``None`` for SCALAR) compute in this process; pool
-    workers build their own."""
+    workers build their own.
+
+    The vector kernels read only a chunk's key and mark column codes, so
+    a VECTOR run builds raw CSV payloads with
+    :func:`~repro.stream.sources.build_chunk_codes` (same typing, same
+    checks, no rows); SCALAR, the reference, builds every chunk table."""
     tasks = _tasks_with_retry(source, 0, retry, reliability)
     if domain is None:
         domain, tasks = _peek_domain(tasks, spec)
     accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
     chunks = rows = 0
+    build = build_chunk if None in engines else partial(
+        build_chunk_codes,
+        attributes=(spec.key_attribute, spec.mark_attribute),
+    )
 
-    def compute(index: int, chunk: Table):
+    def compute(index: int, chunk: Table | ChunkCodes):
         tallies = _chunk_votes(
             chunk, keys, spec, maps, domain, value_mapping, engines
         )
@@ -709,6 +732,7 @@ def ordered_votes(
 
     run = _OrderedRun(
         payload_profile(source), compute, commit,
+        build=build,
         pool_task=_task_votes,
         state={
             "keys": list(keys), "maps": list(maps), "spec": spec,
@@ -769,6 +793,7 @@ def ordered_mark(
 
     run = _OrderedRun(
         profile, compute, commit,
+        build=build_chunk,
         pool_task=_task_embed,
         state={
             "keys": [key], "spec": spec, "domain": domain,

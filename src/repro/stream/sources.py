@@ -8,11 +8,17 @@ carrying every chunk in the cheapest form the source can produce.  One
 function, :func:`build_chunk`, turns a task into its schema-typed
 :class:`~repro.relational.Table` chunk wherever the chunk is computed —
 in :meth:`ChunkSource.chunks`, in an in-process stream run, on the
-pool's in-process fallback or in a pool worker — so every chunk is
-decoded by the same lines.  Every chunk is a fully validated in-memory
-relation, so the existing embed/detect kernels run on it unchanged; only
-the *pipeline* (``repro.stream.pipeline``) knows the chunks are windows
-of one larger relation.
+pool's in-process fallback or in a pool worker.  That chunk is a fully
+validated in-memory relation, so the existing embed/detect kernels run
+on it unchanged; only the *pipeline* (``repro.stream.pipeline``) knows
+the chunks are windows of one larger relation.
+
+VECTOR detection reads nothing of a chunk but its key and mark column
+codes, so it builds raw CSV payloads with :func:`build_chunk_codes`
+instead: the same typing loop and the same checks, done a column at a
+time, then :class:`ChunkCodes` — validated column codes, no rows and no
+table.  Both build functions type a raw payload with one loop,
+:func:`_typed_slices`, so every chunk is decoded by the same lines.
 
 Chunks are yielded in file order, which the streaming detector relies on:
 its accumulator preserves the global first-vote tie rule by merging chunk
@@ -50,7 +56,7 @@ from ..datagen import (
     item_scan_schema,
     iter_item_scan_rows,
 )
-from ..relational import Schema, Table, infer_domains
+from ..relational import ColumnCodes, Schema, Table, infer_domains
 from ..relational.csvio import (
     TYPE_SLICE,
     RecordSlices,
@@ -58,8 +64,9 @@ from ..relational.csvio import (
     check_header,
     column_typers,
     parse_row,
-    type_records,
+    type_columns,
 )
+from ..relational.table import factorize
 from ..reliability.faults import fault_point
 from ..reliability.integrity import IntegrityError, digest_rows
 from .errors import BadRowError, StreamError
@@ -129,10 +136,10 @@ class ChunkTask:
 
     ``payload`` is the cheapest representation the source can produce
     (see ``PAYLOAD_*``): raw CSV field lists leave the typing (column-wise,
-    see :func:`~repro.relational.csvio.type_records`) to
-    :func:`build_chunk`, which on a pool runs *in the worker* — what
-    makes parallel file detection scale (the coordinator then only reads
-    records and pickles strings).
+    see :func:`~repro.relational.csvio.type_columns`) to
+    :func:`build_chunk` or :func:`build_chunk_codes`, which on a pool run
+    *in the worker* — what makes parallel file detection scale (the
+    coordinator then only reads records and pickles strings).
     """
 
     index: int
@@ -156,57 +163,139 @@ def payload_decoders(schema: Schema | None) -> tuple[list, list] | None:
     return cell_parsers(schema), column_typers(schema)
 
 
+def _typed_slices(
+    task: ChunkTask, profile: dict[str, Any], decoders
+) -> Iterator[list]:
+    """The typed columns of a raw task's records, one
+    :data:`~repro.relational.csvio.TYPE_SLICE` slice at a time — the one
+    slice-typing loop of :func:`build_chunk` and
+    :func:`build_chunk_codes`.
+
+    A slice the column typer refuses is re-typed record by record with
+    ``parse_row``, which names the first bad record.  The payload is
+    consumed: each slice's records are deleted from ``task.payload``
+    once typed, so typed values never sit beside a whole raw chunk.
+    That is safe because a task is built once: by the in-process run, by
+    the pool's in-process fallback (which retires the pool first), or by
+    a pool worker, which owns its unpickled copy — and no future is
+    awaited for a task after the coordinator has built it.
+    """
+    parsers, typers = decoders
+    arity = profile["schema"].arity
+    origin = task.origin or profile["path"] or profile["name"]
+    records = task.payload
+    number = task.first_row_number
+    while records:
+        batch = records[:TYPE_SLICE]
+        del records[:TYPE_SLICE]
+        columns = type_columns(batch, typers, arity)
+        if columns is None:
+            # The refused slice, record by record: the exact error.
+            rows = []
+            for row_number, record in enumerate(batch, start=number + 1):
+                try:
+                    rows.append(parse_row(record, parsers, arity, row_number))
+                except ValueError as exc:
+                    raise BadRowError(origin, row_number, str(exc)) from exc
+            columns = list(zip(*rows))
+        number += len(batch)
+        yield columns
+
+
 def build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
-    """Materialize one task into its chunk table — the one build every
-    chunk goes through, in process, on the degraded path and in pool
-    workers.
+    """Materialize one task into its chunk table — the build of every
+    chunk that marking, the SCALAR reference and :meth:`ChunkSource.chunks`
+    read, in process, on the degraded path and in pool workers (VECTOR
+    detection builds raw payloads with :func:`build_chunk_codes`).
 
     ``profile`` is :func:`payload_profile` of the source and
-    ``decoders`` its :func:`payload_decoders`.  A raw payload is typed a
-    slice of :data:`~repro.relational.csvio.TYPE_SLICE` records at a
-    time; a slice the column typer refuses is re-typed record by record
-    with ``parse_row``, which names the first bad record.
-
-    A raw payload is consumed: each slice's records are deleted from
-    ``task.payload`` once typed, so typed rows never sit beside a whole
-    raw chunk.  That is safe because a task is built once: by the
-    in-process run, by the pool's in-process fallback (which retires the
-    pool first), or by a pool worker, which owns its unpickled copy — and
-    no future is awaited for a task after the coordinator has built it.
+    ``decoders`` its :func:`payload_decoders`.  A raw payload is typed
+    and consumed by :func:`_typed_slices`, and its typed columns zipped
+    into rows.
     """
     if task.kind == PAYLOAD_TABLE:
         return task.payload
     if task.kind == PAYLOAD_RAW:
-        parsers, typers = decoders
-        arity = profile["schema"].arity
-        origin = task.origin or profile["path"] or profile["name"]
-        records = task.payload
-        number = task.first_row_number
         rows = []
-        while records:
-            batch = records[:TYPE_SLICE]
-            del records[:TYPE_SLICE]
-            typed = type_records(batch, typers, arity)
-            if typed is None:
-                # The refused slice, record by record: the exact error.
-                typed = []
-                for row_number, record in enumerate(batch, start=number + 1):
-                    try:
-                        typed.append(
-                            parse_row(record, parsers, arity, row_number)
-                        )
-                    except ValueError as exc:
-                        raise BadRowError(
-                            origin, row_number, str(exc)
-                        ) from exc
-            number += len(batch)
-            rows += typed
+        for columns in _typed_slices(task, profile, decoders):
+            rows += zip(*columns)
     else:
         rows = task.payload
     return build_chunk_table(
         profile["schema"], rows, task.index, profile["name"],
         infer=profile["infer"], trusted=profile["trusted"],
     )
+
+
+class ChunkCodes:
+    """One streamed chunk as the VECTOR vote kernels read it: its row
+    count and the factorized columns they detect on (the key and the
+    mark attribute), with no rows and no :class:`Table`.
+
+    It answers ``column_codes(attribute)`` and ``len()`` like the chunk
+    table would, with identical codes and uniques (both come from
+    :func:`~repro.relational.table.factorize`).
+    """
+
+    __slots__ = ("_rows", "_codes")
+
+    def __init__(self, rows: int, codes: dict[str, ColumnCodes]):
+        self._rows = rows
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def column_codes(self, attribute: str, build: bool = True) -> ColumnCodes:
+        return self._codes[attribute]
+
+
+def build_chunk_codes(
+    task: ChunkTask,
+    profile: dict[str, Any],
+    decoders,
+    attributes: tuple[str, ...],
+) -> ChunkCodes | Table:
+    """Materialize one task for VECTOR detection, which reads only the
+    factorized ``attributes`` (key and mark) of a chunk — in process, on
+    the degraded path and in pool workers alike.
+
+    A raw payload is typed by :func:`_typed_slices`, exactly as
+    :func:`build_chunk` types it, and checked a column at a time as the
+    chunk table would check it: primary-key uniqueness and, unless the
+    source infers domains or trusts its rows, every column's
+    :meth:`~repro.relational.Attribute.admits`.  A chunk those checks
+    prove valid becomes :class:`ChunkCodes`.  Any other chunk is built
+    by :func:`build_chunk_table` from the rows already typed, which
+    raises the exact error of :func:`build_chunk` (or returns the table,
+    when ``admits`` was over-cautious).  Other payloads go through
+    :func:`build_chunk`.
+    """
+    if task.kind != PAYLOAD_RAW:
+        return build_chunk(task, profile, decoders)
+    schema = profile["schema"]
+    columns: list[list] = [[] for _ in range(schema.arity)]
+    for typed in _typed_slices(task, profile, decoders):
+        for column, values in zip(columns, typed):
+            column += values
+    keys = columns[schema.position(schema.primary_key)]
+    if len(set(keys)) != len(keys) or not (
+        profile["infer"] or profile["trusted"] or all(
+            attribute.admits(column)
+            for attribute, column in zip(schema, columns)
+        )
+    ):
+        return build_chunk_table(
+            schema, list(zip(*columns)), task.index, profile["name"],
+            infer=profile["infer"], trusted=profile["trusted"],
+        )
+    return ChunkCodes(len(keys), {
+        attribute: factorize(
+            columns[schema.position(attribute)],
+            unique=attribute == schema.primary_key,
+        )
+        for attribute in attributes
+    })
 
 
 class ChunkSource:
@@ -378,7 +467,7 @@ class CSVChunkSource(ChunkSource):
     reading value-identically: slices of at most
     :data:`~repro.relational.csvio.TYPE_SLICE` records that never run
     past a chunk's last record are typed a column at a time
-    (:func:`~repro.relational.csvio.type_records`), and a slice it
+    (:func:`~repro.relational.csvio.type_columns`), and a slice it
     refuses is re-typed record by record with ``parse_row``.  Quoted
     fields may contain delimiters and newlines.
 

@@ -552,3 +552,66 @@ def test_building_a_raw_task_drops_its_records(tmp_path):
     assert list(chunk) == rows
     held = {id(item) for item in gc.get_referents(task.payload)}
     assert held.isdisjoint(map(id, records))
+
+
+@pytest.mark.perf_smoke
+def test_vector_stream_detect_builds_no_chunk_table(monkeypatch, tmp_path):
+    """A VECTOR detect of a clean gzip CSV types its records into
+    columns and votes on their codes: it never zips rows
+    (``csvio.type_records``) or builds a chunk table
+    (``build_chunk_table``), in process or in pool workers (forked after
+    the patch, so they run under it too).  The SCALAR reference still
+    builds one per chunk."""
+    from repro.core import EmbeddingSpec, embed, verify
+    from repro.crypto import SCALAR
+    from repro.datagen import generate_sales
+    from repro.relational import csvio
+    from repro.stream import (
+        CSVChunkSource,
+        shutdown_stream_pool,
+        sources,
+        stream_verify,
+    )
+
+    table = generate_sales(3_000, item_count=60, seed=5)
+    key = MarkKey.from_seed("perf-smoke-vote-chunks")
+    spec = EmbeddingSpec("Scan_Id", "Item_Nbr", 40, 10, 60)
+    watermark = Watermark.from_int(0x2AB, 10)
+    embed(table, watermark, key, spec)
+    path = _sales_csv(tmp_path / "marked.csv.gz", list(table))
+    domain = table.schema.attribute("Item_Nbr").domain
+    expected = verify(table, key, spec, watermark)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("VECTOR detect built rows or a chunk table")
+
+    built = []
+
+    def counting(*args, _real=sources.build_chunk_table, **kwargs):
+        built.append(args[2])
+        return _real(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(csvio, "type_records", forbidden)
+        patched.setattr(sources, "build_chunk_table", forbidden)
+        shutdown_stream_pool()
+        try:
+            for infer, workers in ((True, None), (False, None), (True, 2)):
+                verdict = stream_verify(
+                    CSVChunkSource(
+                        path, table.schema, chunk_size=1_000,
+                        infer_domains=infer,
+                    ),
+                    key, spec, watermark, domain=domain, workers=workers,
+                )
+                assert verdict.verification == expected
+                assert verdict.rows == 3_000 and verdict.chunks == 3
+        finally:
+            shutdown_stream_pool()
+    monkeypatch.setattr(sources, "build_chunk_table", counting)
+    verdict = stream_verify(
+        CSVChunkSource(path, table.schema, chunk_size=1_000),
+        key, spec, watermark, domain=domain, backend=SCALAR,
+    )
+    assert verdict.verification == expected
+    assert built == [0, 1, 2]

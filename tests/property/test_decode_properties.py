@@ -1,13 +1,15 @@
 """Column-wise decode against its row-at-a-time references.
 
 ``type_records`` must type a slice of raw CSV records exactly as
-``parse_row`` types them one by one, and ``Table(schema, rows)`` must end
-in exactly the state a loop of ``insert`` calls leaves — or both sides
+``parse_row`` types them one by one, ``Table(schema, rows)`` must end in
+exactly the state a loop of ``insert`` calls leaves, and the column
+codes of ``build_chunk_codes`` must be the chunk table's — or both sides
 must fail the same way.
 """
 
 import enum
 import math
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,11 +21,13 @@ from repro.relational import (
     Table,
 )
 from repro.relational.csvio import (
+    TYPE_SLICE,
     cell_parsers,
     column_typers,
     parse_row,
     type_records,
 )
+from repro.stream import sources
 
 #: a domain whose texts collide (1 and "1" both render as "1")
 DOMAIN = CategoricalDomain([1, "1", 2.5, "red", "x y"])
@@ -225,3 +229,102 @@ def test_bulk_table_edge_cases_match_insert_loop():
     for rows in cases:
         bulk = outcome(lambda: Table(schema, rows))
         assert bulk == outcome(lambda: insert_loop(schema, rows)), rows
+
+
+# -- build_chunk_codes against build_chunk ---------------------------------
+
+#: key texts that type to the same int as another record's key, or fail
+KEY_TWINS = ("5", "05", " 5", "+5", "5_0", "50")
+BAD_KEYS = ("x", "", "1.5", "5x")
+#: mark texts inside DOMAIN, and out-of-domain texts (sniffed)
+MARK_TEXTS = ("1", "2.5", "red", "x y")
+FOREIGN_MARKS = ("blue", "7", "3.5", "")
+#: (key, mark) attribute pairs: the primary key with a categorical, and
+#: pairs whose "key" is an ordinary column
+ATTRIBUTE_PAIRS = (("K", "C"), ("K", "P"), ("S", "C"), ("C", "R"))
+
+
+@st.composite
+def raw_chunk(draw):
+    """Clean records with a few faults: key twins and bad keys, foreign
+    marks, a bad cell in a column detection never reads, wrong field
+    counts."""
+    count = draw(st.integers(0, 12))
+    records = [
+        [
+            str(number),
+            draw(st.floats().map(repr)),
+            draw(any_text),
+            draw(st.sampled_from(MARK_TEXTS)),
+            draw(any_text),
+        ]
+        for number in range(count)
+    ]
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        victim = records[draw(st.integers(0, count - 1))]
+        fault = draw(st.sampled_from(
+            ("twin", "bad_key", "foreign_mark", "bad_real", "short", "long")
+        ))
+        if fault == "twin":
+            victim[0] = draw(st.sampled_from(KEY_TWINS))
+        elif fault == "bad_key":
+            victim[0] = draw(st.sampled_from(BAD_KEYS))
+        elif fault == "foreign_mark":
+            victim[3] = draw(st.sampled_from(FOREIGN_MARKS))
+        elif fault == "bad_real":
+            victim[1] = "abc"
+        elif fault == "short":
+            victim.pop()
+        else:
+            victim.append("extra")
+    return records
+
+
+def built(build):
+    try:
+        return build(), None
+    except Exception as exc:  # compared type and message, not swallowed
+        return None, (type(exc), str(exc))
+
+
+@given(
+    raw_chunk(),
+    st.booleans(),
+    st.sampled_from(ATTRIBUTE_PAIRS),
+    st.sampled_from((2, 3, TYPE_SLICE)),
+    st.integers(0, 100),
+)
+@settings(max_examples=300, deadline=None)
+def test_build_chunk_codes_matches_build_chunk(
+    records, infer, attributes, slice_size, first_row_number
+):
+    schema = decode_schema()
+    profile = {
+        "schema": schema, "infer": infer, "trusted": False,
+        "name": "suspect", "path": "suspect.csv",
+    }
+    decoders = sources.payload_decoders(schema)
+
+    def task():
+        return sources.ChunkTask(
+            3, sources.PAYLOAD_RAW, [list(record) for record in records],
+            len(records), first_row_number=first_row_number,
+        )
+
+    with patch.object(sources, "TYPE_SLICE", slice_size):
+        table, table_error = built(
+            lambda: sources.build_chunk(task(), profile, decoders)
+        )
+        chunk, chunk_error = built(lambda: sources.build_chunk_codes(
+            task(), profile, decoders, attributes
+        ))
+    assert chunk_error == table_error
+    if table_error is not None:
+        return
+    assert len(chunk) == len(table) == len(records)
+    for attribute in attributes:
+        want = table.column_codes(attribute)
+        got = chunk.column_codes(attribute)
+        assert got.codes.dtype == want.codes.dtype
+        assert got.codes.tolist() == want.codes.tolist()
+        assert fingerprint([got.uniques]) == fingerprint([want.uniques])
