@@ -108,24 +108,28 @@ class SlotVotes:
     @classmethod
     def from_arrays(cls, zeros, ones, firsts, fit_count: int) -> "SlotVotes":
         """Adopt a vector-kernel tally (``firsts`` uses ``-1`` for None)."""
-        zeros = zeros.tolist()
-        ones = ones.tolist()
         return cls(
-            total=[z + o for z, o in zip(zeros, ones)],
-            ones=ones,
+            total=(zeros + ones).tolist(),
+            ones=ones.tolist(),
             first=[None if f < 0 else f for f in firsts.tolist()],
             fit_count=fit_count,
         )
 
     def resolve(self) -> tuple[list[int | None], int]:
-        """``(slots, fit_count)`` under the majority / first-vote rule."""
-        slots: list[int | None] = []
-        for total, ones, first in zip(self.total, self.ones, self.first):
-            if not total:
-                slots.append(None)
-                continue
-            slots.append(1 if ones * 2 > total else
-                         0 if ones * 2 < total else first)
+        """``(slots, fit_count)`` under the majority / first-vote rule.
+
+        The one place a slot verdict is decided, for every backend and
+        route: a slot no fit tuple addressed is ``None``, a strict
+        majority wins, and an exact tie takes the first vote in physical
+        row order.
+        """
+        slots: list[int | None] = [
+            None if not total
+            else 1 if ones * 2 > total
+            else 0 if ones * 2 < total
+            else first
+            for total, ones, first in zip(self.total, self.ones, self.first)
+        ]
         return slots, self.fit_count
 
 
@@ -200,27 +204,40 @@ class VoteAccumulator:
         significance: float = DEFAULT_SIGNIFICANCE,
     ) -> VerificationResult:
         """Compare the accumulated detection against the owner's claim."""
-        if len(expected) != spec.watermark_length:
-            raise DetectionError(
-                f"expected watermark has {len(expected)} bits, spec says "
-                f"{spec.watermark_length}"
-            )
+        _check_expected(spec, expected)
         return _assemble_verification(
             self.detection(spec), expected, significance
         )
 
 
-def _resolve_domain(
-    table: Table,
-    spec: EmbeddingSpec,
-    embedding_map: dict[Hashable, int] | None,
-    domain: CategoricalDomain | None,
-) -> CategoricalDomain:
-    """Shared input validation of every slot-recovery entry point."""
-    if spec.variant == VARIANT_MAP and embedding_map is None:
+# -- input checks shared by every detection entry point ----------------------
+
+def _check_expected(spec: EmbeddingSpec, *expecteds: Watermark) -> None:
+    """Every claimed watermark has the spec's length."""
+    for expected in expecteds:
+        if len(expected) != spec.watermark_length:
+            raise DetectionError(
+                f"expected watermark has {len(expected)} bits, spec says "
+                f"{spec.watermark_length}"
+            )
+
+
+def _check_maps(
+    spec: EmbeddingSpec, *embedding_maps: dict[Hashable, int] | None
+) -> None:
+    """The map variant routes votes through every pass's recorded map."""
+    if spec.variant == VARIANT_MAP and any(
+        embedding_map is None for embedding_map in embedding_maps
+    ):
         raise DetectionError(
             "the 'map' variant needs the embedding_map recorded at embedding"
         )
+
+
+def _mark_domain(
+    table: Table, spec: EmbeddingSpec, domain: CategoricalDomain | None
+) -> CategoricalDomain:
+    """``domain``, else the suspect schema's mark-attribute domain."""
     resolved = domain or table.schema.attribute(spec.mark_attribute).domain
     if resolved is None:
         raise DetectionError(
@@ -256,21 +273,12 @@ def extract_slots(
     explicit :class:`HashEngine` for VECTOR); with a shared engine a
     repeated detection of the same relation (attack sweeps, benchmarks)
     re-hashes nothing at all, and the per-row work runs as NumPy gathers
-    over cached column codes.
+    over cached column codes.  Either backend tallies the votes
+    (:func:`extract_slot_votes`) and :meth:`SlotVotes.resolve` decides
+    the slots.
     """
-    resolved_domain = _resolve_domain(table, spec, embedding_map, domain)
-
-    if engine != SCALAR:
-        return kernels.extract_slots_vector(
-            table,
-            spec,
-            resolved_domain,
-            embedding_map,
-            value_mapping,
-            resolve_backend(engine, key),
-        )
-    return _scan_votes(
-        table, key, spec, embedding_map, resolved_domain, value_mapping
+    return extract_slot_votes(
+        table, key, spec, embedding_map, domain, value_mapping, engine
     ).resolve()
 
 
@@ -286,13 +294,15 @@ def extract_slot_votes(
     """:func:`extract_slots` stopped one step short of resolution.
 
     Returns the raw per-slot tallies (:class:`SlotVotes`) instead of the
-    resolved slots — the accumulator-based entry point streamed detection
-    is built on: a :class:`VoteAccumulator` merges per-chunk tallies and
+    resolved slots: VECTOR runs the one detection kernel at P = 1
+    (:func:`repro.core.kernels.extract_votes_vector`), SCALAR the
+    reference row scan.  :func:`extract_slots` resolves the tallies at
+    once; a :class:`VoteAccumulator` merges per-chunk tallies first and
     resolves once at the end, bit-identically to an in-memory
-    :func:`extract_slots` over the concatenated rows.  Backend selection
-    matches :func:`extract_slots` exactly.
+    :func:`extract_slots` over the concatenated rows.
     """
-    resolved_domain = _resolve_domain(table, spec, embedding_map, domain)
+    _check_maps(spec, embedding_map)
+    resolved_domain = _mark_domain(table, spec, domain)
     if engine != SCALAR:
         return SlotVotes.from_arrays(
             *kernels.extract_votes_vector(
@@ -489,8 +499,10 @@ def extract_slots_multipass(
     kernel — one carrier gather + one ``bincount`` for all passes — when
     the backend is VECTOR and every suspect relation shares one
     key-column factorization object (the §5 sweep-cell regime: attacked
-    clones of one base).  Otherwise it degrades to per-pass
-    :func:`extract_slots` calls; both routes are bit-identical.
+    clones of one base).  Otherwise — a single pass included — it runs
+    per-pass :func:`extract_slots` calls, which tally through the same
+    kernel at P = 1.  Either way every pass's tally is resolved by
+    :meth:`SlotVotes.resolve`, so both routes are bit-identical.
     """
     tables = list(tables)
     keys = list(keys)
@@ -504,35 +516,21 @@ def extract_slots_multipass(
         raise DetectionError(
             f"{len(tables)} suspect relations but {len(maps)} embedding maps"
         )
-    if spec.variant == VARIANT_MAP and any(m is None for m in maps):
-        raise DetectionError(
-            "the 'map' variant needs the embedding_map recorded at embedding"
-        )
+    _check_maps(spec, *maps)
     if (
         len(tables) > 1
         and engine != SCALAR
         and kernels.shared_key_codes(tables, spec.key_attribute) is not None
     ):
-        domains = []
-        for table in tables:
-            resolved = (
-                domain or table.schema.attribute(spec.mark_attribute).domain
-            )
-            if resolved is None:
-                raise DetectionError(
-                    f"no categorical domain available for "
-                    f"{spec.mark_attribute!r}"
-                )
-            domains.append(resolved)
-        engines = [resolve_backend(engine, key) for key in keys]
-        return kernels.detect_multipass(
+        tallies = kernels.detect_multipass(
             tables,
             spec,
-            domains,
-            maps if spec.variant == VARIANT_MAP else None,
+            [_mark_domain(table, spec, domain) for table in tables],
+            maps,
             value_mapping,
-            engines,
+            [resolve_backend(engine, key) for key in keys],
         )
+        return [SlotVotes.from_arrays(*tally).resolve() for tally in tallies]
     return [
         extract_slots(
             table, key, spec, embedding_map, domain, value_mapping, engine
@@ -566,12 +564,7 @@ def verify_multipass(
             f"{len(tables)} suspect relations but {len(expecteds)} "
             f"expected watermarks"
         )
-    for expected in expecteds:
-        if len(expected) != spec.watermark_length:
-            raise DetectionError(
-                f"expected watermark has {len(expected)} bits, spec says "
-                f"{spec.watermark_length}"
-            )
+    _check_expected(spec, *expecteds)
     recovered = extract_slots_multipass(
         tables, keys, spec, embedding_maps, domain, value_mapping, engine
     )
@@ -598,11 +591,7 @@ def verify(
     engine: HashEngine | str | None = None,
 ) -> VerificationResult:
     """Detect and compare against the owner's claimed watermark."""
-    if len(expected) != spec.watermark_length:
-        raise DetectionError(
-            f"expected watermark has {len(expected)} bits, spec says "
-            f"{spec.watermark_length}"
-        )
+    _check_expected(spec, expected)
     detection = detect(
         table, key, spec, embedding_map, domain, value_mapping, engine
     )

@@ -16,13 +16,18 @@ over two cached building blocks:
   maps onto the uniques once per factorization, cached weakly per
   :class:`~repro.relational.table.ColumnCodes` object.
 
-On top of those, detection is a handful of gathers and one
-``np.bincount(slot * 2 + bit)`` tally, and embedding reduces to a boolean
-gather for carrier selection, ``t = 2 * pair + bit`` target coding, and a
-batched :meth:`~repro.relational.table.Table.set_values` write-back — all
-bit-identical to the SCALAR reference (pinned by the equivalence suites).
-A warm vector re-detection performs zero SHA-256 calls *and* zero per-row
-Python-level hash lookups: only array code touches row-count data.
+Detection has one kernel: one stacked gather and one
+``np.bincount(pass·2L + slot·2 + bit)`` tally over P ≥ 1 passes that
+share a key-column factorization (:func:`detect_multipass`;
+:func:`extract_votes_vector` is its P = 1 form).  It returns raw per-slot
+tallies, and only :meth:`repro.core.detection.SlotVotes.resolve` turns
+them into slots — in memory, fused and streamed alike.  Embedding reduces
+to a boolean gather for carrier selection, ``t = 2 * pair + bit`` target
+coding, and a batched :meth:`~repro.relational.table.Table.set_values`
+write-back.  Both are bit-identical to the SCALAR reference (pinned by
+the equivalence suites).  A warm vector re-detection performs zero
+SHA-256 calls *and* zero per-row Python-level hash lookups: only array
+code touches row-count data.
 
 Backend selection
 -----------------
@@ -50,17 +55,16 @@ from .errors import DetectionError
 
 _VARIANT_KEYED = "keyed"  # mirrors repro.core.embedding.VARIANT_KEYED
 
-#: kernel-launch telemetry: how many single-pass detections, fused
-#: multi-pass detections, embedding kernels and streaming vote
-#: extractions ran.  The perf-smoke suite asserts a warm sweep cell
-#: performs exactly one ``detect_multipass`` launch and zero per-pass
-#: ``detect`` launches.
+#: kernel-launch telemetry: how many single-pass tallies
+#: (:func:`extract_votes_vector`), multi-pass launches
+#: (:func:`detect_multipass`, which every streamed VECTOR chunk makes
+#: once) and embedding kernels ran.  The perf-smoke suite asserts a warm
+#: sweep cell performs exactly one ``detect_multipass`` launch and zero
+#: per-pass ``detect`` launches.
 KERNEL_CALLS = {
     "detect": 0,
     "detect_multipass": 0,
     "embed": 0,
-    "detect_votes": 0,
-    "detect_multipass_votes": 0,
 }
 
 
@@ -87,7 +91,7 @@ def warm_codes(table: Table, *attributes: str) -> None:
 def _decode_bits(mark_uniques, domain, value_mapping):
     """Per-unique mark decoding: translate (``value_mapping``), reject
     values outside the domain (-1), else the bit is the canonical index
-    parity.  Shared by the single-pass and fused multi-pass kernels."""
+    parity."""
     bits_u = np.full(len(mark_uniques), -1, dtype=np.int8)
     in_domain = domain.__contains__
     index_of = domain.index_of
@@ -102,145 +106,6 @@ def _decode_bits(mark_uniques, domain, value_mapping):
             if in_domain(value):
                 bits_u[position] = index_of(value) & 1
     return bits_u
-
-
-def _gather_single(
-    table: Table,
-    spec,
-    domain,
-    embedding_map: dict[Hashable, int] | None,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine,
-):
-    """The shared per-row vote gather of one detection pass.
-
-    Returns ``(slots_v, bits_v, fit_count)``: the slot and bit of every
-    decodable vote, in physical row order — the inputs both the tallying
-    kernel (:func:`extract_slots_vector`) and the streaming vote kernel
-    (:func:`extract_votes_vector`) consume.
-    """
-    key_codes = table.column_codes(spec.key_attribute)
-    mark_codes = table.column_codes(spec.mark_attribute)
-    channel_length = spec.channel_length
-
-    fit_u = engine.fitness_array(key_codes, spec.e)
-    row_fit = fit_u[key_codes.codes]
-    fit_count = int(np.count_nonzero(row_fit))
-
-    bits_u = _decode_bits(mark_codes.uniques, domain, value_mapping)
-    row_bits = bits_u[mark_codes.codes]
-    valid = row_fit & (row_bits >= 0)
-
-    if spec.variant == _VARIANT_KEYED:
-        slot_u = engine.slot_array(key_codes, channel_length, spec.e)
-        slots_v = slot_u[key_codes.codes[valid]].astype(np.int64)
-        bits_v = row_bits[valid]
-    else:
-        assert embedding_map is not None
-        key_uniques = key_codes.uniques
-        slot_map_u = np.zeros(len(key_uniques), dtype=np.int64)
-        mapped_u = np.zeros(len(key_uniques), dtype=np.bool_)
-        lookup = embedding_map.get
-        for position, value in enumerate(key_uniques):
-            slot = lookup(value)
-            if slot is None:
-                continue
-            mapped_u[position] = True
-            slot_map_u[position] = slot
-        use = valid & mapped_u[key_codes.codes]
-        slots_v = slot_map_u[key_codes.codes[use]]
-        bits_v = row_bits[use]
-        out_of_range = (slots_v < 0) | (slots_v >= channel_length)
-        if out_of_range.any():
-            bad = int(slots_v[out_of_range][0])
-            raise DetectionError(
-                f"embedding map entry {bad} outside channel "
-                f"[0, {channel_length})"
-            )
-    return slots_v, bits_v, fit_count
-
-
-def extract_slots_vector(
-    table: Table,
-    spec,
-    domain,
-    embedding_map: dict[Hashable, int] | None,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine,
-) -> tuple[list[int | None], int]:
-    """Array-kernel slot recovery; bit-identical to the reference scan.
-
-    The per-row work is pure NumPy: fitness and slot gathers through the
-    key column's codes, bit decoding through the mark column's codes, and
-    a single ``bincount`` over ``slot * 2 + bit``.  Python-level loops run
-    only over *uniques* (domain decoding, map-variant slot resolution) and
-    over the channel (verdict assembly).
-    """
-    KERNEL_CALLS["detect"] += 1
-    channel_length = spec.channel_length
-    slots_v, bits_v, fit_count = _gather_single(
-        table, spec, domain, embedding_map, value_mapping, engine
-    )
-
-    counts = np.bincount(
-        slots_v * 2 + bits_v, minlength=2 * channel_length
-    )
-    zeros = counts[0::2]
-    ones = counts[1::2]
-    total = zeros + ones
-
-    # Majority verdict per slot; exact ties fall back to the first vote in
-    # physical row order (np.unique's return_index is documented to give
-    # first occurrences).
-    verdict = (ones > zeros).astype(np.int64)
-    ties = (total > 0) & (ones == zeros)
-    if ties.any():
-        first_slots, first_positions = np.unique(slots_v, return_index=True)
-        firsts = np.zeros(channel_length, dtype=np.int64)
-        firsts[first_slots] = bits_v[first_positions]
-        verdict = np.where(ties, firsts, verdict)
-
-    slots: list[int | None] = [
-        bit if observed else None
-        for bit, observed in zip(verdict.tolist(), total.tolist())
-    ]
-    return slots, fit_count
-
-
-def extract_votes_vector(
-    table: Table,
-    spec,
-    domain,
-    embedding_map: dict[Hashable, int] | None,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engine: HashEngine,
-):
-    """Array-kernel *vote tally* for one chunk of a streamed detection.
-
-    Same gather as :func:`extract_slots_vector`, but instead of resolving
-    slot verdicts it returns the raw per-slot tallies —
-    ``(zeros, ones, firsts, fit_count)`` where ``firsts[slot]`` is the
-    first vote of the chunk in physical row order (``-1`` when the chunk
-    never addressed the slot).  Tallies merge associatively across chunks,
-    and keeping the per-chunk first votes lets the accumulator preserve
-    the global first-vote tie rule exactly.
-    """
-    KERNEL_CALLS["detect_votes"] += 1
-    channel_length = spec.channel_length
-    slots_v, bits_v, fit_count = _gather_single(
-        table, spec, domain, embedding_map, value_mapping, engine
-    )
-    counts = np.bincount(
-        slots_v * 2 + bits_v, minlength=2 * channel_length
-    )
-    zeros = counts[0::2]
-    ones = counts[1::2]
-    firsts = np.full(channel_length, -1, dtype=np.int64)
-    # np.unique's return_index is documented to give first occurrences,
-    # and slots_v/bits_v are in physical row order.
-    first_slots, first_positions = np.unique(slots_v, return_index=True)
-    firsts[first_slots] = bits_v[first_positions]
-    return zeros, ones, firsts, fit_count
 
 
 def shared_key_codes(tables, key_attribute: str):
@@ -267,7 +132,20 @@ def shared_key_codes(tables, key_attribute: str):
     return codes
 
 
-def _gather_multipass(
+def _plan_stack(engines, stack, array, codes, *args):
+    """The ``(P, U)`` plan stack of ``engines`` over one factorization.
+
+    A single pass reads its engine's own plan array as a ``(1, U)`` view:
+    no copy, and the process-wide stack cache holds only fused passes'
+    stacks, so a stream chunk or a single-pass verify never evicts a
+    sweep cell's.
+    """
+    if len(engines) == 1:
+        return array(engines[0], codes, *args)[np.newaxis]
+    return stack(engines, codes, *args)
+
+
+def _tally(
     tables,
     spec,
     domains,
@@ -275,19 +153,24 @@ def _gather_multipass(
     value_mapping: dict[Hashable, Hashable] | None,
     engines,
 ):
-    """The shared stacked vote gather of P fused detection passes.
+    """The one vote gather and ``bincount`` tally behind every VECTOR
+    detection: P passes sharing ``tables[0]``'s key-column factorization.
 
-    Returns ``(pass_rows, slots_v, bits_v, fit_counts)``: the pass, slot
-    and bit of every decodable vote — ``np.nonzero`` is row-major, so one
-    pass's entries appear in ascending physical row order — plus the
-    per-pass fit-row counts.  Consumed by :func:`detect_multipass` and the
-    streaming :func:`detect_multipass_votes`.
+    Every row-shaped step runs once, stacked: fitness and slots gather
+    through ``(P, U)`` plan stacks, and every vote of every pass lands in
+    a single ``bincount(pass·2L + slot·2 + bit)``.  Returns one
+    ``(zeros, ones, firsts, fit_count)`` tally per pass, where
+    ``firsts[slot]`` is the pass's first vote in physical row order
+    (``-1`` when the pass never addressed the slot).
     """
     key_codes = tables[0].column_codes(spec.key_attribute)
     channel_length = spec.channel_length
     pass_count = len(tables)
 
-    fit_stack = HashEngine.fitness_stack(engines, key_codes, spec.e)
+    fit_stack = _plan_stack(
+        engines, HashEngine.fitness_stack, HashEngine.fitness_array,
+        key_codes, spec.e,
+    )
     fit_rows = fit_stack[:, key_codes.codes]
     fit_counts = fit_rows.sum(axis=1)
 
@@ -306,11 +189,14 @@ def _gather_multipass(
         bits_rows.append(bits)
     bits_stack = np.stack(bits_rows)
 
+    # np.nonzero is row-major: each pass's votes stay in physical row
+    # order, which the first-vote pick below relies on.
     valid = fit_rows & (bits_stack >= 0)
     row_codes = key_codes.codes
     if spec.variant == _VARIANT_KEYED:
-        slot_stack = HashEngine.slot_stack(
-            engines, key_codes, channel_length, spec.e
+        slot_stack = _plan_stack(
+            engines, HashEngine.slot_stack, HashEngine.slot_array,
+            key_codes, channel_length, spec.e,
         )
         pass_rows, row_positions = np.nonzero(valid)
         slots_v = slot_stack[pass_rows, row_codes[row_positions]].astype(
@@ -343,106 +229,13 @@ def _gather_multipass(
                 f"embedding map entry {bad} outside channel "
                 f"[0, {channel_length})"
             )
-    return pass_rows, slots_v, bits_v, fit_counts
-
-
-def detect_multipass(
-    tables,
-    spec,
-    domains,
-    embedding_maps,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines,
-) -> list[tuple[list[int | None], int]]:
-    """Fused slot recovery for P keyed passes sharing one key-column
-    factorization: one carrier gather and one ``bincount`` tally.
-
-    ``tables[p]`` is pass ``p``'s suspect relation (often fifteen attacked
-    clones of one base), ``engines[p]`` the pass's keyed engine and
-    ``domains[p]`` its resolved mark-value domain; all passes share
-    ``spec``.  Per-pass work above the row count is limited to mark-bit
-    decoding over *uniques*; everything row-shaped runs once, stacked:
-    fitness and slots gather through ``(P, U)`` plan stacks
-    (:meth:`~repro.crypto.HashEngine.fitness_stack` /
-    :meth:`~repro.crypto.HashEngine.slot_stack`) and every vote of every
-    pass lands in a single ``bincount(pass·2L + slot·2 + bit)``.  Tie
-    resolution is per pass, first vote in physical row order — output is
-    bit-identical to P separate :func:`extract_slots_vector` calls.
-
-    Callers must have verified sharing via :func:`shared_key_codes`.
-    """
-    KERNEL_CALLS["detect_multipass"] += 1
-    channel_length = spec.channel_length
-    pass_count = len(tables)
-    pass_rows, slots_v, bits_v, fit_counts = _gather_multipass(
-        tables, spec, domains, embedding_maps, value_mapping, engines
-    )
 
     counts = np.bincount(
         pass_rows * (2 * channel_length) + slots_v * 2 + bits_v,
         minlength=pass_count * 2 * channel_length,
     ).reshape(pass_count, channel_length, 2)
-    zeros = counts[:, :, 0]
-    ones = counts[:, :, 1]
-    total = zeros + ones
-
-    verdict = (ones > zeros).astype(np.int64)
-    ties = (total > 0) & (ones == zeros)
-    if ties.any():
-        # First vote per (pass, slot) in physical row order: np.nonzero is
-        # row-major, so entries of one pass appear in ascending row order
-        # and np.unique's return_index picks exactly the first of each.
-        flat = pass_rows * channel_length + slots_v
-        first_keys, first_positions = np.unique(flat, return_index=True)
-        firsts = np.zeros(pass_count * channel_length, dtype=np.int64)
-        firsts[first_keys] = bits_v[first_positions]
-        verdict = np.where(
-            ties, firsts.reshape(pass_count, channel_length), verdict
-        )
-
-    results: list[tuple[list[int | None], int]] = []
-    verdict_lists = verdict.tolist()
-    total_lists = total.tolist()
-    for index in range(pass_count):
-        slots: list[int | None] = [
-            bit if observed else None
-            for bit, observed in zip(verdict_lists[index], total_lists[index])
-        ]
-        results.append((slots, int(fit_counts[index])))
-    return results
-
-
-def detect_multipass_votes(
-    tables,
-    spec,
-    domains,
-    embedding_maps,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines,
-):
-    """Fused *vote tally* for P passes over one chunk of a streamed
-    detection.
-
-    Same stacked gather as :func:`detect_multipass` — one carrier gather
-    and one ``bincount`` for all passes — but it returns the raw per-pass
-    tallies ``(zeros, ones, firsts, fit_count)`` (``firsts[slot] = -1``
-    when pass ``p`` never addressed the slot in this chunk) instead of
-    resolving verdicts, so a per-pass accumulator can merge chunks while
-    preserving each pass's global first-vote tie rule.  On the streaming
-    hot path every pass detects on the *same* chunk table, so the shared
-    key-factorization precondition holds trivially.
-    """
-    KERNEL_CALLS["detect_multipass_votes"] += 1
-    channel_length = spec.channel_length
-    pass_count = len(tables)
-    pass_rows, slots_v, bits_v, fit_counts = _gather_multipass(
-        tables, spec, domains, embedding_maps, value_mapping, engines
-    )
-
-    counts = np.bincount(
-        pass_rows * (2 * channel_length) + slots_v * 2 + bits_v,
-        minlength=pass_count * 2 * channel_length,
-    ).reshape(pass_count, channel_length, 2)
+    # np.unique's return_index gives first occurrences, so it picks the
+    # first vote of each (pass, slot).
     flat = pass_rows * channel_length + slots_v
     first_keys, first_positions = np.unique(flat, return_index=True)
     firsts = np.full(pass_count * channel_length, -1, dtype=np.int64)
@@ -452,6 +245,52 @@ def detect_multipass_votes(
         (counts[p, :, 0], counts[p, :, 1], firsts[p], int(fit_counts[p]))
         for p in range(pass_count)
     ]
+
+
+def detect_multipass(
+    tables,
+    spec,
+    domains,
+    embedding_maps,
+    value_mapping: dict[Hashable, Hashable] | None,
+    engines,
+):
+    """Vote tallies of P ≥ 1 detection passes sharing one key-column
+    factorization, in one kernel launch.
+
+    ``tables[p]`` is pass ``p``'s suspect relation (fifteen attacked
+    clones of one base in a sweep cell; the same chunk P times in a
+    streamed multi-key verify), ``engines[p]`` the pass's keyed engine
+    and ``domains[p]`` its resolved mark-value domain; all passes share
+    ``spec``, and ``embedding_maps`` (map variant) holds one map per
+    pass.  Returns one ``(zeros, ones, firsts, fit_count)`` tally per
+    pass; :meth:`~repro.core.detection.SlotVotes.resolve` turns a tally
+    into slots, and tallies of consecutive chunks merge in a
+    :class:`~repro.core.detection.VoteAccumulator`.
+
+    Callers must have verified sharing via :func:`shared_key_codes`.
+    """
+    KERNEL_CALLS["detect_multipass"] += 1
+    return _tally(
+        tables, spec, domains, embedding_maps, value_mapping, engines
+    )
+
+
+def extract_votes_vector(
+    table: Table,
+    spec,
+    domain,
+    embedding_map: dict[Hashable, int] | None,
+    value_mapping: dict[Hashable, Hashable] | None,
+    engine: HashEngine,
+):
+    """The single-pass (P = 1) form of :func:`detect_multipass`: the
+    ``(zeros, ones, firsts, fit_count)`` tally of one detection pass
+    over ``table``."""
+    KERNEL_CALLS["detect"] += 1
+    return _tally(
+        [table], spec, [domain], [embedding_map], value_mapping, [engine]
+    )[0]
 
 
 # -- embedding ----------------------------------------------------------------

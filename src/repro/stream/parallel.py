@@ -66,12 +66,7 @@ from typing import Any, Hashable
 
 from ..core import kernels
 from ..core.detection import SlotVotes, VoteAccumulator, extract_slot_votes
-from ..core.embedding import (
-    VARIANT_MAP,
-    EmbeddingResult,
-    EmbeddingSpec,
-    embed,
-)
+from ..core.embedding import EmbeddingResult, EmbeddingSpec, embed
 from ..core.errors import DetectionError
 from ..core.watermark import Watermark
 from ..crypto import SCALAR, HashEngine, MarkKey
@@ -211,32 +206,25 @@ def _chunk_votes(
     value_mapping: dict[Hashable, Hashable] | None,
     engines: Sequence[HashEngine | None],
 ) -> list[SlotVotes]:
-    """Every pass's slot-vote tallies for one chunk on ``engines``
-    (``None``: SCALAR, which needs the chunk table): one fused kernel
-    launch for several VECTOR passes (they share the chunk's key
-    factorization by construction), per-pass tallies otherwise."""
-    if len(keys) > 1 and engines[0] is not None:
+    """Every pass's slot-vote tallies for one chunk on ``engines``:
+    one :func:`~repro.core.kernels.detect_multipass` launch for all
+    VECTOR passes, which share the chunk's key factorization by
+    construction; SCALAR (``None`` engines) scans the chunk table once
+    per pass."""
+    if None in engines:
         return [
-            SlotVotes.from_arrays(*tally)
-            for tally in kernels.detect_multipass_votes(
-                [chunk] * len(keys),
-                spec,
-                [domain] * len(keys),
-                maps if spec.variant == VARIANT_MAP else None,
-                value_mapping,
-                engines,
+            extract_slot_votes(
+                chunk, key, spec, embedding_map, domain, value_mapping,
+                engine=SCALAR,
             )
+            for key, embedding_map in zip(keys, maps)
         ]
     return [
-        extract_slot_votes(
-            chunk, key, spec, embedding_map, domain, value_mapping,
-            engine=SCALAR,
+        SlotVotes.from_arrays(*tally)
+        for tally in kernels.detect_multipass(
+            [chunk] * len(keys), spec, [domain] * len(keys), maps,
+            value_mapping, engines,
         )
-        if engine is None
-        else SlotVotes.from_arrays(*kernels.extract_votes_vector(
-            chunk, spec, domain, embedding_map, value_mapping, engine
-        ))
-        for key, engine, embedding_map in zip(keys, engines, maps)
     ]
 
 
@@ -705,10 +693,11 @@ def ordered_votes(
     The vector kernels read only a chunk's key and mark column codes, so
     a VECTOR run builds raw CSV payloads with
     :func:`~repro.stream.sources.build_chunk_codes` (same typing, same
-    checks, no rows); SCALAR, the reference, builds every chunk table."""
-    tasks = _tasks_with_retry(source, 0, retry, reliability)
-    if domain is None:
-        domain, tasks = _peek_domain(tasks, spec)
+    checks, no rows); SCALAR, the reference, builds every chunk table.
+
+    The task stream is closed however the run ends, so a run that
+    raises releases the source's reader (a SQLite connection, a gzip
+    handle) at the raise, in this thread."""
     accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
     chunks = rows = 0
     build = build_chunk if None in engines else partial(
@@ -730,19 +719,25 @@ def ordered_votes(
         chunks += 1
         rows += nrows
 
-    run = _OrderedRun(
-        payload_profile(source), compute, commit,
-        build=build,
-        pool_task=_task_votes,
-        state={
-            "keys": list(keys), "maps": list(maps), "spec": spec,
-            "domain": domain, "value_mapping": value_mapping,
-            "scalar": None in engines, "chunk_size": chunk_size,
-        },
-        workers=workers, retry=retry, deadline=deadline,
-        watchdog=watchdog, reliability=reliability,
-    )
-    run.run(tasks)
+    tasks = stream = _tasks_with_retry(source, 0, retry, reliability)
+    try:
+        if domain is None:
+            domain, tasks = _peek_domain(stream, spec)
+        run = _OrderedRun(
+            payload_profile(source), compute, commit,
+            build=build,
+            pool_task=_task_votes,
+            state={
+                "keys": list(keys), "maps": list(maps), "spec": spec,
+                "domain": domain, "value_mapping": value_mapping,
+                "scalar": None in engines, "chunk_size": chunk_size,
+            },
+            workers=workers, retry=retry, deadline=deadline,
+            watchdog=watchdog, reliability=reliability,
+        )
+        run.run(tasks)
+    finally:
+        stream.close()
     return accumulators, chunks, rows, run.parallel
 
 
@@ -803,5 +798,11 @@ def ordered_mark(
         workers=workers, retry=retry, deadline=deadline,
         watchdog=watchdog, reliability=reliability,
     )
-    run.run(_tasks_with_retry(source, start, retry, reliability))
+    # Closed however the run ends, so a run that raises releases the
+    # source's reader at the raise, in this thread.
+    stream = _tasks_with_retry(source, start, retry, reliability)
+    try:
+        run.run(stream)
+    finally:
+        stream.close()
     return run.parallel

@@ -48,12 +48,13 @@ from ..core.detection import (
     SlotVotes,
     VerificationResult,
     _assemble_verification,
+    _check_expected,
+    _check_maps,
 )
 from ..core.embedding import (
     EmbeddingResult,
     EmbeddingSpec,
     VARIANT_KEYED,
-    VARIANT_MAP,
     value_pair_count,
 )
 from ..core.errors import DetectionError, SpecError
@@ -755,15 +756,6 @@ def _resolve_stream_domain(
     return None
 
 
-def _check_map_inputs(
-    spec: EmbeddingSpec, embedding_map: dict[Hashable, int] | None
-) -> None:
-    if spec.variant == VARIANT_MAP and embedding_map is None:
-        raise DetectionError(
-            "the 'map' variant needs the embedding_map recorded at embedding"
-        )
-
-
 def stream_detect(
     source,
     key: MarkKey,
@@ -797,7 +789,7 @@ def stream_detect(
     finishes the scan in process — the same verdict, counted as
     ``pool_fallbacks``; ``retry=None`` fails fast on a pool failure.
     """
-    _check_map_inputs(spec, embedding_map)
+    _check_maps(spec, embedding_map)
     worker_count = resolve_workers(workers)
     if worker_count > 1 and isinstance(backend, HashEngine):
         raise StreamError(
@@ -852,11 +844,7 @@ def stream_verify(
     canonical ``domain`` explicitly, exactly like the in-memory blind
     detector.
     """
-    if len(expected) != spec.watermark_length:
-        raise DetectionError(
-            f"expected watermark has {len(expected)} bits, spec says "
-            f"{spec.watermark_length}"
-        )
+    _check_expected(spec, expected)
     streamed = stream_detect(
         source,
         key,
@@ -926,14 +914,8 @@ def stream_verify_multipass(
         raise DetectionError(
             f"{len(keys)} keys but {len(maps)} embedding maps"
         )
-    for embedding_map in maps:
-        _check_map_inputs(spec, embedding_map)
-    for expected in expecteds:
-        if len(expected) != spec.watermark_length:
-            raise DetectionError(
-                f"expected watermark has {len(expected)} bits, spec says "
-                f"{spec.watermark_length}"
-            )
+    _check_maps(spec, *maps)
+    _check_expected(spec, *expecteds)
     chunk_size = _source_chunk_size(source)
     if isinstance(backend, HashEngine):
         raise StreamError(

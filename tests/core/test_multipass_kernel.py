@@ -20,8 +20,10 @@ from repro.attacks import (
     SubsetAlterationAttack,
 )
 from repro.core import (
+    SlotVotes,
     Watermark,
     Watermarker,
+    extract_slot_votes,
     extract_slots,
     extract_slots_multipass,
     kernels,
@@ -29,13 +31,13 @@ from repro.core import (
     verify,
     verify_multipass,
 )
-from repro.core.embedding import embed
+from repro.core.embedding import embed, slot_index
 from repro.crypto import (
     SCALAR,
     VECTOR,
     HashEngine,
     MarkKey,
-    get_engine,
+    keyed_hash,
     stack_cache_info,
 )
 from repro.datagen import generate_item_scan
@@ -203,19 +205,27 @@ class TestTieResolution:
         )
         return schema
 
-    def test_fused_tie_breaks_match_scalar(self):
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_fused_tie_breaks_match_scalar(self, passes):
+        """P = 1 runs the single-pass route, which tallies through the
+        same kernel; P = 2 runs the fused route."""
         schema = self._tie_table()
         key = MarkKey.from_seed("tie")
-        engine = get_engine(key)
-        # find two fit key values under e=2 (plenty among small ints)
-        fit_values = [
-            value for value in range(200) if engine.is_fit(value, 2)
-        ][:8]
-        domain = ["a0", "a1", "b0", "b1"]
-        rows = []
-        # alternate bit parities so several slots collect tied votes
-        for index, value in enumerate(fit_values):
-            rows.append((value, domain[index % 4]))
+        # Fit key values under e=2 grouped by their slot in a 2-slot
+        # channel; both slots get an even, split vote with a different
+        # first vote, so "ties go to 0" and "ties go to 1" both fail.
+        by_slot = {0: [], 1: []}
+        for value in range(200):
+            if keyed_hash(value, key.k1) % 2 == 0:
+                by_slot[slot_index(value, key.k2, 2)].append(value)
+        rows = [
+            (value, mark)
+            for values, marks in (
+                (by_slot[0][:4], ["a1", "a0", "b1", "b0"]),
+                (by_slot[1][:2], ["b0", "a1"]),
+            )
+            for value, mark in zip(values, marks)
+        ]
         table = Table(schema, rows, name="ties")
         spec = make_spec(
             table,
@@ -224,11 +234,14 @@ class TestTieResolution:
             e=2,
             channel_length=2,
         )
-        keys = [key, MarkKey.from_seed("tie-2")]
-        tables = [table, table]
-        fused = extract_slots_multipass(
-            tables, keys, spec, engine=VECTOR
+        keys = [key, MarkKey.from_seed("tie-2")][:passes]
+        assert extract_slot_votes(table, key, spec, engine=SCALAR) == (
+            SlotVotes(total=[4, 2], ones=[2, 1], first=[1, 0], fit_count=6)
         )
+        fused = extract_slots_multipass(
+            [table] * passes, keys, spec, engine=VECTOR
+        )
+        assert fused[0] == ([1, 0], 6)
         for (slots, fit_count), pass_key in zip(fused, keys):
             ref_slots, ref_fit = extract_slots(
                 table, pass_key, spec, engine=SCALAR
@@ -236,13 +249,16 @@ class TestTieResolution:
             assert slots == ref_slots
             assert fit_count == ref_fit
 
-    def test_map_variant_tie_first_vote_wins(self):
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_map_variant_tie_first_vote_wins(self, passes):
         schema = self._tie_table()
         key = MarkKey.from_seed("tie-map")
-        # Two keys mapped to the same slot with opposite bits: exact tie,
+        # Four keys mapped to one slot with bits 1, 0, 1, 0: exact tie,
         # first physical vote (bit 1) must win in every backend.
         table = Table(
-            schema, [(1, "a1"), (2, "a0"), (3, "b1")], name="map-ties"
+            schema,
+            [(1, "a1"), (2, "a0"), (3, "b1"), (4, "b0")],
+            name="map-ties",
         )
         spec = make_spec(
             table,
@@ -252,18 +268,34 @@ class TestTieResolution:
             channel_length=1,
             variant="map",
         )
-        embedding_map = {1: 0, 2: 0, 3: 0}
+        embedding_map = {1: 0, 2: 0, 3: 0, 4: 0}
         fused = extract_slots_multipass(
-            [table, table],
-            [key, key],
+            [table] * passes,
+            [key] * passes,
             spec,
-            embedding_maps=[embedding_map, embedding_map],
+            embedding_maps=[embedding_map] * passes,
             engine=VECTOR,
         )
         reference = extract_slots(
             table, key, spec, embedding_map=embedding_map, engine=SCALAR
         )
-        assert fused[0] == fused[1] == reference
+        assert reference == ([1], 4)
+        assert fused == [reference] * passes
+
+    def test_single_pass_builds_no_plan_stack(self, base_table):
+        """A single pass gathers through its engine's own plan arrays
+        (``(1, U)`` views): the process-wide stack cache, which holds the
+        fused passes' stacks, never sees it."""
+        passes = _embed_passes(base_table, e=35)
+        key, watermark, record, attacked = passes[0]
+        before = stack_cache_info()
+        verify(attacked, key, record.spec, watermark, engine=VECTOR)
+        verify_multipass(
+            [attacked], [key], record.spec, [watermark], engine=VECTOR
+        )
+        after = stack_cache_info()
+        assert after["stacks_built"] == before["stacks_built"]
+        assert after["stack_hits"] == before["stack_hits"]
 
 
 class TestSweepEngineFusion:

@@ -186,6 +186,7 @@ def test_vector_steady_redetect_is_pure_array_code(monkeypatch):
         KeyedDigestCache,
         clear_engine_registry,
         get_engine,
+        stack_cache_info,
     )
 
     started = time.perf_counter()
@@ -201,6 +202,7 @@ def test_vector_steady_redetect_is_pure_array_code(monkeypatch):
     engine = get_engine(key)
     digests_before = engine.computed_digests
     arrays_before = engine.plan_arrays_built
+    stacks_before = stack_cache_info()["stacks_built"]
     spec = outcome.record.spec
     key_codes = outcome.table.column_codes(spec.key_attribute)
     mark_codes = outcome.table.column_codes(spec.mark_attribute)
@@ -225,9 +227,10 @@ def test_vector_steady_redetect_is_pure_array_code(monkeypatch):
         verdict = marker.verify(outcome.table, outcome.record)
         assert verdict.association.detected
 
-    # No hashing, no new plan arrays, no re-factorization.
+    # No hashing, no new plan arrays or stacks, no re-factorization.
     assert engine.computed_digests == digests_before
     assert engine.plan_arrays_built == arrays_before
+    assert stack_cache_info()["stacks_built"] == stacks_before
     assert outcome.table.column_codes(spec.key_attribute) is key_codes
     assert outcome.table.column_codes(spec.mark_attribute) is mark_codes
 
@@ -303,8 +306,8 @@ def test_warm_parallel_verify_is_coordinator_hash_free_and_fused():
     merges vote tallies, so every dict-backed digest primitive is made to
     raise after the pool is warm (the workers forked *before* the patch
     and are unaffected); (2) each worker performs exactly one fused kernel
-    launch per chunk (per-worker telemetry pins ``detect_votes`` calls ==
-    chunks processed, cumulatively since the fork); (3) per-worker
+    launch per chunk (per-worker telemetry pins ``detect_multipass`` calls
+    == chunks processed, cumulatively since the fork); (3) per-worker
     ``stream_engine`` caches warm once — no worker ever computes more
     digests than one full pass over the distinct values needs, no matter
     how many chunks it processes across repeated verifies.
@@ -346,7 +349,7 @@ def test_warm_parallel_verify_is_coordinator_hash_free_and_fused():
     def assert_fused(report):
         assert report.worker_stats, "no worker telemetry came back"
         for stats in report.worker_stats.values():
-            assert stats["kernel_calls"]["detect_votes"] == stats["chunks"]
+            assert stats["kernel_calls"]["detect_multipass"] == stats["chunks"]
 
     try:
         # Warm-up BEFORE patching: the pool forks its workers here, so

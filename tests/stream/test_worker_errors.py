@@ -9,6 +9,7 @@ type and message at every worker count.
 """
 
 import csv
+import gc
 import gzip
 import importlib
 import inspect
@@ -22,11 +23,13 @@ import repro
 from repro.core import EmbeddingSpec, Watermark
 from repro.crypto import MarkKey
 from repro.datagen import generate_item_scan, generate_sales
-from repro.reliability import DISK_FULL
+from repro.reliability import DISK_FULL, RetryPolicy
 from repro.stream import (
+    CSVChunkSink,
     CSVChunkSource,
     SQLiteChunkSource,
     shutdown_stream_pool,
+    stream_mark,
     stream_verify,
 )
 
@@ -143,11 +146,9 @@ def _assert_same_failure(source_for, spec, domain, expected_type, message):
     assert _failure(source_for(), spec, domain, 2) == serial
 
 
-def test_type_mismatch_in_a_worker_keeps_its_type(tmp_path):
-    """SQLite keeps text in an untyped column: the chunk table refuses
-    it, and on a pool that error used to break the pool."""
-    from repro.relational import TypeMismatchError
-
+def _scan_sqlite_with_text_key(tmp_path):
+    """A 1,200-row item-scan SQLite file whose row 701 holds ``'abc'`` in
+    the integer key: the chunk build of rows 601–900 raises."""
     table = generate_item_scan(1_200, item_count=40, seed=3)
     path = tmp_path / "scan.sqlite"
     connection = sqlite3.connect(path)
@@ -161,13 +162,71 @@ def test_type_mismatch_in_a_worker_keeps_its_type(tmp_path):
     )
     connection.commit()
     connection.close()
-    spec = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 40, 10, 60)
+    return path, table.schema
+
+
+SCAN_SPEC = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 40, 10, 60)
+
+
+def test_type_mismatch_in_a_worker_keeps_its_type(tmp_path):
+    """SQLite keeps text in an untyped column: the chunk table refuses
+    it, and on a pool that error used to break the pool."""
+    from repro.relational import TypeMismatchError
+
+    path, schema = _scan_sqlite_with_text_key(tmp_path)
     _assert_same_failure(
-        lambda: SQLiteChunkSource(path, table.schema, chunk_size=300),
-        spec, None, TypeMismatchError,
+        lambda: SQLiteChunkSource(path, schema, chunk_size=300),
+        SCAN_SPEC, None, TypeMismatchError,
         "value 'abc' does not match declared type integer for attribute "
         "'Visit_Nbr'",
     )
+
+
+class _ClosingSQLiteSource(SQLiteChunkSource):
+    """A SQLite source whose reader records that it has closed."""
+
+    closed = False
+
+    def payloads(self, start=0):
+        try:
+            yield from super().payloads(start)
+        finally:
+            self.closed = True
+
+
+@pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["fail-fast", "retry"])
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("direction", ["verify", "mark"])
+def test_a_failed_run_closes_its_reader_at_the_raise(
+    tmp_path, direction, workers, retry
+):
+    """A run that raises closes the source's reader before the raise
+    reaches the caller — not later, in a garbage-collector finalizer on
+    whichever thread it runs, where SQLite refuses to close a connection
+    another thread opened."""
+    from repro.relational import TypeMismatchError
+
+    path, schema = _scan_sqlite_with_text_key(tmp_path)
+    source = _ClosingSQLiteSource(path, schema, chunk_size=300)
+    gc.disable()  # only the run itself may close the reader
+    try:
+        # The live ``excinfo`` holds the traceback, and with it every
+        # frame the error passed through, as a caller handling it would.
+        with pytest.raises(TypeMismatchError) as excinfo:  # noqa: F841
+            if direction == "verify":
+                stream_verify(
+                    source, KEY, SCAN_SPEC, WATERMARK,
+                    workers=workers, retry=retry,
+                )
+            else:
+                stream_mark(
+                    source, WATERMARK, KEY, SCAN_SPEC,
+                    CSVChunkSink(tmp_path / "marked.csv"),
+                    workers=workers, retry=retry,
+                )
+        assert source.closed
+    finally:
+        gc.enable()
 
 
 def test_duplicate_key_in_a_worker_keeps_its_key(tmp_path):
