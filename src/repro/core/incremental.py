@@ -22,7 +22,12 @@ from typing import Any, Hashable
 
 from ..crypto import HashEngine, MarkKey, resolve_engine
 from ..relational import Table
-from .embedding import EmbeddingSpec, VARIANT_KEYED
+from .embedding import (
+    EmbeddingSpec,
+    VARIANT_KEYED,
+    embedded_value_index_from_digest,
+    slot_index_from_digest,
+)
 from .errors import SpecError
 from .pipeline import MarkRecord
 from .watermark import Watermark
@@ -81,12 +86,21 @@ class IncrementalWatermarker:
 
     # -- the fitness/encoding kernel ------------------------------------------
     def _is_fit(self, key_value: Hashable) -> bool:
-        return self._engine.is_fit(key_value, self.spec.e)
+        return self._engine.k1.digest(key_value) % self.spec.e == 0
 
     def _carrier_value(self, key_value: Hashable) -> Any:
-        slot = self._engine.slot_index(key_value, self.spec.channel_length)
-        bit = self._wm_data[slot]
-        index = 2 * self._engine.pair_index(key_value, self._domain.size) + bit
+        size = self._domain.size
+        if size < 2:
+            raise ValueError(
+                f"domain of size {size} has no usable value pairs"
+            )
+        engine = self._engine
+        slot = slot_index_from_digest(
+            engine.k2.digest(key_value), self.spec.channel_length
+        )
+        index = embedded_value_index_from_digest(
+            engine.k1.digest(key_value), self._wm_data[slot], self._domain
+        )
         return self._domain.value_at(index)
 
     def expected_value(self, key_value: Hashable) -> Any | None:
@@ -153,15 +167,28 @@ class IncrementalWatermarker:
         return self.table.delete(key_value)
 
     # -- consistency audit ----------------------------------------------------------
-    def _prefetch_scan(self) -> None:
-        """Batch-resolve fitness/slot/pair for every current key before a
-        full-table sweep, so the per-row kernel only performs dict hits."""
-        engine = self._engine
-        distinct = dict.fromkeys(self.table.column_view(self.table.primary_key))
-        fit = engine.fitness_map(distinct, self.spec.e)
-        fit_values = [value for value in distinct if fit[value]]
-        engine.slot_map(fit_values, self.spec.channel_length)
-        engine.pair_map(fit_values, self._domain.size)
+    def _drift(self) -> list[tuple[Hashable, Any]]:
+        """``(key value, expected value)`` of every carrier whose mark value
+        disagrees with the channel, in row order — with the fitness digests
+        of all current keys hashed as one batch."""
+        primary_key = self.table.primary_key
+        keys = self.table.column_view(primary_key)
+        e = self.spec.e
+        expected = {
+            key_value: self._carrier_value(key_value)
+            for key_value, digest in zip(
+                keys, self._engine.k1.digest_many(keys)
+            )
+            if digest % e == 0
+        }
+        return [
+            (key_value, value)
+            for key_value, current in self.table.iter_cells(
+                primary_key, self.spec.mark_attribute
+            )
+            for value in (expected.get(key_value),)
+            if value is not None and current != value
+        ]
 
     def audit(self) -> int:
         """Count carrier tuples whose value disagrees with the channel.
@@ -170,27 +197,11 @@ class IncrementalWatermarker:
         non-zero count localises drift introduced by writes that bypassed
         this wrapper.
         """
-        self._prefetch_scan()
-        disagreements = 0
-        for key_value, current in self.table.iter_cells(
-            self.table.primary_key, self.spec.mark_attribute
-        ):
-            expected = self.expected_value(key_value)
-            if expected is not None and current != expected:
-                disagreements += 1
-        return disagreements
+        return len(self._drift())
 
     def repair(self) -> int:
         """Re-mark every drifted carrier; returns the number repaired."""
-        self._prefetch_scan()
-        drifted = [
-            (key_value, expected)
-            for key_value, current in self.table.iter_cells(
-                self.table.primary_key, self.spec.mark_attribute
-            )
-            for expected in (self.expected_value(key_value),)
-            if expected is not None and current != expected
-        ]
+        drifted = self._drift()
         for key_value, expected in drifted:
             self.table.set_value(
                 key_value, self.spec.mark_attribute, expected

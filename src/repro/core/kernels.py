@@ -12,9 +12,9 @@ over two cached building blocks:
   the factorization copy-on-write, so attack trials and repeated
   re-detections never re-factorize an untouched column;
 * **plan arrays** — :meth:`repro.crypto.engine.HashEngine.fitness_array` /
-  ``slot_array`` / ``pair_array`` project the engine's memoized derived
-  maps onto the uniques once per factorization, cached weakly per
-  :class:`~repro.relational.table.ColumnCodes` object.
+  ``slot_array`` / ``pair_array`` derive per-unique fitness, slot and pair
+  indices from the engine's memoized digests once per factorization,
+  cached weakly per :class:`~repro.relational.table.ColumnCodes` object.
 
 Detection has one kernel: one stacked gather and one
 ``np.bincount(pass·2L + slot·2 + bit)`` tally over P ≥ 1 passes that
@@ -206,7 +206,7 @@ def _tally(
     else:
         assert embedding_maps is not None
         key_uniques = key_codes.uniques
-        slot_map_stack = np.zeros(
+        map_slot_stack = np.zeros(
             (pass_count, len(key_uniques)), dtype=np.int64
         )
         mapped_stack = np.zeros((pass_count, len(key_uniques)), dtype=np.bool_)
@@ -217,10 +217,10 @@ def _tally(
                 if slot is None:
                     continue
                 mapped_stack[index, position] = True
-                slot_map_stack[index, position] = slot
+                map_slot_stack[index, position] = slot
         use = valid & mapped_stack[:, row_codes]
         pass_rows, row_positions = np.nonzero(use)
-        slots_v = slot_map_stack[pass_rows, row_codes[row_positions]]
+        slots_v = map_slot_stack[pass_rows, row_codes[row_positions]]
         bits_v = bits_stack[pass_rows, row_positions].astype(np.int64)
         out_of_range = (slots_v < 0) | (slots_v >= channel_length)
         if out_of_range.any():

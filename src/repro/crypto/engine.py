@@ -11,16 +11,18 @@ attack sweeps and benchmarks do hundreds of times.
 :class:`HashEngine` removes that redundancy without changing a single
 output bit:
 
-* **one digest per (key, value)** — digests are memoized per secret key,
-  keyed by the *canonical byte encoding* of the value, so the cache is
-  exactly as discriminating as :func:`~repro.crypto.hashing.keyed_hash`
-  itself (``1``, ``True``, ``1.0`` and ``"1"`` all stay distinct);
-* **batched evaluation** — whole columns of distinct values are hashed in
-  one tight loop (:meth:`KeyedDigestCache.digest_many`);
-* **derived-primitive caches** — the quantities hot loops actually need
-  (``fitness``, ``slot index``, ``pair index``) are memoized per parameter
-  (``e``, ``|wm_data|``, ``nA``) on top of the digest cache, so a repeated
-  detection of the same relation performs **zero** hash computations.
+* **one exact digest per (key, value)** — :class:`KeyedDigestCache` keeps
+  each digest's 32 raw bytes, keyed so that it is exactly as
+  discriminating as :func:`~repro.crypto.hashing.keyed_hash` itself
+  (``1``, ``True``, ``1.0`` and ``"1"`` all stay distinct);
+* **batched evaluation** — whole columns of distinct values are looked up
+  and hashed in one tight loop (:meth:`KeyedDigestCache.digests`);
+* **plan arrays straight from the digests** — fitness reduces the joined
+  digest buffer ``mod e`` in ``uint64`` limbs, slot and pair indices take
+  the exact per-value ``msb`` of fit values only, and the arrays are
+  cached per column factorization, so a repeated detection of the same
+  relation performs **zero** hash computations and zero per-value
+  lookups.
 
 Cache-safety invariants (why memoization cannot go stale):
 
@@ -29,13 +31,7 @@ Cache-safety invariants (why memoization cannot go stale):
 * :class:`~repro.crypto.keys.MarkKey` and
   :class:`~repro.core.embedding.EmbeddingSpec` are frozen dataclasses, and
   attacks always operate on :meth:`~repro.relational.table.Table.clone`
-  copies, so no mutation can invalidate an entry;
-* the derived caches (:meth:`HashEngine.fitness_map` and friends) are
-  keyed by the Python *value* for per-row lookup speed, mirroring the
-  per-scan caches of the reference implementation — so, like any Python
-  ``dict``, they treat ``1``/``True``/``1.0`` as one key.  Relations mixing
-  equal-comparing values of different types in one key column are outside
-  the paper's data model; the underlying digest cache remains exact.
+  copies, so no mutation can invalidate an entry.
 
 Engines are shared process-wide through :func:`get_engine`, a bounded
 registry keyed by :class:`MarkKey`, which is what lets an attack sweep's
@@ -49,7 +45,7 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from hashlib import sha256
-from typing import Any, Hashable
+from typing import Any
 
 from .bits import bit_length, msb
 from .hashing import _SEPARATOR, canonical_bytes
@@ -73,12 +69,16 @@ BACKENDS = (SCALAR, VECTOR)
 #: slowdown on 128k-row cold scans
 GC_PAUSE_THRESHOLD = 10_000
 
-#: safety valve for long-lived processes: when a digest cache or derived
-#: map exceeds this many entries it is dropped wholesale before the next
-#: batch (workloads that keep injecting fresh keys — e.g. A2 dilution
-#: sweeps — would otherwise grow the caches without bound).  Losing the
-#: warm state once in a few million lookups costs one re-hash pass; the
-#: bound keeps worst-case memory at cache ~hundreds of MB, not unbounded.
+#: value types that key a digest cache as themselves; every other value
+#: keys it by a 1-tuple of its canonical bytes, which never equals these
+_SELF_KEYED = frozenset({int, str})
+
+#: safety valve for long-lived processes: when a digest cache exceeds this
+#: many entries it is dropped wholesale before the next batch (workloads
+#: that keep injecting fresh keys — e.g. A2 dilution sweeps — would
+#: otherwise grow the cache without bound).  Losing the warm state once in
+#: a few million lookups costs one re-hash pass; the bound keeps worst-case
+#: memory at ~hundreds of MB, not unbounded.
 DEFAULT_MAX_ENTRIES = 2_000_000
 
 #: per-engine bound on the number of column factorizations whose plan
@@ -118,9 +118,16 @@ def _weak_lru_store(plans: "OrderedDict[weakref.ref, dict]", codes, bound: int) 
 class KeyedDigestCache:
     """Memoized, batchable ``H(V, k)`` evaluation for one secret key.
 
-    The cache key is :func:`canonical_bytes` of the value — the exact
-    pre-image fed to SHA-256 — so memoization can never conflate values the
-    hash itself distinguishes.
+    Each entry holds one digest's 32 raw bytes.  A value whose type is
+    exactly ``int`` or ``str`` keys the cache as itself; every other value
+    (``bool``, ``float``, ``bytes``, ``tuple``, subclasses of ``int`` or
+    ``str``) keys it by a 1-tuple of its :func:`canonical_bytes`, the exact
+    SHA-256 pre-image.  An ``int`` or ``str`` never compares equal to a
+    tuple, so no stored key matches a lookup of another kind and
+    memoization cannot conflate values the hash distinguishes — while a
+    warm lookup of an int or str key skips the encoding altogether.  (A
+    bare ``bytes`` key shares its hash with the ``str`` of the same text,
+    so the two would be compared, which ``python -bb`` makes an error.)
     """
 
     __slots__ = (
@@ -133,7 +140,7 @@ class KeyedDigestCache:
         self.key = key
         self._prefix = key + _SEPARATOR
         self._suffix = _SEPARATOR + key
-        self._cache: dict[bytes, int] = {}
+        self._cache: dict[int | str | tuple[bytes], bytes] = {}
         self._max_entries = max_entries
         #: digests actually computed (cache misses) — perf-smoke telemetry
         self.computed = 0
@@ -143,26 +150,18 @@ class KeyedDigestCache:
 
     def digest(self, value: Any) -> int:
         """``H(value, key)`` as a 256-bit integer (memoized)."""
-        body = canonical_bytes(value)
-        cached = self._cache.get(body)
-        if cached is not None:
-            return cached
-        result = int.from_bytes(
-            sha256(self._prefix + body + self._suffix).digest(), "big"
-        )
-        if len(self._cache) > self._max_entries:
-            self._cache.clear()
-        self._cache[body] = result
-        self.computed += 1
-        return result
+        return int.from_bytes(self.digests((value,))[0], "big")
 
     def digest_many(self, values: Iterable[Any]) -> list[int]:
-        """``H(V, key)`` for a whole batch, canonical-encoding each value
-        once and hashing only the cache misses.
+        """``H(V, key)`` as 256-bit integers for a whole batch."""
+        from_bytes = int.from_bytes
+        return [from_bytes(digest, "big") for digest in self.digests(values)]
 
-        Duplicate values within one batch cost one redundant SHA-256 each
-        (callers pass distinct values on the hot paths); the cache stays
-        consistent either way because equal bodies hash equally.
+    def digests(self, values: Iterable[Any]) -> list[bytes]:
+        """``H(V, key)`` as 32 big-endian bytes per value, in order.
+
+        Only cache misses are hashed, each inserted as it is computed, so
+        a value repeated within the batch is hashed once.
         """
         large = (
             hasattr(values, "__len__")
@@ -170,129 +169,81 @@ class KeyedDigestCache:
             and gc.isenabled()
         )
         if not large:
-            return self._digest_many(values)
+            return self._digests(values)
         gc.disable()
         try:
-            return self._digest_many(values)
+            return self._digests(values)
         finally:
             gc.enable()
 
-    def _digest_many(self, values: Iterable[Any]) -> list[int]:
+    def _digests(self, values: Iterable[Any]) -> list[bytes]:
         cache = self._cache
         if len(cache) > self._max_entries:
             cache.clear()
         canon = canonical_bytes
-        if not cache:
-            # Fully-cold batch (first contact with this key): every value
-            # is a miss, so skip the per-value lookup bookkeeping entirely.
-            bodies = [
-                b"i:%d" % value if type(value) is int
-                else b"s:" + value.encode("utf-8") if type(value) is str
-                else canon(value)
-                for value in values
-            ]
-            digests = self._compute(bodies)
-            cache.update(zip(bodies, digests))
-            self.computed += len(bodies)
-            return digests
-        out: list[int] = []
-        append = out.append
-        bodies: list[bytes] = []          # cache-miss pre-images, in order
-        positions: list[int] = []         # their slots in `out`
-        miss_body = bodies.append
-        miss_position = positions.append
-        cache_get = cache.get
-        index = 0
-        for value in values:
-            # Inline the two dominant canonical encodings; exact type
-            # checks keep bool/int and everything else on the exact
-            # canonical_bytes path.
-            kind = type(value)
-            if kind is int:
-                body = b"i:%d" % value
-            elif kind is str:
-                body = b"s:" + value.encode("utf-8")
-            else:
-                body = canon(value)
-            cached = cache_get(body)
-            if cached is None:
-                miss_body(body)
-                miss_position(index)
-                append(0)
-            else:
-                append(cached)
-            index += 1
-        if not bodies:
-            return out
-        digests = self._compute(bodies)
-        for body, position, result in zip(bodies, positions, digests):
-            cache[body] = result
-            out[position] = result
-        self.computed += len(bodies)
+        keys = [
+            value if type(value) in _SELF_KEYED else (canon(value),)
+            for value in values
+        ]
+        out = list(map(cache.get, keys))
+        if not all(out):  # a digest is non-empty bytes, a miss is None
+            self._hash_misses(keys, out)
         return out
 
-    def _compute(self, bodies: list[bytes]) -> list[int]:
+    def _hash_misses(self, keys: list, out: list) -> None:
+        """Hash and insert every key whose ``out`` slot is still None."""
+        cache = self._cache
         prefix = self._prefix
         suffix = self._suffix
-        from_bytes = int.from_bytes
-        return [
-            from_bytes(sha256(prefix + body + suffix).digest(), "big")
-            for body in bodies
-        ]
+        for position, digest in enumerate(out):
+            if digest is not None:
+                continue
+            key = keys[position]
+            digest = cache.get(key)  # a repeat of an earlier miss
+            if digest is None:
+                # Inline the two dominant canonical encodings.
+                kind = type(key)
+                if kind is int:
+                    body = b"i:%d" % key
+                elif kind is str:
+                    body = b"s:" + key.encode("utf-8")
+                else:
+                    body = key[0]
+                digest = cache[key] = sha256(prefix + body + suffix).digest()
+                self.computed += 1
+            out[position] = digest
 
 
 class HashEngine:
     """Columnar ``H(V, k1)``/``H(V, k2)`` evaluation for one key pair.
 
-    The derived maps returned by :meth:`fitness_map`, :meth:`slot_map` and
-    :meth:`pair_map` are *live, shared* dicts — callers must treat them as
-    read-only.  They grow monotonically and are safe forever because every
-    entry is a pure function of the (immutable) secret keys and the value.
+    One :class:`KeyedDigestCache` per key is the only per-value layer; the
+    plan arrays are built from its digests once per column factorization
+    and are read-only and shared, safe forever because every entry is a
+    pure function of the (immutable) secret keys and the value.
     """
 
     __slots__ = (
-        "key", "k1", "k2", "_fit", "_slots", "_pairs", "_max_entries",
-        "_array_plans", "_max_plan_codes", "plan_arrays_built",
+        "key", "k1", "k2", "_array_plans", "plan_arrays_built",
         "plan_array_hits",
     )
 
-    def __init__(
-        self,
-        key: MarkKey,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_plan_codes: int = DEFAULT_MAX_PLAN_CODES,
-    ):
+    def __init__(self, key: MarkKey, max_entries: int = DEFAULT_MAX_ENTRIES):
         self.key = key
         self.k1 = KeyedDigestCache(key.k1, max_entries)
         self.k2 = KeyedDigestCache(key.k2, max_entries)
-        self._fit: dict[int, dict[Hashable, bool]] = {}
-        self._slots: dict[int, dict[Hashable, int]] = {}
-        self._pairs: dict[int, dict[Hashable, int]] = {}
-        self._max_entries = max_entries
         # Vector-backend plan arrays, cached per ColumnCodes *object*: a
         # factorization is immutable for the table version it was built
         # at, so identity-keyed entries can never go stale, and the weak
         # keys let arrays die with their table instead of pinning it.
-        # LRU-bounded (max_plan_codes live factorizations) so that
+        # LRU-bounded (DEFAULT_MAX_PLAN_CODES live factorizations) so that
         # workloads churning live codes objects cannot grow it unbounded.
         self._array_plans: "OrderedDict[weakref.ref, dict]" = OrderedDict()
-        self._max_plan_codes = max_plan_codes
         #: telemetry: plan arrays actually materialized (perf smoke
         #: asserts a warm vector re-detection builds zero of them)
         self.plan_arrays_built = 0
         #: telemetry: plan-array requests answered from cache
         self.plan_array_hits = 0
-
-    def _derived(
-        self, store: dict[int, dict], parameter: int
-    ) -> dict:
-        """The derived map for ``parameter``, bounded by the entry cap."""
-        derived = store.get(parameter)
-        if derived is None:
-            derived = store[parameter] = {}
-        elif len(derived) > self._max_entries:
-            derived.clear()
-        return derived
 
     # -- telemetry --------------------------------------------------------
     @property
@@ -300,126 +251,64 @@ class HashEngine:
         """Total SHA-256 evaluations this engine has actually performed."""
         return self.k1.computed + self.k2.computed
 
-    # -- derived primitive maps (shared, persistent) -----------------------
-    def fitness_map(
-        self, values: Iterable[Hashable], e: int
-    ) -> dict[Hashable, bool]:
-        """``value -> (H(V, k1) mod e == 0)`` covering ``values``."""
-        if e <= 0:
-            raise ValueError(f"e must be positive, got {e}")
-        derived = self._derived(self._fit, e)
-        missing = [v for v in values if v not in derived]
-        if missing:
-            # setdefault: if a batch contains equal-comparing values of
-            # different types (1/True), the first occurrence wins — the
-            # same semantics as the reference implementation's scan caches.
-            for value, digest in zip(missing, self.k1.digest_many(missing)):
-                derived.setdefault(value, digest % e == 0)
-        return derived
-
-    def slot_map(
-        self, values: Iterable[Hashable], channel_length: int
-    ) -> dict[Hashable, int]:
-        """``value -> msb(H(V, k2), b(L)) mod L`` covering ``values``."""
-        if channel_length <= 0:
-            raise ValueError(
-                f"channel length must be positive, got {channel_length}"
-            )
-        derived = self._derived(self._slots, channel_length)
-        missing = [v for v in values if v not in derived]
-        if missing:
-            width = bit_length(channel_length)
-            for value, digest in zip(missing, self.k2.digest_many(missing)):
-                derived.setdefault(value, msb(digest, width) % channel_length)
-        return derived
-
-    def pair_map(
-        self, values: Iterable[Hashable], domain_size: int
-    ) -> dict[Hashable, int]:
-        """``value -> msb(H(V, k1), b(nA)) mod (nA // 2)`` covering
-        ``values`` — the pair-coding secret of
-        :func:`~repro.core.embedding.embedded_value_index`."""
-        pairs = domain_size // 2
-        if pairs <= 0:
-            raise ValueError(
-                f"domain of size {domain_size} has no usable value pairs"
-            )
-        derived = self._derived(self._pairs, domain_size)
-        missing = [v for v in values if v not in derived]
-        if missing:
-            width = bit_length(domain_size)
-            for value, digest in zip(missing, self.k1.digest_many(missing)):
-                derived.setdefault(value, msb(digest, width) % pairs)
-        return derived
-
-    # -- list-shaped conveniences -----------------------------------------
-    def fitness_mask(self, values: Iterable[Hashable], e: int) -> list[bool]:
-        """Per-value fitness verdicts, aligned with ``values``."""
-        values = list(values)
-        table = self.fitness_map(values, e)
-        return [table[v] for v in values]
-
-    def slot_indices(
-        self, values: Iterable[Hashable], channel_length: int
-    ) -> list[int]:
-        """Per-value ``wm_data`` slot indices, aligned with ``values``."""
-        values = list(values)
-        table = self.slot_map(values, channel_length)
-        return [table[v] for v in values]
-
-    def pair_indices(self, values: Iterable[Hashable], domain) -> list[int]:
-        """Per-value pair indices, aligned with ``values``.
-
-        ``domain`` may be a :class:`~repro.relational.CategoricalDomain`
-        or a plain domain size.
-        """
-        size = domain if isinstance(domain, int) else domain.size
-        values = list(values)
-        table = self.pair_map(values, size)
-        return [table[v] for v in values]
-
     # -- vector plan arrays (cached per column factorization) ---------------
     def _plan_store(self, codes) -> dict:
         """The (LRU-tracked) plan-array store for one factorization."""
-        return _weak_lru_store(self._array_plans, codes, self._max_plan_codes)
+        return _weak_lru_store(
+            self._array_plans, codes, DEFAULT_MAX_PLAN_CODES
+        )
 
     def fitness_array(self, codes, e: int):
-        """Read-only bool array: per-unique fitness verdicts for a
+        """Read-only bool array: per-unique fitness verdicts
+        ``H(V, k1) mod e == 0`` for a
         :class:`~repro.relational.table.ColumnCodes` factorization.
 
         Aligned with ``codes.uniques`` — gather per-row verdicts as
-        ``fitness_array(codes, e)[codes.codes]``.  Built once per
-        factorization from :meth:`fitness_map` (memoization semantics and
-        digest accounting unchanged) and cached until the factorization
-        dies, so a warm re-detection touches no per-value Python dict at
-        all.
+        ``fitness_array(codes, e)[codes.codes]``.  The ``k1`` digests are
+        joined into one buffer of big-endian ``uint64`` limbs and reduced
+        ``mod e`` limb by limb (every intermediate stays below
+        ``e² < 2^64`` while ``e < 2^32``; larger ``e`` reduce as Python
+        ints).  Cached until the factorization dies.
         """
         store = self._plan_store(codes)
         entry = store.get(("fit", e))
         if entry is not None:
             self.plan_array_hits += 1
             return entry
+        if e <= 0:
+            raise ValueError(f"e must be positive, got {e}")
         import numpy as np
 
-        uniques = codes.uniques
-        table = self.fitness_map(uniques, e)
-        entry = np.fromiter(
-            (table[value] for value in uniques),
-            dtype=np.bool_,
-            count=len(uniques),
-        )
+        digests = self.k1.digests(codes.uniques)
+        if e < 1 << 32:
+            limbs = np.frombuffer(b"".join(digests), ">u8").reshape(-1, 4)
+            radix = (1 << 64) % e
+            residue = limbs[:, 0] % e
+            for column in range(1, 4):
+                residue = (residue * radix + limbs[:, column] % e) % e
+            entry = residue == 0
+        else:
+            entry = np.fromiter(
+                (int.from_bytes(digest, "big") % e == 0 for digest in digests),
+                dtype=np.bool_,
+                count=len(digests),
+            )
         entry.setflags(write=False)
         store[("fit", e)] = entry
         self.plan_arrays_built += 1
         return entry
 
-    def _fit_masked_array(self, codes, cache_key: tuple, e: int, map_for):
-        """Shared fit-masked plan-array builder for slot/pair indices.
+    def _fit_masked_array(
+        self, codes, cache_key: tuple, e: int, cache: KeyedDigestCache,
+        size: int, modulus: int, error: str,
+    ):
+        """Shared fit-masked plan-array builder for slot/pair indices:
+        ``msb(H(V, k), b(size)) mod modulus`` per unique.
 
-        Only *fit* uniques (under ``e``) are resolved through ``map_for``
-        — exactly the values the scalar reference hashes — so digest
-        counts match across backends; unfit entries hold 0 and must be
-        masked by :meth:`fitness_array` before use.
+        Only *fit* uniques (under ``e``) are hashed — exactly the values
+        the scalar reference hashes — so digest counts match across
+        backends; unfit entries hold 0 and must be masked by
+        :meth:`fitness_array` before use.
         """
         store = self._plan_store(codes)
         entry = store.get(cache_key)
@@ -428,17 +317,19 @@ class HashEngine:
             return entry
         import numpy as np
 
-        fit = self.fitness_array(codes, e)
-        fit_positions = np.flatnonzero(fit)
+        fit_positions = np.flatnonzero(self.fitness_array(codes, e))
+        if modulus <= 0:
+            raise ValueError(error)
+        width = bit_length(size)
         uniques = codes.uniques
-        fit_values = [uniques[i] for i in fit_positions.tolist()]
-        table = map_for(fit_values)
+        from_bytes = int.from_bytes
         entry = np.zeros(len(uniques), dtype=np.int32)
-        entry[fit_positions] = np.fromiter(
-            (table[value] for value in fit_values),
-            dtype=np.int32,
-            count=len(fit_values),
-        )
+        entry[fit_positions] = [
+            msb(from_bytes(digest, "big"), width) % modulus
+            for digest in cache.digests(
+                [uniques[i] for i in fit_positions.tolist()]
+            )
+        ]
         entry.setflags(write=False)
         store[cache_key] = entry
         self.plan_arrays_built += 1
@@ -446,22 +337,23 @@ class HashEngine:
 
     def slot_array(self, codes, channel_length: int, e: int):
         """Read-only int32 array: per-unique ``wm_data`` slot indices
-        (fit-masked — see :meth:`_fit_masked_array`)."""
+        ``msb(H(V, k2), b(L)) mod L`` (fit-masked — see
+        :meth:`_fit_masked_array`)."""
         return self._fit_masked_array(
-            codes,
-            ("slot", channel_length, e),
-            e,
-            lambda values: self.slot_map(values, channel_length),
+            codes, ("slot", channel_length, e), e, self.k2,
+            channel_length, channel_length,
+            f"channel length must be positive, got {channel_length}",
         )
 
     def pair_array(self, codes, domain_size: int, e: int):
-        """Read-only int32 array: per-unique pair indices (fit-masked —
+        """Read-only int32 array: per-unique pair indices
+        ``msb(H(V, k1), b(nA)) mod (nA // 2)`` — the pair-coding secret of
+        :func:`~repro.core.embedding.embedded_value_index` (fit-masked —
         only carriers are ever pair-coded)."""
         return self._fit_masked_array(
-            codes,
-            ("pair", domain_size, e),
-            e,
-            lambda values: self.pair_map(values, domain_size),
+            codes, ("pair", domain_size, e), e, self.k1,
+            domain_size, domain_size // 2,
+            f"domain of size {domain_size} has no usable value pairs",
         )
 
     # -- stacked plan projections (multi-pass detection) ---------------------
@@ -527,21 +419,16 @@ class HashEngine:
 
     # -- introspection ------------------------------------------------------
     def cache_info(self) -> dict[str, Any]:
-        """Hit/miss/entry telemetry across every cache layer.
+        """Hit/miss/entry telemetry across both cache layers.
 
-        Digest misses are SHA-256 evaluations actually performed; derived
-        entries count memoized fitness/slot/pair verdicts; plan-array
-        numbers cover the weak-keyed vector-backend caches (bounded by
-        ``max_plan_codes``).  Surfaced in the bench JSON records.
+        Digest misses are SHA-256 evaluations actually performed;
+        plan-array numbers cover the weak-keyed vector-backend caches
+        (bounded by :data:`DEFAULT_MAX_PLAN_CODES`).  Surfaced in the bench
+        JSON records.
         """
         return {
             "digest_entries": len(self.k1) + len(self.k2),
             "digests_computed": self.computed_digests,
-            "derived_entries": {
-                "fitness": sum(len(m) for m in self._fit.values()),
-                "slot": sum(len(m) for m in self._slots.values()),
-                "pair": sum(len(m) for m in self._pairs.values()),
-            },
             "plan_codes_tracked": len(self._array_plans),
             "plan_arrays": sum(
                 len(store) for store in self._array_plans.values()
@@ -549,31 +436,6 @@ class HashEngine:
             "plan_arrays_built": self.plan_arrays_built,
             "plan_array_hits": self.plan_array_hits,
         }
-
-    # -- scalar conveniences ----------------------------------------------
-    def is_fit(self, value: Hashable, e: int) -> bool:
-        derived = self._fit.get(e)
-        if derived is not None:
-            cached = derived.get(value)
-            if cached is not None:
-                return cached
-        return self.fitness_map((value,), e)[value]
-
-    def slot_index(self, value: Hashable, channel_length: int) -> int:
-        derived = self._slots.get(channel_length)
-        if derived is not None:
-            cached = derived.get(value)
-            if cached is not None:
-                return cached
-        return self.slot_map((value,), channel_length)[value]
-
-    def pair_index(self, value: Hashable, domain_size: int) -> int:
-        derived = self._pairs.get(domain_size)
-        if derived is not None:
-            cached = derived.get(value)
-            if cached is not None:
-                return cached
-        return self.pair_map((value,), domain_size)[value]
 
 
 # -- multi-pass stack-plan cache -------------------------------------------

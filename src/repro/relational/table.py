@@ -51,8 +51,9 @@ class ColumnCodes:
     :class:`~repro.crypto.engine.HashEngine` cache derived plan arrays per
     factorization without keeping dead tables alive.
 
-    Like the engine's derived maps, factorization keys values by Python
-    equality, so equal-comparing lookalikes (``1``/``True``) share a code.
+    Factorization keys values by Python equality, so equal-comparing
+    lookalikes (``1``/``True``) within one column share a code, and that
+    code's plan-array entries are those of its first-encountered value.
     """
 
     __slots__ = ("codes", "uniques", "__weakref__")

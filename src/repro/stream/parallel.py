@@ -132,8 +132,8 @@ def stream_engine(
 
     Unlike the process-wide :func:`~repro.crypto.get_engine` registry
     engine (bounded at millions of entries — fine for in-memory
-    relations, O(rows) for an unbounded stream), this engine's digest and
-    derived caches are capped at ``max(MIN_ENGINE_ENTRIES,
+    relations, O(rows) for an unbounded stream), this engine's digest
+    caches are capped at ``max(MIN_ENGINE_ENTRIES,
     ENGINE_ENTRY_FACTOR * chunk_size)`` entries — dropped wholesale when
     the cap is crossed, so steady-state memory stays O(chunk) however
     many rows flow past, while values re-seen within the window (a

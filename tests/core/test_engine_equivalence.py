@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.core import Watermark, Watermarker, make_spec
-from repro.core.detection import extract_slots
+from repro.core import EmbeddingSpec, Watermark, Watermarker, make_spec
+from repro.core.detection import extract_slot_votes, extract_slots
 from repro.core.embedding import embed
 from repro.crypto import SCALAR, HashEngine, MarkKey, clear_engine_registry
 from repro.datagen import generate_item_scan
@@ -153,3 +153,31 @@ def test_detection_after_attack_agrees(relation, watermark, key):
     reference = extract_slots(attacked, key, spec, engine=SCALAR)
     for _ in range(3):
         assert extract_slots(attacked, key, spec, engine=engine) == reference
+
+
+def test_shared_engine_keeps_equal_comparing_keys_apart():
+    """An INTEGER-keyed relation detected on the shared engine right after
+    a REAL-keyed one holding the same numbers as floats (``1.0 == 1``)
+    still matches SCALAR: no float's digest answers for an int."""
+    key = MarkKey.from_seed(3)
+    spec = EmbeddingSpec("K", "A", e=3, watermark_length=4, channel_length=16)
+    domain = CategoricalDomain(["a", "b", "c", "d"])
+
+    def relation(atype, cast):
+        schema = Schema(
+            [
+                Attribute("K", atype),
+                Attribute("A", AttributeType.CATEGORICAL, domain),
+            ],
+            "K",
+        )
+        return Table(
+            schema, [(cast(i), "abcd"[i % 4]) for i in range(1, 2001)]
+        )
+
+    integers = relation(AttributeType.INTEGER, int)
+    reals = relation(AttributeType.REAL, float)
+    clear_engine_registry()
+    for table in (reals, integers):
+        vector = extract_slot_votes(table, key, spec)
+        assert vector == extract_slot_votes(table, key, spec, engine=SCALAR)

@@ -1,7 +1,7 @@
 """Equivalence and behaviour tests for the batched hash engine.
 
-The engine is only allowed to be *fast*: every derived quantity must be
-bit-for-bit identical to the scalar reference primitives
+The engine is only allowed to be *fast*: every digest and plan array must
+be bit-for-bit identical to the scalar reference primitives
 (``keyed_hash`` / ``slot_index`` / ``embedded_value_index``), for every
 value type the canonical encoding supports.
 """
@@ -9,7 +9,11 @@ value type the canonical encoding supports.
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from repro.core.embedding import (
@@ -27,7 +31,7 @@ from repro.crypto import (
     keyed_hash,
 )
 from repro.crypto.engine import GC_PAUSE_THRESHOLD
-from repro.relational import CategoricalDomain
+from repro.relational import CategoricalDomain, ColumnCodes
 
 #: a deliberately nasty mix: negative/huge ints, non-ASCII text, bytes,
 #: floats, bools, and nested tuple keys (composite §3.3 place-holders)
@@ -49,14 +53,12 @@ VALUES = [
     (),
 ]
 
-#: VALUES minus cross-type ``==`` collisions (True==1, False==0, -0.0==0):
-#: the engine's *derived* maps are plain dicts — like the reference scan
-#: caches — so equal-comparing lookalikes share one entry by design.  The
-#: digest cache itself stays exact (see
-#: TestDigestEquivalence.test_cache_distinguishes_equal_comparing_values).
-DISTINCT_VALUES = [
-    v for v in VALUES if not isinstance(v, (bool, float)) or v == 3.14159
-]
+
+def codes_over(values) -> ColumnCodes:
+    """A factorization whose uniques are ``values`` as given, one row each:
+    no dict equality is involved, so ``1``, ``True`` and ``1.0`` stay
+    separate uniques."""
+    return ColumnCodes(np.arange(len(values), dtype=np.int32), list(values))
 
 
 @pytest.fixture
@@ -83,6 +85,13 @@ class TestDigestEquivalence:
         doubled = VALUES + VALUES
         assert engine.k1.digest_many(doubled) == [
             keyed_hash(value, key.k1) for value in doubled
+        ]
+        # a value repeated within one batch is hashed once
+        assert engine.k1.computed == len(VALUES)
+
+    def test_digests_are_raw_big_endian_bytes(self, key, engine):
+        assert engine.k2.digests(VALUES) == [
+            keyed_hash(value, key.k2).to_bytes(32, "big") for value in VALUES
         ]
 
     def test_cache_distinguishes_equal_comparing_values(self, key, engine):
@@ -111,56 +120,120 @@ class TestDigestEquivalence:
             KeyedDigestCache("not-bytes")  # type: ignore[arg-type]
 
 
-class TestDerivedPrimitives:
-    @pytest.mark.parametrize("e", [1, 2, 7, 60])
-    def test_fitness_mask(self, key, engine, e):
-        mask = engine.fitness_mask(DISTINCT_VALUES, e)
-        assert mask == [
-            keyed_hash(value, key.k1) % e == 0 for value in DISTINCT_VALUES
+class TestPlanArrays:
+    @pytest.mark.parametrize(
+        "e", [1, 2, 7, 60, 2**32 - 1, 2**32, 2**64 + 1]
+    )
+    def test_fitness_array(self, key, engine, e):
+        fit = engine.fitness_array(codes_over(VALUES), e)
+        assert fit.tolist() == [
+            keyed_hash(value, key.k1) % e == 0 for value in VALUES
         ]
 
+    @pytest.mark.parametrize("e", [3, 60, 2**32 - 1, 2**32, 2**64 + 1])
+    def test_fitness_reduction_of_chosen_digests(self, engine, e):
+        # Seed the digest cache with digests that are (or are not)
+        # multiples of e, so a wrong reduction of either kind — uint64
+        # limbs below 2**32, Python ints above — shows for any e.
+        quotients = [1, 2**200 // e, 2**255 // e - 7]
+        digests = [q * e + r for q in quotients for r in (0, 1, e - 1)]
+        values = [f"chosen-{i}" for i in range(len(digests))]
+        for value, digest in zip(values, digests):
+            engine.k1._cache[value] = digest.to_bytes(32, "big")
+        fit = engine.fitness_array(codes_over(values), e)
+        assert fit.tolist() == [digest % e == 0 for digest in digests]
+        assert engine.computed_digests == 0
+
     @pytest.mark.parametrize("channel_length", [1, 10, 100, 1023])
-    def test_slot_indices(self, key, engine, channel_length):
-        slots = engine.slot_indices(DISTINCT_VALUES, channel_length)
-        assert slots == [
-            slot_index(value, key.k2, channel_length) for value in DISTINCT_VALUES
+    def test_slot_array(self, key, engine, channel_length):
+        # e = 1: every unique is fit, so every slot is resolved
+        slots = engine.slot_array(codes_over(VALUES), channel_length, 1)
+        assert slots.tolist() == [
+            slot_index(value, key.k2, channel_length) for value in VALUES
         ]
 
     @pytest.mark.parametrize("size", [2, 3, 5, 500])
-    def test_pair_indices(self, key, engine, size):
+    def test_pair_array(self, key, engine, size):
         domain = CategoricalDomain([f"v{i}" for i in range(size)])
+        pairs = engine.pair_array(codes_over(VALUES), size, 1).tolist()
         for bit in (0, 1):
             expected = [
                 embedded_value_index(value, key.k1, bit, domain)
-                for value in DISTINCT_VALUES
+                for value in VALUES
             ]
-            derived = [
-                2 * pair + bit
-                for pair in engine.pair_indices(DISTINCT_VALUES, domain)
-            ]
-            assert derived == expected
+            assert [2 * pair + bit for pair in pairs] == expected
 
-    def test_pair_indices_accepts_plain_size(self, engine):
-        domain = CategoricalDomain(["a", "b", "c", "d"])
-        assert engine.pair_indices(DISTINCT_VALUES, 4) == engine.pair_indices(
-            DISTINCT_VALUES, domain
-        )
-
-    def test_scalar_conveniences_match_batched(self, engine):
-        for value in DISTINCT_VALUES:
-            assert engine.is_fit(value, 7) == engine.fitness_mask([value], 7)[0]
-            assert engine.slot_index(value, 64) == \
-                engine.slot_indices([value], 64)[0]
-            assert engine.pair_index(value, 10) == \
-                engine.pair_indices([value], 10)[0]
+    def test_slot_and_pair_hash_fit_uniques_only(self, key, engine):
+        codes = codes_over(VALUES)
+        fit = engine.fitness_array(codes, 3)
+        k2_before = engine.k2.computed
+        slots = engine.slot_array(codes, 64, 3)
+        pairs = engine.pair_array(codes, 10, 3)
+        assert engine.k2.computed - k2_before == int(fit.sum())
+        for position, value in enumerate(VALUES):
+            if fit[position]:
+                assert slots[position] == slot_index(value, key.k2, 64)
+            else:
+                assert slots[position] == pairs[position] == 0
 
     def test_parameter_validation(self, engine):
-        with pytest.raises(ValueError):
-            engine.fitness_map(DISTINCT_VALUES, 0)
-        with pytest.raises(ValueError):
-            engine.slot_map(DISTINCT_VALUES, 0)
-        with pytest.raises(ValueError):
-            engine.pair_map(DISTINCT_VALUES, 1)  # single-value domain: no pairs
+        codes = codes_over(VALUES)
+        with pytest.raises(ValueError, match="e must be positive"):
+            engine.fitness_array(codes, 0)
+        with pytest.raises(ValueError, match="channel length"):
+            engine.slot_array(codes, 0, 7)
+        with pytest.raises(ValueError, match="no usable value pairs"):
+            engine.pair_array(codes, 1, 7)  # single-value domain: no pairs
+
+
+class TestExactKeys:
+    """Values that compare equal but hash differently (``1``, ``1.0``,
+    ``True``) never share a cache entry, whatever order they arrive in."""
+
+    def test_fitness_after_an_equal_comparing_value(self):
+        key = MarkKey.from_seed(3)
+        engine = HashEngine(key)
+        for value in (1.0, True, 1):
+            fit = engine.fitness_array(codes_over([value]), 2)
+            assert bool(fit[0]) == (keyed_hash(value, key.k1) % 2 == 0)
+
+    def test_int_and_str_subclasses_key_by_canonical_bytes(self, key):
+        class Label(str):
+            pass
+
+        class Count(int):
+            pass
+
+        cache = KeyedDigestCache(key.k1)
+        values = ["7", Label("7"), 7, Count(7), 7.0, b"7"]
+        assert cache.digest_many(values) == [
+            keyed_hash(value, key.k1) for value in values
+        ]
+        # a subclass hashes like its base type, under its own entry
+        assert len(cache) == len(values)
+        assert len(set(cache.digest_many(values))) == 4
+
+    def test_str_keys_are_never_compared_with_canonical_bytes(self):
+        # A str whose text is another value's canonical encoding has the
+        # same hash as those bytes; under ``python -bb`` a str/bytes
+        # comparison raises, so the two keys must never meet.
+        probe = (
+            "from repro.crypto import KeyedDigestCache, keyed_hash\n"
+            "cache = KeyedDigestCache(b'k')\n"
+            "values = ['y:a', b'a', 'f:1.0', 1.0, 'b:1', True, 's:x', ('x',)]\n"
+            "for batch in (values, values[::-1]):\n"
+            "    assert cache.digest_many(batch) == [\n"
+            "        keyed_hash(value, b'k') for value in batch\n"
+            "    ]\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-bb", "-c", probe],
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=__file__.rsplit("/tests/", 1)[0],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRegistry:
@@ -268,13 +341,18 @@ class TestCacheBounds:
         # correctness survives the reset
         assert cache.digest(3) == keyed_hash(3, b"cap-key")
 
-    def test_derived_maps_clear_at_cap(self):
+    def test_cap_counts_int_and_canonical_bytes_keys_together(self):
         engine = HashEngine(MarkKey.from_seed("cap"), max_entries=8)
-        derived = engine.fitness_map(list(range(12)), 7)
-        assert len(derived) == 12
-        engine.fitness_map([99], 7)             # trips the valve, re-adds one
-        assert len(derived) == 1                # same shared dict, now reset
-        assert engine.is_fit(5, 7) == (keyed_hash(5, engine.key.k1) % 7 == 0)
+        values = list(range(6)) + [1.5, True, "six", b"7", (8,), 9.0]
+        engine.fitness_array(codes_over(values), 7)
+        assert len(engine.k1) == 12             # cap is checked pre-batch
+        engine.fitness_array(codes_over([99]), 7)   # trips the valve
+        assert len(engine.k1) == 1
+        # correctness survives the reset
+        fit = engine.fitness_array(codes_over(values), 7)
+        assert fit.tolist() == [
+            keyed_hash(value, engine.key.k1) % 7 == 0 for value in values
+        ]
 
 
 class TestResolveEngine:

@@ -179,7 +179,7 @@ def test_vector_steady_redetect_is_pure_array_code(monkeypatch):
     re-detecting the same relation performs zero SHA-256 computations and
     zero Python-level hash lookups — every per-row quantity comes from the
     cached column codes and the engine's cached plan arrays.  Enforced by
-    making every dict-backed engine primitive raise.
+    making every digest-cache lookup raise.
     """
     from repro.crypto import (
         VECTOR,
@@ -215,9 +215,7 @@ def test_vector_steady_redetect_is_pure_array_code(monkeypatch):
             )
         return _raise
 
-    monkeypatch.setattr(HashEngine, "fitness_map", forbidden("fitness_map"))
-    monkeypatch.setattr(HashEngine, "slot_map", forbidden("slot_map"))
-    monkeypatch.setattr(HashEngine, "pair_map", forbidden("pair_map"))
+    monkeypatch.setattr(KeyedDigestCache, "digests", forbidden("digests"))
     monkeypatch.setattr(KeyedDigestCache, "digest", forbidden("digest"))
     monkeypatch.setattr(
         KeyedDigestCache, "digest_many", forbidden("digest_many")
