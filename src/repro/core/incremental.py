@@ -117,6 +117,9 @@ class IncrementalWatermarker:
         Returns ``True`` when the inserted tuple became a carrier.
         """
         materialised = list(row)
+        # Validated before the key is hashed: a row the schema refuses
+        # raises the schema's error, whatever its key holds.
+        self.table.schema.validate_row(materialised)
         pk_position = self.table.schema.position(self.table.primary_key)
         mark_position = self.table.schema.position(self.spec.mark_attribute)
         key_value = materialised[pk_position]

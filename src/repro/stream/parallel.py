@@ -9,8 +9,8 @@ count, and each direction has one per-chunk function —
 through wherever it is computed:
 
 Every run reads the same chunk tasks — the source's one reader,
-:func:`~repro.stream.sources.payload_chunks` (raw CSV field lists, typed
-row tuples, finished tables) — and builds every chunk from its task with
+:func:`~repro.stream.sources.payload_chunks` (raw CSV text, typed row
+tuples, finished tables) — and builds every chunk from its task with
 one function wherever the chunk is computed:
 :func:`~repro.stream.sources.build_chunk` (a chunk table) for marking
 and the SCALAR reference, :func:`~repro.stream.sources.build_chunk_codes`
@@ -26,8 +26,9 @@ detection:
   so decode overlaps compute.  Workers are initialized once with the
   pickled run state (keys, spec, domain, schema), build one warm
   chunk-bounded :func:`stream_engine` per key, build each task's chunk
-  (CSV typing happens *there*, not in the coordinator) and call the
-  same per-chunk function.
+  (a CSV chunk's field split and typing happen *there*: the coordinator
+  only decompresses the file and cuts its text at newlines) and call
+  the same per-chunk function.
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
@@ -53,6 +54,7 @@ and a broken pool is retired either way.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import logging
 import os
@@ -152,8 +154,8 @@ def resolve_workers(workers: int | str | None) -> int:
     pickled run state.  ``"auto"`` applies the cpu_count
     heuristic: reserve one core for the coordinator's read-ahead decode
     and fan the rest, never fewer than two workers once a second core
-    exists and never more than eight (the coordinator's record reading +
-    pickling saturates long before that).
+    exists and never more than eight (the coordinator decompresses and
+    cuts every chunk serially, which caps the workers it can feed).
     """
     if workers is None:
         return 1
@@ -289,6 +291,7 @@ def _worker_init(blob: bytes) -> None:
     chunk-bounded stream engine per key, zero worker-local telemetry."""
     global _W, _W_ENGINES, _W_DECODERS, _W_CHUNKS
     _W = pickle.loads(blob)
+    csv.field_size_limit(_W["field_size_limit"])
     _W_ENGINES = [
         None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
         for key in _W["keys"]
@@ -556,6 +559,8 @@ class _OrderedRun:
                 self.blob = _run_blob({
                     **self.state, "profile": self.profile,
                     "build": self.build,
+                    # Workers split CSV text: with the caller's limit.
+                    "field_size_limit": csv.field_size_limit(),
                 })
             self.executor = _pool.ensure(
                 hashlib.sha256(self.blob).digest(), self.workers,

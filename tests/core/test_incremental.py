@@ -68,6 +68,54 @@ class TestInsert:
         assert wrapper.stats.inserted_carriers >= 0
 
 
+class TestInsertRejects:
+    """A row the schema refuses raises the schema's error before its key
+    is hashed, and changes nothing."""
+
+    @pytest.fixture
+    def wrapper(self):
+        from repro import MarkKey, Watermark, Watermarker
+        from repro.datagen import generate_item_scan
+
+        marker = Watermarker(MarkKey.from_seed("insert-rejects"), e=40)
+        outcome = marker.embed(
+            generate_item_scan(500, item_count=50, seed=7),
+            Watermark.from_int(0b1011001110, 10), "Item_Nbr",
+        )
+        return IncrementalWatermarker(
+            outcome.table, marker.key, outcome.record
+        )
+
+    @staticmethod
+    def rejects(wrapper, row, error):
+        before = list(wrapper.table)
+        with pytest.raises(error):
+            wrapper.insert(row)
+        assert list(wrapper.table) == before
+        assert wrapper.stats.inserted == 0
+
+    @pytest.mark.parametrize("key", [None, "90000000"])
+    def test_a_key_of_the_wrong_type(self, wrapper, key):
+        from repro.relational import TypeMismatchError
+
+        item = wrapper.table.schema.attribute("Item_Nbr").domain.value_at(0)
+        self.rejects(wrapper, (key, item), TypeMismatchError)
+
+    def test_an_empty_row(self, wrapper):
+        from repro.relational import SchemaError
+
+        self.rejects(wrapper, [], SchemaError)
+
+    def test_a_short_row_with_a_fit_key(self, wrapper):
+        from repro.relational import SchemaError
+
+        key = next(
+            value for value in range(90_000_000, 90_010_000)
+            if wrapper.expected_value(value) is not None
+        )
+        self.rejects(wrapper, (key,), SchemaError)
+
+
 class TestValueUpdates:
     def test_carrier_value_update_is_remarked(self, live):
         wrapper, outcome, marker = live

@@ -527,14 +527,13 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
 
 
 @pytest.mark.perf_smoke
-def test_building_a_raw_task_drops_its_records(tmp_path):
-    """Building a raw task drops each slice's records from the payload
-    once they are typed, so typed rows never sit beside a whole raw
-    chunk — what keeps an in-process run's peak memory from growing by
-    a chunk of records (a peak-RSS assertion would be flaky; this one is
-    not)."""
-    import gc
-
+def test_building_a_raw_task_drops_its_records(monkeypatch, tmp_path):
+    """Building a raw task replaces its text with the records split from
+    it, and drops each slice's records from the payload before typing
+    them, so a built task holds neither its text nor its records, and
+    typed rows never sit beside a whole raw chunk — what keeps an
+    in-process run's peak memory from growing by a chunk of records (a
+    peak-RSS assertion would be flaky; this one is not)."""
     from repro.datagen import generate_sales
     from repro.relational.csvio import TYPE_SLICE
     from repro.stream import CSVChunkSource, sources
@@ -545,14 +544,42 @@ def test_building_a_raw_task_drops_its_records(tmp_path):
     source = CSVChunkSource(path, table.schema, chunk_size=len(rows))
     task = next(source.payloads())
     assert task.kind == sources.PAYLOAD_RAW
-    records = list(task.payload)
+    assert isinstance(task.payload, sources.RawText)
+    held = []
+
+    def spy(records, typers, arity, _real=sources.type_columns):
+        held.append((type(task.payload), len(task.payload)))
+        return _real(records, typers, arity)
+
+    monkeypatch.setattr(sources, "type_columns", spy)
     chunk = sources.build_chunk(
         task, sources.payload_profile(source),
         sources.payload_decoders(table.schema),
     )
     assert list(chunk) == rows
-    held = {id(item) for item in gc.get_referents(task.payload)}
-    assert held.isdisjoint(map(id, records))
+    assert held == [(list, 2 * TYPE_SLICE), (list, TYPE_SLICE), (list, 0)]
+    assert task.payload == []
+
+
+@pytest.mark.perf_smoke
+def test_a_raw_task_ships_its_text(tmp_path):
+    """A raw task of a quote-free CSV carries its chunk's text, not one
+    string per field: pickled for a pool worker, it is at most 1.1x the
+    text's UTF-8 length."""
+    import pickle
+
+    from repro.datagen import generate_sales
+    from repro.stream import CSVChunkSource, sources
+
+    table = generate_sales(3_000, item_count=60, seed=5)
+    path = _sales_csv(tmp_path / "sales.csv.gz", list(table))
+    source = CSVChunkSource(path, table.schema, chunk_size=1_000)
+    tasks = list(source.payloads())
+    assert [task.count for task in tasks] == [1_000] * 3
+    for task in tasks:
+        assert isinstance(task.payload, sources.RawText)
+        size = len(task.payload.text.encode("utf-8"))
+        assert len(pickle.dumps(task)) <= 1.1 * size
 
 
 @pytest.mark.perf_smoke

@@ -43,6 +43,7 @@ from repro.reliability.integrity import (
     write_journal_header,
 )
 from repro.stream import (
+    BadRowError,
     CSVChunkSink,
     CSVChunkSource,
     MultiFileChunkSource,
@@ -543,6 +544,30 @@ class TestVerifiedRead:
         chunks = list(source.chunks())
         assert len(chunks) == ROWS // CHUNK - 1
         assert source.corrupt_chunks == 1
+
+    def test_resume_skips_raw_records(self, base, marked_csv):
+        """A verified read from chunk 2 skips chunks 0 and 1 as raw
+        records, never typing them: a record there the schema refuses
+        (rot that keeps the byte length) raises nothing, and the chunks
+        read are the clean file's."""
+        out, manifest = marked_csv
+        clean = list(CSVChunkSource(
+            out, base.schema, chunk_size=CHUNK, verify_manifest=manifest
+        ).chunks())
+        blob = bytearray(out.read_bytes())
+        line = blob.index(b"\n", manifest.entries[1].start) + 1
+        blob[line] = ord("x")  # the key of chunk 1's second record
+        out.write_bytes(bytes(blob))
+        source = CSVChunkSource(
+            out, base.schema, chunk_size=CHUNK, verify_manifest=manifest
+        )
+        resumed = list(source.chunks(2))
+        assert [list(chunk) for chunk in resumed] == [
+            list(chunk) for chunk in clean[2:]
+        ]
+        with pytest.raises(BadRowError) as excinfo:
+            list(source.chunks(1))
+        assert excinfo.value.number == CHUNK + 2
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_multi_file_run_counts_skipped_chunks(

@@ -128,6 +128,86 @@ class TestCSVChunkSource:
         )
         assert "zz" in chunks[0].schema.attribute("A").domain
 
+    @pytest.mark.parametrize(
+        "quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["cut", "split"]
+    )
+    def test_a_csv_error_after_a_bad_record_fails_alike_at_every_worker_count(
+        self, tmp_path, quoting
+    ):
+        """A field over ``csv.field_size_limit()`` two chunks after a bad
+        record: every worker count reports the bad record, as reading
+        one record at a time does — the pool's read-ahead no longer
+        splits the later chunk before the earlier one commits, whether
+        the reader cuts its text at newlines or (quoted fields) splits
+        it."""
+        relation = generate_item_scan(1000, item_count=50, seed=3)
+        records = [
+            [str(key), str(item)]
+            for key, item in relation.iter_cells("Visit_Nbr", "Item_Nbr")
+        ]
+        records[149][0] = "x" + records[149][0]
+        records[249].insert(0, "9" * 200_000)
+        path = tmp_path / "oversized.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, quoting=quoting)
+            writer.writerow(relation.schema.names)
+            writer.writerows(records)
+        spec = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 20, 10, 60)
+        key = MarkKey.from_seed("oversized")
+        watermark = Watermark.from_int(0x2AB, 10)
+        numbers = []
+        try:
+            for workers in (None, 2):
+                source = CSVChunkSource(path, relation.schema, chunk_size=100)
+                with pytest.raises(BadRowError) as excinfo:
+                    stream_verify(
+                        source, key, spec, watermark, workers=workers
+                    )
+                numbers.append(excinfo.value.number)
+        finally:
+            shutdown_stream_pool()
+        assert numbers == [150, 150]
+
+    def test_a_pool_splits_fields_with_the_callers_field_size_limit(
+        self, tmp_path, relation
+    ):
+        """Pool workers split a chunk's text with the coordinator's
+        ``csv.field_size_limit()``, also in a pool that was up before
+        the caller raised it: a field over the default limit reads alike
+        at every worker count."""
+        schema = Schema(
+            (*relation.schema, Attribute("Note", AttributeType.STRING)),
+            primary_key=relation.schema.primary_key,
+        )
+        records = [[str(key), str(item), "n"] for key, item in relation]
+        path = tmp_path / "notes.csv.gz"
+        spec = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 20, 10, 60)
+        key = MarkKey.from_seed("notes")
+        watermark = Watermark.from_int(0x2AB, 10)
+
+        def verify(workers):
+            return stream_verify(
+                CSVChunkSource(path, schema, chunk_size=100),
+                key, spec, watermark, workers=workers,
+            ).votes
+
+        def write():
+            with gzip.open(path, "wt", encoding="utf-8", newline="") as out:
+                csv.writer(out).writerows([schema.names, *records])
+
+        limit = csv.field_size_limit()
+        try:
+            write()
+            verify(2)  # the pool is up, at the default limit
+            records[150][-1] = "w" * (limit + 1)
+            write()
+            csv.field_size_limit(limit + 10)
+            votes = [verify(workers) for workers in (None, 2)]
+        finally:
+            csv.field_size_limit(limit)
+            shutdown_stream_pool()
+        assert votes[0] == votes[1]
+
 
 class TestTruncatedGzip:
     """A gzip CSV cut off two thirds of the way through, read in chunks of
