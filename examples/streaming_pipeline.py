@@ -48,7 +48,11 @@ E = 60
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-stream-"))
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     marked_path = workdir / "marked.csv.gz"
     checkpoint = workdir / "mark.ckpt.json"
 

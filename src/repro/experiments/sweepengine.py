@@ -518,7 +518,6 @@ class SweepEngine:
         self,
         mode: str = MODE_AUTO,
         max_workers: int | None = None,
-        pass_cache_size: int = _PASS_CACHE_SIZE,
         fused: bool = True,
         retry: RetryPolicy | None = None,
         watchdog: Watchdog | bool | None = None,
@@ -542,7 +541,6 @@ class SweepEngine:
         self._passes: "OrderedDict[tuple[bytes, SweepProtocol, int], EmbeddedPass]" = (
             OrderedDict()
         )
-        self._pass_cache_size = pass_cache_size
         #: telemetry: in-process embedding passes actually performed
         self.embeds_performed = 0
         #: telemetry: (seed, x) cells evaluated (all modes, parent count)
@@ -556,7 +554,7 @@ class SweepEngine:
         make pool degradation visible instead of silent."""
         return {
             "passes_cached": len(self._passes),
-            "pass_cache_size": self._pass_cache_size,
+            "pass_cache_size": _PASS_CACHE_SIZE,
             "embeds_performed": self.embeds_performed,
             "cells_executed": self.cells_executed,
             "cell_retries": self.reliability.cell_retries,
@@ -585,7 +583,7 @@ class SweepEngine:
             embedded = EmbeddedPass.build(base_table, protocol, seed)
             self.embeds_performed += 1
             self._passes[cache_key] = embedded
-            while len(self._passes) > self._pass_cache_size:
+            while len(self._passes) > _PASS_CACHE_SIZE:
                 self._passes.popitem(last=False)
         else:
             self._passes.move_to_end(cache_key)

@@ -4,23 +4,40 @@ Lets examples persist watermarked relations and re-load them for blind
 detection in a separate process — the workflow a real rights-holder would
 follow (mark, publish, later download the suspect copy and detect).
 
+Every CSV record is read one way.  :class:`_Cutter` cuts a CSV byte
+stream into runs of whole records at line ends (``\\n``, ``\\r\\n`` or a
+bare ``\\r``), and a run holding no ``"`` is kept as its text,
+:class:`RawText`, split into fields where it is typed.
+:func:`read_csv`, :func:`loads_csv` and the chunked
+:class:`repro.stream.CSVChunkSource` all read through it
+(:func:`data_records`).
+
 Typing has two forms.  :func:`parse_row` with :func:`cell_parsers` types
 one record at a time and is the reference: it defines every value and
 every error.  :func:`type_columns` with :func:`column_typers` types a
 slice of records a column at a time, one C-level ``map`` per column, and
-gives the same values or refuses the slice, which the reader then
-re-types with ``parse_row``; :func:`type_records` zips its columns into
-rows.  :func:`read_csv` and the chunked
-:class:`repro.stream.CSVChunkSource` read through :class:`RecordSlices`.
+gives the same values or refuses the slice; :func:`type_records` zips its
+columns into rows.  One loop, :func:`typed_slices`, types every record
+read: a slice at a time with ``type_columns``, and a slice it refuses
+record by record with ``parse_row``, which hands each record it rejects
+to the reader's bad-record rule.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import gc
 import io
-from collections.abc import Iterator
-from itertools import islice
+import sys
+import zlib
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
+from typing import Any
+
+import numpy as np
 
 from .domain import CategoricalDomain
 from .schema import Attribute, Schema, infer_domains
@@ -31,6 +48,14 @@ from .types import AttributeType
 #: cache-sized, and a chunked reader never holds a whole chunk's raw
 #: records beside its typed rows
 TYPE_SLICE = 2_048
+
+#: bytes the CSV cutter asks its stream for at a time.  It reads with
+#: ``read1``, which returns every byte decoded before a read error, where
+#: ``GzipFile.read`` drops the whole failing call on a truncated member.
+CUT_BLOCK = 1 << 18
+
+#: what reading a damaged file raises (the OS, the decompressor)
+_READ_ERRORS = (EOFError, OSError, zlib.error)
 
 
 def write_csv(table: Table, path: str | Path) -> None:
@@ -66,8 +91,8 @@ def read_csv(
     widened to include every observed value — the blind-detection situation,
     where only the suspect data defines the visible value set.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        return _read(handle, schema, infer_categorical_domains,
+    with open(path, "rb") as stream:
+        return _read(stream, schema, infer_categorical_domains,
                      name or Path(path).stem)
 
 
@@ -78,7 +103,22 @@ def loads_csv(
     name: str = "relation",
 ) -> Table:
     """Parse CSV ``text`` into a :class:`Table` (see :func:`read_csv`)."""
-    return _read(io.StringIO(text), schema, infer_categorical_domains, name)
+    return _read(io.BytesIO(text.encode("utf-8")), schema,
+                 infer_categorical_domains, name)
+
+
+def _read(stream, schema: Schema, infer: bool, name: str) -> Table:
+    cutter = data_records(stream, schema)
+    if cutter is None:
+        return Table(schema, (), name=name)
+    decoders = cell_parsers(schema), column_typers(schema)
+    rows = cutter.rows(sys.maxsize, decoders, _reject)
+    effective = infer_domains(schema, rows) if infer else schema
+    return Table(effective, rows, name=name)
+
+
+def _reject(number: int, record: list[str], exc: ValueError) -> None:
+    raise exc
 
 
 def check_header(header, schema: Schema) -> None:
@@ -102,29 +142,6 @@ def parse_row(row: list[str], parsers, arity: int, number: int) -> tuple:
             f"CSV row {number} has {len(row)} fields, schema has {arity}"
         )
     return tuple(parse(cell) for parse, cell in zip(parsers, row))
-
-
-def _read(handle, schema: Schema, infer: bool, name: str) -> Table:
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        return Table(schema, (), name=name)
-    check_header(header, schema)
-    records = RecordSlices(reader, schema)
-    typed_rows: list[tuple] = []
-    more = True
-    while more:
-        rows, more = records.typed(TYPE_SLICE, _reference_rows)
-        typed_rows += rows
-    effective = infer_domains(schema, typed_rows) if infer else schema
-    return Table(effective, typed_rows, name=name)
-
-
-def _reference_rows(records, parsers, arity: int, number: int) -> list:
-    return [
-        parse_row(row, parsers, arity, row_number)
-        for row_number, row in enumerate(records, start=number + 1)
-    ]
 
 
 def type_columns(records: list, typers, arity: int) -> list | None:
@@ -187,54 +204,347 @@ def _column_typer(attribute: Attribute):
     return categorical
 
 
-def _holding(reader, held: list) -> Iterator[list[str]]:
-    """``reader``'s records, ending at the first read error, which is kept
-    in ``held`` for :meth:`RecordSlices.typed` to raise.  Any exception
-    counts: reading can fail in the OS, the decompressor, the text
-    decoder or the CSV parser."""
-    try:
-        yield from reader
-    except Exception as exc:
-        held.append(exc)
+def typed_slices(
+    records: list,
+    number: int,
+    decoders,
+    bad_record: Callable[[int, list[str], ValueError], None],
+    error: Exception | None = None,
+) -> Iterator[list]:
+    """The typed columns of ``records``, one :data:`TYPE_SLICE` slice at
+    a time — the one slice-typing loop of every CSV reader.
+
+    ``number`` is the data-row number before the first record and
+    ``decoders`` the schema's :func:`cell_parsers` and
+    :func:`column_typers`, built once per read.  A slice
+    :func:`type_columns` refuses is re-typed record by record with
+    :func:`parse_row`, and each record it rejects goes to
+    ``bad_record(number, record, exc)``, which raises or drops it.
+    ``error``, what ended the records early, is raised once they are
+    typed, so a bad record among them is reported first — the order a
+    record-at-a-time reader meets them in.
+
+    ``records`` is consumed: each slice is deleted from it before it is
+    typed, so typed values never sit beside all the raw records.
+    """
+    parsers, typers = decoders
+    arity = len(parsers)
+    while records:
+        batch = records[:TYPE_SLICE]
+        del records[:TYPE_SLICE]
+        columns = type_columns(batch, typers, arity)
+        if columns is None:
+            rows = []
+            for row_number, record in enumerate(batch, start=number + 1):
+                try:
+                    rows.append(parse_row(record, parsers, arity, row_number))
+                except ValueError as exc:
+                    bad_record(row_number, record, exc)
+            columns = list(zip(*rows))
+        number += len(batch)
+        yield columns
+    if error is not None:
+        raise error
 
 
-class RecordSlices:
-    """The data records of one ``csv.reader``, read and typed a bounded
-    slice at a time.
+def typed_rows(
+    records: list, number: int, decoders, bad_record, error=None
+) -> list[tuple]:
+    """:func:`typed_slices` as row tuples."""
+    rows: list[tuple] = []
+    for columns in typed_slices(records, number, decoders, bad_record, error):
+        rows += zip(*columns)
+    return rows
 
-    A read error (a truncated gzip stream, undecodable bytes, a
-    ``csv.Error``) ends the slice it interrupts and is raised only after
-    the records read before it are typed — so a bad record among them is
-    reported first, in the order a record-at-a-time reader meets them.
+
+def data_records(stream, schema: Schema) -> _Cutter | None:
+    """A cutter of the data records of the CSV byte ``stream``, whose
+    header record it has read and checked against ``schema`` — ``None``
+    when the stream is empty."""
+    cutter = _Cutter(stream)
+    header = next(iter(cutter.cut(1)[0]), None)
+    if header is None:
+        return None
+    check_header(header, schema)
+    return cutter
+
+
+class RawText:
+    """A run of CSV records as the text they were cut from — the raw
+    payload of a :class:`~repro.stream.CSVChunkSource` run, split into
+    fields where it is typed.
+
+    Iterating it gives the field lists of ``csv.reader`` over
+    ``io.StringIO(text, newline="")``, which splits lines exactly as a
+    text file opened with ``newline=""`` does, so it reads like the
+    list of field lists it stands for.
     """
 
-    def __init__(self, reader, schema: Schema, number: int = 0):
-        self._held: list[Exception] = []
-        self._records = _holding(reader, self._held)
-        self._typers = column_typers(schema)
-        self._parsers = cell_parsers(schema)
-        self._arity = schema.arity
-        #: data-row number of the last record read
-        self.number = number
+    __slots__ = ("text",)
 
-    def typed(self, count: int, retype) -> tuple[list[tuple], bool]:
-        """Read up to ``count`` records and type them with
-        :func:`type_records`.
+    def __init__(self, text: str):
+        self.text = text
 
-        A slice it refuses goes to ``retype(records, parsers, arity,
-        number)`` — ``number`` being the data-row number before the
-        slice's first record — which types it record by record with
-        :func:`parse_row`.  Returns the typed rows and whether the reader
-        may hold more records.
+    def __iter__(self) -> Iterator[list[str]]:
+        return csv.reader(io.StringIO(self.text, newline=""))
+
+
+def split_records(
+    records: Iterable[list[str]], errors
+) -> tuple[list, Exception | None]:
+    """The field lists of ``records`` (a :class:`RawText`, or field
+    lists already split) and the exception of type ``errors`` that ended
+    them early, if one did.
+
+    The cyclic GC is paused meanwhile: a run's record lists all stay
+    alive until it is typed, so a GC pass while they pile up would only
+    re-scan them.
+    """
+    split: list = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        split.extend(records)
+    except errors as exc:
+        return split, exc
+    finally:
+        if collecting:
+            gc.enable()
+    return split, None
+
+
+def _line_ends(block: bytes) -> np.ndarray:
+    """Offsets of the line ends in ``block`` as reading it as text finds
+    them: every ``\\n``, and every ``\\r`` that a byte other than
+    ``\\n`` follows."""
+    codes = np.frombuffer(block, np.uint8)
+    ends = codes == 10
+    if b"\r" in block:
+        cr = np.flatnonzero(codes[:-1] == 13)
+        ends[cr[codes[cr + 1] != 10]] = True
+    return np.flatnonzero(ends)
+
+
+def _waits(after: bytes) -> bool:
+    """Does a ``\\r`` that ``after`` follows, up to the end of the bytes
+    read, wait for more: are they none, or a character cut short?  A
+    text reader ends the line only at the character after the ``\\r``,
+    so one cut short by a read error or the end of the input leaves the
+    line unfinished."""
+    try:
+        return not codecs.getincrementaldecoder("utf-8")().decode(after)
+    except UnicodeDecodeError:
+        return False
+
+
+class _Cutter:
+    """Cuts a CSV byte stream into runs of whole records, in order — the
+    one CSV record reader.
+
+    The stream is read :data:`CUT_BLOCK` bytes at a time with ``read1``,
+    and each block's line ends (:func:`_line_ends`) are found once.  N
+    lines holding no ``"`` are exactly N records, so such a run is cut
+    at its N-th line end and kept as :class:`RawText`.  Any other run is
+    split by ``csv.reader`` here, over windows of whole lines read as
+    the records need them (:meth:`_windows`), and kept as its field
+    lists — unless a ``csv.Error`` ends it, which is left for the run's
+    split to meet.  Text is decoded strictly here, so a decoding error
+    surfaces after the whole records before the undecodable byte.  The
+    buffer holds the run being cut, one window and one block.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._data = b""                    # bytes read; cut up to _head
+        self._head = 0
+        self._ends = np.empty(0, np.intp)   # line-end offsets in _data
+        self._next = 0                      # first of _ends past _head
+        self._cr = b""                      # a \r that waits, and what
+                                            # follows it in _data
+        self._eof = False
+        self._error: Exception | None = None  # the read error, once met
+        #: the last window :meth:`_windows` handed out: its offset from
+        #: the head, its length in bytes, its text and the text's handle
+        self._window: tuple = (0, 0, "", None)
+        #: data-row number of the last record cut (the header is row 0)
+        self.number = -1
+
+    def rows(self, count: int, decoders, bad_record) -> list[tuple]:
+        """Up to ``count`` typed rows of the next records, fewer only at
+        the end of the input.
+
+        Each record the typing rejects goes to ``bad_record`` (see
+        :func:`typed_slices`).  Records are cut :data:`TYPE_SLICE` at a
+        time, and never more than the rows still missing, so no cut runs
+        past the last row: a bad record or read error after it is met by
+        the next call, as reading one record at a time would meet it.  A
+        read error is raised once the records before it are typed.
         """
-        records = list(islice(self._records, count))
-        rows = type_records(records, self._typers, self._arity)
-        if rows is None:
-            rows = retype(records, self._parsers, self._arity, self.number)
-        self.number += len(records)
-        if self._held:
-            raise self._held[0]
-        return rows, len(records) == count
+        rows: list[tuple] = []
+        while len(rows) < count:
+            want = min(TYPE_SLICE, count - len(rows))
+            typed = partial(
+                typed_rows, number=self.number, decoders=decoders,
+                bad_record=bad_record,
+            )
+            payload, cut = self.cut(want, typed)
+            records, error = split_records(payload, csv.Error)
+            rows += typed(records, error=error)
+            if cut < want:
+                break
+        return rows
+
+    def cut(self, count: int, before_error=None) -> tuple[Any, int]:
+        """The next ``count`` records, fewer only at the end of the
+        input: ``(payload, records)``.
+
+        A read or decoding error met before the ``count``-th record is
+        raised after ``before_error(records)`` is handed the whole
+        records read before it.  A ``csv.Error`` ends the input instead:
+        the run goes out as text, and splitting it meets the error.
+        """
+        self._fill(count)
+        lines = len(self._ends) - self._next
+        if lines >= count or self._eof:
+            end = (
+                int(self._ends[self._next + count - 1]) + 1
+                if lines >= count else len(self._data)
+            )
+            run = self._data[self._head:end]
+            if b'"' not in run:
+                try:
+                    text = run.decode("utf-8")
+                except UnicodeDecodeError:
+                    pass  # the exact split types what precedes it
+                else:
+                    taken = min(count, lines)
+                    self._head = end
+                    self._next += taken
+                    # At the end of the input a last line may lack its
+                    # line end: it is a record all the same.
+                    tail = run[-1:] not in (b"", b"\n", b"\r")
+                    self.number += taken + tail
+                    return RawText(text), taken + tail
+        return self._exact(count, before_error)
+
+    def _exact(self, count: int, before_error) -> tuple[Any, int]:
+        """The next ``count`` records split by ``csv.reader``, reading
+        every window once: the records end where the reader stopped in
+        the last window it was handed."""
+        self._window = (0, 0, "", None)
+        records, error = split_records(
+            islice(csv.reader(chain.from_iterable(self._windows(count))),
+                   count),
+            (csv.Error, UnicodeDecodeError, *_READ_ERRORS),
+        )
+        at, size, text, handle = self._window
+        if error is None:
+            if handle is not None:
+                used = handle.tell()
+                at += used if text.isascii() else len(
+                    text[:used].encode("utf-8")
+                )
+            self._head += at
+            self._next = int(np.searchsorted(self._ends, self._head))
+            self.number += len(records)
+            return records, len(records)
+        if isinstance(error, csv.Error):
+            # Shipped as text, the run's split meets the same error
+            # after the same records, so it surfaces in chunk order at
+            # every worker count.  Nothing after it is read; the record
+            # it ends in counts, so the run is never empty.
+            text = self._data[self._head:self._head + at + size]
+            self._head, self._next = len(self._data), len(self._ends)
+            self._eof = True
+            self.number += len(records) + 1
+            return RawText(text.decode("utf-8")), len(records) + 1
+        if before_error is not None:
+            before_error(records)
+        raise error
+
+    def _windows(self, count: int) -> Iterator[io.StringIO]:
+        """The text from the head as windows of up to ``count`` whole
+        lines, each read and decoded when it is asked for (the last line
+        of the input may lack its line end).  A read or decoding error is
+        raised once the whole lines before it are handed out."""
+        lines = 0                           # lines handed out
+        while True:
+            self._fill(lines + count)
+            first = self._next + lines
+            last = min(first + count, len(self._ends))
+            begin = int(self._ends[first - 1]) + 1 if lines else self._head
+            if last > first:
+                end = int(self._ends[last - 1]) + 1
+            elif not self._eof:
+                raise self._error
+            elif begin < len(self._data):
+                end = len(self._data)
+            else:
+                return
+            try:
+                text = self._data[begin:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                whole = int(np.searchsorted(self._ends, begin + exc.start))
+                if whole > first:
+                    end = int(self._ends[whole - 1]) + 1
+                    yield self._hand_out(
+                        begin, end, self._data[begin:end].decode("utf-8")
+                    )
+                raise
+            yield self._hand_out(begin, end, text)
+            if last == first:
+                return
+            lines = last - self._next
+
+    def _hand_out(self, begin: int, end: int, text: str) -> io.StringIO:
+        """The handle of ``text``, the window ``[begin, end)`` of the
+        buffer, noted as the last window handed out."""
+        handle = io.StringIO(text, newline="")
+        self._window = (begin - self._head, end - begin, text, handle)
+        return handle
+
+    def _fill(self, lines: int) -> None:
+        """Read blocks until ``lines`` line ends follow the head, or the
+        input ends or fails."""
+        have = len(self._ends) - self._next
+        if have >= lines or self._eof or self._error is not None:
+            return
+        blocks = [memoryview(self._data)[self._head:]]
+        ends = [self._ends[self._next:] - self._head]
+        size = len(blocks[0])
+        while have < lines:
+            try:
+                block = self._stream.read1(CUT_BLOCK)
+            except _READ_ERRORS as exc:  # damaged file
+                self._error = exc
+                break
+            if self._cr:
+                after = self._cr[1:] + block[:4]
+                if block and _waits(after):
+                    self._cr += block
+                    blocks.append(block)
+                    size += len(block)
+                    continue
+                # At the end of the input only a final \r ends its line.
+                if after[:1] != b"\n" and (block or not after):
+                    ends.append(np.array([size - len(self._cr)], np.intp))
+                    have += 1
+                self._cr = b""
+            if not block:
+                self._eof = True
+                break
+            found = _line_ends(block)
+            cr = block.rfind(b"\r", max(len(block) - 4, 0))
+            if cr >= 0 and _waits(block[cr + 1:]):
+                self._cr = block[cr:]
+                found = found[found != cr]
+            blocks.append(block)
+            ends.append(found + size)
+            size += len(block)
+            have += len(found)
+        self._data = b"".join(blocks)
+        self._ends = np.concatenate(ends)
+        self._head = self._next = 0
 
 
 def cell_parsers(schema: Schema) -> list:

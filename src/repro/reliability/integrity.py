@@ -504,6 +504,7 @@ def _audit_bytes(path, manifest: ChunkManifest) -> AuditReport:
 
 
 def _quote_identifier(name: str) -> str:
+    """SQL-quote ``name`` for SQLite (doubles embedded quotes)."""
     return '"' + name.replace('"', '""') + '"'
 
 

@@ -46,9 +46,13 @@ from ..reliability.faults import (
     fault_point,
     injection_armed,
 )
-from ..reliability.integrity import ChunkDigest, ChunkManifest, digest_rows
+from ..reliability.integrity import (
+    ChunkDigest,
+    ChunkManifest,
+    _quote_identifier,
+    digest_rows,
+)
 from .errors import StreamError
-from .sources import _quote_identifier
 
 #: deflate level of every gzip member a fresh :class:`CSVChunkSink`
 #: output writes (read at ``open``; ``restore`` continues at the level
@@ -131,15 +135,13 @@ class CSVChunkSink(ChunkSink):
     written at.
     """
 
-    def __init__(self, path: str | Path, compress: bool | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        # Writers decide by the *requested* path suffix (or the explicit
-        # flag), never by sniffing pre-existing bytes the open() below is
-        # about to truncate — stale gzip content at a ``.csv`` path must
-        # not make a fresh run silently write gzip.
-        self.compress = (
-            self.path.suffix == ".gz" if compress is None else compress
-        )
+        # Writers decide by the *requested* path suffix, never by
+        # sniffing pre-existing bytes the open() below is about to
+        # truncate — stale gzip content at a ``.csv`` path must not make
+        # a fresh run silently write gzip.
+        self.compress = self.path.suffix == ".gz"
         self._raw = None
         self._level = GZIP_LEVEL
         self._chunks = 0

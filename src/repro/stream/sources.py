@@ -13,20 +13,22 @@ validated in-memory relation, so the existing embed/detect kernels run
 on it unchanged; only the *pipeline* (``repro.stream.pipeline``) knows
 the chunks are windows of one larger relation.
 
-A CSV file's cheapest form is its raw text.  Under the default bad-row
-policy the reader only decompresses the file and cuts it into chunks of
-whole records at line ends (:class:`_Cutter`); each chunk's text travels
-as :class:`RawText` and is split into fields with the typing, where the
-chunk is built.  Only runs holding a quote, where a line need not be a
-record, are split while reading.
+A CSV file is read by csvio's one record reader, which cuts the
+decompressed bytes into runs of whole records at line ends
+(:func:`~repro.relational.csvio.data_records`), whatever the bad-row
+policy.  Its cheapest form is its raw text: under the default policy
+each chunk's text travels as :class:`~repro.relational.csvio.RawText`
+and is split into fields with the typing, where the chunk is built.
+Only runs holding a quote, where a line need not be a record, are split
+while reading.
 
 VECTOR detection reads nothing of a chunk but its key and mark column
 codes, so it builds raw CSV payloads with :func:`build_chunk_codes`
 instead: the same typing loop and the same checks, done a column at a
 time, then :class:`ChunkCodes` — validated column codes, no rows and no
-table.  Both build functions split and type a raw payload with one
-loop, :func:`_typed_slices`, so every chunk is decoded by the same
-lines.
+table.  Every CSV record, raw or typed while reading, is typed by one
+loop, :func:`~repro.relational.csvio.typed_slices`, so every chunk is
+decoded by the same lines.
 
 Chunks are yielded in file order, which the streaming detector relies on:
 its accumulator preserves the global first-vote tie rule by merging chunk
@@ -47,22 +49,16 @@ domain, so the per-chunk widening never influences a verdict.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import gc
 import gzip
 import hashlib
-import io
 import sqlite3
-import zlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from ..datagen import (
     item_catalogue,
@@ -71,17 +67,20 @@ from ..datagen import (
 )
 from ..relational import ColumnCodes, Schema, Table, infer_domains
 from ..relational.csvio import (
-    TYPE_SLICE,
-    RecordSlices,
     cell_parsers,
-    check_header,
     column_typers,
-    parse_row,
-    type_columns,
+    data_records,
+    split_records,
+    typed_rows,
+    typed_slices,
 )
 from ..relational.table import factorize
 from ..reliability.faults import fault_point
-from ..reliability.integrity import IntegrityError, digest_rows
+from ..reliability.integrity import (
+    IntegrityError,
+    _quote_identifier,
+    digest_rows,
+)
 from .errors import BadRowError, StreamError
 
 #: default rows per chunk — small enough that a chunk's Python objects
@@ -143,57 +142,15 @@ PAYLOAD_TYPED = "typed"    # typed row tuples (build_chunk builds the Table)
 PAYLOAD_TABLE = "table"    # a finished Table, used as is
 
 
-class RawText:
-    """A chunk's CSV records as the text they were cut from — the raw
-    payload of a :class:`CSVChunkSource` run, split into fields where
-    the chunk is built.
-
-    Iterating it gives the field lists of ``csv.reader`` over
-    ``io.StringIO(text, newline="")``, which splits lines exactly as
-    :func:`open_text` does, so it reads like the list of field lists it
-    stands for.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __iter__(self) -> Iterator[list[str]]:
-        return csv.reader(io.StringIO(self.text, newline=""))
-
-
-def _split(
-    records: Iterable[list[str]], errors
-) -> tuple[list, Exception | None]:
-    """The field lists of ``records`` and the exception of type
-    ``errors`` that ended them early, if one did.
-
-    The cyclic GC is paused meanwhile: a chunk's record lists all stay
-    alive until it is typed, so a GC pass while they pile up would only
-    re-scan them.
-    """
-    split: list = []
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        split.extend(records)
-    except errors as exc:
-        return split, exc
-    finally:
-        if collecting:
-            gc.enable()
-    return split, None
-
-
 @dataclass
 class ChunkTask:
     """One chunk's work unit for the ordered stream run — picklable.
 
     ``payload`` is the cheapest representation the source can produce
-    (see ``PAYLOAD_*``): a raw CSV chunk — its :class:`RawText`, or the
-    field lists of a run the reader had to split itself — leaves the
-    field split and the typing (column-wise, see
+    (see ``PAYLOAD_*``): a raw CSV chunk — its
+    :class:`~repro.relational.csvio.RawText`, or the field lists of a run
+    the reader had to split itself — leaves the field split and the
+    typing (column-wise, see
     :func:`~repro.relational.csvio.type_columns`) to :func:`build_chunk`
     or :func:`build_chunk_codes`, which on a pool run *in the worker* —
     what makes parallel file detection scale (the coordinator then only
@@ -224,51 +181,34 @@ def payload_decoders(schema: Schema | None) -> tuple[list, list] | None:
 def _typed_slices(
     task: ChunkTask, profile: dict[str, Any], decoders
 ) -> Iterator[list]:
-    """The typed columns of a raw task's records, one
-    :data:`~repro.relational.csvio.TYPE_SLICE` slice at a time — the one
-    slice-typing loop of :func:`build_chunk` and
-    :func:`build_chunk_codes`.
+    """The typed columns of a raw task's records, one slice at a time —
+    csvio's one slice-typing loop
+    (:func:`~repro.relational.csvio.typed_slices`) as :func:`build_chunk`
+    and :func:`build_chunk_codes` run it.
 
-    A :class:`RawText` payload is first split into field lists, which
-    replace the text.  A ``csv.Error`` that ends the split (a field over
+    The payload's field lists replace it (a
+    :class:`~repro.relational.csvio.RawText` is split here), and a
+    ``csv.Error`` that ends the split (a field over
     ``csv.field_size_limit()``) is raised once the records before it are
-    typed, so a bad record among them is reported first — the order a
-    record-at-a-time reader meets them in.
-
-    A slice the column typer refuses is re-typed record by record with
-    ``parse_row``, which names the first bad record.  The payload is
-    consumed: each slice's records are deleted from ``task.payload``
-    once typed, so typed values never sit beside a whole raw chunk.
-    That is safe because a task is built once: by the in-process run, by
-    the pool's in-process fallback (which retires the pool first), or by
-    a pool worker, which owns its unpickled copy — and no future is
-    awaited for a task after the coordinator has built it.
+    typed.  A record the typing rejects raises
+    :class:`~repro.stream.errors.BadRowError`.  The payload is consumed:
+    each slice's records are deleted from ``task.payload`` as it is typed,
+    so typed values never sit beside a whole raw chunk.  That is safe
+    because a task is built once: by the in-process run, by the pool's
+    in-process fallback (which retires the pool first), or by a pool
+    worker, which owns its unpickled copy — and no future is awaited for
+    a task after the coordinator has built it.
     """
-    parsers, typers = decoders
-    arity = profile["schema"].arity
+    task.payload, error = split_records(task.payload, csv.Error)
     origin = task.origin or profile["path"] or profile["name"]
-    error = None
-    if isinstance(task.payload, RawText):
-        task.payload, error = _split(task.payload, csv.Error)
-    records = task.payload
-    number = task.first_row_number
-    while records:
-        batch = records[:TYPE_SLICE]
-        del records[:TYPE_SLICE]
-        columns = type_columns(batch, typers, arity)
-        if columns is None:
-            # The refused slice, record by record: the exact error.
-            rows = []
-            for row_number, record in enumerate(batch, start=number + 1):
-                try:
-                    rows.append(parse_row(record, parsers, arity, row_number))
-                except ValueError as exc:
-                    raise BadRowError(origin, row_number, str(exc)) from exc
-            columns = list(zip(*rows))
-        number += len(batch)
-        yield columns
-    if error is not None:
-        raise error
+    return typed_slices(
+        task.payload, task.first_row_number, decoders,
+        partial(_raise_bad_row, origin), error,
+    )
+
+
+def _raise_bad_row(origin: str, number: int, record, exc: ValueError):
+    raise BadRowError(origin, number, str(exc)) from exc
 
 
 def build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
@@ -516,218 +456,6 @@ def payload_chunks(source, start: int = 0) -> Iterator[ChunkTask]:
     )
 
 
-#: bytes the CSV cutter asks its stream for at a time.  It reads with
-#: ``read1``, which returns every byte decoded before a read error, where
-#: ``GzipFile.read`` drops the whole failing call on a truncated member.
-CUT_BLOCK = 1 << 18
-
-#: what reading a damaged file raises (the OS, the decompressor)
-_READ_ERRORS = (EOFError, OSError, zlib.error)
-
-
-def _line_ends(block: bytes) -> np.ndarray:
-    """Offsets of the line ends in ``block`` as reading it as text finds
-    them: every ``\\n``, and every ``\\r`` that a byte other than
-    ``\\n`` follows."""
-    codes = np.frombuffer(block, np.uint8)
-    ends = codes == 10
-    if b"\r" in block:
-        cr = np.flatnonzero(codes[:-1] == 13)
-        ends[cr[codes[cr + 1] != 10]] = True
-    return np.flatnonzero(ends)
-
-
-def _waits(after: bytes) -> bool:
-    """Does a ``\\r`` that ``after`` follows, up to the end of the bytes
-    read, wait for more: are they none, or a character cut short?  A
-    text reader ends the line only at the character after the ``\\r``,
-    so one cut short by a read error or the end of the input leaves the
-    line unfinished."""
-    try:
-        return not codecs.getincrementaldecoder("utf-8")().decode(after)
-    except UnicodeDecodeError:
-        return False
-
-
-class _Cutter:
-    """Cuts a CSV byte stream into runs of whole records, in order.
-
-    The stream is read :data:`CUT_BLOCK` bytes at a time with ``read1``,
-    and each block's line ends (:func:`_line_ends`) are found once.  N
-    lines holding no ``"`` are exactly N records, so such a run is cut
-    at its N-th line end and kept as :class:`RawText`.  Any other run is
-    split by ``csv.reader`` here, over windows of whole lines read as
-    the records need them (:meth:`_windows`), and kept as its field
-    lists — unless a ``csv.Error`` ends it, which is left for the
-    chunk's build to meet.  Text is decoded strictly here, so a decoding
-    error surfaces while reading, as it does in a text reader.  The
-    buffer holds the chunk being cut, one window and one block.
-    """
-
-    def __init__(self, stream):
-        self._stream = stream
-        self._data = b""                    # bytes read; cut up to _head
-        self._head = 0
-        self._ends = np.empty(0, np.intp)   # line-end offsets in _data
-        self._next = 0                      # first of _ends past _head
-        self._cr = b""                      # a \r that waits, and what
-                                            # follows it in _data
-        self._eof = False
-        self._error: Exception | None = None  # the read error, once met
-        #: the last window :meth:`_windows` handed out: its offset from
-        #: the head, its length in bytes, its text and the text's handle
-        self._window: tuple = (0, 0, "", None)
-
-    def cut(self, count: int, before_error=None) -> tuple[Any, int]:
-        """The next ``count`` records, fewer only at the end of the
-        input: ``(payload, records)``.
-
-        A read or decoding error met before the ``count``-th record is
-        raised after ``before_error(records)`` is handed the whole
-        records read before it.  A ``csv.Error`` ends the input instead:
-        the run goes out as text, and splitting it meets the error.
-        """
-        self._fill(count)
-        lines = len(self._ends) - self._next
-        if lines >= count or self._eof:
-            end = (
-                int(self._ends[self._next + count - 1]) + 1
-                if lines >= count else len(self._data)
-            )
-            run = self._data[self._head:end]
-            if b'"' not in run:
-                try:
-                    text = run.decode("utf-8")
-                except UnicodeDecodeError:
-                    pass  # the exact split types what precedes it
-                else:
-                    taken = min(count, lines)
-                    self._head = end
-                    self._next += taken
-                    # At the end of the input a last line may lack its
-                    # line end: it is a record all the same.
-                    tail = run[-1:] not in (b"", b"\n", b"\r")
-                    return RawText(text), taken + tail
-        return self._exact(count, before_error)
-
-    def _exact(self, count: int, before_error) -> tuple[Any, int]:
-        """The next ``count`` records split by ``csv.reader``, reading
-        every window once: the records end where the reader stopped in
-        the last window it was handed."""
-        self._window = (0, 0, "", None)
-        records, error = _split(
-            islice(csv.reader(chain.from_iterable(self._windows(count))),
-                   count),
-            (csv.Error, UnicodeDecodeError, *_READ_ERRORS),
-        )
-        at, size, text, handle = self._window
-        if error is None:
-            if handle is not None:
-                used = handle.tell()
-                at += used if text.isascii() else len(
-                    text[:used].encode("utf-8")
-                )
-            self._head += at
-            self._next = int(np.searchsorted(self._ends, self._head))
-            return records, len(records)
-        if isinstance(error, csv.Error):
-            # Shipped as text, the chunk's build meets the same error
-            # after the same records, so it surfaces in chunk order at
-            # every worker count.  Nothing after it is read; the record
-            # it ends in counts, so the chunk is never empty.
-            text = self._data[self._head:self._head + at + size]
-            self._head, self._next = len(self._data), len(self._ends)
-            self._eof = True
-            return RawText(text.decode("utf-8")), len(records) + 1
-        if before_error is not None:
-            before_error(records)
-        raise error
-
-    def _windows(self, count: int) -> Iterator[io.StringIO]:
-        """The text from the head as windows of up to ``count`` whole
-        lines, each read and decoded when it is asked for (the last line
-        of the input may lack its line end).  A read or decoding error is
-        raised once the whole lines before it are handed out."""
-        lines = 0                           # lines handed out
-        while True:
-            self._fill(lines + count)
-            first = self._next + lines
-            last = min(first + count, len(self._ends))
-            begin = int(self._ends[first - 1]) + 1 if lines else self._head
-            if last > first:
-                end = int(self._ends[last - 1]) + 1
-            elif not self._eof:
-                raise self._error
-            elif begin < len(self._data):
-                end = len(self._data)
-            else:
-                return
-            try:
-                text = self._data[begin:end].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                whole = int(np.searchsorted(self._ends, begin + exc.start))
-                if whole > first:
-                    end = int(self._ends[whole - 1]) + 1
-                    yield self._hand_out(
-                        begin, end, self._data[begin:end].decode("utf-8")
-                    )
-                raise
-            yield self._hand_out(begin, end, text)
-            if last == first:
-                return
-            lines = last - self._next
-
-    def _hand_out(self, begin: int, end: int, text: str) -> io.StringIO:
-        """The handle of ``text``, the window ``[begin, end)`` of the
-        buffer, noted as the last window handed out."""
-        handle = io.StringIO(text, newline="")
-        self._window = (begin - self._head, end - begin, text, handle)
-        return handle
-
-    def _fill(self, lines: int) -> None:
-        """Read blocks until ``lines`` line ends follow the head, or the
-        input ends or fails."""
-        have = len(self._ends) - self._next
-        if have >= lines or self._eof or self._error is not None:
-            return
-        blocks = [memoryview(self._data)[self._head:]]
-        ends = [self._ends[self._next:] - self._head]
-        size = len(blocks[0])
-        while have < lines:
-            try:
-                block = self._stream.read1(CUT_BLOCK)
-            except _READ_ERRORS as exc:  # damaged file
-                self._error = exc
-                break
-            if self._cr:
-                after = self._cr[1:] + block[:4]
-                if block and _waits(after):
-                    self._cr += block
-                    blocks.append(block)
-                    size += len(block)
-                    continue
-                # At the end of the input only a final \r ends its line.
-                if after[:1] != b"\n" and (block or not after):
-                    ends.append(np.array([size - len(self._cr)], np.intp))
-                    have += 1
-                self._cr = b""
-            if not block:
-                self._eof = True
-                break
-            found = _line_ends(block)
-            cr = block.rfind(b"\r", max(len(block) - 4, 0))
-            if cr >= 0 and _waits(block[cr + 1:]):
-                self._cr = block[cr:]
-                found = found[found != cr]
-            blocks.append(block)
-            ends.append(found + size)
-            size += len(block)
-            have += len(found)
-        self._data = b"".join(blocks)
-        self._ends = np.concatenate(ends)
-        self._head = self._next = 0
-
-
 #: bad-row policies of :class:`CSVChunkSource`
 BAD_ROWS_RAISE = "raise"
 BAD_ROWS_SKIP = "skip"
@@ -743,14 +471,16 @@ CORRUPT_POLICIES = (CORRUPT_RAISE, CORRUPT_SKIP)
 class CSVChunkSource(ChunkSource):
     """Chunked reader over a CSV file (gzip detected automatically).
 
-    The file is typed exactly like :func:`repro.relational.read_csv`
-    types it, so a relation round-trips through ``write_csv`` / streamed
-    reading value-identically: slices of at most
-    :data:`~repro.relational.csvio.TYPE_SLICE` records that never run
-    past a chunk's last record are typed a column at a time
-    (:func:`~repro.relational.csvio.type_columns`), and a slice it
-    refuses is re-typed record by record with ``parse_row``.  Quoted
-    fields may contain delimiters and newlines.
+    The file is read and typed exactly as
+    :func:`repro.relational.read_csv` reads and types it, so a relation
+    round-trips through ``write_csv`` / streamed reading
+    value-identically: csvio's one cutter cuts its records under every
+    ``on_bad_rows`` policy, and csvio's one slice loop
+    (:func:`~repro.relational.csvio.typed_slices`) types slices of at
+    most :data:`~repro.relational.csvio.TYPE_SLICE` records that never
+    run past a chunk's last record a column at a time, re-typing a slice
+    it refuses record by record with ``parse_row``.  Quoted fields may
+    contain delimiters and newlines.
 
     ``on_bad_rows`` decides what happens to a record the schema cannot
     type (wrong field count — a stray delimiter, a half-written line):
@@ -821,7 +551,8 @@ class CSVChunkSource(ChunkSource):
         self._sidecar_writer = None
 
     def payloads(self, start: int = 0) -> Iterator[ChunkTask]:
-        """Chunk tasks from chunk ``start``.
+        """Chunk tasks from chunk ``start``, cut from the file by csvio's
+        one record reader under every policy.
 
         Under the default ``raise`` policy the payload is the chunk's
         *raw* text (:meth:`_text_tasks`): splitting fields and typing
@@ -831,35 +562,36 @@ class CSVChunkSource(ChunkSource):
         one process.  The lossy policies must count surviving rows for
         chunk boundaries (and write the quarantine sidecar) in one
         deterministic place, and a verified read checks each chunk
-        exactly once, so both type rows here (:meth:`_typed_tasks`).
+        exactly once, so both type rows here, in slices that never run
+        past a chunk's last row.
         """
         self.bad_row_count = 0
         self.quarantined_rows = 0
         self.fastforward_bad_rows = 0
         self.corrupt_chunks = 0
-        if self.on_bad_rows == BAD_ROWS_RAISE and self.verify_manifest is None:
-            yield from self._text_tasks(start)
-            return
+        opener = gzip.open if is_gzip_path(self.path) else open
         try:
-            with open_text(self.path) as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header is None:
+            with opener(self.path, "rb") as stream:
+                cutter = data_records(stream, self.schema)
+                if cutter is None:
                     return
-                check_header(header, self.schema)
-                number = 0
                 if self.on_bad_rows == BAD_ROWS_RAISE:
-                    # A verified read's resume skips raw records: every
-                    # one was a typed row of the interrupted run (a bad
-                    # one would have aborted it before the checkpoint
-                    # landed).
-                    skip = start * self.chunk_size
-                    for number, _ in enumerate(islice(reader, skip), 1):
-                        pass
-                    if number < skip:
+                    # A resume skips raw records, split (a csv.Error among
+                    # them still surfaces) but never typed: every one was
+                    # a typed row of the interrupted run (a bad one would
+                    # have aborted it before the checkpoint landed).
+                    for _ in range(start):
+                        skipped, count = cutter.cut(self.chunk_size)
+                        for _ in skipped:
+                            pass
+                        if count < self.chunk_size:
+                            return
+                    if self.verify_manifest is None:
+                        yield from self._text_tasks(cutter, start)
                         return
                 read_rows = partial(
-                    self._chunk_rows, RecordSlices(reader, self.schema, number)
+                    cutter.rows, self.chunk_size,
+                    payload_decoders(self.schema), self._bad_record,
                 )
                 if self.on_bad_rows != BAD_ROWS_RAISE:
                     # Chunk boundaries count *surviving* rows, so the
@@ -873,84 +605,35 @@ class CSVChunkSource(ChunkSource):
         finally:
             self._close_sidecar()
 
-    def _text_tasks(self, start: int) -> Iterator[ChunkTask]:
-        """Raw-text tasks from chunk ``start``, cut by :class:`_Cutter`.
-
-        A resume skips whole chunks through the same cutter; their
-        records are split, never typed, so a ``csv.Error`` among them
-        still surfaces.  Every skipped record was a typed row of the
-        interrupted run (a bad one would have aborted it before the
-        checkpoint landed).  A read error ends a chunk's records early:
-        they are typed first, so a bad one among them is what is
-        reported, as a record-at-a-time reader meets them.
-        """
-        opener = gzip.open if is_gzip_path(self.path) else open
-        with opener(self.path, "rb") as stream:
-            cutter = _Cutter(stream)
-            header = next(iter(cutter.cut(1)[0]), None)
-            if header is None:
+    def _text_tasks(self, cutter, start: int) -> Iterator[ChunkTask]:
+        """Raw-text tasks from chunk ``start``.  A read error ends a
+        chunk's records early: they are typed first, so a bad one among
+        them is what is reported, as a record-at-a-time reader meets
+        them."""
+        decoders = payload_decoders(self.schema)
+        index = start
+        while True:
+            fault_point("source.read", index)
+            number = cutter.number
+            payload, count = cutter.cut(self.chunk_size, partial(
+                typed_rows, number=number, decoders=decoders,
+                bad_record=self._bad_record,
+            ))
+            if not count:
                 return
-            check_header(header, self.schema)
-            number = 0
-            for _ in range(start):
-                skipped, count = cutter.cut(self.chunk_size)
-                for _ in skipped:
-                    pass
-                number += count
-                if count < self.chunk_size:
-                    return
-            parsers = cell_parsers(self.schema)
-            index = start
-            while True:
-                fault_point("source.read", index)
-                payload, count = cutter.cut(self.chunk_size, partial(
-                    self._reference_rows, parsers=parsers,
-                    arity=self.schema.arity, number=number,
-                ))
-                if not count:
-                    return
-                yield ChunkTask(
-                    index, PAYLOAD_RAW, payload, count,
-                    first_row_number=number, origin=str(self.path),
-                )
-                number += count
-                index += 1
-
-    def _chunk_rows(self, records: RecordSlices) -> list[tuple]:
-        """The next chunk's typed rows: ``chunk_size`` surviving rows, or
-        fewer at the end of the file.
-
-        Records are typed a column at a time in slices that never run
-        past the chunk's last record, so a read error or bad record
-        beyond it surfaces with the next chunk, as it would reading one
-        record at a time.
-        """
-        rows: list[tuple] = []
-        more = True
-        while more and len(rows) < self.chunk_size:
-            typed, more = records.typed(
-                min(TYPE_SLICE, self.chunk_size - len(rows)),
-                self._reference_rows,
+            yield ChunkTask(
+                index, PAYLOAD_RAW, payload, count,
+                first_row_number=number, origin=str(self.path),
             )
-            rows += typed
-        return rows
+            index += 1
 
-    def _reference_rows(
-        self, records: list, parsers, arity: int, number: int
-    ) -> list[tuple]:
-        """Type a slice record by record with ``parse_row``, applying
-        ``on_bad_rows`` to each record it rejects."""
-        rows = []
-        for number, record in enumerate(records, start=number + 1):
-            try:
-                rows.append(parse_row(record, parsers, arity, number))
-            except ValueError as exc:
-                if self.on_bad_rows == BAD_ROWS_RAISE:
-                    raise BadRowError(self.path, number, str(exc)) from exc
-                self.bad_row_count += 1
-                if self.on_bad_rows == BAD_ROWS_QUARANTINE:
-                    self._quarantine(number, record, exc)
-        return rows
+    def _bad_record(self, number: int, record: list, exc: ValueError):
+        """Apply ``on_bad_rows`` to a record ``parse_row`` rejects."""
+        if self.on_bad_rows == BAD_ROWS_RAISE:
+            raise BadRowError(self.path, number, str(exc)) from exc
+        self.bad_row_count += 1
+        if self.on_bad_rows == BAD_ROWS_QUARANTINE:
+            self._quarantine(number, record, exc)
 
     def _verify_chunk(self, table: Table, index: int) -> tuple[bool, str]:
         # CSV files are byte-canonical, so a verified read checks the
@@ -990,11 +673,6 @@ class CSVChunkSource(ChunkSource):
             self._sidecar.close()
             self._sidecar = None
             self._sidecar_writer = None
-
-
-def _quote_identifier(name: str) -> str:
-    """SQL-quote ``name`` for SQLite (doubles embedded quotes)."""
-    return '"' + name.replace('"', '""') + '"'
 
 
 def resolve_sqlite_table(path: str | Path, preferred: str | None) -> str:

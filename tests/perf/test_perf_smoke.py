@@ -429,8 +429,9 @@ def _sales_csv(path, rows, bad_at=None):
 def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     """Clean CSV input never reaches the row-at-a-time reference typer.
 
-    ``parse_row`` (where the sources' chunk build and ``read_csv`` bind
-    it) and ``Schema.validate_row`` are made to raise: streamed detect
+    ``parse_row`` (where csvio's one slice loop, which the chunk build
+    and ``read_csv`` share, binds it) and ``Schema.validate_row`` are
+    made to raise: streamed detect
     and checkpointed mark in process, the build of a raw payload and
     ``read_csv`` must all type and validate a column at a time.
     """
@@ -458,8 +459,7 @@ def test_clean_csv_decode_is_column_wise(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("clean input went through the row-wise path")
 
-    for module in (sources, csvio):
-        monkeypatch.setattr(module, "parse_row", forbidden)
+    monkeypatch.setattr(csvio, "parse_row", forbidden)
     monkeypatch.setattr(Schema, "validate_row", forbidden)
 
     assert list(Table(schema, rows)) == rows
@@ -503,12 +503,11 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
     reason = "CSV row 1234 has 4 fields, schema has 5"
     calls = []
 
-    for module in (sources, csvio):
-        def spy(*args, _real=module.parse_row, **kwargs):
-            calls.append(args[-1])
-            return _real(*args, **kwargs)
+    def spy(*args, _real=csvio.parse_row, **kwargs):
+        calls.append(args[-1])
+        return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "parse_row", spy)
+    monkeypatch.setattr(csvio, "parse_row", spy)
 
     source = CSVChunkSource(path, schema, chunk_size=1_000)
     with pytest.raises(BadRowError) as excinfo:
@@ -535,6 +534,7 @@ def test_building_a_raw_task_drops_its_records(monkeypatch, tmp_path):
     in-process run's peak memory from growing by a chunk of records (a
     peak-RSS assertion would be flaky; this one is not)."""
     from repro.datagen import generate_sales
+    from repro.relational import csvio
     from repro.relational.csvio import TYPE_SLICE
     from repro.stream import CSVChunkSource, sources
 
@@ -544,14 +544,14 @@ def test_building_a_raw_task_drops_its_records(monkeypatch, tmp_path):
     source = CSVChunkSource(path, table.schema, chunk_size=len(rows))
     task = next(source.payloads())
     assert task.kind == sources.PAYLOAD_RAW
-    assert isinstance(task.payload, sources.RawText)
+    assert isinstance(task.payload, csvio.RawText)
     held = []
 
-    def spy(records, typers, arity, _real=sources.type_columns):
+    def spy(records, typers, arity, _real=csvio.type_columns):
         held.append((type(task.payload), len(task.payload)))
         return _real(records, typers, arity)
 
-    monkeypatch.setattr(sources, "type_columns", spy)
+    monkeypatch.setattr(csvio, "type_columns", spy)
     chunk = sources.build_chunk(
         task, sources.payload_profile(source),
         sources.payload_decoders(table.schema),
@@ -569,7 +569,8 @@ def test_a_raw_task_ships_its_text(tmp_path):
     import pickle
 
     from repro.datagen import generate_sales
-    from repro.stream import CSVChunkSource, sources
+    from repro.relational import csvio
+    from repro.stream import CSVChunkSource
 
     table = generate_sales(3_000, item_count=60, seed=5)
     path = _sales_csv(tmp_path / "sales.csv.gz", list(table))
@@ -577,7 +578,7 @@ def test_a_raw_task_ships_its_text(tmp_path):
     tasks = list(source.payloads())
     assert [task.count for task in tasks] == [1_000] * 3
     for task in tasks:
-        assert isinstance(task.payload, sources.RawText)
+        assert isinstance(task.payload, csvio.RawText)
         size = len(task.payload.text.encode("utf-8"))
         assert len(pickle.dumps(task)) <= 1.1 * size
 
@@ -586,7 +587,7 @@ def test_a_raw_task_ships_its_text(tmp_path):
 def test_vector_stream_detect_builds_no_chunk_table(monkeypatch, tmp_path):
     """A VECTOR detect of a clean gzip CSV types its records into
     columns and votes on their codes: it never zips rows
-    (``csvio.type_records``) or builds a chunk table
+    (``csvio.type_records``, ``csvio.typed_rows``) or builds a chunk table
     (``build_chunk_table``), in process or in pool workers (forked after
     the patch, so they run under it too).  The SCALAR reference still
     builds one per chunk."""
@@ -621,6 +622,7 @@ def test_vector_stream_detect_builds_no_chunk_table(monkeypatch, tmp_path):
 
     with monkeypatch.context() as patched:
         patched.setattr(csvio, "type_records", forbidden)
+        patched.setattr(csvio, "typed_rows", forbidden)
         patched.setattr(sources, "build_chunk_table", forbidden)
         shutdown_stream_pool()
         try:

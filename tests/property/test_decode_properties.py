@@ -19,6 +19,7 @@ from repro.relational import (
     CategoricalDomain,
     Schema,
     Table,
+    csvio,
 )
 from repro.relational.csvio import (
     TYPE_SLICE,
@@ -311,7 +312,7 @@ def test_build_chunk_codes_matches_build_chunk(
             len(records), first_row_number=first_row_number,
         )
 
-    with patch.object(sources, "TYPE_SLICE", slice_size):
+    with patch.object(csvio, "TYPE_SLICE", slice_size):
         table, table_error = built(
             lambda: sources.build_chunk(task(), profile, decoders)
         )

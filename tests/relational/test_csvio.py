@@ -152,6 +152,27 @@ class TestRoundTripHardening:
         with pytest.raises(ValueError, match="row 2"):
             loads_csv("K,A,B\n1,red,x\n2,red\n", tiny_schema)
 
+    def test_bad_row_before_undecodable_bytes_is_reported(self, tmp_path):
+        # Records are read whole up to the undecodable byte, so a bad
+        # record among them is reported, as reading one at a time would.
+        lines = [f"{number},x\n".encode() for number in range(1, 41)]
+        lines[4] = b"5,x,extra\n"
+        lines[30] = b"31,\xff\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"K,A\n" + b"".join(lines))
+        with pytest.raises(
+            ValueError, match="^CSV row 5 has 3 fields, schema has 2$"
+        ):
+            read_csv(path, self._schema(["x"]))
+
+    def test_bare_cr_line_ends_read_alike_from_text_and_file(self, tmp_path):
+        schema = self._schema(["a", "b"])
+        text = "K,A\r1,a\r2,b\r"
+        path = tmp_path / "mac.csv"
+        path.write_bytes(text.encode())
+        assert list(loads_csv(text, schema)) == list(read_csv(path, schema))
+        assert list(loads_csv(text, schema)) == [(1, "a"), (2, "b")]
+
     def test_long_row_raises_instead_of_truncating(self, tiny_schema):
         # zip() used to drop the surplus cell silently — data loss on a
         # malformed file must be loud.
