@@ -16,7 +16,8 @@ The streaming subsystem's two promises, measured and enforced:
 The full file pipeline (synthetic stream -> gzip CSV mark -> streamed
 blind verify, the CI *stream-smoke* round trip) is timed end to end and
 recorded — rows/sec for mark, file detect (serial and ``workers=N``
-parallel, which must be bit-identical and >= 1.7x with a second core),
+parallel, each the best of ``DETECT_REPS`` alternating repetitions, all
+recorded; they must be bit-identical and >= 1.7x with a second core),
 file decode alone (one pass of the typed chunk tables that ``chunks()``
 and marking build, and one pass of the key and mark column codes that
 VECTOR detection builds instead, no hashing; both recorded without a
@@ -73,6 +74,11 @@ BENCH_WORKERS = int(
 #: against itself; and an env override that oversubscribes a single core
 #: (workers > cores) is measured and recorded, but not a perf claim.
 SPEEDUP_FLOOR = 1.7 if BENCH_WORKERS >= 2 and CORES >= 2 else None
+
+#: file-detect repetitions per side of the speedup, serial and parallel
+#: alternating, so both sides sample the host's scheduling noise alike;
+#: each side is its best repetition
+DETECT_REPS = 5
 
 #: the multi-million-rows/s kernel-only parallel tier only means
 #: anything with real parallel silicon behind it
@@ -190,9 +196,10 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
     )
 
     # -- parallel file detect: workers=1 vs workers=N ----------------------
-    # Best-of-2 on both sides: run 1 pays the pool fork + worker warm-up,
-    # run 2 reuses the persistent pool — the steady state a long scan
-    # (or repeated scans) actually sees.
+    # Best of DETECT_REPS alternating repetitions on both sides: the first
+    # parallel run pays the pool fork + worker warm-up, the later ones
+    # reuse the persistent pool — the steady state a long scan (or
+    # repeated scans) actually sees.
     def _file_detect(workers):
         suspect_again = CSVChunkSource(
             marked_path, source.schema, chunk_size=CHUNK, infer_domains=True
@@ -205,21 +212,25 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
         )
         return time.perf_counter() - started_at, got
 
-    serial_best = min(detect_file_seconds, _file_detect(None)[0])
-    parallel_cold, parallel_verdict = _file_detect(BENCH_WORKERS)
-    parallel_warm, _ = _file_detect(BENCH_WORKERS)
-    parallel_best = min(parallel_cold, parallel_warm)
-    # The acceptance bar under the speedup: same bits, same votes.
-    assert parallel_verdict.votes == verdict.votes
-    assert (
-        parallel_verdict.verification.matching_bits
-        == verdict.verification.matching_bits
-    )
+    serial_times, parallel_times = [], []
+    for _ in range(DETECT_REPS):
+        serial_times.append(_file_detect(None)[0])
+        seconds, parallel_verdict = _file_detect(BENCH_WORKERS)
+        parallel_times.append(seconds)
+        # The acceptance bar under the speedup: same bits, same votes.
+        assert parallel_verdict.votes == verdict.votes
+        assert (
+            parallel_verdict.verification.matching_bits
+            == verdict.verification.matching_bits
+        )
+    serial_best = min(serial_times)
+    parallel_best = min(parallel_times)
     speedup = serial_best / parallel_best
     lines.append(
         f"  detect, workers={BENCH_WORKERS}  : "
         f"{ROWS / parallel_best:>12,.0f} rows/s "
-        f"({parallel_best:.2f}s) -> {speedup:.2f}x of single-stream "
+        f"({parallel_best:.2f}s, best of {DETECT_REPS}) -> {speedup:.2f}x "
+        f"of single-stream "
         + (
             f"(floor {SPEEDUP_FLOOR}x, {CORES} cores)"
             if SPEEDUP_FLOOR is not None
@@ -365,6 +376,12 @@ def test_stream_throughput_and_bounded_memory(record, record_json, tmp_path):
             "detect_file_parallel_rows_per_second": round(
                 ROWS / parallel_best
             ),
+            "detect_file_serial_seconds": [
+                round(seconds, 4) for seconds in serial_times
+            ],
+            "detect_file_parallel_seconds": [
+                round(seconds, 4) for seconds in parallel_times
+            ],
             "parallel_speedup": round(speedup, 3),
             "parallel_speedup_floor": SPEEDUP_FLOOR,
             "detect_kernel_parallel_rows_per_second": (

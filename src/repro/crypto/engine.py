@@ -47,6 +47,8 @@ from collections.abc import Iterable
 from hashlib import sha256
 from typing import Any
 
+import numpy as np
+
 from .bits import bit_length, msb
 from .hashing import _SEPARATOR, canonical_bytes
 from .keys import MarkKey
@@ -277,8 +279,6 @@ class HashEngine:
             return entry
         if e <= 0:
             raise ValueError(f"e must be positive, got {e}")
-        import numpy as np
-
         digests = self.k1.digests(codes.uniques)
         if e < 1 << 32:
             limbs = np.frombuffer(b"".join(digests), ">u8").reshape(-1, 4)
@@ -315,8 +315,6 @@ class HashEngine:
         if entry is not None:
             self.plan_array_hits += 1
             return entry
-        import numpy as np
-
         fit_positions = np.flatnonzero(self.fitness_array(codes, e))
         if modulus <= 0:
             raise ValueError(error)
@@ -375,8 +373,6 @@ class HashEngine:
         if entry is not None:
             plan_stack_hits += 1
             return entry
-        import numpy as np
-
         entry = np.stack([build_row(engine) for engine in engines])
         entry.setflags(write=False)
         store[full_key] = entry

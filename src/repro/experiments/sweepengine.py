@@ -14,11 +14,15 @@ differs.  This module restructures the sweep around that observation:
   shared table is never mutated.  A figure pays ``passes`` embeds instead
   of ``passes x len(xs)``.
 * **persistent worker pool** — ``(seed, x)`` attack+verify cells fan out
-  across a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-  are initialized *once* with the base relation and then reused across
-  sweep points and across successive sweeps in one bench run.  Work is
-  partitioned by seed, so each worker embeds a seed at most once and keeps
-  the pass cached for later sweeps.
+  across a persistent process pool whose workers are initialized *once*
+  with the base relation and then reused across sweep points and across
+  successive sweeps in one bench run.  Work is partitioned by seed: one
+  task per seed runs through the one ordered pool run
+  (:class:`~repro.reliability.pool.OrderedRun`, shared with the parallel
+  stream pipeline), so each worker embeds a seed at most once and keeps
+  the pass cached for later sweeps.  Once a seed spends the retry
+  budget, the seeds the pool has not committed yet run in process on
+  their hoisted passes.
 * **deterministic serial path** — :data:`MODE_SERIAL` re-embeds per cell,
   exactly the naive runner's cost model, and is pinned bit-identical to
   the hoisted and pooled paths by the equivalence tests.
@@ -57,6 +61,7 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import mean, pstdev
 from typing import Any
 
@@ -64,20 +69,17 @@ from ..attacks import Attack
 from ..core import Watermark, Watermarker, kernels, verify_multipass
 from ..crypto import SCALAR, VECTOR, MarkKey
 from ..relational import CategoricalDomain, Table
-from ..reliability.deadline import Deadline, DeadlineExceededError, check_deadline
-from ..reliability.faults import active_plan
+from ..reliability.deadline import Deadline, check_deadline
 from ..reliability.pool import (
     POOL_LABEL,
+    OrderedRun,
     PersistentPool,
     heartbeat,
-    misbehave,
-    planned_fault,
     resolve_watchdog,
-    spend_attempt,
 )
 from ..reliability.report import ReliabilityReport
-from ..reliability.retry import TRANSIENT, RetryPolicy, classify
-from ..reliability.watchdog import IDLE, Watchdog
+from ..reliability.retry import RetryPolicy
+from ..reliability.watchdog import Watchdog
 
 logger = logging.getLogger(__name__)
 
@@ -415,28 +417,19 @@ def _worker_embedded_pass(
 
 def _worker_run_seed(
     protocol: SweepProtocol,
-    seed: int,
     cells: list[tuple[float | None, Attack]],
-    inject: tuple | None = None,
+    seed: int,
 ) -> list[PassResult]:
     """Pool task: all of one seed's cells, in sweep-point order.
 
-    Each cell boundary heartbeats the pool's watchdog directory (state
-    ``busy``; the task's return beats ``idle``), so a worker stuck inside
-    a cell is detectable from the parent.
-
-    ``inject`` is ``(cell_index, fault)``: a parent-planned ``pool.worker``
-    fault (see :func:`~repro.reliability.pool.planned_fault`) this task
-    replays when it reaches that cell.
+    Each cell boundary heartbeats the pool's watchdog directory, so a
+    worker stuck inside a cell is detectable from the parent.
     """
     embedded = _worker_embedded_pass(protocol, seed)
     results = []
-    for index, (x, attack) in enumerate(cells):
+    for x, attack in cells:
         heartbeat()
-        if inject is not None and index == inject[0]:
-            misbehave(inject[1], seed)
         results.append(run_cell(embedded, attack, x))
-    heartbeat(IDLE)
     return results
 
 
@@ -445,11 +438,7 @@ def _worker_call(fn, args: tuple) -> Any:
     protocol (e.g. the analysis Monte-Carlo loops): calls
     ``fn(worker_table, *args)``."""
     assert _WORKER_TABLE is not None, "pool worker was not initialized"
-    heartbeat()
-    try:
-        return fn(_WORKER_TABLE, *args)
-    finally:
-        heartbeat(IDLE)
+    return fn(_WORKER_TABLE, *args)
 
 
 def shutdown_sweep_pool() -> None:
@@ -472,32 +461,37 @@ def pool_table_tasks(
 
     ``fn`` must be a module-level function (pickled by reference).  The
     table ships to the workers once, via the pool initializer — the lever
-    that makes many small tasks over one large relation affordable.
-    Raises whatever the tasks raise; pool-infrastructure failures
-    propagate too (callers fall back to a serial loop).
+    that makes many small tasks over one large relation affordable.  The
+    tasks run through the one ordered pool run under the default
+    :class:`~repro.reliability.RetryPolicy`: a transient failure is
+    retried, a task that spends the budget finishes the batch in process
+    (``fn(table, *args)``, the same results), and a permanent error —
+    whatever a task raises outside the transient taxonomy — propagates.
 
-    The batch runs under a :data:`DEFAULT_TASK_TIMEOUT` deadline: a hung
-    worker spends it, the pool's workers are killed and the executor
-    retired, and :class:`~repro.reliability.DeadlineExceededError`
-    propagates at ``pool.worker[<tasks done>]`` so callers take their
-    serial fallback instead of blocking forever.
+    The batch runs under a :data:`DEFAULT_TASK_TIMEOUT` deadline, since a
+    task beats its heartbeat only once and no watchdog can bound it: a
+    hung worker spends the deadline, the pool's workers are killed and
+    the executor retired, and
+    :class:`~repro.reliability.DeadlineExceededError` propagates at
+    ``pool.worker[<tasks done>]`` instead of blocking forever.
     """
     workers = max_workers or os.cpu_count() or 1
     # An unpicklable payload would deadlock the executor's queue-feeder
     # thread instead of raising; probe here so callers get a clean
-    # exception (and can fall back to their serial loops).
+    # exception.
     pickle.dumps((fn, list(task_args)))
-    pool = _pool.ensure(_table_token(table), workers, _worker_init, table)
-    futures = [pool.submit(_worker_call, fn, args) for args in task_args]
-    batch = Deadline(DEFAULT_TASK_TIMEOUT)
-    report = ReliabilityReport()  # no watchdog: the wait counts nothing
-    return [
-        _pool.wait(
-            future, watchdog=None, deadline=batch, label=POOL_LABEL,
-            position=done, report=report,
-        )
-        for done, future in enumerate(futures)
-    ]
+    results: list[Any] = []
+    OrderedRun(
+        _pool,
+        lambda: _pool.ensure(_table_token(table), workers, _worker_init, table),
+        partial(_worker_call, fn),
+        lambda args: fn(table, *args),
+        lambda args, result: results.append(result),
+        workers=workers, label=POOL_LABEL, retry=RetryPolicy(),
+        deadline=Deadline(DEFAULT_TASK_TIMEOUT), watchdog=None,
+        reliability=ReliabilityReport(),
+    ).run(enumerate(task_args))
+    return results
 
 
 # -- the engine ---------------------------------------------------------------
@@ -518,7 +512,6 @@ class SweepEngine:
         self,
         mode: str = MODE_AUTO,
         max_workers: int | None = None,
-        fused: bool = True,
         retry: RetryPolicy | None = None,
         watchdog: Watchdog | bool | None = None,
     ):
@@ -526,14 +519,10 @@ class SweepEngine:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         self.max_workers = max_workers
-        #: fuse all passes of a hoisted sweep point into one multi-pass
-        #: detection kernel (bit-identical; ``False`` keeps the PR-3
-        #: per-pass path — the benches' comparison baseline)
-        self.fused = fused
         #: bounded-attempt policy for pooled-mode task retries and pool
         #: respawns (per-seed tasks are pure functions of their labels,
         #: so a retried task is bit-identical to a first-try one); a seed
-        #: that spends it finishes the run on the hoisted path
+        #: that spends it finishes the run in process
         self.retry = retry if retry is not None else RetryPolicy()
         #: heartbeat watchdog over the pooled workers (``False`` disables;
         #: ``None`` takes the default 300 s silence budget)
@@ -623,15 +612,19 @@ class SweepEngine:
         factories) ever cross the process boundary.
 
         ``deadline`` bounds the run's wall-clock: it is checked at every
-        cell/point boundary and caps every pool wait, and expiry raises
-        :class:`~repro.reliability.DeadlineExceededError` — never
-        swallowed by the pooled -> hoisted fallback, because falling back
-        *after* the budget is spent would bust the budget twice over.
+        cell, point or seed boundary and caps every pool wait, and expiry
+        raises :class:`~repro.reliability.DeadlineExceededError`.
 
-        A pooled run whose pool fails — a seed that spends the retry
-        budget, an unpicklable attack, a broken pool — finishes on the
-        bit-identical hoisted path, logging one warning and counting one
-        ``pool_fallbacks``; the next run tries the pool again.
+        A pooled run follows the one failure rule of
+        :mod:`repro.reliability.pool`: a transient failure re-dispatches
+        its seed, a broken pool respawns, and a seed that spends the retry
+        budget — a pool that cannot start included — finishes the sweep
+        in process: the seeds the pool already committed are kept, the
+        rest run on their hoisted passes (bit-identical), with one warning
+        and one ``pool_fallbacks``; the next run tries the pool again.  A
+        permanent error raises at once.  An attack that cannot be pickled
+        runs the whole sweep hoisted, also with one warning and one
+        ``pool_fallbacks``.
         """
         seeds = list(seeds)
         attacks = list(attacks)
@@ -639,44 +632,28 @@ class SweepEngine:
             mode, len(seeds) * len(attacks) * len(base_table)
         )
         if resolved == MODE_POOLED:
-            from concurrent.futures import BrokenExecutor
-
+            # Probe picklability up front: an unpicklable attack submitted
+            # to the executor deadlocks its queue-feeder thread instead of
+            # raising.
             try:
+                pickle.dumps((protocol, attacks))
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                self.reliability.pool_fallbacks += 1
+                logger.warning(
+                    "pooled sweep cannot ship its attacks (%s: %s); falling "
+                    "back to the bit-identical hoisted path",
+                    type(exc).__name__, exc,
+                )
+            else:
                 return self._run_pooled(
                     base_table, protocol, attacks, seeds, deadline
                 )
-            except DeadlineExceededError:
-                raise  # stall-safety verdicts outrank the fallback ladder
-            except BrokenExecutor as exc:
-                self._note_pool_fallback(exc)
-                shutdown_sweep_pool()
-            except RuntimeError:
-                raise  # run_cell's "attack removed the marked pair"
-            except Exception as exc:
-                # Pool infrastructure failure (unpicklable attack,
-                # fork/pipe trouble, nested-daemon limits, retry
-                # exhaustion): the hoisted path is bit-identical, so
-                # never let the pool kill an experiment — but never
-                # degrade silently either.
-                self._note_pool_fallback(exc)
-                shutdown_sweep_pool()
         if resolved == MODE_SERIAL:
             return self._run_serial(
                 base_table, protocol, attacks, seeds, deadline
             )
         return self._run_hoisted(
             base_table, protocol, attacks, seeds, deadline
-        )
-
-    def _note_pool_fallback(self, exc: BaseException) -> None:
-        """Count and log a pooled -> hoisted degradation (results stay
-        bit-identical; only the parallelism is lost)."""
-        self.reliability.pool_fallbacks += 1
-        logger.warning(
-            "pooled sweep failed (%s: %s); falling back to the "
-            "bit-identical hoisted path",
-            type(exc).__name__,
-            exc,
         )
 
     def _run_serial(self, base_table, protocol, attacks, seeds, deadline=None):
@@ -706,91 +683,41 @@ class SweepEngine:
         points = []
         for position, (x, attack) in enumerate(attacks):
             check_deadline(deadline, "sweep.point", position)
-            results = run_point(passes, attack, x, fused=self.fused)
+            results = run_point(passes, attack, x)
             self.cells_executed += len(results)
             points.append(ExperimentPoint(x=x, passes=results))
         return points
 
     def _run_pooled(self, base_table, protocol, attacks, seeds, deadline=None):
-        from concurrent.futures import BrokenExecutor
-
+        """One pool task per seed, committed in seed order; in process, a
+        seed's cells run through :func:`run_cell` on its hoisted pass."""
         workers = self.max_workers or os.cpu_count() or 1
-        # Probe picklability up front: an unpicklable attack submitted to
-        # the executor deadlocks its queue-feeder thread instead of
-        # raising, whereas this raises cleanly and run() falls back to
-        # the bit-identical hoisted path.
-        pickle.dumps((protocol, attacks))
         token = _table_token(base_table)
-        by_seed: dict[int, list[PassResult]] = {}
-        pending = list(seeds)
-        attempt = 0
-        while pending:
+        by_seed: list[list[PassResult]] = []
+
+        def in_process(seed: int) -> list[PassResult]:
+            embedded = self.embedded_pass(base_table, protocol, seed, token)
+            return [run_cell(embedded, attack, x) for x, attack in attacks]
+
+        report = OrderedRun(
+            _pool,
             # A new base relation retires the old pool: worker caches
             # are only valid for the table their initializer installed.
-            pool = _pool.ensure(token, workers, _worker_init, base_table)
-            futures = {
-                seed: pool.submit(
-                    _worker_run_seed,
-                    protocol,
-                    seed,
-                    attacks,
-                    self._planned_worker_fault(seed, len(attacks)),
-                )
-                for seed in pending
-            }
-            failed = []
-            last_exc: BaseException | None = None
-            broken = False
-            for seed, future in futures.items():
-                try:
-                    by_seed[seed] = _pool.wait(
-                        future, watchdog=self.watchdog, deadline=deadline,
-                        label=POOL_LABEL, position=len(by_seed),
-                        report=self.reliability,
-                    )
-                except BrokenExecutor as exc:
-                    # A worker died (OOM kill, injected or watchdog
-                    # SIGKILL): the executor is unusable, every in-flight
-                    # seed fails.
-                    failed.append(seed)
-                    last_exc = exc
-                    broken = True
-                except Exception as exc:
-                    if classify(exc) is not TRANSIENT:
-                        raise
-                    failed.append(seed)
-                    last_exc = exc
-            if failed:
-                attempt += 1
-                # At the budget this raises RetryError, and run() finishes
-                # on the hoisted path.
-                spend_attempt(self.retry, attempt, last_exc, self.reliability)
-                self.reliability.cell_retries += len(failed) * len(attacks)
-                if broken:
-                    # Respawn: per-seed tasks are pure functions of their
-                    # labels, so a fresh pool reproduces the lost results
-                    # bit-identically.
-                    shutdown_sweep_pool()
-                    self.reliability.pool_respawns += 1
-            pending = failed
+            lambda: _pool.ensure(token, workers, _worker_init, base_table),
+            partial(_worker_run_seed, protocol, attacks),
+            in_process,
+            lambda seed, results: by_seed.append(results),
+            workers=workers, label=POOL_LABEL, retry=self.retry,
+            deadline=deadline, watchdog=self.watchdog,
+            reliability=self.reliability,
+        ).run(zip(seeds, seeds))
+        self.reliability.cell_retries += report.redispatches * len(attacks)
         points = []
         for index, (x, _) in enumerate(attacks):
-            results = [by_seed[seed][index] for seed in seeds]
+            results = [cells[index] for cells in by_seed]
             self.cells_executed += len(results)
             points.append(ExperimentPoint(x=x, passes=results))
         return points
-
-    def _planned_worker_fault(
-        self, seed: int, cell_count: int
-    ) -> tuple[int, tuple[str, float]] | None:
-        """Consume any fault the armed plan scheduled for this seed's
-        pool task as ``(cell_index, fault)``: the task replays it at a
-        plan-seeded cell."""
-        fault = planned_fault(seed)
-        if fault is None:
-            return None
-        rng = active_plan().rng("pool.worker", seed)
-        return rng.randrange(max(1, cell_count)), fault
 
     # -- the runner-shaped convenience --------------------------------------
     def sweep(

@@ -16,11 +16,11 @@ Typing has two forms.  :func:`parse_row` with :func:`cell_parsers` types
 one record at a time and is the reference: it defines every value and
 every error.  :func:`type_columns` with :func:`column_typers` types a
 slice of records a column at a time, one C-level ``map`` per column, and
-gives the same values or refuses the slice; :func:`type_records` zips its
-columns into rows.  One loop, :func:`typed_slices`, types every record
-read: a slice at a time with ``type_columns``, and a slice it refuses
-record by record with ``parse_row``, which hands each record it rejects
-to the reader's bad-record rule.
+gives the same values or refuses the slice.  One loop,
+:func:`typed_slices`, types every record read: a slice at a time with
+``type_columns``, and a slice it refuses record by record with
+``parse_row``, which hands each record it rejects to the reader's
+bad-record rule; :func:`typed_rows` zips its columns into rows.
 """
 
 from __future__ import annotations
@@ -164,12 +164,6 @@ def type_columns(records: list, typers, arity: int) -> list | None:
         ]
     except ValueError:
         return None
-
-
-def type_records(records: list, typers, arity: int) -> list[tuple] | None:
-    """:func:`type_columns` as the row tuples ``parse_row`` gives."""
-    columns = type_columns(records, typers, arity)
-    return None if columns is None else list(zip(*columns))
 
 
 def column_typers(schema: Schema) -> list:

@@ -23,20 +23,10 @@ from itertools import count
 from operator import itemgetter
 from typing import Any, Hashable
 
+import numpy as np
+
 from .errors import DuplicateKeyError, MissingKeyError, SchemaError
 from .schema import Attribute, Schema
-
-_numpy = None  # resolved lazily; the relational layer must import without it
-
-
-def _require_numpy():
-    """NumPy, imported on first use (the VECTOR backend's only dependency)."""
-    global _numpy
-    if _numpy is None:
-        import numpy  # noqa: PLC0415 - deliberate lazy import
-
-        _numpy = numpy
-    return _numpy
 
 
 class ColumnCodes:
@@ -76,7 +66,6 @@ def factorize(values: Iterable[Any], unique: bool) -> ColumnCodes:
     is adopted) — no dict pass at all.  Any other column gets dense
     codes in first physical encounter order.
     """
-    np = _require_numpy()
     if unique:
         uniques = values
         codes = np.arange(len(uniques), dtype=np.int32)
@@ -105,7 +94,7 @@ def _key_index(rows: list[list[Any]], position: int) -> dict | None:
     return index if len(index) == len(rows) else None
 
 
-def _canonical_codes(np, raw, uniques: list[Any]) -> ColumnCodes:
+def _canonical_codes(raw, uniques: list[Any]) -> ColumnCodes:
     """Re-canonicalize a raw code array into first-encounter form.
 
     ``raw`` indexes into ``uniques`` but may use the codes in any order and
@@ -374,7 +363,7 @@ class Table:
         :meth:`column_view` — by :attr:`version`, at attribute
         granularity — and :meth:`clone` inherits it copy-on-write, so an
         attack clone that never rewrites the key column re-detects on the
-        base relation's codes without re-factorizing.  Requires NumPy.
+        base relation's codes without re-factorizing.
 
         With ``build=False`` the method only consults the cache, returning
         ``None`` instead of factorizing — for opportunistic consumers that
@@ -690,11 +679,10 @@ class Table:
         self._pending = (attribute, position, positions, codes, uniques)
         self._version += 1
         self._attr_writes[attribute] = self._version
-        np = _require_numpy()
         raw = base.codes.copy()
         raw[positions] = np.asarray(codes, dtype=np.int32)
         self._codes_cache[attribute] = (
-            self._version, _canonical_codes(np, raw, uniques)
+            self._version, _canonical_codes(raw, uniques)
         )
         return len(positions)
 
@@ -739,7 +727,6 @@ class Table:
         self._version += 1
         self._structural_version = self._version
         if fresh:
-            np = _require_numpy()
             for attribute, codes in fresh.items():
                 attr_position = self._schema.position(attribute)
                 appended = [row[attr_position] for row in staged]
@@ -914,14 +901,13 @@ class Table:
         self._owned = set()
         duplicate._owned = set()
         if taken and self._codes_cache:
-            np = _require_numpy()
             gather = np.asarray(positions, dtype=np.intp)
             for attribute, (cached_version, codes) in self._codes_cache.items():
                 if not self._cache_fresh(cached_version, attribute):
                     continue
                 duplicate._codes_cache[attribute] = (
                     duplicate._version,
-                    _canonical_codes(np, codes.codes[gather], codes.uniques),
+                    _canonical_codes(codes.codes[gather], codes.uniques),
                 )
         return duplicate
 

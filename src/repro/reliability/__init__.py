@@ -20,13 +20,14 @@ makes recovery *provable* instead of hoped-for:
   :class:`DeadlineExceededError` with a resumable position (exit code 7);
 * :mod:`~repro.reliability.watchdog` — heartbeat-based detection and
   ``SIGKILL`` of *hung* (not just dead) pool workers;
-* :mod:`~repro.reliability.pool` — the one persistent worker pool the
-  sweep engine and the parallel stream run share: lifecycle, heartbeat
-  directory, the ``pool.worker`` faults shipped into tasks, the one
-  deadline-capped, watchdog-scanned result wait, and the one retry
-  budget.  A chunk or sweep cell that spends the budget on the pool
-  finishes the run in process with the same per-chunk or per-cell
-  function — bit-identical, logged and counted as ``pool_fallbacks``;
+* :mod:`~repro.reliability.pool` — the one persistent worker pool and
+  the one ordered run over it that stream chunks, sweep seeds and the
+  analysis Monte-Carlo trials share: lifecycle, heartbeat directory, the
+  ``pool.worker`` faults shipped into tasks, the one deadline-capped,
+  watchdog-scanned result wait, and the one retry budget.  A task that
+  spends the budget on the pool finishes the run in process with the
+  same per-task function — bit-identical, logged and counted as
+  ``pool_fallbacks``;
 * :mod:`~repro.reliability.integrity` — chunk-hash manifests journalled
   next to the checkpoint, :func:`audit_stream` corruption localization,
   verified (re-hashing) resume, and the :class:`RunLock` lease that

@@ -1,9 +1,11 @@
-"""One persistent worker pool and the one rule for its failures.
+"""One persistent worker pool, one ordered run over it, one failure rule.
 
-The sweep engine and the parallel stream pipeline each keep a single
+The parallel stream pipeline and the sweep engine each keep a single
 ``ProcessPoolExecutor`` alive across runs, keyed by the state its workers
 were initialized with — warm worker caches are only valid for that
-state.  Both use this module for everything around the executor:
+state.  Stream chunks, sweep seeds and the analysis Monte-Carlo trials
+(:func:`~repro.experiments.sweepengine.pool_table_tasks`) all run through
+this module:
 
 * **lifecycle** — :class:`PersistentPool` creates the executor for a
   ``(token, workers)`` key, reuses it while the key holds, retires it
@@ -11,27 +13,33 @@ state.  Both use this module for everything around the executor:
   :meth:`~PersistentPool.retire` sends its workers ``SIGKILL`` first,
   because ``Executor.shutdown`` *joins* workers and a hung one would
   outlive it;
+* **the run** — :class:`OrderedRun` is the only code that submits work
+  to an executor.  It keeps ``2 × workers`` tasks in flight and commits
+  their results strictly in task order;
 * **the wait** — :meth:`PersistentPool.wait` is the only place a pool
   result is read: it polls in watchdog-sized slices capped by the run's
   :class:`~repro.reliability.Deadline`, lets the
   :class:`~repro.reliability.Watchdog` kill workers silent mid-task, and
   on expiry retires the pool before raising
   :class:`~repro.reliability.DeadlineExceededError`;
-* **the retry budget** — :func:`spend_attempt` counts one failed attempt
-  of a task against the run's :class:`~repro.reliability.RetryPolicy`.
-  Every chunk and sweep cell is a pure function of its keyed inputs, so
-  when one spends the whole budget the run finishes in process with the
-  same per-chunk or per-cell function — same bits, one core — logging one
-  warning and counting one ``pool_fallbacks``.  A stream run with
-  ``retry=None`` fails fast instead;
+* **the failure rule** — a transient failure (a worker error, a dead or
+  killed worker, a pool that cannot start or accept a task) re-dispatches
+  the task under the run's :class:`~repro.reliability.RetryPolicy`
+  (:func:`spend_attempt`), respawning a broken pool.  Every task is a
+  pure function of its keyed inputs, so when one spends the whole budget
+  the run finishes in process with the caller's in-process function —
+  same bits, one core — logging one warning and counting one
+  ``pool_fallbacks``.  ``retry=None`` fails fast, and a permanent error
+  raises at once;
 * **heartbeats** — every worker beats into the pool-scoped directory
   (:func:`heartbeat`) that the :class:`~repro.reliability.Watchdog`
   resolved by :func:`resolve_watchdog` scans;
 * **faults** — an armed :class:`~repro.reliability.FaultPlan` lives in
-  the parent, so pool workers start disarmed; the parent draws each
+  the parent, so pool workers start disarmed; the run draws each
   ``"pool.worker"`` fault at submit time (:func:`planned_fault`) and
-  ships it into the task, where :func:`misbehave` replays it.  The
-  trigger is consumed at the first submit, so a retried task runs clean.
+  ships it with the task, and the worker replays it (:func:`misbehave`)
+  before the task's work starts.  The trigger is consumed at the first
+  submit, so a retried task runs clean.
 """
 
 from __future__ import annotations
@@ -42,8 +50,14 @@ import shutil
 import signal
 import tempfile
 import time
+from collections import deque
+from collections.abc import Callable, Iterable
+from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import TimeoutError as FuturesTimeout
+from dataclasses import dataclass, field
+from typing import Any
 
-from .deadline import Deadline
+from .deadline import Deadline, check_deadline
 from .faults import (
     HANG,
     KILL,
@@ -54,13 +68,24 @@ from .faults import (
     disarm,
 )
 from .report import ReliabilityReport
-from .retry import RetryError, RetryPolicy
+from .retry import (
+    TRANSIENT,
+    TRANSIENT_TYPES,
+    RetryError,
+    RetryPolicy,
+    classify,
+)
 from .watchdog import BUSY, IDLE, Watchdog, beat
 
 logger = logging.getLogger(__name__)
 
 #: the label of pool-task faults and retries (and of sweep deadline stops)
 POOL_LABEL = "pool.worker"
+
+#: tasks in flight as a multiple of the worker count: enough to keep
+#: every worker busy while the head commits, few enough that the
+#: caller's memory stays O(workers × task)
+READAHEAD_FACTOR = 2
 
 #: the heartbeat directory of the pool this process works for (set in
 #: each worker by the pool initializer; ``None`` in the parent)
@@ -175,8 +200,6 @@ class PersistentPool:
         re-dispatches.  Once ``deadline`` expires the pool is retired and
         the deadline error raised at ``label[position]``.
         """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
         poll = watchdog.poll if watchdog is not None else 1.0
         while True:
             self.check_deadline(deadline, label, position)
@@ -252,3 +275,203 @@ def misbehave(fault: tuple[str, float] | None, index: int) -> None:
     if kind == MEMORY:
         raise MemoryError(f"injected memory fault at pool.worker[{index}]")
     raise InjectedFaultError(POOL_LABEL, index, kind)
+
+
+def _pool_call(task_fn, index: int, task, fault) -> Any:
+    """Worker side of :class:`OrderedRun`: beat busy, replay the fault
+    shipped with the task, return ``task_fn(task)``, beat idle."""
+    heartbeat()
+    try:
+        misbehave(fault, index)
+        return task_fn(task)
+    finally:
+        heartbeat(IDLE)
+
+
+@dataclass
+class ParallelReport:
+    """Telemetry of one :class:`OrderedRun` (a parallel stream run's
+    ``result.parallel``)."""
+
+    workers: int
+    #: tasks (chunks) whose result came from a pool worker
+    chunks_parallel: int = 0
+    #: tasks finished in process after a task spent the retry budget on
+    #: the pool (bit-identical, one core)
+    chunks_serial: int = 0
+    #: tasks re-submitted after a worker failure (bit-identical replays)
+    redispatches: int = 0
+    #: last telemetry snapshot per worker pid — for stream runs, chunks
+    #: processed, kernel launches and digests computed since the worker
+    #: was forked
+    worker_stats: dict[int, dict[str, Any]] = field(default_factory=dict)
+
+    def note(self, stats: dict[str, Any]) -> None:
+        self.worker_stats[stats["pid"]] = {
+            key: value for key, value in stats.items() if key != "pid"
+        }
+
+
+class OrderedRun:
+    """Ordered commit over ``(index, task)`` pairs, on a pool or in process.
+
+    The caller supplies four things: ``open_pool()``, which returns the
+    executor of ``pool`` for this run (``None``: every task runs in
+    process — no pool, nothing pickled); ``pool_task(task)``, a
+    picklable function a worker runs; ``local_task(task)``, which gives
+    the same result in this process; and ``commit(task, result)``, which
+    is only ever called in task order — the invariant every bit-identity
+    claim of its callers rests on.  ``index`` addresses the task's
+    ``"pool.worker"`` fault and its deadline stop at ``label[index]``.
+
+    On the pool, ``READAHEAD_FACTOR × workers`` tasks are in flight.  A
+    transient failure re-dispatches the task under ``retry``, a broken
+    pool is respawned and its unfinished tasks re-dispatched, and a task
+    that spends the budget finishes the run in process.  ``retry=None``
+    fails fast; a permanent error always raises.
+    """
+
+    def __init__(
+        self,
+        pool: PersistentPool,
+        open_pool: Callable[[], Any] | None,
+        pool_task: Callable[[Any], Any],
+        local_task: Callable[[Any], Any],
+        commit: Callable[[Any, Any], None],
+        *,
+        workers: int,
+        label: str,
+        retry: RetryPolicy | None,
+        deadline: Deadline | None,
+        watchdog: Watchdog | None,
+        reliability: ReliabilityReport,
+    ):
+        self.pool = pool
+        self.open_pool = open_pool
+        self.pool_task = pool_task
+        self.local_task = local_task
+        self.commit = commit
+        self.label = label
+        self.retry = retry
+        self.deadline = deadline
+        self.watchdog = watchdog
+        self.reliability = reliability
+        self.report = ParallelReport(workers=workers)
+        self.window = READAHEAD_FACTOR * workers
+        #: ``[future, index, task, failed attempts]`` in task order
+        self.in_flight: deque[list] = deque()
+        self.executor = None
+        self.in_process = open_pool is None
+
+    def run(self, tasks: Iterable[tuple[int, Any]]) -> ParallelReport:
+        for index, task in tasks:
+            if self.in_process:
+                self._run_here(index, task)
+                continue
+            self.pool.check_deadline(self.deadline, self.label, index)
+            entry = [None, index, task, 0]
+            self._submit(entry)
+            self.in_flight.append(entry)
+            while len(self.in_flight) >= self.window:
+                self._commit_head()
+        while self.in_flight:
+            self._commit_head()
+        return self.report
+
+    def _submit(self, entry: list) -> None:
+        try:
+            if self.executor is None:
+                self.executor = self.open_pool()
+            entry[0] = self.executor.submit(
+                _pool_call, self.pool_task, entry[1], entry[2],
+                planned_fault(entry[1]),
+            )
+        except (BrokenExecutor, *TRANSIENT_TYPES) as exc:
+            # A pool that cannot start (fork failing with EAGAIN) or lost
+            # a worker between commits: the task fails, and its commit
+            # takes the usual recovery path.
+            entry[0] = Future()
+            entry[0].set_exception(exc)
+
+    def _run_here(self, index: int, task) -> None:
+        check_deadline(self.deadline, self.label, index)
+        self.commit(task, self.local_task(task))
+        self.report.chunks_serial += 1
+
+    def _commit_head(self) -> None:
+        entry = self.in_flight[0]
+        future, index, task, _ = entry
+        try:
+            result = self.pool.wait(
+                future, watchdog=self.watchdog, deadline=self.deadline,
+                label=self.label, position=index, report=self.reliability,
+            )
+        except BrokenExecutor as exc:
+            # Retire the broken executor before anything else, the
+            # fail-fast raise included: the next run on this pool would
+            # otherwise be handed it.
+            self.pool.retire()
+            self.executor = None
+            if self.retry is None:
+                raise
+            self._recover(entry, exc, broken=True)
+            return
+        except TRANSIENT_TYPES as exc:
+            # Anything outside the shared transient taxonomy propagates
+            # untouched (a logic error replayed is a logic error twice);
+            # ``classify`` still vets members of the tuple, because some
+            # carry a permanent payload (e.g. ``OSError`` + ENOSPC).
+            if classify(exc) is not TRANSIENT or self.retry is None:
+                raise
+            logger.warning(
+                "%s[%d] failed with transient %r; recovering",
+                self.label, index, exc,
+            )
+            self._recover(entry, exc, broken=False)
+            return
+        self.in_flight.popleft()
+        self.commit(task, result)
+        self.report.chunks_parallel += 1
+
+    def _recover(self, entry: list, exc: BaseException, broken: bool) -> None:
+        """Re-dispatch a failed task (its fault trigger was consumed at
+        the first submit, so the replay runs clean).  A broken pool
+        respawns and re-dispatches every unfinished task in order.  A
+        task that spent the retry budget finishes the run in process."""
+        entry[3] += 1
+        try:
+            spend_attempt(self.retry, entry[3], exc, self.reliability)
+        except RetryError:
+            logger.warning(
+                "%s[%d] spent its retry budget on the pool (%r); "
+                "finishing the run in process", self.label, entry[1], exc,
+            )
+            self._finish_in_process()
+            return
+        if not broken:
+            self.report.redispatches += 1
+            self._submit(entry)
+            return
+        self.reliability.pool_respawns += 1
+        logger.warning(
+            "pool broke at %s[%d] (%r): respawning and re-dispatching %d "
+            "in-flight tasks", self.label, entry[1], exc, len(self.in_flight),
+        )
+        for waiting in self.in_flight:
+            future = waiting[0]
+            if future.done() and future.exception() is None:
+                continue  # completed before the breakage; keep the result
+            self.report.redispatches += 1
+            self._submit(waiting)
+
+    def _finish_in_process(self) -> None:
+        """Retire the pool and run every in-flight (and every remaining)
+        task here with ``local_task``, in the same order — same bits,
+        one core."""
+        self.in_process = True
+        self.reliability.pool_fallbacks += 1
+        self.pool.retire()
+        self.executor = None
+        while self.in_flight:
+            _, index, task, _ = self.in_flight.popleft()
+            self._run_here(index, task)

@@ -2,11 +2,12 @@
 
 The scheme's per-tuple decisions are pure functions of a keyed hash of
 the tuple's key value, so chunks are independent by construction and
-``VoteAccumulator`` merges are associative.  One loop,
-:class:`_OrderedRun`, drives every ``stream_*`` call at every worker
-count, and each direction has one per-chunk function —
+``VoteAccumulator`` merges are associative.  Every ``stream_*`` call, at
+every worker count, runs its chunks through the one ordered pool run,
+:class:`~repro.reliability.pool.OrderedRun` (:func:`_run_chunks` adapts
+it to chunks), and each direction has one per-chunk function —
 :func:`_chunk_votes` and :func:`_embed_chunk` — that every chunk runs
-through wherever it is computed:
+through wherever it is computed.
 
 Every run reads the same chunk tasks — the source's one reader,
 :func:`~repro.stream.sources.payload_chunks` (raw CSV text, typed row
@@ -20,15 +21,14 @@ detection:
 * **In process** (``workers=None`` or ``1``) — the run reads one task,
   builds and computes its chunk and commits it before reading the next.
   No pool, no pickled run state.
-* **On a pool** (``workers > 1``) — the coordinator reads tasks up to a
-  bounded read-ahead window of ``2 × workers`` chunks ahead of the
-  oldest uncommitted chunk, submitting each to a persistent process pool
-  so decode overlaps compute.  Workers are initialized once with the
-  pickled run state (keys, spec, domain, schema), build one warm
-  chunk-bounded :func:`stream_engine` per key, build each task's chunk
-  (a CSV chunk's field split and typing happen *there*: the coordinator
-  only decompresses the file and cuts its text at newlines) and call
-  the same per-chunk function.
+* **On a pool** (``workers > 1``) — the coordinator keeps
+  ``2 × workers`` chunks in flight on a persistent process pool, so
+  decode overlaps compute.  Workers are initialized once with the
+  pickled run state (keys, spec, domain, schema, the chunk builder),
+  build one warm chunk-bounded :func:`stream_engine` per key, build each
+  task's chunk (a CSV chunk's field split and typing happen *there*: the
+  coordinator only decompresses the file and cuts its text at newlines)
+  and call the same per-chunk function.
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
@@ -40,16 +40,12 @@ bit-identical to ``workers=1`` and to the in-memory verifiers.
 Reliability: a :class:`~repro.reliability.RetryPolicy` re-opens the
 source at the failed chunk after a transient read failure, and the run's
 :class:`~repro.reliability.Deadline` is checked at every chunk boundary,
-at every worker count.  Pools add the rest, through the one wait and the
-one retry budget of :mod:`repro.reliability.pool`: every pool wait is
-capped by the deadline (a deadline stop retires the pool), the
-:class:`~repro.reliability.Watchdog` heartbeats workers and SIGKILLs hung
-ones, and the retry policy re-dispatches failed chunks (pure functions —
-the replay is bit-identical) and respawns a broken pool.  A chunk that
-spends the whole retry budget finishes the run in process: the
-coordinator computes it and every remaining chunk with the same
-per-chunk functions — same bits, one core.  ``retry=None`` fails fast,
-and a broken pool is retired either way.
+at every worker count.  On a pool the run follows the one failure rule
+of :mod:`repro.reliability.pool`: failed chunks are re-dispatched (pure
+functions — the replay is bit-identical), a broken pool is respawned,
+and a chunk that spends the whole retry budget — a pool that cannot
+start included — finishes the run in process with the same per-chunk
+functions.  ``retry=None`` fails fast.
 """
 
 from __future__ import annotations
@@ -60,9 +56,7 @@ import logging
 import os
 import pickle
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Hashable
 
@@ -74,15 +68,13 @@ from ..core.watermark import Watermark
 from ..crypto import SCALAR, HashEngine, MarkKey
 from ..quality import GuardReport, QualityGuard
 from ..relational import CategoricalDomain, Table
-from ..reliability.deadline import Deadline, check_deadline
+from ..reliability.deadline import Deadline
 from ..reliability.faults import fault_point
 from ..reliability.pool import (
+    OrderedRun,
+    ParallelReport,
     PersistentPool,
-    heartbeat,
-    misbehave,
-    planned_fault,
     resolve_watchdog,
-    spend_attempt,
 )
 from ..reliability.report import ReliabilityReport
 from ..reliability.retry import (
@@ -92,7 +84,7 @@ from ..reliability.retry import (
     RetryPolicy,
     classify,
 )
-from ..reliability.watchdog import IDLE, Watchdog
+from ..reliability.watchdog import Watchdog
 from .errors import StreamError
 from .sources import (
     DEFAULT_CHUNK_SIZE,
@@ -110,11 +102,6 @@ logger = logging.getLogger(__name__)
 
 #: ``workers=`` sentinel: size the pool from the machine
 AUTO_WORKERS = "auto"
-
-#: read-ahead depth as a multiple of the worker count: enough decoded
-#: chunks in flight to keep every worker busy while the head commits,
-#: small enough that coordinator memory stays O(workers × chunk)
-READAHEAD_FACTOR = 2
 
 #: floor on the stream engine's memoization-cache entry bound; the bound
 #: scales with the chunk size (see :func:`stream_engine`) so steady-state
@@ -173,28 +160,6 @@ def resolve_workers(workers: int | str | None) -> int:
     if count < 1:
         raise StreamError(f"workers must be >= 1, got {workers!r}")
     return count
-
-
-@dataclass
-class ParallelReport:
-    """Telemetry of one parallel streaming run."""
-
-    workers: int
-    #: chunks whose result came from a pool worker
-    chunks_parallel: int = 0
-    #: chunks finished in process after a chunk spent the retry budget
-    #: on the pool (bit-identical, one core)
-    chunks_serial: int = 0
-    #: tasks re-submitted after a worker failure (bit-identical replays)
-    redispatches: int = 0
-    #: last telemetry snapshot per worker pid — chunks processed, kernel
-    #: launches and digests computed since the worker was forked
-    worker_stats: dict[int, dict[str, Any]] = field(default_factory=dict)
-
-    def note(self, stats: dict[str, Any]) -> None:
-        self.worker_stats[stats["pid"]] = {
-            key: value for key, value in stats.items() if key != "pid"
-        }
 
 
 # -- the per-chunk functions (workers, in process, pool fallback) --------------
@@ -303,30 +268,25 @@ def _worker_init(blob: bytes) -> None:
     kernels.reset_kernel_calls()
 
 
-def _in_worker(task: ChunkTask, fault, compute):
+def _in_worker(task: ChunkTask, compute):
     """Run ``compute(chunk)`` on one payload inside a pool worker;
     returns ``(result, worker stats)``."""
     global _W_CHUNKS
-    heartbeat()
-    try:
-        misbehave(fault, task.index)
-        result = compute(_W["build"](task, _W["profile"], _W_DECODERS))
-        _W_CHUNKS += 1
-        return result, {
-            "pid": os.getpid(),
-            "chunks": _W_CHUNKS,
-            "kernel_calls": dict(kernels.KERNEL_CALLS),
-            "computed_digests": sum(
-                engine.computed_digests
-                for engine in _W_ENGINES
-                if engine is not None
-            ),
-        }
-    finally:
-        heartbeat(IDLE)
+    result = compute(_W["build"](task, _W["profile"], _W_DECODERS))
+    _W_CHUNKS += 1
+    return result, {
+        "pid": os.getpid(),
+        "chunks": _W_CHUNKS,
+        "kernel_calls": dict(kernels.KERNEL_CALLS),
+        "computed_digests": sum(
+            engine.computed_digests
+            for engine in _W_ENGINES
+            if engine is not None
+        ),
+    }
 
 
-def _task_votes(task: ChunkTask, fault=None):
+def _task_votes(task: ChunkTask):
     """Pool task: one chunk's per-pass tallies and row count."""
     def votes(chunk):
         tallies = _chunk_votes(
@@ -335,10 +295,10 @@ def _task_votes(task: ChunkTask, fault=None):
         )
         return tallies, len(chunk)
 
-    return _in_worker(task, fault, votes)
+    return _in_worker(task, votes)
 
 
-def _task_embed(task: ChunkTask, fault=None):
+def _task_embed(task: ChunkTask):
     """Pool task: embed one chunk; ships the marked rows back with the
     chunk's embedding and guard reports."""
     def marked_rows(chunk):
@@ -348,7 +308,7 @@ def _task_embed(task: ChunkTask, fault=None):
         )
         return list(iter(chunk)), pass_result, guard_report
 
-    return _in_worker(task, fault, marked_rows)
+    return _in_worker(task, marked_rows)
 
 
 def shutdown_stream_pool() -> None:
@@ -373,20 +333,6 @@ def _run_blob(state: dict[str, Any]) -> bytes:
         raise StreamError(
             f"parallel streaming needs a picklable run state: {exc}"
         ) from exc
-
-
-def _failed_future(exc: BaseException):
-    from concurrent.futures import Future
-
-    future = Future()
-    future.set_exception(exc)
-    return future
-
-
-def _pool_breakage():
-    from concurrent.futures import BrokenExecutor
-
-    return BrokenExecutor
 
 
 # -- reading -------------------------------------------------------------------
@@ -467,208 +413,74 @@ def _peek_domain(
 
 # -- the ordered run -----------------------------------------------------------
 
-class _OrderedRun:
-    """Ordered commit over a chunk-task stream, in process or on a pool.
+def _run_chunks(
+    tasks: Iterator[ChunkTask],
+    profile: dict[str, Any],
+    compute,
+    commit,
+    *,
+    build,
+    pool_task,
+    state: dict[str, Any],
+    workers: int,
+    retry: RetryPolicy | None,
+    deadline: Deadline | None,
+    watchdog: Watchdog | bool | None,
+    reliability: ReliabilityReport,
+) -> ParallelReport | None:
+    """Run chunk ``tasks`` through the one ordered pool run.
 
     ``build(task, profile, decoders)`` turns each task into the chunk
     ``compute(index, chunk)`` runs on in this process, and ``commit(task,
-    result)`` is only ever called with the lowest uncommitted chunk
-    index — the invariant every bit-identity claim of this module rests
-    on.  With one worker every chunk is built, computed and committed
-    before the next is read.  With more, ``pool_task(task, fault)`` runs
-    in workers initialized with the pickled ``state`` and ``build`` (so
-    a run builds its chunks one way wherever they are computed), a
-    bounded read-ahead window stays in flight, and ``compute`` serves
-    only the in-process finish after a chunk spent the retry budget.
+    result)`` sees the chunks in chunk order, each followed by the
+    ``"pipeline.chunk"`` fault point.  With one worker every chunk is
+    computed here: no pool, no pickled run state.  With more,
+    ``pool_task(task)`` runs in workers initialized with the pickled
+    ``state`` and ``build`` (so a run builds its chunks one way wherever
+    they are computed), and ``compute`` serves only the in-process finish
+    after a chunk spent the retry budget.  Returns the run's report,
+    ``None`` in process.
     """
+    decoders = payload_decoders(profile["schema"])
+    blob = None
 
-    def __init__(
-        self,
-        profile: dict[str, Any],
-        compute,
-        commit,
-        *,
-        build,
-        pool_task,
-        state: dict[str, Any],
-        workers: int,
-        retry: RetryPolicy | None,
-        deadline: Deadline | None,
-        watchdog: Watchdog | bool | None,
-        reliability: ReliabilityReport,
-    ):
-        self.profile = profile
-        self.compute = compute
-        self.commit = commit
-        self.build = build
-        self.pool_task = pool_task
-        self.state = state
-        self.workers = workers
-        self.retry = retry
-        self.deadline = deadline
-        self.reliability = reliability
-        self.report = ParallelReport(workers=workers)
-        self.window = READAHEAD_FACTOR * workers
-        self.in_flight: "OrderedDict[int, list]" = OrderedDict()
-        self.executor = None
-        self.blob: bytes | None = None
-        self.decoders = payload_decoders(profile["schema"])
-        self.serial_mode = workers == 1
-        self.watchdog = resolve_watchdog(watchdog)
+    def open_pool():
+        nonlocal blob
+        if blob is None:
+            blob = _run_blob({
+                **state, "profile": profile, "build": build,
+                # Workers split CSV text: with the caller's limit.
+                "field_size_limit": csv.field_size_limit(),
+            })
+        return _pool.ensure(
+            hashlib.sha256(blob).digest(), workers, _worker_init, blob
+        )
 
-    @property
-    def parallel(self) -> ParallelReport | None:
-        """The run's :class:`ParallelReport`; ``None`` in process."""
-        return self.report if self.workers > 1 else None
+    def in_process(task: ChunkTask):
+        return compute(task.index, build(task, profile, decoders)), None
 
-    # -- driving loop -----------------------------------------------------------
-    def run(self, tasks: Iterator[ChunkTask]) -> None:
-        exhausted = False
-        while True:
-            while (
-                not exhausted
-                and not self.serial_mode
-                and len(self.in_flight) < self.window
-            ):
-                task = next(tasks, None)
-                if task is None:
-                    exhausted = True
-                    break
-                _pool.check_deadline(
-                    self.deadline, "pipeline.chunk", task.index
-                )
-                entry = [None, task, 0]
-                self._submit(entry)
-                self.in_flight[task.index] = entry
-            if self.in_flight:
-                self._commit_head()
-                continue
-            if self.serial_mode:
-                task = next(tasks, None)
-                if task is None:
-                    return
-                self._commit_serial(task)
-                continue
-            if exhausted:
-                return
-
-    # -- submission -------------------------------------------------------------
-    def _submit(self, entry: list) -> None:
-        if self.executor is None:
-            if self.blob is None:
-                self.blob = _run_blob({
-                    **self.state, "profile": self.profile,
-                    "build": self.build,
-                    # Workers split CSV text: with the caller's limit.
-                    "field_size_limit": csv.field_size_limit(),
-                })
-            self.executor = _pool.ensure(
-                hashlib.sha256(self.blob).digest(), self.workers,
-                _worker_init, self.blob,
-            )
-        task = entry[1]
-        fault = planned_fault(task.index)
-        try:
-            entry[0] = self.executor.submit(self.pool_task, task, fault)
-        except _pool_breakage() as exc:
-            # A worker died between commits; leave a pre-failed future so
-            # the ordered commit path runs its usual pool recovery.
-            entry[0] = _failed_future(exc)
-
-    # -- commits ----------------------------------------------------------------
-    def _commit_serial(self, task: ChunkTask) -> None:
-        check_deadline(self.deadline, "pipeline.chunk", task.index)
-        chunk = self.build(task, self.profile, self.decoders)
-        self.commit(task, self.compute(task.index, chunk))
-        self.report.chunks_serial += 1
+    def commit_chunk(task: ChunkTask, outcome) -> None:
+        result, stats = outcome
+        commit(task, result)
+        if stats is not None:
+            report.note(stats)
         # Injection point: the chunk is fully committed (for an embed:
         # durable) here — a kill at this boundary is the canonical crash
         # the chaos kill-matrix resumes from.
         fault_point("pipeline.chunk", task.index)
 
-    def _commit_head(self) -> None:
-        index, entry = next(iter(self.in_flight.items()))
-        try:
-            result, stats = _pool.wait(
-                entry[0], watchdog=self.watchdog, deadline=self.deadline,
-                label="pipeline.chunk", position=index,
-                report=self.reliability,
-            )
-        except _pool_breakage() as exc:
-            # Retire the broken executor before anything else, the
-            # fail-fast raise included: the next run with this run state
-            # would otherwise be handed it.
-            _pool.retire()
-            self.executor = None
-            if self.retry is None:
-                raise
-            self._recover(entry, exc, broken=True)
-            return
-        except TRANSIENT_TYPES as exc:
-            # Anything outside the shared transient taxonomy propagates
-            # untouched (a logic error replayed is a logic error twice);
-            # ``classify`` still vets members of the tuple, because some
-            # carry a permanent payload (e.g. ``OSError`` + ENOSPC).
-            if classify(exc) is not TRANSIENT or self.retry is None:
-                raise
-            logger.warning(
-                "parallel chunk %d failed with transient %r; recovering",
-                index, exc,
-            )
-            self._recover(entry, exc, broken=False)
-            return
-        del self.in_flight[index]
-        self.commit(entry[1], result)
-        self.report.note(stats)
-        self.report.chunks_parallel += 1
-        fault_point("pipeline.chunk", index)
-
-    # -- recovery ---------------------------------------------------------------
-    def _recover(self, entry: list, exc: BaseException, broken: bool) -> None:
-        """Re-dispatch a failed chunk (trigger consumed at first submit —
-        the replay runs clean).  A broken pool respawns and re-dispatches
-        every in-flight chunk in order — pure functions of their
-        payloads, so the replayed run is bit-identical.  A chunk that
-        spent the retry budget finishes the run in process instead."""
-        entry[2] += 1
-        try:
-            spend_attempt(self.retry, entry[2], exc, self.reliability)
-        except RetryError:
-            logger.warning(
-                "stream chunk %d spent its retry budget on the pool (%r); "
-                "finishing the run in process", entry[1].index, exc,
-            )
-            self._finish_in_process()
-            return
-        if not broken:
-            self.report.redispatches += 1
-            self._submit(entry)
-            return
-        self.reliability.pool_respawns += 1
-        logger.warning(
-            "stream pool broke at chunk %d (%r): respawning and "
-            "re-dispatching %d in-flight chunks",
-            entry[1].index, exc, len(self.in_flight),
-        )
-        for waiting in self.in_flight.values():
-            future = waiting[0]
-            if future.done() and future.exception() is None:
-                continue  # completed before the breakage; keep the result
-            self.report.redispatches += 1
-            self._submit(waiting)
-
-    def _finish_in_process(self) -> None:
-        """Retire the pool and compute every in-flight (and all
-        remaining) chunks in the coordinator with the same per-chunk
-        functions, in the same order — same bits, one core."""
-        self.serial_mode = True
-        self.reliability.pool_fallbacks += 1
-        _pool.retire()
-        self.executor = None
-        entries = list(self.in_flight.values())
-        self.in_flight.clear()
-        for entry in entries:
-            self._commit_serial(entry[1])
+    run = OrderedRun(
+        _pool, open_pool if workers > 1 else None, pool_task, in_process,
+        commit_chunk, workers=workers, label="pipeline.chunk", retry=retry,
+        deadline=deadline, watchdog=resolve_watchdog(watchdog),
+        reliability=reliability,
+    )
+    # ``commit_chunk`` reads the report, not the run that holds it: a
+    # reference cycle would keep the run's engines and their caches alive
+    # after the call, until the cyclic GC ran.
+    report = run.report
+    run.run((task.index, task) for task in tasks)
+    return report if workers > 1 else None
 
 
 # -- the two directions --------------------------------------------------------
@@ -728,8 +540,8 @@ def ordered_votes(
     try:
         if domain is None:
             domain, tasks = _peek_domain(stream, spec)
-        run = _OrderedRun(
-            payload_profile(source), compute, commit,
+        parallel = _run_chunks(
+            tasks, payload_profile(source), compute, commit,
             build=build,
             pool_task=_task_votes,
             state={
@@ -740,10 +552,9 @@ def ordered_votes(
             workers=workers, retry=retry, deadline=deadline,
             watchdog=watchdog, reliability=reliability,
         )
-        run.run(tasks)
     finally:
         stream.close()
-    return accumulators, chunks, rows, run.parallel
+    return accumulators, chunks, rows, parallel
 
 
 def ordered_mark(
@@ -791,23 +602,21 @@ def ordered_mark(
             task.index, marked, pass_result, guard_report, len(marked)
         )
 
-    run = _OrderedRun(
-        profile, compute, commit,
-        build=build_chunk,
-        pool_task=_task_embed,
-        state={
-            "keys": [key], "spec": spec, "domain": domain,
-            "scalar": engine is None, "chunk_size": chunk_size,
-            "watermark": watermark, "wm_data": wm_data,
-        },
-        workers=workers, retry=retry, deadline=deadline,
-        watchdog=watchdog, reliability=reliability,
-    )
     # Closed however the run ends, so a run that raises releases the
     # source's reader at the raise, in this thread.
     stream = _tasks_with_retry(source, start, retry, reliability)
     try:
-        run.run(stream)
+        return _run_chunks(
+            stream, profile, compute, commit,
+            build=build_chunk,
+            pool_task=_task_embed,
+            state={
+                "keys": [key], "spec": spec, "domain": domain,
+                "scalar": engine is None, "chunk_size": chunk_size,
+                "watermark": watermark, "wm_data": wm_data,
+            },
+            workers=workers, retry=retry, deadline=deadline,
+            watchdog=watchdog, reliability=reliability,
+        )
     finally:
         stream.close()
-    return run.parallel

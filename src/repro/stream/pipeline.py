@@ -151,7 +151,7 @@ class StreamMarkResult:
     guard_report: GuardReport = field(default_factory=GuardReport)
     resumed_at_chunk: int = 0
     reliability: ReliabilityReport = field(default_factory=ReliabilityReport)
-    #: :class:`~repro.stream.parallel.ParallelReport` when ``workers > 1``
+    #: :class:`~repro.reliability.pool.ParallelReport` when ``workers > 1``
     parallel: Any = None
     #: the :class:`~repro.reliability.integrity.ChunkManifest` recorded
     #: by the sink (``None`` when manifest recording was not armed)
@@ -712,7 +712,7 @@ class StreamDetection:
     chunks: int
     rows: int
     reliability: ReliabilityReport = field(default_factory=ReliabilityReport)
-    #: :class:`~repro.stream.parallel.ParallelReport` when ``workers > 1``
+    #: :class:`~repro.reliability.pool.ParallelReport` when ``workers > 1``
     parallel: Any = None
 
 
@@ -725,7 +725,7 @@ class StreamVerification:
     chunks: int
     rows: int
     reliability: ReliabilityReport = field(default_factory=ReliabilityReport)
-    #: :class:`~repro.stream.parallel.ParallelReport` when ``workers > 1``
+    #: :class:`~repro.reliability.pool.ParallelReport` when ``workers > 1``
     parallel: Any = None
 
     @property

@@ -46,6 +46,7 @@ from repro.experiments import (
     MODE_SERIAL,
     SweepEngine,
     SweepProtocol,
+    run_point,
 )
 from repro.relational import Table, make_categorical_attribute
 from repro.relational.schema import Attribute, Schema
@@ -315,13 +316,18 @@ class TestSweepEngineFusion:
         serial = SweepEngine(mode=MODE_SERIAL).run(
             base_table, protocol, attacks, seeds
         )
-        fused = SweepEngine(mode=MODE_HOISTED, fused=True).run(
-            base_table, protocol, attacks, seeds
-        )
-        unfused = SweepEngine(mode=MODE_HOISTED, fused=False).run(
-            base_table, protocol, attacks, seeds
-        )
-        assert flatten(serial) == flatten(fused) == flatten(unfused)
+        engine = SweepEngine(mode=MODE_HOISTED)
+        fused = engine.run(base_table, protocol, attacks, seeds)
+        # The per-pass reference over the engine's own embedded passes.
+        passes = [
+            engine.embedded_pass(base_table, protocol, seed) for seed in seeds
+        ]
+        unfused = [
+            (x, result)
+            for x, attack in attacks
+            for result in run_point(passes, attack, x, fused=False)
+        ]
+        assert flatten(serial) == flatten(fused) == unfused
 
     def test_warm_point_runs_one_fused_kernel(self, base_table):
         protocol = SweepProtocol(

@@ -587,7 +587,7 @@ def test_a_raw_task_ships_its_text(tmp_path):
 def test_vector_stream_detect_builds_no_chunk_table(monkeypatch, tmp_path):
     """A VECTOR detect of a clean gzip CSV types its records into
     columns and votes on their codes: it never zips rows
-    (``csvio.type_records``, ``csvio.typed_rows``) or builds a chunk table
+    (``csvio.typed_rows``) or builds a chunk table
     (``build_chunk_table``), in process or in pool workers (forked after
     the patch, so they run under it too).  The SCALAR reference still
     builds one per chunk."""
@@ -621,7 +621,6 @@ def test_vector_stream_detect_builds_no_chunk_table(monkeypatch, tmp_path):
         return _real(*args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(csvio, "type_records", forbidden)
         patched.setattr(csvio, "typed_rows", forbidden)
         patched.setattr(sources, "build_chunk_table", forbidden)
         shutdown_stream_pool()

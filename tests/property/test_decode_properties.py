@@ -1,6 +1,6 @@
 """Column-wise decode against its row-at-a-time references.
 
-``type_records`` must type a slice of raw CSV records exactly as
+``type_columns`` must type a slice of raw CSV records exactly as
 ``parse_row`` types them one by one, ``Table(schema, rows)`` must end in
 exactly the state a loop of ``insert`` calls leaves, and the column
 codes of ``build_chunk_codes`` must be the chunk table's — or both sides
@@ -26,7 +26,7 @@ from repro.relational.csvio import (
     cell_parsers,
     column_typers,
     parse_row,
-    type_records,
+    type_columns,
 )
 from repro.stream import sources
 
@@ -73,6 +73,11 @@ record = st.lists(
 )
 
 
+def zipped(columns):
+    """``type_columns`` output as the row tuples ``parse_row`` gives."""
+    return None if columns is None else list(zip(*columns))
+
+
 def fingerprint(rows):
     """Rows by value *and* type; ``repr`` makes NaN cells comparable."""
     if rows is None:
@@ -90,7 +95,7 @@ def fingerprint(rows):
     ),
 )
 @settings(max_examples=300, deadline=None)
-def test_type_records_matches_parse_row(records, arity_fault):
+def test_type_columns_matches_parse_row(records, arity_fault):
     schema = decode_schema()
     if arity_fault is not None and records:
         position, delta = arity_fault
@@ -107,16 +112,16 @@ def test_type_records_matches_parse_row(records, arity_fault):
         ]
     except ValueError:
         expected = None
-    got = type_records(records, column_typers(schema), schema.arity)
+    got = zipped(type_columns(records, column_typers(schema), schema.arity))
     assert fingerprint(got) == fingerprint(expected)
 
 
-def test_type_records_keeps_nan_and_collisions():
+def test_type_columns_keeps_nan_and_collisions():
     schema = decode_schema()
-    rows = type_records(
+    rows = zipped(type_columns(
         [["7", "nan", "s", "1", "nan"], ["8", "1", "t", "2.5", "4"]],
         column_typers(schema), schema.arity,
-    )
+    ))
     assert math.isnan(rows[0][1]) and math.isnan(rows[0][4])
     first_one = next(v for v in DOMAIN.values if str(v) == "1")
     assert type(rows[0][3]) is type(first_one)
