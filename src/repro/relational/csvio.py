@@ -12,13 +12,18 @@ bare ``\\r``), and a run holding no ``"`` is kept as its text,
 :class:`repro.stream.CSVChunkSource` all read through it
 (:func:`data_records`).
 
-Typing has two forms.  :func:`parse_row` with :func:`cell_parsers` types
-one record at a time and is the reference: it defines every value and
-every error.  :func:`type_columns` with :func:`column_typers` types a
-slice of records a column at a time, one C-level ``map`` per column, and
-gives the same values or refuses the slice.  One loop,
-:func:`typed_slices`, types every record read: a slice at a time with
-``type_columns``, and a slice it refuses record by record with
+Typing has three forms.  :func:`parse_row` with :func:`cell_parsers`
+types one record at a time and is the reference: it defines every value
+and every error.  :func:`type_columns` with :func:`column_typers` types a
+slice of field lists a column at a time, one C-level ``map`` per column,
+and gives the same values or refuses the slice.  :func:`type_lines` types
+a slice of a run's lines the same way without splitting records: one
+``join`` and one ``split`` cut all their fields, and each column is a
+strided slice of them — where a check proves ``csv.reader`` would split
+every line at its commas alone.  One loop, :func:`typed_slices`, types
+every record read: a raw run's lines a slice at a time with
+``type_lines``, a slice it refuses split by ``csv.reader`` and typed
+with ``type_columns``, and a slice that refuses record by record with
 ``parse_row``, which hands each record it rejects to the reader's
 bad-record rule; :func:`typed_rows` zips its columns into rows.
 """
@@ -33,7 +38,7 @@ import sys
 import zlib
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any
 
@@ -44,9 +49,9 @@ from .schema import Attribute, Schema, infer_domains
 from .table import Table
 from .types import AttributeType
 
-#: raw records per batch-typer call: a slice's transposed columns stay
-#: cache-sized, and a chunked reader never holds a whole chunk's raw
-#: records beside its typed rows
+#: raw records per batch-typer call: a slice's columns stay cache-sized,
+#: and a chunked reader never holds a whole chunk's raw records beside
+#: its typed rows
 TYPE_SLICE = 2_048
 
 #: bytes the CSV cutter asks its stream for at a time.  It reads with
@@ -166,6 +171,35 @@ def type_columns(records: list, typers, arity: int) -> list | None:
         return None
 
 
+def type_lines(
+    lines: list[str], typers, arity: int, limit: int
+) -> list | None:
+    """Type a slice of a run's lines (:meth:`RawText.take`) a column at a
+    time without splitting records: the lines are joined and split at
+    their commas in one go, and each column, a strided slice of the
+    fields, is typed as :func:`type_columns` types it.
+
+    Returns ``None`` where ``csv.reader`` might split a line otherwise or
+    typing would raise: an empty line (the reader gives ``[]``), a line
+    longer than ``limit``, the ``csv.field_size_limit()`` (a field over
+    it raises), a line without exactly ``arity - 1`` commas, or a cell a
+    typer rejects.  The caller then splits the slice with ``csv.reader``
+    and types it the reference way, which reports the exact error.
+    """
+    joined = ",".join(lines)
+    if (
+        "" in lines
+        or (len(joined) > limit and max(map(len, lines)) > limit)
+        or set(map(str.count, lines, repeat(","))) != {arity - 1}
+    ):
+        return None
+    fields = joined.split(",")
+    try:
+        return [typer(fields[at::arity]) for at, typer in enumerate(typers)]
+    except ValueError:
+        return None
+
+
 def column_typers(schema: Schema) -> list:
     """Per-attribute column typers of :func:`type_columns`, in schema
     order: each maps a column of cell texts to the values its
@@ -199,34 +233,50 @@ def _column_typer(attribute: Attribute):
 
 
 def typed_slices(
-    records: list,
+    records: RawText | list,
     number: int,
     decoders,
     bad_record: Callable[[int, list[str], ValueError], None],
-    error: Exception | None = None,
 ) -> Iterator[list]:
-    """The typed columns of ``records``, one :data:`TYPE_SLICE` slice at
-    a time — the one slice-typing loop of every CSV reader.
+    """The typed columns of ``records`` (a :class:`RawText`, or field
+    lists already split), one :data:`TYPE_SLICE` slice at a time — the
+    one slice-typing loop of every CSV reader.
 
     ``number`` is the data-row number before the first record and
     ``decoders`` the schema's :func:`cell_parsers` and
-    :func:`column_typers`, built once per read.  A slice
+    :func:`column_typers`, built once per read.  A :class:`RawText`
+    gives up its text for its records (:meth:`RawText.take`).  A slice
+    of its lines is typed by :func:`type_lines`; one that refuses is
+    split by ``csv.reader`` and typed as field lists are: a slice
     :func:`type_columns` refuses is re-typed record by record with
     :func:`parse_row`, and each record it rejects goes to
-    ``bad_record(number, record, exc)``, which raises or drops it.
-    ``error``, what ended the records early, is raised once they are
+    ``bad_record(number, record, exc)``, which raises or drops it.  A
+    ``csv.Error`` that ends a split (a field over
+    ``csv.field_size_limit()``) is raised once the records before it are
     typed, so a bad record among them is reported first — the order a
     record-at-a-time reader meets them in.
 
-    ``records`` is consumed: each slice is deleted from it before it is
-    typed, so typed values never sit beside all the raw records.
+    The records are consumed: each slice leaves them before it is typed,
+    so typed values never sit beside all the raw records.
     """
     parsers, typers = decoders
     arity = len(parsers)
+    error = None
+    if isinstance(records, RawText):
+        records, error = records.take()
+    limit = csv.field_size_limit()
     while records:
         batch = records[:TYPE_SLICE]
         del records[:TYPE_SLICE]
-        columns = type_columns(batch, typers, arity)
+        columns = None
+        if isinstance(batch[0], str):
+            columns = type_lines(batch, typers, arity, limit)
+            if columns is None:
+                batch, error = split_records(csv.reader(batch), csv.Error)
+                if error is not None:
+                    del records[:]
+        if columns is None:
+            columns = type_columns(batch, typers, arity)
         if columns is None:
             rows = []
             for row_number, record in enumerate(batch, start=number + 1):
@@ -242,11 +292,11 @@ def typed_slices(
 
 
 def typed_rows(
-    records: list, number: int, decoders, bad_record, error=None
+    records: RawText | list, number: int, decoders, bad_record
 ) -> list[tuple]:
     """:func:`typed_slices` as row tuples."""
     rows: list[tuple] = []
-    for columns in typed_slices(records, number, decoders, bad_record, error):
+    for columns in typed_slices(records, number, decoders, bad_record):
         rows += zip(*columns)
     return rows
 
@@ -266,29 +316,56 @@ def data_records(stream, schema: Schema) -> _Cutter | None:
 class RawText:
     """A run of CSV records as the text they were cut from — the raw
     payload of a :class:`~repro.stream.CSVChunkSource` run, split into
-    fields where it is typed.
+    fields where it is typed (:func:`typed_slices`).
 
     Iterating it gives the field lists of ``csv.reader`` over
     ``io.StringIO(text, newline="")``, which splits lines exactly as a
     text file opened with ``newline=""`` does, so it reads like the
-    list of field lists it stands for.
+    list of field lists it stands for.  Typing consumes it:
+    :meth:`take` swaps the text for :attr:`records`, which the slice
+    loop empties a slice at a time.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "records")
 
     def __init__(self, text: str):
         self.text = text
+        #: once taken, the run's records: its lines, or its field lists
+        self.records: list = []
 
     def __iter__(self) -> Iterator[list[str]]:
         return csv.reader(io.StringIO(self.text, newline=""))
+
+    def take(self) -> tuple[list, csv.Error | None]:
+        """Swap the text for its records, and return them with the
+        ``csv.Error`` that ended them, if one did.  The records are its
+        lines, without their line ends, when ``csv.reader`` reads each
+        line alone — the text holds no ``"`` and no NUL (Python 3.10's
+        reader rejects NUL), and ends every line with ``\\n`` or every
+        line with ``\\r\\n``, the last line perhaps with none — else the
+        field lists ``csv.reader`` splits."""
+        text, self.text = self.text, ""
+        if '"' not in text and "\0" not in text:
+            eol = "\r\n" if "\r" in text else "\n"
+            lines = text.split(eol)
+            # A \r or \n left in a line is a bare \r or a mixed end.
+            left = "".join(lines) if eol == "\r\n" else ""
+            if "\r" not in left and "\n" not in left:
+                if not lines[-1]:
+                    lines.pop()     # what follows the last line end
+                self.records = lines
+                return lines, None
+        self.records, error = split_records(
+            csv.reader(io.StringIO(text, newline="")), csv.Error
+        )
+        return self.records, error
 
 
 def split_records(
     records: Iterable[list[str]], errors
 ) -> tuple[list, Exception | None]:
-    """The field lists of ``records`` (a :class:`RawText`, or field
-    lists already split) and the exception of type ``errors`` that ended
-    them early, if one did.
+    """The field lists ``records`` gives (a ``csv.reader``) and the
+    exception of type ``errors`` that ended them early, if one did.
 
     The cyclic GC is paused meanwhile: a run's record lists all stay
     alive until it is typed, so a GC pass while they pile up would only
@@ -382,8 +459,7 @@ class _Cutter:
                 bad_record=bad_record,
             )
             payload, cut = self.cut(want, typed)
-            records, error = split_records(payload, csv.Error)
-            rows += typed(records, error=error)
+            rows += typed(payload)
             if cut < want:
                 break
         return rows

@@ -18,9 +18,11 @@ decompressed bytes into runs of whole records at line ends
 (:func:`~repro.relational.csvio.data_records`), whatever the bad-row
 policy.  Its cheapest form is its raw text: under the default policy
 each chunk's text travels as :class:`~repro.relational.csvio.RawText`
-and is split into fields with the typing, where the chunk is built.
-Only runs holding a quote, where a line need not be a record, are split
-while reading.
+and is split into fields with the typing, where the chunk is built —
+straight from its lines into typed columns where csvio's check proves
+``csv.reader`` would split them the same way, by ``csv.reader``
+elsewhere.  Only runs holding a quote, where a line need not be a
+record, are split while reading.
 
 VECTOR detection reads nothing of a chunk but its key and mark column
 codes, so it builds raw CSV payloads with :func:`build_chunk_codes`
@@ -70,7 +72,6 @@ from ..relational.csvio import (
     cell_parsers,
     column_typers,
     data_records,
-    split_records,
     typed_rows,
     typed_slices,
 )
@@ -150,11 +151,12 @@ class ChunkTask:
     (see ``PAYLOAD_*``): a raw CSV chunk — its
     :class:`~repro.relational.csvio.RawText`, or the field lists of a run
     the reader had to split itself — leaves the field split and the
-    typing (column-wise, see
-    :func:`~repro.relational.csvio.type_columns`) to :func:`build_chunk`
-    or :func:`build_chunk_codes`, which on a pool run *in the worker* —
-    what makes parallel file detection scale (the coordinator then only
-    decompresses, cuts the text at line ends and pickles one string).
+    typing (column-wise, see :func:`~repro.relational.csvio.type_lines`
+    and :func:`~repro.relational.csvio.type_columns`) to
+    :func:`build_chunk` or :func:`build_chunk_codes`, which on a pool
+    run *in the worker* — what makes parallel file detection scale (the
+    coordinator then only decompresses, cuts the text at line ends and
+    pickles one string).
     """
 
     index: int
@@ -186,24 +188,22 @@ def _typed_slices(
     (:func:`~repro.relational.csvio.typed_slices`) as :func:`build_chunk`
     and :func:`build_chunk_codes` run it.
 
-    The payload's field lists replace it (a
-    :class:`~repro.relational.csvio.RawText` is split here), and a
-    ``csv.Error`` that ends the split (a field over
-    ``csv.field_size_limit()``) is raised once the records before it are
-    typed.  A record the typing rejects raises
-    :class:`~repro.stream.errors.BadRowError`.  The payload is consumed:
-    each slice's records are deleted from ``task.payload`` as it is typed,
-    so typed values never sit beside a whole raw chunk.  That is safe
-    because a task is built once: by the in-process run, by the pool's
-    in-process fallback (which retires the pool first), or by a pool
-    worker, which owns its unpickled copy — and no future is awaited for
-    a task after the coordinator has built it.
+    A record the typing rejects raises
+    :class:`~repro.stream.errors.BadRowError`, and a ``csv.Error`` that
+    ends a split (a field over ``csv.field_size_limit()``) is raised
+    once the records before it are typed.  The payload is consumed: a
+    :class:`~repro.relational.csvio.RawText` swaps its text for its
+    lines (or field lists), and each slice leaves the payload before it
+    is typed, so typed values never sit beside a whole raw chunk.  That
+    is safe because a task is built once: by the in-process run, by the
+    pool's in-process fallback (which retires the pool first), or by a
+    pool worker, which owns its unpickled copy — and no future is
+    awaited for a task after the coordinator has built it.
     """
-    task.payload, error = split_records(task.payload, csv.Error)
     origin = task.origin or profile["path"] or profile["name"]
     return typed_slices(
         task.payload, task.first_row_number, decoders,
-        partial(_raise_bad_row, origin), error,
+        partial(_raise_bad_row, origin),
     )
 
 

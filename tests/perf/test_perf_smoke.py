@@ -408,15 +408,15 @@ def test_warm_parallel_verify_is_coordinator_hash_free_and_fused():
     )
 
 
-def _sales_csv(path, rows, bad_at=None):
-    """A Sales CSV of ``rows`` (gzip by suffix); record ``bad_at`` loses a
-    field."""
+def _sales_csv(path, rows, bad_at=None, eol="\r\n"):
+    """A Sales CSV of ``rows`` (gzip by suffix), its lines ended by
+    ``eol``; record ``bad_at`` loses a field."""
     import csv
     import gzip
 
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "wt", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator=eol)
         writer.writerow(
             ("Scan_Id", "Item_Nbr", "Store_Nbr", "Dept", "Quantity")
         )
@@ -527,12 +527,12 @@ def test_malformed_record_reaches_the_reference_typer(monkeypatch, tmp_path):
 
 @pytest.mark.perf_smoke
 def test_building_a_raw_task_drops_its_records(monkeypatch, tmp_path):
-    """Building a raw task replaces its text with the records split from
-    it, and drops each slice's records from the payload before typing
-    them, so a built task holds neither its text nor its records, and
-    typed rows never sit beside a whole raw chunk — what keeps an
-    in-process run's peak memory from growing by a chunk of records (a
-    peak-RSS assertion would be flaky; this one is not)."""
+    """Building a raw task swaps its text for its lines and drops each
+    slice of lines from the payload before typing it, so a built task
+    holds neither its text nor its lines, and typed rows never sit beside
+    a whole raw chunk — what keeps an in-process run's peak memory from
+    growing by a chunk of records (a peak-RSS assertion would be flaky;
+    this one is not)."""
     from repro.datagen import generate_sales
     from repro.relational import csvio
     from repro.relational.csvio import TYPE_SLICE
@@ -547,18 +547,91 @@ def test_building_a_raw_task_drops_its_records(monkeypatch, tmp_path):
     assert isinstance(task.payload, csvio.RawText)
     held = []
 
-    def spy(records, typers, arity, _real=csvio.type_columns):
-        held.append((type(task.payload), len(task.payload)))
-        return _real(records, typers, arity)
+    def spy(lines, *args, _real=csvio.type_lines):
+        payload = task.payload
+        held.append((payload.text, len(payload.records), len(lines)))
+        return _real(lines, *args)
 
-    monkeypatch.setattr(csvio, "type_columns", spy)
+    monkeypatch.setattr(csvio, "type_lines", spy)
     chunk = sources.build_chunk(
         task, sources.payload_profile(source),
         sources.payload_decoders(table.schema),
     )
     assert list(chunk) == rows
-    assert held == [(list, 2 * TYPE_SLICE), (list, TYPE_SLICE), (list, 0)]
-    assert task.payload == []
+    assert held == [
+        ("", 2 * TYPE_SLICE, TYPE_SLICE),
+        ("", TYPE_SLICE, TYPE_SLICE),
+        ("", 0, TYPE_SLICE),
+    ]
+    assert task.payload.text == "" and task.payload.records == []
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("eol", ("\r\n", "\n"), ids=("crlf", "lf"))
+def test_clean_chunks_are_split_without_csv_reader(monkeypatch, tmp_path, eol):
+    """A clean gzip Sales CSV, its lines ended by ``csv.writer``'s
+    ``\\r\\n`` or by ``\\n``: a VECTOR detect and a checkpointed mark, in
+    process and at ``workers=2``, type every chunk straight from its
+    lines.  ``csv.reader`` reads the header and no other record (pool
+    workers fork after the patch, so they run under it too), so a check
+    that silently sent every slice to ``csv.reader`` fails here instead
+    of only costing time."""
+    import csv
+
+    from repro.core import EmbeddingSpec, embed, verify
+    from repro.datagen import generate_sales
+    from repro.stream import (
+        CSVChunkSink,
+        CSVChunkSource,
+        shutdown_stream_pool,
+        stream_mark,
+        stream_verify,
+    )
+
+    table = generate_sales(3_000, item_count=60, seed=5)
+    schema = table.schema
+    key = MarkKey.from_seed("perf-smoke-line-split")
+    spec = EmbeddingSpec("Scan_Id", "Item_Nbr", 40, 10, 60)
+    watermark = Watermark.from_int(0x2AB, 10)
+    embed(table, watermark, key, spec)
+    expected = verify(table, key, spec, watermark)
+    path = _sales_csv(tmp_path / "marked.csv.gz", list(table), eol=eol)
+    header = list(schema.names)
+    readers = []
+
+    def reader(*args, _real=csv.reader, **kwargs):
+        readers.append(args)
+        for record in _real(*args, **kwargs):
+            if record != header:
+                raise AssertionError("csv.reader split a chunk record")
+            yield record
+
+    with monkeypatch.context() as patched:
+        patched.setattr(csv, "reader", reader)
+        shutdown_stream_pool()
+        try:
+            for workers in (None, 2):
+                readers.clear()
+                verdict = stream_verify(
+                    CSVChunkSource(path, schema, chunk_size=1_000),
+                    key, spec, watermark,
+                    domain=schema.attribute("Item_Nbr").domain,
+                    workers=workers,
+                )
+                assert verdict.verification == expected
+                assert verdict.rows == 3_000 and verdict.chunks == 3
+                mark = stream_mark(
+                    CSVChunkSource(path, schema, chunk_size=1_000),
+                    watermark, key, spec,
+                    CSVChunkSink(tmp_path / f"again-{workers}.csv.gz"),
+                    checkpoint_path=tmp_path / f"mark-{workers}.ckpt",
+                    workers=workers,
+                )
+                assert mark.rows == 3_000 and mark.chunks == 3
+                # This process read one header per source, and no record.
+                assert len(readers) == 2
+        finally:
+            shutdown_stream_pool()
 
 
 @pytest.mark.perf_smoke

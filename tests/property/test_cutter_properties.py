@@ -10,7 +10,9 @@ several), the chunk size, the resume point and the read block size,
 every task must carry the records, count, index and first row number of
 ``csv.reader`` over ``open_text`` sliced by chunk — under ``skip``, of
 the records of the schema's arity, chunked by surviving rows — and an
-error must come after the same records, with the same type.
+error must come after the same records, with the same type.  Typing a
+run's text straight from its lines must give what typing the field
+lists ``csv.reader`` splits from it gives, errors included.
 """
 
 import csv
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import Attribute, AttributeType, Schema, csvio
-from repro.relational.csvio import check_header
+from repro.relational.csvio import RawText, check_header
 from repro.reliability.integrity import ChunkDigest, ChunkManifest, digest_rows
 from repro.stream import BadRowError, CSVChunkSource, sources
 
@@ -308,3 +310,146 @@ def test_a_bare_cr_waits_for_the_character_after_it(
         events = observed(path, chunk_size, 0, "raise")
     assert events == reference(path, chunk_size, 0, "raise")
     assert events[-1] == ("error", EOFError)
+
+
+#: line-split schemas by arity: column 0 is an INTEGER where there are
+#: two or more, and a lone STRING column tells an empty line (``[]``)
+#: from one empty field
+LINE_SCHEMAS = {
+    arity: Schema(
+        tuple(
+            Attribute(
+                f"c{column}",
+                AttributeType.INTEGER if column == 0 and arity > 1
+                else AttributeType.STRING,
+            )
+            for column in range(arity)
+        ),
+        primary_key="c0",
+    )
+    for arity in (1, 2, 3)
+}
+#: clean cells: integers fit every column, the rest STRING ones only
+INT_CELLS = ("0", "7", "-12", "305")
+ANY_CELLS = INT_CELLS + ("a", "bc", "é", "€😀", "", " 7 ")
+#: what a fault does to its line (or, ``no_final_end``, to the text);
+#: ``quoted`` stands for a run the cutter ships as text because its
+#: split failed, quotes and all
+FAULTS = (
+    "bad_int", "nul", "over_limit", "at_limit", "wide", "blank",
+    "extra_field", "missing_field", "bare_cr", "mixed_end", "no_final_end",
+    "quoted",
+)
+
+
+def run_text(arity: int, lines: list, eol: str, faults: list) -> str:
+    """CSV text of ``lines`` (cell draws) ended by ``eol``, with
+    ``faults`` — ``(kind, line)`` pairs — applied: quote-free but for a
+    ``quoted`` fault."""
+    pools = [
+        INT_CELLS if attribute.atype is AttributeType.INTEGER else ANY_CELLS
+        for attribute in LINE_SCHEMAS[arity]
+    ]
+    lines = [
+        [pool[cell % len(pool)] for pool, cell in zip(pools, cells)]
+        for cells in lines
+    ]
+    ends = [eol] * len(lines)
+    final = True
+    for kind, at in faults:
+        if not lines:
+            break
+        cells = lines[at % len(lines)]
+        if kind == "bad_int" and arity > 1 and cells:
+            cells[0] = "x"
+        elif kind == "nul" and cells:
+            cells[-1] += "\0"
+        elif kind == "over_limit" and cells:
+            cells[-1] = "k" * (FIELD_LIMIT + 1)
+        elif kind == "at_limit" and cells:
+            cells[-1] = "k" * FIELD_LIMIT
+        elif kind == "wide" and arity > 1:
+            # A line over the limit whose every field is within it.
+            cells[1:] = ["w" * (FIELD_LIMIT - 1)] * (len(cells) - 1)
+        elif kind == "blank":
+            cells.clear()
+        elif kind == "extra_field":
+            cells.append("z")
+        elif kind == "missing_field" and cells:
+            cells.pop()
+        elif kind == "bare_cr":
+            ends[at % len(lines)] = "\r"
+        elif kind == "mixed_end":
+            ends[at % len(lines)] = "\n" if eol == "\r\n" else "\r\n"
+        elif kind == "no_final_end":
+            final = False
+        elif kind == "quoted" and cells:
+            # One quoted field where the line had its last two (or one).
+            cells[-2:] = ['"' + ",".join(cells[-2:]) + '"']
+    text = "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+    return text if final or not lines else text[: len(text) - len(ends[-1])]
+
+
+def typing_events(records, arity: int, number: int, policy: str, error=None):
+    """What typing ``records`` through the one slice loop does: its rows,
+    each record it rejects (data-row number, fields, message) and the
+    error it ends with (type, message, data-row number).  ``error``, the
+    ``csv.Error`` that ended a split made before typing, is raised once
+    the records are typed."""
+    events: list = []
+
+    def bad_record(row_number, record, exc):
+        events.append(("bad", row_number, list(record), str(exc)))
+        if policy == "raise":
+            raise BadRowError("run.csv", row_number, str(exc)) from exc
+
+    decoders = sources.payload_decoders(LINE_SCHEMAS[arity])
+    try:
+        for columns in csvio.typed_slices(
+            records, number, decoders, bad_record
+        ):
+            events.extend(("row", row) for row in zip(*columns))
+        if error is not None:
+            raise error
+    except (BadRowError, csv.Error) as exc:
+        events.append(
+            ("error", type(exc), str(exc), getattr(exc, "number", None))
+        )
+    return events
+
+
+@given(
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), max_size=12),
+    st.sampled_from(("\n", "\r\n")),
+    st.lists(
+        st.tuples(st.sampled_from(FAULTS), st.integers(0, 11)), max_size=3
+    ),
+    st.sampled_from((1, 2, 3, 5)),
+    st.integers(0, 5),
+    st.sampled_from(("raise", "skip")),
+)
+@settings(max_examples=600, deadline=None)
+def test_typing_a_run_matches_typing_its_split_records(
+    arity, lines, eol, faults, slice_size, number, policy
+):
+    """A run's text typed through the one loop — straight from its lines
+    where the check lets it — against the field lists ``csv.reader``
+    splits from the whole text typed by the same loop: the same rows, the
+    same rejected records and the same error, after the same rows."""
+    text = run_text(arity, lines, eol, faults)
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with patch.object(csvio, "TYPE_SLICE", slice_size):
+            records, error = csvio.split_records(
+                iter(RawText(text)), csv.Error
+            )
+            want = typing_events(records, arity, number, policy, error)
+            run = RawText(text)
+            got = typing_events(run, arity, number, policy)
+    finally:
+        csv.field_size_limit(limit)
+    assert got == want
+    # Typing took the text; only an error leaves records untyped.
+    assert run.text == ""
+    assert run.records == [] or got[-1][0] == "error"
