@@ -45,6 +45,8 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from hashlib import sha256
+from itertools import compress
+from operator import not_
 from typing import Any
 
 import numpy as np
@@ -133,7 +135,8 @@ class KeyedDigestCache:
     """
 
     __slots__ = (
-        "key", "computed", "_cache", "_prefix", "_suffix", "_max_entries",
+        "key", "computed", "_cache", "_prefix", "_suffix", "_ints",
+        "_max_entries",
     )
 
     def __init__(self, key: bytes, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -142,6 +145,12 @@ class KeyedDigestCache:
         self.key = key
         self._prefix = key + _SEPARATOR
         self._suffix = _SEPARATOR + key
+        # An exact int's whole pre-image in one ``%``: the key bytes are
+        # escaped, as a key may hold ``%`` (about one key in five does).
+        self._ints = (
+            self._prefix.replace(b"%", b"%%") + b"i:%d"
+            + self._suffix.replace(b"%", b"%%")
+        )
         self._cache: dict[int | str | tuple[bytes], bytes] = {}
         self._max_entries = max_entries
         #: digests actually computed (cache misses) — perf-smoke telemetry
@@ -162,8 +171,9 @@ class KeyedDigestCache:
     def digests(self, values: Iterable[Any]) -> list[bytes]:
         """``H(V, key)`` as 32 big-endian bytes per value, in order.
 
-        Only cache misses are hashed, each inserted as it is computed, so
-        a value repeated within the batch is hashed once.
+        Only cache misses are hashed: the batch's distinct misses are
+        pre-imaged in one pass, hashed once each and inserted with one
+        update, so a value repeated within the batch is hashed once.
         """
         large = (
             hasattr(values, "__len__")
@@ -188,32 +198,23 @@ class KeyedDigestCache:
             for value in values
         ]
         out = list(map(cache.get, keys))
-        if not all(out):  # a digest is non-empty bytes, a miss is None
-            self._hash_misses(keys, out)
-        return out
-
-    def _hash_misses(self, keys: list, out: list) -> None:
-        """Hash and insert every key whose ``out`` slot is still None."""
-        cache = self._cache
-        prefix = self._prefix
-        suffix = self._suffix
-        for position, digest in enumerate(out):
-            if digest is not None:
-                continue
-            key = keys[position]
-            digest = cache.get(key)  # a repeat of an earlier miss
-            if digest is None:
-                # Inline the two dominant canonical encodings.
-                kind = type(key)
-                if kind is int:
-                    body = b"i:%d" % key
-                elif kind is str:
-                    body = b"s:" + key.encode("utf-8")
-                else:
-                    body = key[0]
-                digest = cache[key] = sha256(prefix + body + suffix).digest()
-                self.computed += 1
-            out[position] = digest
+        if all(out):  # a digest is non-empty bytes, a miss is None
+            return out
+        # The batch's distinct misses, each hashed once from its kind's
+        # pre-image; then one insert and one re-read of the batch.
+        misses = dict.fromkeys(compress(keys, map(not_, out)))
+        prefix, suffix, ints = self._prefix, self._suffix, self._ints
+        cache.update(zip(misses, [
+            sha256(
+                ints % key if type(key) is int
+                else prefix + b"s:" + key.encode("utf-8") + suffix
+                if type(key) is str
+                else prefix + key[0] + suffix
+            ).digest()
+            for key in misses
+        ]))
+        self.computed += len(misses)
+        return list(map(cache.__getitem__, keys))
 
 
 class HashEngine:

@@ -83,6 +83,50 @@ def _write(table: Table, handle) -> None:
         writer.writerow(row)
 
 
+#: cell types :func:`encode_columns` writes itself, through ``str`` —
+#: the text ``csv.writer`` writes for them (it takes a float's ``repr``,
+#: which is its ``str``)
+_PLAIN_CELLS = frozenset({int, float, str})
+
+#: characters that make ``csv.writer`` quote a cell, and NUL, which
+#: Python 3.10's writer refuses (3.11+ write it)
+_QUOTED = (",", '"', "\r", "\n", "\0")
+
+
+def encode_columns(columns: list) -> str:
+    """The text ``csv.writer`` writes for the rows of ``columns`` (equal
+    length, in schema order), built a column at a time — the one CSV
+    encoder of a chunk sink.
+
+    Where every cell is an exact ``int``, ``float`` or ``str``, no text
+    cell holds ``,``, ``"``, ``\\r``, ``\\n`` or NUL (one scan of the text
+    cells, as a number's text holds none of them) and there are two
+    columns or more, the rows are written without ``csv.writer``: each
+    cell through ``str``, cells joined with ``,``, each row ended with
+    ``\\r\\n`` — ``csv.writer``'s text exactly.  Anything else goes to
+    ``csv.writer`` whole: another cell type (``None``, ``bool``, an
+    ``IntEnum``, whose ``str`` differs across Python versions), a cell it
+    must quote, a NUL or a one-column schema (it quotes a lone empty
+    field), so the result — or the error — is always ``csv.writer``'s
+    own.
+    """
+    arity = len(columns)
+    if arity > 1:
+        kinds = [set(map(type, column)) for column in columns]
+        if all(kind <= _PLAIN_CELLS for kind in kinds):
+            texts = "".join(chain.from_iterable(
+                column if kind == {str} else map(str, column)
+                for column, kind in zip(columns, kinds)
+                if str in kind
+            ))
+            if not any(map(texts.__contains__, _QUOTED)):
+                template = ",".join(["%s"] * arity) + "\r\n"
+                return "".join(map(template.__mod__, zip(*columns)))
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(zip(*columns))
+    return buffer.getvalue()
+
+
 def read_csv(
     path: str | Path,
     schema: Schema,

@@ -208,9 +208,18 @@ class Schema:
         arity = len(self._attributes)
         if any(map(arity.__ne__, map(len, rows))):
             return False
-        return all(
-            attribute.admits(map(itemgetter(position), rows))
-            for position, attribute in enumerate(self._attributes)
+        return self.admits_columns(
+            [map(itemgetter(position), rows) for position in range(arity)]
+        )
+
+    def admits_columns(self, columns: list) -> bool:
+        """:meth:`admits_rows` of the rows whose columns are ``columns``
+        (equal-length iterables in schema order), one
+        :meth:`Attribute.admits` per column — as conservative, and with
+        the same row-by-row re-check for the exact error."""
+        return len(columns) == len(self._attributes) and all(
+            attribute.admits(column)
+            for attribute, column in zip(self._attributes, columns)
         )
 
     # -- derived schemas ---------------------------------------------------------
@@ -267,15 +276,28 @@ def infer_domains(schema: Schema, rows: Iterable[tuple]) -> Schema:
     categorical column become its domain.
     """
     rows = list(rows)
+    return _widened(schema, lambda position: {row[position] for row in rows})
+
+
+def infer_column_domains(schema: Schema, columns: list) -> Schema:
+    """:func:`infer_domains` of the rows whose typed columns are
+    ``columns`` (schema order): each categorical column is read as it
+    is, with no rows built."""
+    return _widened(schema, lambda position: set(columns[position]))
+
+
+def _widened(schema: Schema, observed) -> Schema:
+    """``schema`` with each categorical domain widened by
+    ``observed(position)``, the set of its column's values (built in row
+    order, so the same values survive as from the rows)."""
     out = schema
-    for attribute in schema:
+    for position, attribute in enumerate(schema):
         if not attribute.is_categorical:
             continue
-        position = schema.position(attribute.name)
-        observed = {row[position] for row in rows}
+        values = observed(position)
         if attribute.domain is not None:
-            observed |= set(attribute.domain.values)
+            values |= set(attribute.domain.values)
         out = out.replace_attribute(
-            attribute.with_domain(CategoricalDomain(observed))
+            attribute.with_domain(CategoricalDomain(values))
         )
     return out

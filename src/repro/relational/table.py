@@ -18,6 +18,7 @@ are those of inserting the rows one at a time.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable, Iterable, Iterator
 from itertools import count
 from operator import itemgetter
@@ -126,7 +127,9 @@ class Table:
     batch the column check refuses — it is conservative — or one with a
     repeated key goes through that :meth:`insert` loop instead, which
     accepts what was legal and raises the exact error otherwise (after
-    ``rows`` has been consumed).
+    ``rows`` has been consumed).  Typed columns need no rows handed in:
+    :meth:`from_columns` checks them as they are and keeps them as the
+    column views.
     """
 
     __slots__ = (
@@ -465,6 +468,56 @@ class Table:
         table._pk_index = index
         table._version = 1
         table._structural_version = 1
+        return table
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: list[list[Any]],
+        name: str = "relation",
+        trusted: bool = False,
+    ) -> "Table | None":
+        """Adopt typed ``columns`` (equal-length lists in schema order) as
+        a table, or return ``None`` where the row constructors might
+        refuse its rows.
+
+        The column-wise constructor: one dict over the key column is both
+        the key check and the primary-key index, every column passes
+        :meth:`Schema.admits_columns` unless ``trusted`` (the cell check
+        :meth:`from_trusted_rows` skips), the row lists are built once,
+        and ``columns`` become the table's cached column views — so they
+        are the table's from then on and must not be mutated.  The
+        :attr:`version` is the one ``Table(schema, rows)`` (or, trusted,
+        :meth:`from_trusted_rows`) sets.  ``None`` — a repeated key, or a
+        cell the conservative check refuses — leaves the batch to those
+        constructors, which raise the exact error (or accept a legal
+        batch the check refused).
+        """
+        if not (trusted or schema.admits_columns(columns)):
+            return None
+        keys = columns[schema.position(schema.primary_key)]
+        index = dict(zip(keys, count()))
+        if len(index) != len(keys):
+            return None
+        table = cls(schema, (), name=name)
+        # The row lists are pure allocation (no garbage can exist yet):
+        # with the cyclic GC paused they set off no heap rescans.
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            table._rows = list(map(list, zip(*columns)))
+        finally:
+            if paused:
+                gc.enable()
+        table._pk_index = index
+        version = 1 if trusted else len(keys)
+        table._version = table._structural_version = version
+        table._column_cache = {
+            attribute: (version, column)
+            for attribute, column in zip(schema.names, columns)
+        }
         return table
 
     # -- writes -------------------------------------------------------------------
@@ -1000,11 +1053,11 @@ def table_from_columns(
     missing = [n for n in schema.names if n not in columns]
     if missing:
         raise SchemaError(f"missing columns: {missing}")
-    count = lengths.pop() if lengths else 0
-    rows = (
-        tuple(columns[n][i] for n in schema.names) for i in range(count)
-    )
-    return Table(schema, rows, name=name)
+    ordered = [list(columns[n]) for n in schema.names]
+    table = Table.from_columns(schema, ordered, name=name)
+    if table is None:
+        table = Table(schema, zip(*ordered), name=name)
+    return table
 
 
 def make_categorical_attribute(name: str, values: Iterable[Hashable]) -> Attribute:

@@ -15,9 +15,10 @@ on:
 Both gzip framing (one gzip *member* per flush interval — concatenated
 members are a single valid gzip stream) and SQLite transactions (one
 commit per chunk) are chosen so that every marker is a clean truncation
-point.  :class:`CSVChunkSink` builds every segment with one encoder and
-writes it with one raw call, whether or not a digest manifest is being
-recorded.
+point.  :class:`CSVChunkSink` builds every segment with one encoder —
+the chunk's columns through :func:`~repro.relational.csvio.encode_columns`,
+then, for gzip, one ``zlib`` compressor per member — and writes it with
+one raw call, whether or not a digest manifest is being recorded.
 
 New gzip output is deflated at :data:`GZIP_LEVEL`.  The level travels in
 the sink state — checkpoint, journal and the retry layer's rollback
@@ -28,16 +29,16 @@ levels were recorded, at level 9, and resumes at 9.
 
 from __future__ import annotations
 
-import csv
-import gzip
 import hashlib
-import io
 import os
 import sqlite3
+import struct
+import zlib
 from pathlib import Path
 from typing import Any
 
 from ..relational import AttributeType, Schema, Table
+from ..relational.csvio import encode_columns
 from ..reliability.faults import (
     BITFLIP,
     TORN_WRITE,
@@ -59,6 +60,15 @@ from .errors import StreamError
 #: its state records).  Level 9 spends about 3x the compression time
 #: for output about 1.5% smaller.
 GZIP_LEVEL = 6
+
+#: the first eight bytes of every member header: magic, deflate, no
+#: flags (so no file name) and mtime 0 — what ``gzip.GzipFile`` writes
+#: for ``filename=""`` and ``mtime=0``
+_MEMBER_HEAD = b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+
+#: the header's XFL byte per level, as ``gzip.GzipFile`` sets it (0 for
+#: every other level); the OS byte after it is always 255, "unknown"
+_MEMBER_XFL = {9: b"\x02", 1: b"\x04"}
 
 
 class ChunkSink:
@@ -120,12 +130,24 @@ class CSVChunkSink(ChunkSink):
 
     Every segment — the header row at ``open``, then one per chunk — is
     encoded in memory by one encoder and written with one raw call, so
-    each flush offset sits on a segment boundary.  Plain CSV segments are
-    utf-8 text; gzip segments are complete *members* (concatenated
-    members are one valid gzip stream), so truncating at any recorded
-    offset leaves a valid file.  ``filename=""`` and ``mtime=0`` keep
-    members byte-deterministic — a resumed run produces the identical
-    file an uninterrupted run would have.
+    each flush offset sits on a segment boundary.  The encoder reads the
+    chunk a column at a time (:meth:`~repro.relational.Table.column_view`)
+    and writes the text ``csv.writer`` would
+    (:func:`~repro.relational.csvio.encode_columns`).  Plain CSV segments
+    are that text in utf-8; gzip segments are complete *members*
+    (concatenated members are one valid gzip stream), so truncating at
+    any recorded offset leaves a valid file.
+
+    A member is built by one raw-deflate ``zlib`` compressor, byte for
+    byte what ``gzip.GzipFile(filename="", mtime=0)`` under a text
+    wrapper wrote before: a 10-byte header (no name, mtime 0, the
+    level's XFL byte, OS 255), the deflated text, a ``Z_SYNC_FLUSH``
+    (the flush the text wrapper's ``detach()`` made — it stays, as it
+    shapes the deflate stream), the final block and the CRC-32/size
+    trailer.  A torn member (a crash mid-flush) ends after the sync
+    flush, with no final block and no trailer.  Nothing in a member
+    depends on the time or the path, so a resumed run produces the
+    identical file an uninterrupted run would have.
 
     A fresh gzip output deflates at :data:`GZIP_LEVEL`, read when the
     sink opens.  :meth:`flush_state` records the level next to the
@@ -158,7 +180,9 @@ class CSVChunkSink(ChunkSink):
         self._chunks = 0
         self._level = GZIP_LEVEL
         self._raw = open(self.path, "wb")
-        header = self._write_segment([schema.names], index=-1)
+        header = self._write_segment(
+            [[name] for name in schema.names], index=-1
+        )
         if self._record:
             # the header segment (column names) gets its own digest so an
             # audit can tell "damaged preamble" from "damaged chunk k"
@@ -206,11 +230,12 @@ class CSVChunkSink(ChunkSink):
         # to the OS with no member trailer / row terminator) and *then*
         # fails — the state a real crash mid-flush leaves behind.
         fault_point("sink.write", index)
+        columns = [chunk.column_view(name) for name in chunk.schema.names]
         if injection_armed() and active_plan().scheduled(
             "sink.write.mid", index
         ):
-            self._write_torn(chunk, index)
-        entry = self._write_segment(chunk, index)
+            self._write_torn(columns, len(chunk), index)
+        entry = self._write_segment(columns, index)
         if self._record:
             self.manifest.entries.append(entry)
         self._chunks += 1
@@ -240,13 +265,12 @@ class CSVChunkSink(ChunkSink):
             handle.seek(position)
             handle.write(bytes([byte[0] ^ (1 << rng.randrange(8))]))
 
-    def _write_torn(self, chunk: Table, index: int) -> None:
+    def _write_torn(self, columns: list, rows: int, index: int) -> None:
         plan = active_plan()
-        rows = list(iter(chunk))
-        cut = plan.rng("sink.write.mid", index).randrange(
-            1, max(2, len(rows))
-        )
-        self._raw.write(self._encode_segment(rows[:cut], torn=True))
+        cut = plan.rng("sink.write.mid", index).randrange(1, max(2, rows))
+        self._raw.write(self._encode_segment(
+            [column[:cut] for column in columns], torn=True
+        ))
         self._raw.flush()
         os.fsync(self._raw.fileno())
         kind = fault_point("sink.write.mid", index)
@@ -262,15 +286,16 @@ class CSVChunkSink(ChunkSink):
         return state
 
     # -- internals -------------------------------------------------------------
-    def _write_segment(self, rows, index: int) -> ChunkDigest | None:
-        """Encode ``rows`` as one segment and write it with one raw call.
+    def _write_segment(self, columns: list, index: int) -> ChunkDigest | None:
+        """Encode the rows of ``columns`` as one segment and write it
+        with one raw call.
 
         When recording, returns the segment's digest entry: it covers
         exactly the bytes an audit (or a verified read) will find in
         ``[start, end)``, hashed straight off the encoded payload — no
         read-back pass, no hashing proxy on the write path.
         """
-        payload = self._encode_segment(rows)
+        payload = self._encode_segment(columns)
         self._segment_start = self._raw.tell()
         self._raw.write(payload)
         if not self._record:
@@ -282,32 +307,32 @@ class CSVChunkSink(ChunkSink):
             digest=hashlib.sha256(payload).hexdigest(),
         )
 
-    def _encode_segment(self, rows, torn: bool = False) -> bytes:
-        """The exact bytes one flush segment of ``rows`` puts on disk:
-        utf-8 CSV text, or one gzip member deflated at the sink's level.
+    def _encode_segment(self, columns: list, torn: bool = False) -> bytes:
+        """The exact bytes one flush segment of the rows of ``columns``
+        puts on disk: utf-8 CSV text, or one gzip member deflated at the
+        sink's level (see the class docstring for its layout).
 
-        ``torn`` emits a gzip member *without* its trailer (the state a
-        crash mid-flush leaves) instead of a complete one.
+        ``torn`` emits a gzip member *without* its final block and
+        trailer (the state a crash mid-flush leaves) instead of a
+        complete one.
         """
+        text = encode_columns(columns).encode("utf-8")
         if not self.compress:
-            buffer = io.StringIO()
-            csv.writer(buffer).writerows(rows)
-            return buffer.getvalue().encode("utf-8")
-        raw = io.BytesIO()
-        # filename="" drops the FNAME header field and mtime=0 the
-        # timestamp, so a member depends only on its rows and level
-        member = gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb",
-            compresslevel=self._level, mtime=0,
+            return text
+        level = self._level
+        deflate = zlib.compressobj(
+            level, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, 0
         )
-        text = io.TextIOWrapper(member, encoding="utf-8", newline="")
-        csv.writer(text).writerows(rows)
-        text.detach()
-        if torn:
-            member.flush()  # compressed bytes, no trailer
-        else:
-            member.close()
-        return raw.getvalue()
+        parts = [
+            _MEMBER_HEAD, _MEMBER_XFL.get(level, b"\x00"), b"\xff",
+            deflate.compress(text), deflate.flush(zlib.Z_SYNC_FLUSH),
+        ]
+        if not torn:
+            parts.append(deflate.flush())
+            parts.append(struct.pack(
+                "<II", zlib.crc32(text), len(text) & 0xFFFFFFFF
+            ))
+        return b"".join(parts)
 
 
 _AFFINITY = {

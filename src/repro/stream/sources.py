@@ -22,7 +22,10 @@ and is split into fields with the typing, where the chunk is built —
 straight from its lines into typed columns where csvio's check proves
 ``csv.reader`` would split them the same way, by ``csv.reader``
 elsewhere.  Only runs holding a quote, where a line need not be a
-record, are split while reading.
+record, are split while reading.  The chunk table is then built from
+those typed columns (:meth:`~repro.relational.Table.from_columns`): they
+are checked as they are, zipped into row lists once and kept as the
+table's column views.
 
 VECTOR detection reads nothing of a chunk but its key and mark column
 codes, so it builds raw CSV payloads with :func:`build_chunk_codes`
@@ -75,6 +78,7 @@ from ..relational.csvio import (
     typed_rows,
     typed_slices,
 )
+from ..relational.schema import infer_column_domains
 from ..relational.table import factorize
 from ..reliability.faults import fault_point
 from ..reliability.integrity import (
@@ -109,21 +113,44 @@ def open_text(path: str | Path):
     return open(path, newline="", encoding="utf-8")
 
 
+@dataclass
+class ChunkColumns:
+    """A raw chunk's typed columns, in schema order — what
+    :func:`build_chunk` hands :func:`build_chunk_table` in place of the
+    chunk's rows."""
+
+    columns: list[list]
+
+
 def build_chunk_table(
     schema: Schema,
-    rows: list[tuple],
+    rows: list[tuple] | ChunkColumns,
     index: int,
     name: str,
     infer: bool,
     trusted: bool,
 ) -> Table:
-    """Assemble one chunk :class:`Table` from typed rows.
+    """Assemble one chunk :class:`Table` from typed rows, or from a raw
+    chunk's typed columns.
 
     The single chunk-materialization rule behind :func:`build_chunk` —
     same inference, same trust shortcut, same name, wherever the chunk
-    is built.
+    is built.  :class:`ChunkColumns` become the table column-wise
+    (:meth:`~repro.relational.Table.from_columns`, domains inferred from
+    the columns where the source infers); columns that constructor
+    refuses are zipped into rows and built as rows are, which raises
+    the exact error.
     """
     label = f"{name}[{index}]"
+    if isinstance(rows, ChunkColumns):
+        columns = rows.columns
+        table = Table.from_columns(
+            infer_column_domains(schema, columns) if infer else schema,
+            columns, name=label, trusted=infer or trusted,
+        )
+        if table is not None:
+            return table
+        rows = list(zip(*columns))
     if infer:
         # Inference widens every categorical domain over exactly these
         # rows, and the cell parsers typed the scalar columns — the
@@ -207,6 +234,18 @@ def _typed_slices(
     )
 
 
+def _typed_columns(
+    task: ChunkTask, profile: dict[str, Any], decoders
+) -> list[list]:
+    """The typed columns of a raw task's records, in schema order: its
+    :func:`_typed_slices` joined column by column."""
+    columns: list[list] = [[] for _ in range(profile["schema"].arity)]
+    for typed in _typed_slices(task, profile, decoders):
+        for column, values in zip(columns, typed):
+            column += values
+    return columns
+
+
 def _raise_bad_row(origin: str, number: int, record, exc: ValueError):
     raise BadRowError(origin, number, str(exc)) from exc
 
@@ -219,15 +258,13 @@ def build_chunk(task: ChunkTask, profile: dict[str, Any], decoders) -> Table:
 
     ``profile`` is :func:`payload_profile` of the source and
     ``decoders`` its :func:`payload_decoders`.  A raw payload is typed
-    and consumed by :func:`_typed_slices`, and its typed columns zipped
-    into rows.
+    and consumed by :func:`_typed_columns`, and the table built from its
+    typed columns.
     """
     if task.kind == PAYLOAD_TABLE:
         return task.payload
     if task.kind == PAYLOAD_RAW:
-        rows = []
-        for columns in _typed_slices(task, profile, decoders):
-            rows += zip(*columns)
+        rows = ChunkColumns(_typed_columns(task, profile, decoders))
     else:
         rows = task.payload
     return build_chunk_table(
@@ -269,30 +306,26 @@ def build_chunk_codes(
     factorized ``attributes`` (key and mark) of a chunk — in process, on
     the degraded path and in pool workers alike.
 
-    A raw payload is typed by :func:`_typed_slices`, exactly as
+    A raw payload is typed by :func:`_typed_columns`, exactly as
     :func:`build_chunk` types it, and checked a column at a time as the
     chunk table would check it: primary-key uniqueness and, unless the
-    source infers domains or trusts its rows, every column's
-    :meth:`~repro.relational.Attribute.admits`.  A chunk those checks
-    prove valid becomes :class:`ChunkCodes`.  Any other chunk is built
-    by :func:`build_chunk_table` from the rows already typed, which
-    raises the exact error of :func:`build_chunk` (or returns the table,
-    when ``admits`` was over-cautious).  Other payloads go through
+    source infers domains or trusts its rows, the column check of
+    :meth:`~repro.relational.Table.from_columns`,
+    :meth:`~repro.relational.Schema.admits_columns`.  A chunk those
+    checks prove valid becomes :class:`ChunkCodes`.  Any other chunk is
+    built by :func:`build_chunk_table` from the rows already typed,
+    which raises the exact error of :func:`build_chunk` (or returns the
+    table, when the check was over-cautious).  Other payloads go through
     :func:`build_chunk`.
     """
     if task.kind != PAYLOAD_RAW:
         return build_chunk(task, profile, decoders)
     schema = profile["schema"]
-    columns: list[list] = [[] for _ in range(schema.arity)]
-    for typed in _typed_slices(task, profile, decoders):
-        for column, values in zip(columns, typed):
-            column += values
+    columns = _typed_columns(task, profile, decoders)
     keys = columns[schema.position(schema.primary_key)]
     if len(set(keys)) != len(keys) or not (
-        profile["infer"] or profile["trusted"] or all(
-            attribute.admits(column)
-            for attribute, column in zip(schema, columns)
-        )
+        profile["infer"] or profile["trusted"]
+        or schema.admits_columns(columns)
     ):
         return build_chunk_table(
             schema, list(zip(*columns)), task.index, profile["name"],

@@ -275,6 +275,73 @@ class TestCanonicalInlineFastPath:
             assert canonical_bytes(value)  # still encodable
 
 
+class TestDigestBatch:
+    """One batch's misses are hashed together: each distinct value once,
+    from its kind's pre-image, and a warm batch hashes nothing."""
+
+    def test_keys_holding_percent_bytes(self):
+        # The int pre-image is one ``%`` template around the key bytes:
+        # a key holding ``%d``, ``%%`` or a lone ``%`` must not be read
+        # as a format directive.
+        key = MarkKey(b"k1%d%%%s%", b"%k2%b%")
+        engine = HashEngine(key)
+        values = [0, 7, -12, 2**80, "7", "%d", 7.0, True, (7,)]
+        for cache, raw in ((engine.k1, key.k1), (engine.k2, key.k2)):
+            assert cache.digest_many(values) == [
+                keyed_hash(value, raw) for value in values
+            ]
+
+    def test_seeded_keys_with_percent_bytes(self):
+        keys = [MarkKey.from_seed(seed) for seed in range(40)]
+        marked = [
+            raw for key in keys for raw in (key.k1, key.k2) if b"%" in raw
+        ]
+        assert marked  # about one key in five holds the byte
+        values = list(range(-3, 40)) + ["x", 1.5]
+        for raw in marked:
+            assert KeyedDigestCache(raw).digest_many(values) == [
+                keyed_hash(value, raw) for value in values
+            ]
+
+    def test_mixed_kinds_with_repeats_hash_each_value_once(self, key):
+        cache = KeyedDigestCache(key.k1)
+        kinds = [1, True, 1.0, "1", b"1", (1,)]
+        batch = kinds + kinds[::-1] + [1, "1", (1,)]
+        digests = cache.digests(batch)
+        assert digests == [
+            keyed_hash(value, key.k1).to_bytes(32, "big") for value in batch
+        ]
+        # six distinct pre-images, however often each repeats
+        assert cache.computed == len(kinds)
+        assert len(set(digests)) == len(kinds)
+        assert len(cache) == len(kinds)
+
+    def test_warm_batch_computes_nothing(self, key, monkeypatch):
+        from repro.crypto import engine as engine_module
+
+        cache = KeyedDigestCache(key.k1)
+        batch = [5, "five", 5.0, False, (5,), 5, "five"]
+        cold = cache.digests(batch)
+        computed = cache.computed
+
+        def forbidden(*args):
+            raise AssertionError("a warm batch hashed a value")
+
+        monkeypatch.setattr(engine_module, "sha256", forbidden)
+        assert cache.digests(batch) == cold
+        assert cache.digests(batch[::-1]) == cold[::-1]
+        assert cache.computed == computed
+
+    def test_misses_among_hits(self, key):
+        cache = KeyedDigestCache(key.k1)
+        cache.digests(list(range(0, 100, 2)))
+        mixed = list(range(100)) + list(range(100))
+        assert cache.digest_many(mixed) == [
+            keyed_hash(value, key.k1) for value in mixed
+        ]
+        assert cache.computed == 100
+
+
 class TestGcPause:
     """Batches of at least ``GC_PAUSE_THRESHOLD`` values hash in-process
     with the cyclic GC paused — and only those batches."""

@@ -635,6 +635,66 @@ def test_clean_chunks_are_split_without_csv_reader(monkeypatch, tmp_path, eol):
 
 
 @pytest.mark.perf_smoke
+def test_clean_mark_is_column_wise_to_the_member(monkeypatch, tmp_path):
+    """A clean ``\\r\\n`` Sales gzip ``stream_mark``, in process and at
+    ``workers=2``, builds its chunk tables from typed columns (never
+    ``Schema.admits_rows``), encodes its rows without ``csv.writer`` and
+    builds its members without ``gzip.GzipFile`` — pool workers fork
+    after the patch, so they run under it too — and writes the bytes of
+    the row-wise recipe: an in-memory embed of the same relation."""
+    import csv
+    import gzip
+
+    from repro.core import EmbeddingSpec, embed
+    from repro.datagen import generate_sales
+    from repro.relational import Schema, dumps_csv
+    from repro.stream import (
+        CSVChunkSink,
+        CSVChunkSource,
+        shutdown_stream_pool,
+        stream_mark,
+    )
+
+    table = generate_sales(3_000, item_count=60, seed=5)
+    schema = table.schema
+    path = _sales_csv(tmp_path / "sales.csv.gz", list(table))
+    key = MarkKey.from_seed("perf-smoke-column-mark")
+    spec = EmbeddingSpec("Scan_Id", "Item_Nbr", 40, 10, 60)
+    watermark = Watermark.from_int(0x2AB, 10)
+    embed(table, watermark, key, spec)
+    expected = dumps_csv(table).encode("utf-8")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the mark path left its column-wise form")
+
+    class ReadOnlyGzipFile(gzip.GzipFile):
+        def __init__(self, filename=None, mode=None, *args, **kwargs):
+            if mode is None or not mode.startswith("r"):
+                raise AssertionError("a gzip member was written by GzipFile")
+            super().__init__(filename, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(csv, "writer", forbidden)
+        patched.setattr(gzip, "GzipFile", ReadOnlyGzipFile)
+        patched.setattr(Schema, "admits_rows", forbidden)
+        shutdown_stream_pool()
+        try:
+            for workers in (None, 2):
+                marked = tmp_path / f"marked-{workers}.csv.gz"
+                mark = stream_mark(
+                    CSVChunkSource(path, schema, chunk_size=1_000),
+                    watermark, key, spec, CSVChunkSink(marked),
+                    checkpoint_path=tmp_path / f"mark-{workers}.ckpt",
+                    workers=workers,
+                )
+                assert mark.rows == 3_000 and mark.chunks == 3
+                with open(marked, "rb") as handle:
+                    assert gzip.decompress(handle.read()) == expected
+        finally:
+            shutdown_stream_pool()
+
+
+@pytest.mark.perf_smoke
 def test_a_raw_task_ships_its_text(tmp_path):
     """A raw task of a quote-free CSV carries its chunk's text, not one
     string per field: pickled for a pool worker, it is at most 1.1x the

@@ -237,6 +237,98 @@ def test_bulk_table_edge_cases_match_insert_loop():
         assert bulk == outcome(lambda: insert_loop(schema, rows)), rows
 
 
+def from_columns_outcome(schema, rows, trusted):
+    """``Table.from_columns`` over the columns of ``rows``: ``None``, or
+    the table's state as :func:`outcome` gives it, with its column views
+    checked to be the very columns handed in."""
+    columns = [list(column) for column in zip(*rows)] or [
+        [] for _ in schema.names
+    ]
+
+    def build():
+        table = Table.from_columns(schema, columns, trusted=trusted)
+        if table is None:
+            return None
+        for name, column in zip(schema.names, columns):
+            assert table.column_view(name) is column
+        return table
+
+    try:
+        table = build()
+    except Exception as exc:  # compared type and arguments, not swallowed
+        return ("raised", type(exc), repr(exc.args))
+    if table is None:
+        return None
+    return outcome(lambda: table)
+
+
+def without_cache_info(state):
+    return state if state[0] == "raised" else state[:6] + state[7:]
+
+
+@given(rows_strategy(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_column_table_matches_row_table(rows, trusted):
+    """A table built from typed columns is the row constructor's table —
+    rows, key index, version — or ``None`` exactly where the row
+    constructor would not adopt the batch whole: a repeated key, or a
+    cell ``admits_rows`` refuses (unless trusted)."""
+    schema = table_schema()
+    rows = [row for row in rows if len(row) == schema.arity]
+    got = from_columns_outcome(schema, rows, trusted)
+    keys = [row[0] for row in rows]
+    adopts = (trusted or schema.admits_rows(rows)) and (
+        len(set(keys)) == len(keys)
+    )
+    if not adopts:
+        assert got is None
+        return
+    reference = outcome(
+        (lambda: Table.from_trusted_rows(schema, rows)) if trusted
+        else (lambda: Table(schema, rows))
+    )
+    assert without_cache_info(got) == without_cache_info(reference)
+
+
+def test_column_chunk_matches_row_chunk():
+    """``build_chunk_table`` from typed columns against the same rows,
+    with and without domain inference: same schema, same state, or the
+    same error."""
+    schema = decode_schema()
+    good = [
+        (1, 1.5, "a", "red", "<placeholder>"),
+        (2, 2.5, "b", 1, 7),
+        (3, -0.0, "", "x y", "other"),
+    ]
+    cases = [
+        good,
+        good + [(2, 0.5, "c", "red", 1)],          # repeated key
+        good + [(4, 0.5, "c", "blue", 1)],         # out-of-domain mark
+        good + [(5, 1, "c", 2.5, 1)],              # int in a REAL column
+        [],
+    ]
+    for rows in cases:
+        for infer, trusted in ((False, False), (True, False), (False, True)):
+            columns = [list(c) for c in zip(*rows)] or [[] for _ in schema]
+
+            def by_columns():
+                return sources.build_chunk_table(
+                    schema, sources.ChunkColumns(columns), 2, "c",
+                    infer, trusted,
+                )
+
+            def by_rows():
+                return sources.build_chunk_table(
+                    schema, list(rows), 2, "c", infer, trusted
+                )
+
+            got, want = outcome(by_columns), outcome(by_rows)
+            assert without_cache_info(got) == without_cache_info(want)
+            if got[0] == "built":
+                assert by_columns().schema == by_rows().schema
+                assert by_columns().name == "c[2]"
+
+
 # -- build_chunk_codes against build_chunk ---------------------------------
 
 #: key texts that type to the same int as another record's key, or fail

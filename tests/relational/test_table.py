@@ -165,6 +165,41 @@ class TestHelpers:
         with pytest.raises(SchemaError):
             table_from_columns(tiny_schema, {"K": [1], "A": ["red"]})
 
+    def test_table_from_columns_copies_the_callers_lists(self, tiny_schema):
+        columns = {"K": [1, 2], "A": ["red", "blue"], "B": ["x", "y"]}
+        table = table_from_columns(tiny_schema, columns)
+        columns["B"][0] = "mutated"
+        assert table.column_view("B") == ["x", "y"]
+
+    def test_table_from_columns_falls_back_to_the_row_check(
+        self, tiny_schema
+    ):
+        with pytest.raises(DomainError):
+            table_from_columns(
+                tiny_schema, {"K": [1], "A": ["purple"], "B": ["x"]}
+            )
+        with pytest.raises(DuplicateKeyError):
+            table_from_columns(
+                tiny_schema,
+                {"K": [1, 1], "A": ["red", "red"], "B": ["x", "y"]},
+            )
+
+    def test_from_columns_leaves_the_gc_as_it_found_it(self, tiny_schema):
+        import gc
+
+        columns = [[1, 2], ["red", "blue"], ["x", "y"]]
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            assert len(Table.from_columns(tiny_schema, columns)) == 2
+            assert gc.isenabled()
+            gc.disable()
+            Table.from_columns(tiny_schema, [list(c) for c in columns])
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_make_categorical_attribute(self):
         attribute = make_categorical_attribute("A", ["a", "b"])
         assert attribute.is_categorical
