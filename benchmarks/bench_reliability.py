@@ -24,7 +24,14 @@ is *free* until something actually fails:
   of the same checkpointed run with recording off: integrity is only
   on-by-default because hashing is nearly free next to the embed kernel.
 
-All series land in ``benchmarks/results/reliability_overhead.json``.
+Each of the five marks (fail-fast, retry-armed, deadline-armed,
+checkpointed, manifest-armed) is timed as the best of ``MARK_REPS``
+repetitions, the five alternating within each repetition so every mark
+samples the host's scheduling noise alike: with a single ~0.35 s shot
+per mark that noise alone decided the 0.9x floor.
+
+All series, every repetition included, land in
+``benchmarks/results/reliability_overhead.json``.
 ``REPRO_BENCH_RELIABILITY_ROWS`` selects the tier (default 100,000).
 """
 
@@ -47,6 +54,9 @@ ROWS = int(os.environ.get("REPRO_BENCH_RELIABILITY_ROWS", "100000"))
 CHUNK = max(1_024, ROWS // 16)
 E = 60
 WATERMARK = Watermark.from_int(0x2AB, 10)
+
+#: repetitions of the five marks, alternating; each mark keeps its best
+MARK_REPS = 5
 
 
 def _spec() -> EmbeddingSpec:
@@ -102,53 +112,49 @@ def test_disarmed_and_fault_free_overhead(record, record_json, tmp_path):
         / calls
     )
 
-    # -- retry-armed vs fail-fast streamed mark, no faults -----------------
+    # -- the five streamed marks, no faults, best of MARK_REPS ------------
     base = generate_item_scan(ROWS, item_count=500, seed=17)
     key = MarkKey.from_seed("reliability-bench")
     spec = _spec()
-    fail_fast = _mark_seconds(base, key, spec, tmp_path / "a.csv", None)
-    armed = _mark_seconds(
-        base, key, spec, tmp_path / "b.csv", RetryPolicy()
-    )
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    marks = {
+        # fail-fast vs retry-armed: the retry bookkeeping on a clean run
+        "fail_fast": dict(retry=None),
+        "retry_armed": dict(retry=RetryPolicy()),
+        # a generous deadline, never expiring: one check per chunk
+        "deadline_armed": dict(retry=None, deadline=Deadline(3600.0)),
+        # both checkpoint (equal durability cost); the delta is purely
+        # the sha256 pass over flushed bytes + the per-chunk journal
+        "checkpointed": dict(
+            retry=None, checkpoint_path=tmp_path / "checkpointed.ckpt",
+            manifest=False,
+        ),
+        "manifest_armed": dict(
+            retry=None, checkpoint_path=tmp_path / "manifest_armed.ckpt",
+            manifest=True,
+        ),
+    }
+    seconds = {name: [] for name in marks}
+    for _ in range(MARK_REPS):
+        for name, kwargs in marks.items():
+            seconds[name].append(_mark_seconds(
+                base, key, spec, tmp_path / f"{name}.csv", **kwargs
+            ))
+    outputs = {
+        name: (tmp_path / f"{name}.csv").read_bytes() for name in marks
+    }
+    assert all(data == outputs["fail_fast"] for data in outputs.values())
+    best = {name: min(times) for name, times in seconds.items()}
+    fail_fast, armed = best["fail_fast"], best["retry_armed"]
+    budgeted = best["deadline_armed"]
+    plain_ckpt, hashed = best["checkpointed"], best["manifest_armed"]
+
     ratio = fail_fast / armed
-    assert ratio >= 0.6, (
-        f"retry bookkeeping costs {1 / ratio:.2f}x on a clean run — "
-        "the reliability layer is no longer near-free when idle"
-    )
-
-    # -- deadline-armed streamed mark, never expiring ----------------------
-    budgeted = _mark_seconds(
-        base, key, spec, tmp_path / "c.csv", None,
-        deadline=Deadline(3600.0),
-    )
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     deadline_ratio = fail_fast / budgeted
-    assert deadline_ratio >= 0.6, (
-        f"deadline checks cost {1 / deadline_ratio:.2f}x on a clean run — "
-        "stall-safety is no longer near-free when the budget is generous"
-    )
-
-    # -- manifest-armed vs recording-off, same checkpointed run ------------
-    # both runs checkpoint (equal durability cost); the delta is purely
-    # the sha256 pass over flushed bytes + the per-chunk journal append
-    plain_ckpt = _mark_seconds(
-        base, key, spec, tmp_path / "d.csv", None,
-        checkpoint_path=tmp_path / "d.ckpt", manifest=False,
-    )
-    hashed = _mark_seconds(
-        base, key, spec, tmp_path / "e.csv", None,
-        checkpoint_path=tmp_path / "e.ckpt", manifest=True,
-    )
-    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
     manifest_ratio = plain_ckpt / hashed
-    assert manifest_ratio >= 0.9, (
-        f"manifest hashing costs {1 / manifest_ratio:.2f}x on a clean "
-        "checkpointed run — too heavy to stay on by default"
-    )
 
     lines = [
-        f"reliability overhead tier: {ROWS} rows, chunk {CHUNK}",
+        f"reliability overhead tier: {ROWS} rows, chunk {CHUNK}, "
+        f"marks best of {MARK_REPS}",
         f"  disarmed fault_point   : {per_call * 1e9:>8.1f} ns/call",
         f"  disarmed check_deadline: {deadline_disarmed * 1e9:>8.1f} ns/call",
         f"  armed check_deadline   : {deadline_armed * 1e9:>8.1f} ns/call",
@@ -178,5 +184,25 @@ def test_disarmed_and_fault_free_overhead(record, record_json, tmp_path):
             "mark_checkpointed_rows_per_s": round(ROWS / plain_ckpt),
             "mark_manifest_armed_rows_per_s": round(ROWS / hashed),
             "manifest_over_checkpointed": round(hashed / plain_ckpt, 4),
+            "mark_reps": MARK_REPS,
+            "mark_seconds": {
+                name: [round(value, 4) for value in times]
+                for name, times in seconds.items()
+            },
         },
+    )
+
+    # The floors are checked once the run is recorded, so a failing run
+    # leaves its numbers in the trajectory too.
+    assert ratio >= 0.6, (
+        f"retry bookkeeping costs {1 / ratio:.2f}x on a clean run — "
+        "the reliability layer is no longer near-free when idle"
+    )
+    assert deadline_ratio >= 0.6, (
+        f"deadline checks cost {1 / deadline_ratio:.2f}x on a clean run — "
+        "stall-safety is no longer near-free when the budget is generous"
+    )
+    assert manifest_ratio >= 0.9, (
+        f"manifest hashing costs {1 / manifest_ratio:.2f}x on a clean "
+        "checkpointed run — too heavy to stay on by default"
     )

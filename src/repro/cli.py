@@ -92,6 +92,7 @@ from .relational import (
     sorted_frequency_profile,
     write_csv,
 )
+from .relational.csvio import read_header
 
 #: exit code for "ran fine, watermark not detected"
 EXIT_NOT_DETECTED = 3
@@ -554,10 +555,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    """Print a schema JSON template inferred from a CSV header."""
-    header = (
-        Path(args.data).read_text(encoding="utf-8").splitlines()[0].split(",")
-    )
+    """Print a schema JSON template inferred from a CSV header (plain or
+    gzip, split as every CSV record is)."""
+    header = read_header(args.data)
+    if not header:
+        raise SystemExit(f"{args.data} has no CSV header row")
     template = {
         "primary_key": header[0],
         "attributes": [

@@ -4,13 +4,15 @@ Lets examples persist watermarked relations and re-load them for blind
 detection in a separate process — the workflow a real rights-holder would
 follow (mark, publish, later download the suspect copy and detect).
 
-Every CSV record is read one way.  :class:`_Cutter` cuts a CSV byte
+Every CSV file is opened one way and every CSV record is read one way.
+:func:`open_csv` opens a file as bytes, decompressed when it starts with
+gzip's magic bytes, whatever its name.  :class:`_Cutter` cuts a CSV byte
 stream into runs of whole records at line ends (``\\n``, ``\\r\\n`` or a
 bare ``\\r``), and a run holding no ``"`` is kept as its text,
 :class:`RawText`, split into fields where it is typed.
-:func:`read_csv`, :func:`loads_csv` and the chunked
-:class:`repro.stream.CSVChunkSource` all read through it
-(:func:`data_records`).
+:func:`read_csv`, :func:`loads_csv`, the chunked
+:class:`repro.stream.CSVChunkSource` (:func:`data_records`),
+:func:`count_records` and :func:`read_header` all read through it.
 
 Typing has three forms.  :func:`parse_row` with :func:`cell_parsers`
 types one record at a time and is the reference: it defines every value
@@ -33,10 +35,12 @@ from __future__ import annotations
 import codecs
 import csv
 import gc
+import gzip
 import io
 import sys
 import zlib
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -77,6 +81,13 @@ def dumps_csv(table: Table) -> str:
 
 
 def _write(table: Table, handle) -> None:
+    """Write ``table`` row by row through ``csv.writer``.
+
+    Not through :func:`encode_columns`, the chunk sink's encoder, which
+    writes the same text: this writer is the independent path the
+    sink's output is checked against (a marked stream's text against
+    :func:`dumps_csv` of an in-memory embed of the same rows).
+    """
     writer = csv.writer(handle)
     writer.writerow(table.schema.names)
     for row in table:
@@ -138,9 +149,10 @@ def read_csv(
     Cell text is parsed according to each attribute's declared type.  With
     ``infer_categorical_domains`` (the default), categorical domains are
     widened to include every observed value — the blind-detection situation,
-    where only the suspect data defines the visible value set.
+    where only the suspect data defines the visible value set.  A gzip
+    file is read decompressed (:func:`open_csv`).
     """
-    with open(path, "rb") as stream:
+    with open_csv(path) as stream:
         return _read(stream, schema, infer_categorical_domains,
                      name or Path(path).stem)
 
@@ -345,16 +357,62 @@ def typed_rows(
     return rows
 
 
+@contextmanager
+def open_csv(path: str | Path) -> Iterator[Any]:
+    """The CSV file at ``path`` as the byte stream its cutter reads,
+    decompressed when it starts with gzip's magic bytes, whatever its
+    name — the one opener of every CSV file read."""
+    with open(path, "rb") as raw:
+        if raw.peek(2)[:2] != b"\x1f\x8b":
+            yield raw
+            return
+        with gzip.GzipFile(mode="rb", fileobj=raw) as stream:
+            yield stream
+
+
 def data_records(stream, schema: Schema) -> _Cutter | None:
     """A cutter of the data records of the CSV byte ``stream``, whose
     header record it has read and checked against ``schema`` — ``None``
     when the stream is empty."""
     cutter = _Cutter(stream)
-    header = next(iter(cutter.cut(1)[0]), None)
+    header = cutter.header()
     if header is None:
         return None
     check_header(header, schema)
     return cutter
+
+
+def read_header(path: str | Path) -> list[str] | None:
+    """The fields of the header record of the CSV file at ``path``, as
+    ``csv.reader`` splits them — ``None`` when the file is empty."""
+    with open_csv(path) as stream:
+        return _Cutter(stream).header()
+
+
+def count_records(path: str | Path) -> int:
+    """The data records of the CSV file at ``path`` (header excluded) as
+    ``csv.reader`` counts them, or its error, without typing a cell.
+
+    The cutter cuts them :data:`TYPE_SLICE` at a time.  A run kept as
+    text is taken (:meth:`RawText.take`, whose split raises the
+    ``csv.Error`` that ends it), and its lines longer than
+    ``csv.field_size_limit()`` are split: a field over it is refused."""
+    limit = csv.field_size_limit()
+    with open_csv(path) as stream:
+        cutter = _Cutter(stream)
+        while True:
+            payload, count = cutter.cut(TYPE_SLICE)
+            if isinstance(payload, RawText):
+                records, error = payload.take()
+                if error is not None:
+                    raise error
+                if records and isinstance(records[0], str):
+                    for _ in csv.reader(
+                        [line for line in records if len(line) > limit]
+                    ):
+                        pass
+            if count < TYPE_SLICE:
+                return max(cutter.number, 0)
 
 
 class RawText:
@@ -483,6 +541,11 @@ class _Cutter:
         self._window: tuple = (0, 0, "", None)
         #: data-row number of the last record cut (the header is row 0)
         self.number = -1
+
+    def header(self) -> list[str] | None:
+        """Cut the first record, the header, and return its fields —
+        ``None`` when the input is empty."""
+        return next(iter(self.cut(1)[0]), None)
 
     def rows(self, count: int, decoders, bad_record) -> list[tuple]:
         """Up to ``count`` typed rows of the next records, fewer only at

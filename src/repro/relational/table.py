@@ -477,10 +477,9 @@ class Table:
         columns: list[list[Any]],
         name: str = "relation",
         trusted: bool = False,
-    ) -> "Table | None":
+    ) -> "Table":
         """Adopt typed ``columns`` (equal-length lists in schema order) as
-        a table, or return ``None`` where the row constructors might
-        refuse its rows.
+        a table.
 
         The column-wise constructor: one dict over the key column is both
         the key check and the primary-key index, every column passes
@@ -489,17 +488,21 @@ class Table:
         and ``columns`` become the table's cached column views — so they
         are the table's from then on and must not be mutated.  The
         :attr:`version` is the one ``Table(schema, rows)`` (or, trusted,
-        :meth:`from_trusted_rows`) sets.  ``None`` — a repeated key, or a
-        cell the conservative check refuses — leaves the batch to those
-        constructors, which raise the exact error (or accept a legal
-        batch the check refused).
+        :meth:`from_trusted_rows`) sets.  A batch those checks refuse — a
+        repeated key, or a cell the conservative check refuses — goes to
+        that row constructor as rows, which raises the exact error (or
+        adopts a legal batch the check refused, without column views).
         """
-        if not (trusted or schema.admits_columns(columns)):
-            return None
-        keys = columns[schema.position(schema.primary_key)]
-        index = dict(zip(keys, count()))
-        if len(index) != len(keys):
-            return None
+        index = None
+        if trusted or schema.admits_columns(columns):
+            keys = columns[schema.position(schema.primary_key)]
+            index = dict(zip(keys, count()))
+            if len(index) != len(keys):
+                index = None
+        if index is None:
+            if trusted:
+                return cls.from_trusted_rows(schema, zip(*columns), name=name)
+            return cls(schema, zip(*columns), name=name)
         table = cls(schema, (), name=name)
         # The row lists are pure allocation (no garbage can exist yet):
         # with the cyclic GC paused they set off no heap rescans.
@@ -1054,10 +1057,7 @@ def table_from_columns(
     if missing:
         raise SchemaError(f"missing columns: {missing}")
     ordered = [list(columns[n]) for n in schema.names]
-    table = Table.from_columns(schema, ordered, name=name)
-    if table is None:
-        table = Table(schema, zip(*ordered), name=name)
-    return table
+    return Table.from_columns(schema, ordered, name=name)
 
 
 def make_categorical_attribute(name: str, values: Iterable[Hashable]) -> Attribute:

@@ -131,27 +131,32 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 def call_with_retry(
     fn: Callable[[], "object"],
     label: str,
-    policy: RetryPolicy,
+    policy: RetryPolicy | None,
     *,
     recover: Callable[[], None] | None = None,
     on_retry: Callable[[str, int, BaseException], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ):
-    """Run ``fn`` under ``policy``; returns its result.
+    """Run ``fn`` under ``policy``; returns its result — the one retry
+    loop of every I/O boundary (sink write, checkpoint save, source
+    re-read).
 
     On a transient failure the sequence is *notify -> backoff ->
     recover -> retry*: ``on_retry(label, attempt, exc)`` feeds the
     reliability report, and ``recover`` restores the precondition that
     makes the retry idempotent (e.g. truncating a sink back to its last
-    durable offset).  Permanent failures propagate untouched; transient
-    exhaustion raises :class:`RetryError` from the last cause.
+    durable offset, re-opening a source at the failed chunk).  Permanent
+    failures propagate untouched; transient exhaustion raises
+    :class:`RetryError` from the last cause.  ``policy=None`` is the
+    fail-fast run: ``fn`` is called once and any failure propagates as
+    it was raised.
     """
     attempt = 1
     while True:
         try:
             return fn()
         except Exception as exc:
-            if classify(exc) is not TRANSIENT:
+            if policy is None or classify(exc) is not TRANSIENT:
                 raise
             if attempt >= policy.max_attempts:
                 raise RetryError(label, attempt) from exc

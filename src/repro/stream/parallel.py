@@ -55,7 +55,6 @@ import hashlib
 import logging
 import os
 import pickle
-import time
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from typing import Any, Hashable
@@ -77,13 +76,7 @@ from ..reliability.pool import (
     resolve_watchdog,
 )
 from ..reliability.report import ReliabilityReport
-from ..reliability.retry import (
-    TRANSIENT,
-    TRANSIENT_TYPES,
-    RetryError,
-    RetryPolicy,
-    classify,
-)
+from ..reliability.retry import RetryPolicy, call_with_retry
 from ..reliability.watchdog import Watchdog
 from .errors import StreamError
 from .sources import (
@@ -344,8 +337,9 @@ def _tasks_with_retry(
     report: ReliabilityReport,
 ) -> Iterator[ChunkTask]:
     """Chunk tasks of ``source`` from ``start``
-    (:func:`~repro.stream.sources.payload_chunks`), re-opening the source
-    on transient read failures.
+    (:func:`~repro.stream.sources.payload_chunks`), each read through
+    :func:`~repro.reliability.retry.call_with_retry`, whose recovery
+    re-opens the source.
 
     A failed read never loses or duplicates a chunk: the source is
     re-opened at the position after the last task yielded (tasks already
@@ -358,29 +352,20 @@ def _tasks_with_retry(
         yield from payload_chunks(source, start)
         return
     position = start
-    attempt = 0
     iterator = payload_chunks(source, position)
+
+    def reopen():
+        nonlocal iterator
+        report.source_reopens += 1
+        iterator = payload_chunks(source, position)
+
     while True:
-        try:
-            task = next(iterator)
-        except StopIteration:
+        task = call_with_retry(
+            lambda: next(iterator, None), "source.read", policy,
+            recover=reopen, on_retry=report.record_retry,
+        )
+        if task is None:
             return
-        # Only the transient taxonomy is caught at all: a permanent
-        # failure (BadRowError, schema violations, deadline expiry, a
-        # plain bug) propagates with its original traceback instead of
-        # being routed through retry classification.
-        except TRANSIENT_TYPES as exc:
-            if classify(exc) is not TRANSIENT:
-                raise
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                raise RetryError("source.read", attempt) from exc
-            report.record_retry("source.read", attempt, exc)
-            time.sleep(policy.delay("source.read", attempt))
-            report.source_reopens += 1
-            iterator = payload_chunks(source, position)
-            continue
-        attempt = 0
         yield task
         position += 1
 

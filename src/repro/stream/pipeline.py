@@ -52,7 +52,6 @@ from ..core.detection import (
     _check_maps,
 )
 from ..core.embedding import (
-    EmbeddingResult,
     EmbeddingSpec,
     VARIANT_KEYED,
     value_pair_count,
@@ -373,7 +372,12 @@ def stream_mark(
                 )
             else:
                 start = checkpoint.chunks_done
-                _restore_result(result, checkpoint)
+                # the checkpoint's cumulative counters, as one delta
+                _fold_delta(result, {
+                    **checkpoint.counters, "rows": checkpoint.rows_done,
+                    "slots": checkpoint.slots_written,
+                    "vetoes": checkpoint.vetoes_by_constraint,
+                })
                 prefix = None
                 if journal is not None:
                     jheader, jrecords = load_journal(journal)
@@ -441,39 +445,34 @@ def _stream_mark_run(
     lease are positioned (split out so the lease's try/finally wraps
     everything without another indentation level)."""
     # The durable marker the retry layer rolls the sink back to before
-    # rewriting a chunk whose write failed mid-way.
+    # rewriting a chunk whose write failed mid-way.  A run that neither
+    # retries nor checkpoints never asks the sink for a marker.
+    durable = retry is not None or checkpoint_path is not None
     last_good = sink.flush_state() if retry is not None else None
 
+    def _rollback():
+        reliability.sink_rollbacks += 1
+        sink.restore(schema, last_good)
+
     def _commit_marked(index, marked, pass_result, guard_report, nrows):
-        """Make one marked chunk durable: merge its reports, write it to
-        the sink (rolling back and rewriting under ``retry``) and record
-        the checkpoint.  The ordered run calls it in strict chunk order,
-        which is what keeps output bytes and checkpoints identical at
-        every worker count."""
+        """Make one marked chunk durable: fold its counters into the
+        result, write it to the sink (rolling back and rewriting under
+        ``retry``) and record the checkpoint.  The ordered run calls it
+        in strict chunk order, which is what keeps output bytes and
+        checkpoints identical at every worker count."""
         nonlocal last_good
-        _merge_result(result, pass_result, guard_report, nrows)
+        delta = _journal_delta(pass_result, guard_report, nrows)
+        result.chunks += 1
+        _fold_delta(result, delta)
 
-        if retry is None:
+        def _write():
             sink.write_chunk(marked)
-            state = (
-                sink.flush_state() if checkpoint_path is not None
-                else None
-            )
-        else:
-            def _write():
-                sink.write_chunk(marked)
-                return sink.flush_state()
+            return sink.flush_state() if durable else None
 
-            def _rollback():
-                reliability.sink_rollbacks += 1
-                sink.restore(schema, last_good)
-
-            state = call_with_retry(
-                _write, "sink.write", retry,
-                recover=_rollback, on_retry=reliability.record_retry,
-            )
-            last_good = state
-
+        state = last_good = call_with_retry(
+            _write, "sink.write", retry,
+            recover=_rollback, on_retry=reliability.record_retry,
+        )
         if journal is not None:
             # Journal before checkpoint: a crash between the two leaves
             # the journal one record ahead, which resume tolerates (the
@@ -482,26 +481,21 @@ def _stream_mark_run(
                 journal,
                 index=index,
                 entry=sink.manifest.entries[-1],
-                delta=_journal_delta(pass_result, guard_report, nrows),
+                delta=delta,
                 sink_state=state,
             )
         if run_lock is not None:
             run_lock.heartbeat()
 
         if checkpoint_path is not None:
-            def _save():
-                save_checkpoint(
+            call_with_retry(
+                lambda: save_checkpoint(
                     checkpoint_path,
                     _as_checkpoint(result, fingerprint, start, state),
-                )
-
-            if retry is None:
-                _save()
-            else:
-                call_with_retry(
-                    _save, "checkpoint.save", retry,
-                    on_retry=reliability.record_retry,
-                )
+                ),
+                "checkpoint.save", retry,
+                on_retry=reliability.record_retry,
+            )
 
     try:
         result.parallel = ordered_mark(
@@ -565,25 +559,22 @@ def _journal_delta(pass_result, guard_report, nrows: int) -> dict:
     }
 
 
-def _restore_result_from_journal(result: StreamMarkResult, records) -> None:
-    """Rebuild cumulative counters from journalled per-chunk deltas.
-
-    Under verified resume the journal prefix is authoritative — the
-    checkpoint may describe chunks the rewind just discarded."""
-    for record in records:
-        delta = record.get("delta") or {}
-        result.rows += int(delta.get("rows", 0))
-        result.fit_count += int(delta.get("fit_count", 0))
-        result.applied += int(delta.get("applied", 0))
-        result.vetoed += int(delta.get("vetoed", 0))
-        result.unchanged += int(delta.get("unchanged", 0))
-        result.guard_report.applied += int(delta.get("report_applied", 0))
-        result.guard_report.vetoed += int(delta.get("report_vetoed", 0))
-        result.guard_report.noop += int(delta.get("report_noop", 0))
-        result.slots_written.update(delta.get("slots", ()))
-        result.guard_report.vetoes_by_constraint.update(
-            delta.get("vetoes", {})
-        )
+def _fold_delta(result: StreamMarkResult, delta: dict) -> None:
+    """Add one chunk's counter delta (:func:`_journal_delta`) to
+    ``result`` — the one fold of a committed chunk, of each journalled
+    chunk a verified resume keeps (the journal prefix is then
+    authoritative: the checkpoint may describe chunks the rewind just
+    discarded), and of a checkpoint's totals on a plain resume."""
+    result.rows += int(delta.get("rows", 0))
+    result.fit_count += int(delta.get("fit_count", 0))
+    result.applied += int(delta.get("applied", 0))
+    result.vetoed += int(delta.get("vetoed", 0))
+    result.unchanged += int(delta.get("unchanged", 0))
+    result.guard_report.applied += int(delta.get("report_applied", 0))
+    result.guard_report.vetoed += int(delta.get("report_vetoed", 0))
+    result.guard_report.noop += int(delta.get("report_noop", 0))
+    result.slots_written.update(delta.get("slots", ()))
+    result.guard_report.vetoes_by_constraint.update(delta.get("vetoes", {}))
 
 
 def _verified_restore(
@@ -627,7 +618,8 @@ def _verified_restore(
         return 0
     if verified < len(records):
         reliability.integrity_rewinds += len(records) - verified
-    _restore_result_from_journal(result, records[:verified])
+    for record in records[:verified]:
+        _fold_delta(result, record.get("delta") or {})
     if verified == 0:
         sink.restore(schema, open_state)
     else:
@@ -635,27 +627,6 @@ def _verified_restore(
     sink.restore_manifest(manifest_from_journal(header, records[:verified]))
     truncate_journal(journal, verified)
     return verified
-
-
-def _merge_result(
-    merged: StreamMarkResult,
-    pass_result: EmbeddingResult,
-    report: GuardReport,
-    rows: int,
-) -> None:
-    merged.chunks += 1
-    merged.rows += rows
-    merged.fit_count += pass_result.fit_count
-    merged.applied += pass_result.applied
-    merged.vetoed += pass_result.vetoed
-    merged.unchanged += pass_result.unchanged
-    merged.slots_written |= pass_result.slots_written
-    merged.guard_report.applied += report.applied
-    merged.guard_report.vetoed += report.vetoed
-    merged.guard_report.noop += report.noop
-    merged.guard_report.vetoes_by_constraint.update(
-        report.vetoes_by_constraint
-    )
 
 
 def _as_checkpoint(
@@ -681,24 +652,6 @@ def _as_checkpoint(
         vetoes_by_constraint=dict(result.guard_report.vetoes_by_constraint),
         sink_state=sink_state,
     )
-
-
-def _restore_result(
-    result: StreamMarkResult, checkpoint: MarkCheckpoint
-) -> None:
-    counters = checkpoint.counters
-    result.rows = checkpoint.rows_done
-    result.fit_count = counters.get("fit_count", 0)
-    result.applied = counters.get("applied", 0)
-    result.vetoed = counters.get("vetoed", 0)
-    result.unchanged = counters.get("unchanged", 0)
-    result.guard_report.applied = counters.get("report_applied", 0)
-    result.guard_report.vetoed = counters.get("report_vetoed", 0)
-    result.guard_report.noop = counters.get("report_noop", 0)
-    result.guard_report.vetoes_by_constraint.update(
-        checkpoint.vetoes_by_constraint
-    )
-    result.slots_written = set(checkpoint.slots_written)
 
 
 # -- streaming detection -------------------------------------------------------

@@ -54,6 +54,7 @@ from ..reliability.integrity import (
     digest_rows,
 )
 from .errors import StreamError
+from .sources import SQLITE_SUFFIXES
 
 #: deflate level of every gzip member a fresh :class:`CSVChunkSink`
 #: output writes (read at ``open``; ``restore`` continues at the level
@@ -523,6 +524,6 @@ def open_sink(path: str | Path, table: str = "relation") -> ChunkSink:
     """A chunk sink for ``path`` picked by file type (mirrors
     :func:`repro.stream.sources.open_source`)."""
     path = Path(path)
-    if path.suffix in {".sqlite", ".sqlite3", ".db"}:
+    if path.suffix in SQLITE_SUFFIXES:
         return SQLiteChunkSink(path, table=table)
     return CSVChunkSink(path)

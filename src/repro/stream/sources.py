@@ -55,7 +55,6 @@ domain, so the per-chunk widening never influences a verdict.
 from __future__ import annotations
 
 import csv
-import gzip
 import hashlib
 import sqlite3
 from collections.abc import Callable, Iterable, Iterator
@@ -74,7 +73,9 @@ from ..relational import ColumnCodes, Schema, Table, infer_domains
 from ..relational.csvio import (
     cell_parsers,
     column_typers,
+    count_records,
     data_records,
+    open_csv,
     typed_rows,
     typed_slices,
 )
@@ -91,26 +92,6 @@ from .errors import BadRowError, StreamError
 #: default rows per chunk — small enough that a chunk's Python objects
 #: stay cache- and RAM-friendly, large enough to amortize kernel setup
 DEFAULT_CHUNK_SIZE = 65_536
-
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
-def is_gzip_path(path: str | Path) -> bool:
-    """Does ``path`` hold a gzip stream?  (Magic bytes when the file
-    exists, ``.gz`` suffix otherwise — so sinks can decide before the
-    file does.)"""
-    path = Path(path)
-    if path.exists() and path.stat().st_size >= 2:
-        with open(path, "rb") as probe:
-            return probe.read(2) == _GZIP_MAGIC
-    return path.suffix == ".gz"
-
-
-def open_text(path: str | Path):
-    """Open a (possibly gzip-compressed) text file for reading."""
-    if is_gzip_path(path):
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, newline="", encoding="utf-8")
 
 
 @dataclass
@@ -137,20 +118,16 @@ def build_chunk_table(
     same inference, same trust shortcut, same name, wherever the chunk
     is built.  :class:`ChunkColumns` become the table column-wise
     (:meth:`~repro.relational.Table.from_columns`, domains inferred from
-    the columns where the source infers); columns that constructor
-    refuses are zipped into rows and built as rows are, which raises
-    the exact error.
+    the columns where the source infers), which hands columns its
+    checks refuse to the row constructor for the exact error.
     """
     label = f"{name}[{index}]"
     if isinstance(rows, ChunkColumns):
         columns = rows.columns
-        table = Table.from_columns(
+        return Table.from_columns(
             infer_column_domains(schema, columns) if infer else schema,
             columns, name=label, trusted=infer or trusted,
         )
-        if table is not None:
-            return table
-        rows = list(zip(*columns))
     if infer:
         # Inference widens every categorical domain over exactly these
         # rows, and the cell parsers typed the scalar columns — the
@@ -313,7 +290,7 @@ def build_chunk_codes(
     :meth:`~repro.relational.Table.from_columns`,
     :meth:`~repro.relational.Schema.admits_columns`.  A chunk those
     checks prove valid becomes :class:`ChunkCodes`.  Any other chunk is
-    built by :func:`build_chunk_table` from the rows already typed,
+    built by :func:`build_chunk_table` from the columns already typed,
     which raises the exact error of :func:`build_chunk` (or returns the
     table, when the check was over-cautious).  Other payloads go through
     :func:`build_chunk`.
@@ -328,7 +305,7 @@ def build_chunk_codes(
         or schema.admits_columns(columns)
     ):
         return build_chunk_table(
-            schema, list(zip(*columns)), task.index, profile["name"],
+            schema, ChunkColumns(columns), task.index, profile["name"],
             infer=profile["infer"], trusted=profile["trusted"],
         )
     return ChunkCodes(len(keys), {
@@ -504,9 +481,10 @@ CORRUPT_POLICIES = (CORRUPT_RAISE, CORRUPT_SKIP)
 class CSVChunkSource(ChunkSource):
     """Chunked reader over a CSV file (gzip detected automatically).
 
-    The file is read and typed exactly as
-    :func:`repro.relational.read_csv` reads and types it, so a relation
-    round-trips through ``write_csv`` / streamed reading
+    The file is opened, read and typed exactly as
+    :func:`repro.relational.read_csv` opens, reads and types it (gzip
+    by its magic bytes, :func:`~repro.relational.csvio.open_csv`), so a
+    relation round-trips through ``write_csv`` / streamed reading
     value-identically: csvio's one cutter cuts its records under every
     ``on_bad_rows`` policy, and csvio's one slice loop
     (:func:`~repro.relational.csvio.typed_slices`) types slices of at
@@ -602,9 +580,8 @@ class CSVChunkSource(ChunkSource):
         self.quarantined_rows = 0
         self.fastforward_bad_rows = 0
         self.corrupt_chunks = 0
-        opener = gzip.open if is_gzip_path(self.path) else open
         try:
-            with opener(self.path, "rb") as stream:
+            with open_csv(self.path) as stream:
                 cutter = data_records(stream, self.schema)
                 if cutter is None:
                     return
@@ -1048,7 +1025,9 @@ def open_sources(
     return MultiFileChunkSource(sources)
 
 
-_SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
+#: suffixes of a SQLite file, the one rule of sources and sinks (a
+#: source sniffs an existing file's magic first)
+SQLITE_SUFFIXES = frozenset({".sqlite", ".sqlite3", ".db"})
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
@@ -1056,7 +1035,7 @@ def _is_sqlite_path(path: Path) -> bool:
     if path.exists() and path.stat().st_size >= len(_SQLITE_MAGIC):
         with open(path, "rb") as probe:
             return probe.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
-    return path.suffix in _SQLITE_SUFFIXES
+    return path.suffix in SQLITE_SUFFIXES
 
 
 def count_data_rows(path: str | Path, table: str | None = None) -> int:
@@ -1064,9 +1043,11 @@ def count_data_rows(path: str | Path, table: str | None = None) -> int:
 
     Used by the CLI to fill in the paper's nominal channel length
     (``max(|wm|, N/e)``) for a file-mode embed, where the relation is
-    never whole in memory.  CSV records are counted with the csv module
-    (quoted embedded newlines are one record, not two); SQLite asks the
-    database — the same table :class:`SQLiteChunkSource` would read.
+    never whole in memory.  CSV records are counted as ``csv.reader``
+    counts them, by csvio's cutter
+    (:func:`~repro.relational.csvio.count_records`: quoted embedded
+    newlines are one record, not two); SQLite asks the database — the
+    same table :class:`SQLiteChunkSource` would read.
     """
     path = Path(path)
     if _is_sqlite_path(path):
@@ -1078,8 +1059,4 @@ def count_data_rows(path: str | Path, table: str | None = None) -> int:
             ).fetchone()[0]
         finally:
             connection.close()
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) is None:
-            return 0
-        return sum(1 for _ in reader)
+    return count_records(path)

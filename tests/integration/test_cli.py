@@ -1,5 +1,6 @@
 """Integration tests for the repro-wm command-line interface."""
 
+import gzip
 import json
 import random
 
@@ -152,6 +153,18 @@ class TestInspect:
         assert code == 0
         assert "distinct values" in capsys.readouterr().out
 
+    def test_inspect_reads_a_gzip_copy(self, workspace, capsys):
+        args = ["inspect", "--schema", str(workspace / "schema.json")]
+        data = workspace / "data.csv"
+        packed = workspace / "data.csv.gz"
+        packed.write_bytes(gzip.compress(data.read_bytes()))
+        assert main(args + ["--data", str(data)]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(args + ["--data", str(packed)]) == 0
+        unpacked = capsys.readouterr().out.splitlines()
+        # all but the first line: the relation is named after its file
+        assert unpacked[1:] == plain[1:]
+
 
 class TestSchemaTemplate:
     def test_template_is_valid_json(self, workspace, capsys):
@@ -164,6 +177,25 @@ class TestSchemaTemplate:
         assert [a["name"] for a in payload["attributes"]] == [
             "Visit_Nbr", "Item_Nbr",
         ]
+
+    def test_a_quoted_header_name_keeps_its_comma(self, tmp_path, capsys):
+        data = tmp_path / "quoted.csv"
+        data.write_text('id,"a,b",c\r\n1,x,y\r\n', encoding="utf-8")
+        assert main(["schema-template", "--data", str(data)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["primary_key"] == "id"
+        assert [a["name"] for a in payload["attributes"]] == [
+            "id", "a,b", "c",
+        ]
+
+    def test_a_gzip_copy_prints_the_plain_template(self, workspace, capsys):
+        data = workspace / "data.csv"
+        packed = workspace / "data.csv.gz"
+        packed.write_bytes(gzip.compress(data.read_bytes()))
+        assert main(["schema-template", "--data", str(data)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["schema-template", "--data", str(packed)]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestRemapRecoveryFlag:

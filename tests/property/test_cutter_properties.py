@@ -8,11 +8,13 @@ ships its text; the lossy and verified reads type its rows while
 reading.  Whatever the text, the file's framing (plain, one gzip member,
 several), the chunk size, the resume point and the read block size,
 every task must carry the records, count, index and first row number of
-``csv.reader`` over ``open_text`` sliced by chunk — under ``skip``, of
+``csv.reader`` over the file's text sliced by chunk — under ``skip``, of
 the records of the schema's arity, chunked by surviving rows — and an
-error must come after the same records, with the same type.  Typing a
-run's text straight from its lines must give what typing the field
-lists ``csv.reader`` splits from it gives, errors included.
+error must come after the same records, with the same type.  Counting
+the records (``count_data_rows``) must give ``csv.reader``'s count or
+its error.  Typing a run's text straight from its lines must give what
+typing the field lists ``csv.reader`` splits from it gives, errors
+included.
 """
 
 import csv
@@ -75,6 +77,16 @@ def write(path, data: bytes, framing: str, cuts=()) -> None:
         ))
 
 
+def open_text(path):
+    """The file as a record-at-a-time reader reads it: text, through
+    ``gzip`` when it starts with gzip's magic bytes."""
+    with open(path, "rb") as probe:
+        packed = probe.read(2) == b"\x1f\x8b"
+    if packed:
+        return gzip.open(path, "rt", encoding="utf-8", newline="")
+    return open(path, newline="", encoding="utf-8")
+
+
 def reference(path, chunk_size: int, start: int, policy: str) -> list:
     """What reading one record at a time gives: the tasks, the records
     of a chunk typed before an error, and the error's type.  Under
@@ -83,7 +95,7 @@ def reference(path, chunk_size: int, start: int, policy: str) -> list:
     events = []
     dropped = []
     try:
-        with sources.open_text(path) as handle:
+        with open_text(path) as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is not None:
@@ -200,6 +212,59 @@ def test_tasks_match_a_record_reader(
             assert observed(path, chunk_size, start, policy) == reference(
                 path, chunk_size, start, policy
             )
+    finally:
+        csv.field_size_limit(limit)
+
+
+def reference_count(path):
+    """``csv.reader``'s count of the file's data records, or the type of
+    the error it raises."""
+    try:
+        with open_text(path) as handle:
+            reader = csv.reader(handle)
+            if next(reader, None) is None:
+                return 0
+            return sum(1 for _ in reader)
+    except Exception as exc:
+        return ("error", type(exc))
+
+
+def observed_count(path):
+    try:
+        return sources.count_data_rows(path)
+    except Exception as exc:
+        return ("error", type(exc))
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(PLAIN), max_size=120),
+        st.lists(st.sampled_from(QUOTED), max_size=120),
+    ),
+    st.sampled_from(("\n", "\r\n", "\r")),
+    st.sampled_from(FRAMINGS),
+    st.lists(st.integers(0, 600), max_size=4),
+    st.sampled_from((1, 3, csvio.TYPE_SLICE)),
+    st.sampled_from((1, 5, csvio.CUT_BLOCK)),
+)
+@settings(max_examples=1000, deadline=None)
+def test_count_matches_a_record_reader(
+    tmp_path_factory, tokens, eol, framing, cuts, slice_size, block
+):
+    """Line ends (LF, CRLF, bare CR, mixed), a last line without its
+    end, blank lines, quoted line breaks, a field over the limit, gzip
+    members and a truncated member: the count is ``csv.reader``'s, or
+    the error the same type."""
+    text = "a,b" + eol + "".join(
+        eol if token == EOL else token for token in tokens
+    )
+    path = tmp_path_factory.mktemp("count") / "data.csv"
+    write(path, text.encode("utf-8"), framing, cuts)
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with patch.object(csvio, "CUT_BLOCK", block), \
+                patch.object(csvio, "TYPE_SLICE", slice_size):
+            assert observed_count(path) == reference_count(path)
     finally:
         csv.field_size_limit(limit)
 

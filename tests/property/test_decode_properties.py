@@ -237,29 +237,23 @@ def test_bulk_table_edge_cases_match_insert_loop():
         assert bulk == outcome(lambda: insert_loop(schema, rows)), rows
 
 
-def from_columns_outcome(schema, rows, trusted):
-    """``Table.from_columns`` over the columns of ``rows``: ``None``, or
-    the table's state as :func:`outcome` gives it, with its column views
-    checked to be the very columns handed in."""
+def from_columns_outcome(schema, rows, trusted, adopts):
+    """``Table.from_columns`` over the columns of ``rows``: the table's
+    state as :func:`outcome` gives it, or the exception it raised —
+    where it ``adopts`` the batch whole, with its column views checked
+    to be the very columns handed in."""
     columns = [list(column) for column in zip(*rows)] or [
         [] for _ in schema.names
     ]
 
     def build():
         table = Table.from_columns(schema, columns, trusted=trusted)
-        if table is None:
-            return None
-        for name, column in zip(schema.names, columns):
-            assert table.column_view(name) is column
+        if adopts:
+            for name, column in zip(schema.names, columns):
+                assert table.column_view(name) is column
         return table
 
-    try:
-        table = build()
-    except Exception as exc:  # compared type and arguments, not swallowed
-        return ("raised", type(exc), repr(exc.args))
-    if table is None:
-        return None
-    return outcome(lambda: table)
+    return outcome(build)
 
 
 def without_cache_info(state):
@@ -270,19 +264,17 @@ def without_cache_info(state):
 @settings(max_examples=300, deadline=None)
 def test_column_table_matches_row_table(rows, trusted):
     """A table built from typed columns is the row constructor's table —
-    rows, key index, version — or ``None`` exactly where the row
-    constructor would not adopt the batch whole: a repeated key, or a
-    cell ``admits_rows`` refuses (unless trusted)."""
+    rows, key index, version — or fails as it fails, with the same
+    exception type and arguments, trusted or not.  Where the column
+    checks pass (unique keys, and ``admits_rows`` unless trusted) the
+    columns themselves become the table's column views."""
     schema = table_schema()
     rows = [row for row in rows if len(row) == schema.arity]
-    got = from_columns_outcome(schema, rows, trusted)
     keys = [row[0] for row in rows]
     adopts = (trusted or schema.admits_rows(rows)) and (
         len(set(keys)) == len(keys)
     )
-    if not adopts:
-        assert got is None
-        return
+    got = from_columns_outcome(schema, rows, trusted, adopts)
     reference = outcome(
         (lambda: Table.from_trusted_rows(schema, rows)) if trusted
         else (lambda: Table(schema, rows))

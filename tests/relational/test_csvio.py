@@ -1,5 +1,7 @@
 """Tests for repro.relational.csvio — CSV round-trips for blind detection."""
 
+import gzip
+
 import pytest
 
 from repro.relational import (
@@ -23,6 +25,21 @@ class TestRoundTrip:
         write_csv(tiny_table, path)
         restored = read_csv(path, tiny_schema)
         assert restored == tiny_table
+
+    def test_gzip_file_reads_as_the_plain_file(
+        self, tiny_table, tiny_schema, tmp_path
+    ):
+        plain = tmp_path / "relation.csv"
+        write_csv(tiny_table, plain)
+        # gzip is told by its magic bytes, whatever the file is called
+        for name in ("relation.csv.gz", "packed.csv"):
+            packed = tmp_path / name
+            packed.write_bytes(gzip.compress(plain.read_bytes()))
+            restored = read_csv(packed, tiny_schema, name="relation")
+            expected = read_csv(plain, tiny_schema)
+            assert restored == expected
+            assert restored.schema == expected.schema
+            assert list(restored) == list(expected)
 
     def test_header_written(self, tiny_table):
         text = dumps_csv(tiny_table)

@@ -129,6 +129,19 @@ class TestSinkRecovery:
         with pytest.raises(OSError):
             _mark(base, wm, key, spec, tmp_path / "out.csv", plan=plan)
 
+    def test_without_policy_a_failed_save_propagates(
+        self, base, key, wm, spec, tmp_path
+    ):
+        ckpt = tmp_path / "run.ckpt"
+        plan = FaultPlan().add("checkpoint.save", IO_ERROR, at=2)
+        with pytest.raises(OSError):
+            _mark(
+                base, wm, key, spec, tmp_path / "out.csv", plan=plan,
+                checkpoint=ckpt,
+            )
+        assert plan.fired == [("checkpoint.save", 2, IO_ERROR)]
+        assert load_checkpoint(ckpt).chunks_done == 1
+
 
 class TestSourceRecovery:
     def test_read_failure_reopens_at_failed_chunk(
@@ -146,6 +159,31 @@ class TestSourceRecovery:
         assert out.read_bytes() == reference_bytes["csv"]
         assert result.reliability.source_reopens == 1
         assert result.reliability.retries["source.read"] == 1
+
+    def test_exhausted_reads_raise_retry_error(
+        self, base, key, wm, spec, tmp_path
+    ):
+        csv_in = tmp_path / "in.csv"
+        write_csv(base, csv_in)
+        source = CSVChunkSource(csv_in, base.schema, chunk_size=CHUNK)
+        plan = FaultPlan().add("source.read", IO_ERROR, at=2, times=10)
+        with plan.armed(), pytest.raises(RetryError) as excinfo:
+            stream_verify(source, key, spec, wm, retry=FAST)
+        assert excinfo.value.label == "source.read"
+        assert excinfo.value.attempts == FAST.max_attempts
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert len(plan.fired) == FAST.max_attempts
+
+    def test_without_policy_a_failed_read_propagates(
+        self, base, key, wm, spec, tmp_path
+    ):
+        csv_in = tmp_path / "in.csv"
+        write_csv(base, csv_in)
+        source = CSVChunkSource(csv_in, base.schema, chunk_size=CHUNK)
+        plan = FaultPlan().add("source.read", IO_ERROR, at=1)
+        with plan.armed(), pytest.raises(OSError):
+            stream_verify(source, key, spec, wm)
+        assert plan.fired == [("source.read", 1, IO_ERROR)]
 
     def test_streamed_detection_survives_read_faults(
         self, base, key, wm, spec, tmp_path

@@ -453,6 +453,30 @@ class TestOpenHelpers:
         path.write_text('K,A\n1,"a\nb"\n2,c\n', encoding="utf-8")
         assert count_data_rows(path) == 2  # a quoted newline is one record
 
+    @pytest.mark.parametrize("quoted", (False, True))
+    def test_count_data_rows_refuses_a_field_over_the_limit(
+        self, tmp_path, quoted
+    ):
+        field = "x" * (csv.field_size_limit() + 1)
+        if quoted:
+            field = f'"{field}"'
+        path = tmp_path / "r.csv"
+        path.write_text(f"K,A\n1,a\n2,{field}\n3,c\n", encoding="utf-8")
+        with pytest.raises(csv.Error):
+            count_data_rows(path)
+
+    def test_count_data_rows_refuses_invalid_utf8(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"K,A\n1,a\n2,\xff\n3,c\n")
+        with pytest.raises(UnicodeDecodeError):
+            count_data_rows(path)
+
+    @pytest.mark.parametrize("text", ("", "K,A\n", "K,A"))
+    def test_count_data_rows_of_no_data_is_zero(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        assert count_data_rows(path) == 0
+
     def test_count_data_rows_sqlite(self, relation, tmp_path):
         path = tmp_path / "r.sqlite"
         with SQLiteChunkSink(path) as sink:
