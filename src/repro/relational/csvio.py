@@ -154,7 +154,17 @@ def read_csv(
     """
     with open_csv(path) as stream:
         return _read(stream, schema, infer_categorical_domains,
-                     name or Path(path).stem)
+                     name or relation_name(path))
+
+
+def relation_name(path: str | Path) -> str:
+    """The name of the relation in the CSV file at ``path``: the file's
+    name without a trailing ``.gz``, then without its last suffix, so
+    ``x.csv`` and ``x.csv.gz`` both hold ``x``."""
+    path = Path(path)
+    if path.suffix == ".gz":
+        path = path.with_suffix("")
+    return path.stem
 
 
 def loads_csv(

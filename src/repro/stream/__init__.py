@@ -12,10 +12,14 @@ the tuple's key value, so marking and detection chunk perfectly:
   :func:`stream_verify` / :func:`stream_verify_multipass` merge per-chunk
   vote tallies in O(chunk + channel) memory, bit-identical to the
   in-memory detector on the concatenated rows;
-* **the ordered run** — one chunk loop serves every entry point: in
-  process by default, and with ``workers=N`` (or ``"auto"``) across a
-  persistent process pool with the same ordered, bit-identical
-  merge/commit (see :mod:`repro.stream.parallel`).
+* **the ordered run** — each entry point builds one *run* (what every
+  chunk needs, the source's payload profile, the chunk builder and its
+  per-chunk function, which lives next to it in
+  :mod:`repro.stream.pipeline`) and hands it to one chunk loop
+  (:func:`repro.stream.parallel.run_chunks`): in process by default, and
+  with ``workers=N`` (or ``"auto"``) across a persistent process pool
+  whose workers are initialized with the pickled run, with the same
+  ordered, bit-identical merge/commit.
 
 Opens the million-row / on-disk workload class the in-memory
 :class:`~repro.relational.Table` paths cap out on.

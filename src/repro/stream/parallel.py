@@ -2,33 +2,41 @@
 
 The scheme's per-tuple decisions are pure functions of a keyed hash of
 the tuple's key value, so chunks are independent by construction and
-``VoteAccumulator`` merges are associative.  Every ``stream_*`` call, at
-every worker count, runs its chunks through the one ordered pool run,
-:class:`~repro.reliability.pool.OrderedRun` (:func:`_run_chunks` adapts
-it to chunks), and each direction has one per-chunk function —
-:func:`_chunk_votes` and :func:`_embed_chunk` — that every chunk runs
-through wherever it is computed.
+``VoteAccumulator`` merges are associative.  This module runs chunks;
+:mod:`repro.stream.pipeline` says what a chunk does.  Every ``stream_*``
+call builds one **run**, a dict holding:
 
+* what every chunk needs — keys, spec, domain, and the embedding maps
+  or the watermark data;
+* the source's payload profile
+  (:func:`~repro.stream.sources.payload_profile`);
+* the chunk builder (``run["build"]``):
+  :func:`~repro.stream.sources.build_chunk` (a chunk table) for marking
+  and the SCALAR reference, :func:`~repro.stream.sources.build_chunk_codes`
+  (the key and mark column codes of a raw CSV payload) for VECTOR
+  detection;
+* the per-chunk function (``run["compute"]``), which lives next to its
+  entry point in :mod:`repro.stream.pipeline`.
+
+:func:`run_chunks` runs it through the one ordered pool run,
+:class:`~repro.reliability.pool.OrderedRun`, at every worker count.
 Every run reads the same chunk tasks — the source's one reader,
 :func:`~repro.stream.sources.payload_chunks` (raw CSV text, typed row
-tuples, finished tables) — and builds every chunk from its task with
-one function wherever the chunk is computed:
-:func:`~repro.stream.sources.build_chunk` (a chunk table) for marking
-and the SCALAR reference, :func:`~repro.stream.sources.build_chunk_codes`
-(the key and mark column codes of a raw CSV payload) for VECTOR
-detection:
+tuples, finished tables) — and every chunk is computed at one call
+site, ``run["compute"](run, engines, index, chunk)``, wherever it runs:
 
 * **In process** (``workers=None`` or ``1``) — the run reads one task,
-  builds and computes its chunk and commits it before reading the next.
-  No pool, no pickled run state.
+  builds and computes its chunk on the caller's engines and commits it
+  before reading the next.  No pool, nothing pickled.
 * **On a pool** (``workers > 1``) — the coordinator keeps
   ``2 × workers`` chunks in flight on a persistent process pool, so
-  decode overlaps compute.  Workers are initialized once with the
-  pickled run state (keys, spec, domain, schema, the chunk builder),
-  build one warm chunk-bounded :func:`stream_engine` per key, build each
-  task's chunk (a CSV chunk's field split and typing happen *there*: the
-  coordinator only decompresses the file and cuts its text at newlines)
-  and call the same per-chunk function.
+  decode overlaps compute.  Each worker is initialized once with the
+  run itself, pickled; it builds one warm chunk-bounded
+  :func:`stream_engine` per key and makes the same call through one pool
+  task, which builds each task's chunk there (a CSV chunk's field split
+  and typing happen *in the worker*: the coordinator only decompresses
+  the file and cuts its text at line ends).  A later run that pickles
+  identically reuses the pool and its warm engines.
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
@@ -45,7 +53,7 @@ of :mod:`repro.reliability.pool`: failed chunks are re-dispatched (pure
 functions — the replay is bit-identical), a broken pool is respawned,
 and a chunk that spends the whole retry budget — a pool that cannot
 start included — finishes the run in process with the same per-chunk
-functions.  ``retry=None`` fails fast.
+function.  ``retry=None`` fails fast.
 """
 
 from __future__ import annotations
@@ -56,17 +64,13 @@ import logging
 import os
 import pickle
 from collections.abc import Callable, Iterator, Sequence
-from functools import partial
-from typing import Any, Hashable
+from typing import Any
 
 from ..core import kernels
-from ..core.detection import SlotVotes, VoteAccumulator, extract_slot_votes
-from ..core.embedding import EmbeddingResult, EmbeddingSpec, embed
+from ..core.embedding import EmbeddingSpec
 from ..core.errors import DetectionError
-from ..core.watermark import Watermark
-from ..crypto import SCALAR, HashEngine, MarkKey
-from ..quality import GuardReport, QualityGuard
-from ..relational import CategoricalDomain, Table
+from ..crypto import HashEngine, MarkKey
+from ..relational import CategoricalDomain
 from ..reliability.deadline import Deadline
 from ..reliability.faults import fault_point
 from ..reliability.pool import (
@@ -82,13 +86,9 @@ from .errors import StreamError
 from .sources import (
     DEFAULT_CHUNK_SIZE,
     PAYLOAD_TABLE,
-    ChunkCodes,
     ChunkTask,
-    build_chunk,
-    build_chunk_codes,
     payload_chunks,
     payload_decoders,
-    payload_profile,
 )
 
 logger = logging.getLogger(__name__)
@@ -131,7 +131,7 @@ def resolve_workers(workers: int | str | None) -> int:
     """Normalize a ``workers=`` parameter to a positive worker count.
 
     ``None`` and ``1`` run the ordered loop in process: no pool, no
-    pickled run state.  ``"auto"`` applies the cpu_count
+    pickled run.  ``"auto"`` applies the cpu_count
     heuristic: reserve one core for the coordinator's read-ahead decode
     and fan the rest, never fewer than two workers once a second core
     exists and never more than eight (the coordinator decompresses and
@@ -155,173 +155,86 @@ def resolve_workers(workers: int | str | None) -> int:
     return count
 
 
-# -- the per-chunk functions (workers, in process, pool fallback) --------------
-
-def _chunk_votes(
-    chunk: Table | ChunkCodes,
-    keys: Sequence[MarkKey],
-    spec: EmbeddingSpec,
-    maps: Sequence[dict[Hashable, int] | None],
-    domain: CategoricalDomain,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines: Sequence[HashEngine | None],
-) -> list[SlotVotes]:
-    """Every pass's slot-vote tallies for one chunk on ``engines``:
-    one :func:`~repro.core.kernels.detect_multipass` launch for all
-    VECTOR passes, which share the chunk's key factorization by
-    construction; SCALAR (``None`` engines) scans the chunk table once
-    per pass."""
-    if None in engines:
-        return [
-            extract_slot_votes(
-                chunk, key, spec, embedding_map, domain, value_mapping,
-                engine=SCALAR,
-            )
-            for key, embedding_map in zip(keys, maps)
-        ]
-    return [
-        SlotVotes.from_arrays(*tally)
-        for tally in kernels.detect_multipass(
-            [chunk] * len(keys), spec, [domain] * len(keys), maps,
-            value_mapping, engines,
-        )
-    ]
-
-
-def _embed_chunk(
-    chunk: Table,
-    watermark: Watermark,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    wm_data,
-    constraints_factory: Callable[[], list] | None,
-    engine: HashEngine | None,
-    index: int,
-) -> tuple[EmbeddingResult, GuardReport]:
-    """Embed one chunk in place under a fresh per-chunk guard on
-    ``engine`` (``None``: SCALAR); returns ``(pass_result,
-    guard_report)``."""
-    if chunk.schema.attribute(spec.mark_attribute).domain != domain:
-        raise StreamError(
-            "chunk domain drifted from the declared domain — "
-            "stream_mark sources must be built with infer_domains=False"
-        )
-    # Injection point: embed-step faults (hang/slow/memory) land here,
-    # before the chunk is durable, unlike the post-durability
-    # "pipeline.chunk" point.  Pool workers run disarmed.
-    fault_point("pipeline.embed", index)
-    guard = QualityGuard(
-        list(constraints_factory()) if constraints_factory else []
-    )
-    guard.bind(chunk)
-    if engine is None:
-        pass_result = embed(
-            chunk, watermark, key, spec, guard=guard, engine=SCALAR
-        )
-    else:
-        pass_result = EmbeddingResult(
-            spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
-        )
-        kernels.embed_vector(
-            chunk, spec, domain, wm_data, guard, pass_result, engine
-        )
-    return pass_result, guard.report
-
-
 # -- pool workers --------------------------------------------------------------
 #
-# One persistent pool, keyed by (hash of the pickled run state, worker
-# count).  Workers hold warm per-key stream engines, so repeated verify
-# calls with the same run state re-hash nothing.
+# One persistent pool, keyed by (hash of the pickled run, worker count).
+# Workers hold warm per-key stream engines, so repeated identical runs
+# re-hash nothing.
 
 _pool = PersistentPool("stream-heartbeat-")
 
-# Worker-process globals (set by _worker_init, used by the task fns).
-_W: dict[str, Any] | None = None
-_W_ENGINES: list | None = None
-_W_DECODERS = None
-_W_CHUNKS = 0
+# Worker-process globals, set by _worker_init: the run, its engines and
+# decoders, and the number of chunks this worker computed.
+_RUN: dict[str, Any] | None = None
+_ENGINES: list[HashEngine | None] = []
+_DECODERS = None
+_CHUNKS = 0
 
 
 def _worker_init(blob: bytes) -> None:
-    """Pool initializer: install the run state, build one warm
-    chunk-bounded stream engine per key, zero worker-local telemetry."""
-    global _W, _W_ENGINES, _W_DECODERS, _W_CHUNKS
-    _W = pickle.loads(blob)
-    csv.field_size_limit(_W["field_size_limit"])
-    _W_ENGINES = [
-        None if _W["scalar"] else stream_engine(key, _W["chunk_size"])
-        for key in _W["keys"]
+    """Pool initializer: install the run, build one warm chunk-bounded
+    stream engine per key, zero worker-local telemetry."""
+    global _RUN, _ENGINES, _DECODERS, _CHUNKS
+    _RUN = pickle.loads(blob)
+    csv.field_size_limit(_RUN["field_size_limit"])
+    _ENGINES = [
+        None if _RUN["scalar"] else stream_engine(key, _RUN["chunk_size"])
+        for key in _RUN["keys"]
     ]
-    _W_DECODERS = payload_decoders(_W["profile"]["schema"])
-    _W_CHUNKS = 0
+    _DECODERS = payload_decoders(_RUN["profile"]["schema"])
+    _CHUNKS = 0
     # Worker-local counters must count this worker's launches only,
     # whatever the parent process had accumulated before the fork.
     kernels.reset_kernel_calls()
 
 
-def _in_worker(task: ChunkTask, compute):
-    """Run ``compute(chunk)`` on one payload inside a pool worker;
-    returns ``(result, worker stats)``."""
-    global _W_CHUNKS
-    result = compute(_W["build"](task, _W["profile"], _W_DECODERS))
-    _W_CHUNKS += 1
+def in_pool_worker() -> bool:
+    """Whether this process is a stream pool worker, whose chunk results
+    are pickled back to the coordinator."""
+    return _RUN is not None
+
+
+def _compute(run: dict[str, Any], engines, decoders, task: ChunkTask):
+    """Build ``task``'s chunk and compute it: the one call site of a
+    run's per-chunk function, in process and in pool workers."""
+    chunk = run["build"](task, run["profile"], decoders)
+    return run["compute"](run, engines, task.index, chunk)
+
+
+def _pool_task(task: ChunkTask):
+    """The one pool task: ``(result, worker stats)`` of one chunk."""
+    global _CHUNKS
+    result = _compute(_RUN, _ENGINES, _DECODERS, task)
+    _CHUNKS += 1
     return result, {
         "pid": os.getpid(),
-        "chunks": _W_CHUNKS,
+        "chunks": _CHUNKS,
         "kernel_calls": dict(kernels.KERNEL_CALLS),
         "computed_digests": sum(
             engine.computed_digests
-            for engine in _W_ENGINES
+            for engine in _ENGINES
             if engine is not None
         ),
     }
 
 
-def _task_votes(task: ChunkTask):
-    """Pool task: one chunk's per-pass tallies and row count."""
-    def votes(chunk):
-        tallies = _chunk_votes(
-            chunk, _W["keys"], _W["spec"], _W["maps"], _W["domain"],
-            _W["value_mapping"], _W_ENGINES,
-        )
-        return tallies, len(chunk)
-
-    return _in_worker(task, votes)
-
-
-def _task_embed(task: ChunkTask):
-    """Pool task: embed one chunk; ships the marked rows back with the
-    chunk's embedding and guard reports."""
-    def marked_rows(chunk):
-        pass_result, guard_report = _embed_chunk(
-            chunk, _W["watermark"], _W["keys"][0], _W["spec"], _W["domain"],
-            _W["wm_data"], None, _W_ENGINES[0], task.index,
-        )
-        return list(iter(chunk)), pass_result, guard_report
-
-    return _in_worker(task, marked_rows)
-
-
 def shutdown_stream_pool() -> None:
-    """Retire the persistent stream pool (test isolation, run-state
-    change, interpreter exit)."""
+    """Retire the persistent stream pool (test isolation, run change,
+    interpreter exit)."""
     _pool.shutdown()
 
 
-def _run_blob(state: dict[str, Any]) -> bytes:
-    """The pickled run state every pool worker is initialized with."""
+def _run_blob(run: dict[str, Any]) -> bytes:
+    """The pickled run every pool worker is initialized with."""
     try:
-        return pickle.dumps(state)
+        return pickle.dumps(run)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         # The three ways pickling actually fails: a declared-unpicklable
         # object, an unsupported type (lambda, local class), or a lookup
         # that dies during __reduce__.  Anything else is a real bug in
-        # run-state assembly and should surface with its own traceback.
+        # run assembly and should surface with its own traceback.
         logger.warning(
-            "run state for %s is not picklable: %r",
-            state["profile"]["name"], exc,
+            "run for %s is not picklable: %r", run["profile"]["name"], exc,
         )
         raise StreamError(
             f"parallel streaming needs a picklable run state: {exc}"
@@ -398,51 +311,48 @@ def _peek_domain(
 
 # -- the ordered run -----------------------------------------------------------
 
-def _run_chunks(
-    tasks: Iterator[ChunkTask],
-    profile: dict[str, Any],
-    compute,
-    commit,
+def run_chunks(
+    source,
+    start: int,
+    run: dict[str, Any],
+    engines: Sequence[HashEngine | None],
+    commit: Callable[[ChunkTask, Any], None],
     *,
-    build,
-    pool_task,
-    state: dict[str, Any],
     workers: int,
     retry: RetryPolicy | None,
     deadline: Deadline | None,
     watchdog: Watchdog | bool | None,
     reliability: ReliabilityReport,
 ) -> ParallelReport | None:
-    """Run chunk ``tasks`` through the one ordered pool run.
+    """Run ``run`` over the chunks of ``source`` from chunk ``start``.
 
-    ``build(task, profile, decoders)`` turns each task into the chunk
-    ``compute(index, chunk)`` runs on in this process, and ``commit(task,
-    result)`` sees the chunks in chunk order, each followed by the
-    ``"pipeline.chunk"`` fault point.  With one worker every chunk is
-    computed here: no pool, no pickled run state.  With more,
-    ``pool_task(task)`` runs in workers initialized with the pickled
-    ``state`` and ``build`` (so a run builds its chunks one way wherever
-    they are computed), and ``compute`` serves only the in-process finish
-    after a chunk spent the retry budget.  Returns the run's report,
-    ``None`` in process.
+    ``commit(task, result)`` sees every chunk's result in chunk order,
+    each followed by the ``"pipeline.chunk"`` fault point.  With one
+    worker every chunk is computed here, on ``engines`` (one per key,
+    ``None`` for SCALAR).  With more, pool workers initialized with the
+    pickled run compute them on engines of their own, and ``engines``
+    serve only the in-process finish after a chunk spent the retry
+    budget.  A run whose ``"domain"`` is ``None`` (a schema-less
+    iterable source) pins it from its first chunk.
+
+    The task stream is closed however the run ends, so a run that raises
+    releases the source's reader (a SQLite connection, a gzip handle) at
+    the raise, in this thread.  Returns the pool run's report, ``None``
+    in process.
     """
-    decoders = payload_decoders(profile["schema"])
+    decoders = payload_decoders(run["profile"]["schema"])
     blob = None
 
     def open_pool():
         nonlocal blob
         if blob is None:
-            blob = _run_blob({
-                **state, "profile": profile, "build": build,
-                # Workers split CSV text: with the caller's limit.
-                "field_size_limit": csv.field_size_limit(),
-            })
+            # Workers split CSV text: with the caller's limit.
+            blob = _run_blob(
+                {**run, "field_size_limit": csv.field_size_limit()}
+            )
         return _pool.ensure(
             hashlib.sha256(blob).digest(), workers, _worker_init, blob
         )
-
-    def in_process(task: ChunkTask):
-        return compute(task.index, build(task, profile, decoders)), None
 
     def commit_chunk(task: ChunkTask, outcome) -> None:
         result, stats = outcome
@@ -454,154 +364,22 @@ def _run_chunks(
         # the chaos kill-matrix resumes from.
         fault_point("pipeline.chunk", task.index)
 
-    run = OrderedRun(
-        _pool, open_pool if workers > 1 else None, pool_task, in_process,
-        commit_chunk, workers=workers, label="pipeline.chunk", retry=retry,
-        deadline=deadline, watchdog=resolve_watchdog(watchdog),
-        reliability=reliability,
-    )
-    # ``commit_chunk`` reads the report, not the run that holds it: a
-    # reference cycle would keep the run's engines and their caches alive
-    # after the call, until the cyclic GC ran.
-    report = run.report
-    run.run((task.index, task) for task in tasks)
+    tasks = stream = _tasks_with_retry(source, start, retry, reliability)
+    try:
+        if run["domain"] is None:
+            run["domain"], tasks = _peek_domain(stream, run["spec"])
+        ordered = OrderedRun(
+            _pool, open_pool if workers > 1 else None, _pool_task,
+            lambda task: (_compute(run, engines, decoders, task), None),
+            commit_chunk, workers=workers, label="pipeline.chunk",
+            retry=retry, deadline=deadline,
+            watchdog=resolve_watchdog(watchdog), reliability=reliability,
+        )
+        # ``commit_chunk`` reads the report, not the ordered run that
+        # holds it: a reference cycle would keep the run's engines and
+        # their caches alive after the call, until the cyclic GC ran.
+        report = ordered.report
+        ordered.run((task.index, task) for task in tasks)
+    finally:
+        stream.close()
     return report if workers > 1 else None
-
-
-# -- the two directions --------------------------------------------------------
-
-def ordered_votes(
-    source,
-    keys: Sequence[MarkKey],
-    spec: EmbeddingSpec,
-    *,
-    maps: Sequence[dict[Hashable, int] | None],
-    domain: CategoricalDomain | None,
-    value_mapping: dict[Hashable, Hashable] | None,
-    engines: Sequence[HashEngine | None],
-    chunk_size: int,
-    workers: int,
-    retry: RetryPolicy | None,
-    deadline: Deadline | None,
-    watchdog: Watchdog | bool | None,
-    reliability: ReliabilityReport,
-) -> tuple[list[VoteAccumulator], int, int, ParallelReport | None]:
-    """Streamed tallies of ``source`` for every key: ``(accumulators,
-    chunks, rows, parallel report)``, merged in chunk order, so every
-    accumulator's state is identical at every worker count.  ``engines``
-    (one per key, ``None`` for SCALAR) compute in this process; pool
-    workers build their own.
-
-    The vector kernels read only a chunk's key and mark column codes, so
-    a VECTOR run builds raw CSV payloads with
-    :func:`~repro.stream.sources.build_chunk_codes` (same typing, same
-    checks, no rows); SCALAR, the reference, builds every chunk table.
-
-    The task stream is closed however the run ends, so a run that
-    raises releases the source's reader (a SQLite connection, a gzip
-    handle) at the raise, in this thread."""
-    accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
-    chunks = rows = 0
-    build = build_chunk if None in engines else partial(
-        build_chunk_codes,
-        attributes=(spec.key_attribute, spec.mark_attribute),
-    )
-
-    def compute(index: int, chunk: Table | ChunkCodes):
-        tallies = _chunk_votes(
-            chunk, keys, spec, maps, domain, value_mapping, engines
-        )
-        return tallies, len(chunk)
-
-    def commit(task: ChunkTask, result) -> None:
-        nonlocal chunks, rows
-        tallies, nrows = result
-        for accumulator, tally in zip(accumulators, tallies):
-            accumulator.add(tally)
-        chunks += 1
-        rows += nrows
-
-    tasks = stream = _tasks_with_retry(source, 0, retry, reliability)
-    try:
-        if domain is None:
-            domain, tasks = _peek_domain(stream, spec)
-        parallel = _run_chunks(
-            tasks, payload_profile(source), compute, commit,
-            build=build,
-            pool_task=_task_votes,
-            state={
-                "keys": list(keys), "maps": list(maps), "spec": spec,
-                "domain": domain, "value_mapping": value_mapping,
-                "scalar": None in engines, "chunk_size": chunk_size,
-            },
-            workers=workers, retry=retry, deadline=deadline,
-            watchdog=watchdog, reliability=reliability,
-        )
-    finally:
-        stream.close()
-    return accumulators, chunks, rows, parallel
-
-
-def ordered_mark(
-    source,
-    start: int,
-    commit_marked,
-    *,
-    watermark: Watermark,
-    key: MarkKey,
-    spec: EmbeddingSpec,
-    domain: CategoricalDomain,
-    wm_data,
-    engine: HashEngine | None,
-    constraints_factory: Callable[[], list] | None,
-    chunk_size: int,
-    workers: int,
-    retry: RetryPolicy | None,
-    deadline: Deadline | None,
-    watchdog: Watchdog | bool | None,
-    reliability: ReliabilityReport,
-) -> ParallelReport | None:
-    """Streamed embed from chunk ``start``: hands every marked chunk to
-    ``commit_marked(index, marked, pass_result, guard_report, rows)`` in
-    strict chunk order — the caller (``stream_mark``) writes, flushes
-    and checkpoints, so output bytes, checkpoints and resume are
-    identical at every worker count.  In process the marked chunk is the
-    source's own table; pool workers ship marked rows, rebuilt here as a
-    trusted table.  Returns the parallel report (``None`` in process)."""
-    profile = payload_profile(source)
-
-    def compute(index: int, chunk: Table):
-        return (chunk, *_embed_chunk(
-            chunk, watermark, key, spec, domain, wm_data,
-            constraints_factory, engine, index,
-        ))
-
-    def commit(task: ChunkTask, result) -> None:
-        marked, pass_result, guard_report = result
-        if not isinstance(marked, Table):  # a pool worker's marked rows
-            marked = Table.from_trusted_rows(
-                profile["schema"], marked,
-                name=f"{profile['name']}[{task.index}]",
-            )
-        commit_marked(
-            task.index, marked, pass_result, guard_report, len(marked)
-        )
-
-    # Closed however the run ends, so a run that raises releases the
-    # source's reader at the raise, in this thread.
-    stream = _tasks_with_retry(source, start, retry, reliability)
-    try:
-        return _run_chunks(
-            stream, profile, compute, commit,
-            build=build_chunk,
-            pool_task=_task_embed,
-            state={
-                "keys": [key], "spec": spec, "domain": domain,
-                "scalar": engine is None, "chunk_size": chunk_size,
-                "watermark": watermark, "wm_data": wm_data,
-            },
-            workers=workers, retry=retry, deadline=deadline,
-            watchdog=watchdog, reliability=reliability,
-        )
-    finally:
-        stream.close()

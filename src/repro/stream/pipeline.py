@@ -17,13 +17,18 @@ are embarrassingly chunkable:
   large file uses O(chunk + channel length) memory and is bit-identical
   to the in-memory :func:`~repro.core.verify` on the concatenated rows.
 
-This module owns what is specific to each entry point — validation,
-resume, the sink/journal/checkpoint commit of a marked chunk, the final
-verdicts.  The chunk loop itself is one ordered run for both directions
-and every worker count (:mod:`repro.stream.parallel`): ``workers=None``
-or ``1`` computes each chunk in process and commits it before reading
-the next; ``workers > 1`` fans the same per-chunk functions across a
-process pool and commits in the same order.
+This module says what a chunk does; :mod:`repro.stream.parallel` runs
+the chunks.  It owns what is specific to each entry point — validation,
+resume, the per-chunk functions (:func:`_embed_chunk` for marking,
+:func:`_chunk_votes` for detection), the sink/journal/checkpoint commit
+of a marked chunk, the final verdicts.  Each call builds one *run* (what
+every chunk needs, the source's payload profile, the chunk builder and
+the per-chunk function) and hands it to
+:func:`~repro.stream.parallel.run_chunks`, one ordered run for both
+directions and every worker count: ``workers=None`` or ``1`` computes
+each chunk in process and commits it before reading the next;
+``workers > 1`` initializes a process pool with the pickled run, makes
+the same per-chunk call there and commits in the same order.
 
 Memory discipline: the stream-scoped engine bounds its memoization caches
 relative to the chunk size (fresh key values arrive forever; an unbounded
@@ -40,28 +45,35 @@ import logging
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Hashable
 
+from ..core import kernels
 from ..core.detection import (
     DEFAULT_SIGNIFICANCE,
     DetectionResult,
     SlotVotes,
     VerificationResult,
+    VoteAccumulator,
     _assemble_verification,
     _check_expected,
     _check_maps,
+    extract_slot_votes,
 )
 from ..core.embedding import (
+    EmbeddingResult,
     EmbeddingSpec,
     VARIANT_KEYED,
+    embed,
     value_pair_count,
 )
 from ..core.errors import DetectionError, SpecError
 from ..core.watermark import Watermark
 from ..crypto import BACKENDS, SCALAR, HashEngine, MarkKey
-from ..quality import GuardReport
-from ..relational import CategoricalDomain, Schema
+from ..quality import GuardReport, QualityGuard
+from ..relational import CategoricalDomain, Schema, Table
 from ..reliability.deadline import Deadline
+from ..reliability.faults import fault_point
 from ..reliability.integrity import (
     RunLock,
     append_journal_chunk,
@@ -82,13 +94,19 @@ from .checkpoint import (
 )
 from .errors import CheckpointError, StreamError
 from .parallel import (
-    ordered_mark,
-    ordered_votes,
+    in_pool_worker,
     resolve_workers,
+    run_chunks,
     stream_engine,
 )
 from .sinks import ChunkSink
-from .sources import DEFAULT_CHUNK_SIZE, source_schema
+from .sources import (
+    DEFAULT_CHUNK_SIZE,
+    build_chunk,
+    build_chunk_codes,
+    payload_profile,
+    source_schema,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -201,6 +219,47 @@ def _validate_mark_inputs(
     return attribute.domain
 
 
+def _embed_chunk(
+    run: dict[str, Any],
+    engines: Sequence[HashEngine | None],
+    index: int,
+    chunk: Table,
+) -> tuple[Table | list[tuple], EmbeddingResult, GuardReport]:
+    """The per-chunk function of a :func:`stream_mark` run: embed one
+    chunk in place under a fresh per-chunk guard on ``engines[0]``
+    (``None``: SCALAR).  Returns ``(marked, pass_result, guard_report)``,
+    where ``marked`` is the chunk table — or, in a pool worker, its rows,
+    which the coordinator rebuilds."""
+    spec, domain = run["spec"], run["domain"]
+    if chunk.schema.attribute(spec.mark_attribute).domain != domain:
+        raise StreamError(
+            "chunk domain drifted from the declared domain — "
+            "stream_mark sources must be built with infer_domains=False"
+        )
+    # Injection point: embed-step faults (hang/slow/memory) land here,
+    # before the chunk is durable, unlike the post-durability
+    # "pipeline.chunk" point.  Pool workers run disarmed.
+    fault_point("pipeline.embed", index)
+    factory = run["constraints_factory"]
+    guard = QualityGuard(list(factory()) if factory else [])
+    guard.bind(chunk)
+    if engines[0] is None:
+        pass_result = embed(
+            chunk, run["watermark"], run["keys"][0], spec, guard=guard,
+            engine=SCALAR,
+        )
+    else:
+        pass_result = EmbeddingResult(
+            spec=spec, fit_count=0, applied=0, vetoed=0, unchanged=0,
+        )
+        kernels.embed_vector(
+            chunk, spec, domain, run["wm_data"], guard, pass_result,
+            engines[0],
+        )
+    marked = list(iter(chunk)) if in_pool_worker() else chunk
+    return marked, pass_result, guard.report
+
+
 def stream_mark(
     source,
     watermark: Watermark,
@@ -305,7 +364,15 @@ def stream_mark(
     domain = _validate_mark_inputs(schema, watermark, spec)
     chunk_size = _source_chunk_size(source)
     engine = _resolve_stream_backend(backend, key, chunk_size)
-    wm_data = spec.ecc().encode(watermark.bits, spec.channel_length)
+    run = {
+        "keys": [key], "spec": spec, "domain": domain,
+        "watermark": watermark,
+        "wm_data": spec.ecc().encode(watermark.bits, spec.channel_length),
+        "constraints_factory": constraints_factory,
+        "scalar": engine is None, "chunk_size": chunk_size,
+        "profile": payload_profile(source), "build": build_chunk,
+        "compute": _embed_chunk,
+    }
 
     result = StreamMarkResult(
         spec=spec, chunks=0, rows=0, fit_count=0, applied=0, vetoed=0,
@@ -418,101 +485,82 @@ def stream_mark(
             sink.open(schema)
             _start_journal(journal, sink, fingerprint)
 
-        return _stream_mark_run(
-            source=source, sink=sink, schema=schema, result=result,
-            reliability=reliability, start=start, fingerprint=fingerprint,
-            watermark=watermark, key=key, spec=spec, domain=domain,
-            wm_data=wm_data, engine=engine,
-            chunk_size=chunk_size, constraints_factory=constraints_factory,
-            checkpoint_path=checkpoint_path, journal=journal,
-            run_lock=run_lock, retry=retry, deadline=deadline,
-            worker_count=worker_count, watchdog=watchdog,
-            record_manifest=record_manifest,
-        )
+        # The durable marker the retry layer rolls the sink back to before
+        # rewriting a chunk whose write failed mid-way.  A run that neither
+        # retries nor checkpoints never asks the sink for a marker.
+        durable = retry is not None or checkpoint_path is not None
+        last_good = sink.flush_state() if retry is not None else None
+
+        def rollback():
+            reliability.sink_rollbacks += 1
+            sink.restore(schema, last_good)
+
+        def commit(task, embedded) -> None:
+            """Make one marked chunk durable: fold its counters into the
+            result, write it to the sink (rolling back and rewriting
+            under ``retry``) and record the checkpoint.  The ordered run
+            calls it in strict chunk order, which is what keeps output
+            bytes and checkpoints identical at every worker count."""
+            nonlocal last_good
+            marked, pass_result, guard_report = embedded
+            if not isinstance(marked, Table):  # a pool worker's marked rows
+                marked = Table.from_trusted_rows(
+                    schema, marked,
+                    name=f"{run['profile']['name']}[{task.index}]",
+                )
+            delta = _journal_delta(pass_result, guard_report, len(marked))
+            result.chunks += 1
+            _fold_delta(result, delta)
+
+            def write():
+                sink.write_chunk(marked)
+                return sink.flush_state() if durable else None
+
+            state = last_good = call_with_retry(
+                write, "sink.write", retry,
+                recover=rollback, on_retry=reliability.record_retry,
+            )
+            if journal is not None:
+                # Journal before checkpoint: a crash between the two
+                # leaves the journal one record ahead, which resume
+                # tolerates (the journalled chunk's bytes are durable —
+                # flush_state above).
+                append_journal_chunk(
+                    journal,
+                    index=task.index,
+                    entry=sink.manifest.entries[-1],
+                    delta=delta,
+                    sink_state=state,
+                )
+            if run_lock is not None:
+                run_lock.heartbeat()
+
+            if checkpoint_path is not None:
+                call_with_retry(
+                    lambda: save_checkpoint(
+                        checkpoint_path,
+                        _as_checkpoint(result, fingerprint, start, state),
+                    ),
+                    "checkpoint.save", retry,
+                    on_retry=reliability.record_retry,
+                )
+
+        try:
+            result.parallel = run_chunks(
+                source, start, run, [engine], commit,
+                workers=worker_count, retry=retry, deadline=deadline,
+                watchdog=watchdog, reliability=reliability,
+            )
+        finally:
+            sink.close()
+        _count_source_losses(reliability, source)
+        result.resumed_at_chunk = start
+        if record_manifest:
+            result.manifest = getattr(sink, "manifest", None)
+        return result
     finally:
         if run_lock is not None:
             run_lock.release()
-
-
-def _stream_mark_run(
-    *,
-    source, sink, schema, result, reliability, start, fingerprint,
-    watermark, key, spec, domain, wm_data, engine, chunk_size,
-    constraints_factory, checkpoint_path, journal, run_lock, retry,
-    deadline, worker_count, watchdog, record_manifest,
-) -> StreamMarkResult:
-    """The chunk loop of :func:`stream_mark`, after the sink/journal/
-    lease are positioned (split out so the lease's try/finally wraps
-    everything without another indentation level)."""
-    # The durable marker the retry layer rolls the sink back to before
-    # rewriting a chunk whose write failed mid-way.  A run that neither
-    # retries nor checkpoints never asks the sink for a marker.
-    durable = retry is not None or checkpoint_path is not None
-    last_good = sink.flush_state() if retry is not None else None
-
-    def _rollback():
-        reliability.sink_rollbacks += 1
-        sink.restore(schema, last_good)
-
-    def _commit_marked(index, marked, pass_result, guard_report, nrows):
-        """Make one marked chunk durable: fold its counters into the
-        result, write it to the sink (rolling back and rewriting under
-        ``retry``) and record the checkpoint.  The ordered run calls it
-        in strict chunk order, which is what keeps output bytes and
-        checkpoints identical at every worker count."""
-        nonlocal last_good
-        delta = _journal_delta(pass_result, guard_report, nrows)
-        result.chunks += 1
-        _fold_delta(result, delta)
-
-        def _write():
-            sink.write_chunk(marked)
-            return sink.flush_state() if durable else None
-
-        state = last_good = call_with_retry(
-            _write, "sink.write", retry,
-            recover=_rollback, on_retry=reliability.record_retry,
-        )
-        if journal is not None:
-            # Journal before checkpoint: a crash between the two leaves
-            # the journal one record ahead, which resume tolerates (the
-            # journalled chunk's bytes are durable — flush_state above).
-            append_journal_chunk(
-                journal,
-                index=index,
-                entry=sink.manifest.entries[-1],
-                delta=delta,
-                sink_state=state,
-            )
-        if run_lock is not None:
-            run_lock.heartbeat()
-
-        if checkpoint_path is not None:
-            call_with_retry(
-                lambda: save_checkpoint(
-                    checkpoint_path,
-                    _as_checkpoint(result, fingerprint, start, state),
-                ),
-                "checkpoint.save", retry,
-                on_retry=reliability.record_retry,
-            )
-
-    try:
-        result.parallel = ordered_mark(
-            source, start, _commit_marked,
-            watermark=watermark, key=key, spec=spec, domain=domain,
-            wm_data=wm_data, engine=engine,
-            constraints_factory=constraints_factory, chunk_size=chunk_size,
-            workers=worker_count, retry=retry, deadline=deadline,
-            watchdog=watchdog, reliability=reliability,
-        )
-    finally:
-        sink.close()
-    _count_source_losses(reliability, source)
-    result.resumed_at_chunk = start
-    if record_manifest:
-        result.manifest = getattr(sink, "manifest", None)
-    return result
 
 
 def _lock_path(checkpoint_path, sink) -> str:
@@ -689,24 +737,106 @@ class StreamVerification:
         return self.verification.summary()
 
 
-def _resolve_stream_domain(
-    domain: CategoricalDomain | None, source, spec: EmbeddingSpec
-) -> CategoricalDomain | None:
-    """The one canonical domain every chunk decodes against.
+def _chunk_votes(
+    run: dict[str, Any],
+    engines: Sequence[HashEngine | None],
+    index: int,
+    chunk,
+) -> tuple[list[SlotVotes], int]:
+    """The per-chunk function of a detection run: every pass's slot-vote
+    tallies for one chunk, and its row count.  One
+    :func:`~repro.core.kernels.detect_multipass` launch serves all VECTOR
+    passes, which share the chunk's key factorization by construction;
+    SCALAR (``None`` engines) scans the chunk table once per pass."""
+    keys, spec, maps = run["keys"], run["spec"], run["maps"]
+    domain, value_mapping = run["domain"], run["value_mapping"]
+    if None in engines:
+        tallies = [
+            extract_slot_votes(
+                chunk, key, spec, embedding_map, domain, value_mapping,
+                engine=SCALAR,
+            )
+            for key, embedding_map in zip(keys, maps)
+        ]
+    else:
+        tallies = [
+            SlotVotes.from_arrays(*tally)
+            for tally in kernels.detect_multipass(
+                [chunk] * len(keys), spec, [domain] * len(keys), maps,
+                value_mapping, engines,
+            )
+        ]
+    return tallies, len(chunk)
 
-    Per-chunk (possibly inference-widened) schemas must never influence
-    decoding — the canonical value ordering is fixed once for the stream:
-    the explicit parameter (the escrowed ``record.domain_values``, the
-    blind-detection norm) or the source's declared schema.  ``None`` is
-    only returned for schema-less iterables, where the first chunk's
-    schema pins it instead.
+
+def _scan(
+    source,
+    keys: Sequence[MarkKey],
+    spec: EmbeddingSpec,
+    maps: Sequence[dict[Hashable, int] | None],
+    *,
+    domain: CategoricalDomain | None,
+    value_mapping: dict[Hashable, Hashable] | None,
+    backend: HashEngine | str | None,
+    workers: int | str | None,
+    retry: RetryPolicy | None,
+    deadline: Deadline | None,
+    watchdog,
+    reliability: ReliabilityReport,
+) -> tuple[list[VoteAccumulator], int, int, Any]:
+    """The one detection scan of :func:`stream_detect` and
+    :func:`stream_verify_multipass`: every key's tallies of ``source``,
+    ``(accumulators, chunks, rows, parallel report)``, merged in chunk
+    order, so every accumulator's state is identical at every worker
+    count.
+
+    Every chunk decodes against one canonical domain, never a per-chunk
+    (possibly inference-widened) schema: the explicit ``domain`` (the
+    escrowed ``record.domain_values``, the blind-detection norm), else
+    the source's declared schema, else — for a schema-less iterable —
+    the first chunk's.  The vector kernels read only a chunk's key and
+    mark column codes, so a VECTOR run builds raw CSV payloads with
+    :func:`~repro.stream.sources.build_chunk_codes` (same typing, same
+    checks, no rows); SCALAR, the reference, builds every chunk table.
     """
-    if domain is not None:
-        return domain
+    chunk_size = _source_chunk_size(source)
     schema = source_schema(source)
-    if schema is not None:
-        return schema.attribute(spec.mark_attribute).domain
-    return None
+    if domain is None and schema is not None:
+        domain = schema.attribute(spec.mark_attribute).domain
+    engines = [
+        _resolve_stream_backend(backend, key, chunk_size) for key in keys
+    ]
+    accumulators = [VoteAccumulator(spec.channel_length) for _ in keys]
+    chunks = rows = 0
+
+    def commit(task, result) -> None:
+        nonlocal chunks, rows
+        tallies, nrows = result
+        for accumulator, tally in zip(accumulators, tallies):
+            accumulator.add(tally)
+        chunks += 1
+        rows += nrows
+
+    scalar = None in engines
+    run = {
+        "keys": list(keys), "maps": list(maps), "spec": spec,
+        "domain": domain, "value_mapping": value_mapping,
+        "scalar": scalar, "chunk_size": chunk_size,
+        "profile": payload_profile(source),
+        "build": build_chunk if scalar else partial(
+            build_chunk_codes,
+            attributes=(spec.key_attribute, spec.mark_attribute),
+        ),
+        "compute": _chunk_votes,
+    }
+    parallel = run_chunks(
+        source, 0, run, engines, commit,
+        # after the domain and the engines: a call wrong in two ways
+        # raises the error it always raised
+        workers=resolve_workers(workers), retry=retry, deadline=deadline,
+        watchdog=watchdog, reliability=reliability,
+    )
+    return accumulators, chunks, rows, parallel
 
 
 def stream_detect(
@@ -743,22 +873,17 @@ def stream_detect(
     ``pool_fallbacks``; ``retry=None`` fails fast on a pool failure.
     """
     _check_maps(spec, embedding_map)
-    worker_count = resolve_workers(workers)
-    if worker_count > 1 and isinstance(backend, HashEngine):
+    if resolve_workers(workers) > 1 and isinstance(backend, HashEngine):
         raise StreamError(
             "parallel stream_detect cannot share a HashEngine across "
             "processes; pass a backend sentinel instead"
         )
-    chunk_size = _source_chunk_size(source)
     reliability = ReliabilityReport()
-    accumulators, chunks, rows, report = ordered_votes(
-        source, [key], spec,
-        maps=[embedding_map],
-        domain=_resolve_stream_domain(domain, source, spec),
-        value_mapping=value_mapping,
-        engines=[_resolve_stream_backend(backend, key, chunk_size)],
-        chunk_size=chunk_size, workers=worker_count, retry=retry,
-        deadline=deadline, watchdog=watchdog, reliability=reliability,
+    accumulators, chunks, rows, report = _scan(
+        source, [key], spec, [embedding_map], domain=domain,
+        value_mapping=value_mapping, backend=backend, workers=workers,
+        retry=retry, deadline=deadline, watchdog=watchdog,
+        reliability=reliability,
     )
     _count_source_losses(reliability, source)
     return StreamDetection(
@@ -869,22 +994,14 @@ def stream_verify_multipass(
         )
     _check_maps(spec, *maps)
     _check_expected(spec, *expecteds)
-    chunk_size = _source_chunk_size(source)
     if isinstance(backend, HashEngine):
         raise StreamError(
             "stream_verify_multipass needs one engine per pass; pass a "
             "backend sentinel instead"
         )
-    accumulators, _, _, _ = ordered_votes(
-        source, keys, spec,
-        maps=maps,
-        domain=_resolve_stream_domain(domain, source, spec),
-        value_mapping=value_mapping,
-        engines=[
-            _resolve_stream_backend(backend, key, chunk_size)
-            for key in keys
-        ],
-        chunk_size=chunk_size, workers=resolve_workers(workers),
+    accumulators, _, _, _ = _scan(
+        source, keys, spec, maps, domain=domain,
+        value_mapping=value_mapping, backend=backend, workers=workers,
         retry=retry, deadline=deadline, watchdog=watchdog,
         reliability=ReliabilityReport(),
     )

@@ -76,6 +76,7 @@ from ..relational.csvio import (
     count_records,
     data_records,
     open_csv,
+    relation_name,
     typed_rows,
     typed_slices,
 )
@@ -539,7 +540,7 @@ class CSVChunkSource(ChunkSource):
         self.schema = schema
         self.chunk_size = chunk_size
         self.infer = infer_domains
-        self.name = name or self.path.stem
+        self.name = name or relation_name(self.path)
         self.on_bad_rows = on_bad_rows
         self.quarantine_path = (
             Path(quarantine_path) if quarantine_path is not None

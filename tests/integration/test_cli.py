@@ -162,8 +162,9 @@ class TestInspect:
         plain = capsys.readouterr().out.splitlines()
         assert main(args + ["--data", str(packed)]) == 0
         unpacked = capsys.readouterr().out.splitlines()
-        # all but the first line: the relation is named after its file
-        assert unpacked[1:] == plain[1:]
+        # "relation : data" too: the relation is named after its file
+        # without ".gz"
+        assert unpacked == plain
 
 
 class TestSchemaTemplate:

@@ -34,6 +34,7 @@ from repro.stream import (
     shutdown_stream_pool,
     stream_mark,
     stream_verify,
+    stream_verify_multipass,
 )
 
 E = 40
@@ -230,6 +231,43 @@ class TestSourceRecovery:
         assert recovered.verification.matching_bits == \
             clean.verification.matching_bits
         assert recovered.votes == clean.votes
+
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_multipass_read_fault_rereads_the_failed_chunk(
+        self, base, key, wm, spec, tmp_path, workers
+    ):
+        out = tmp_path / "marked.csv"
+        _mark(base, wm, key, spec, out)
+        keys = [key, MarkKey.from_seed("recovery-other")]
+
+        class ReopenLog(CSVChunkSource):
+            """Records the chunk every read of the file starts at."""
+
+            def payloads(self, start=0):
+                self.starts.append(start)
+                return super().payloads(start)
+
+        def verify_passes(**options):
+            source = ReopenLog(out, base.schema, chunk_size=CHUNK)
+            source.starts = []
+            results = stream_verify_multipass(
+                source, keys, spec, [wm, wm], **options
+            )
+            return results, source.starts
+
+        clean, clean_starts = verify_passes()
+        plan = FaultPlan().add("source.read", IO_ERROR, at=1)
+        try:
+            with plan.armed():
+                recovered, starts = verify_passes(retry=FAST, workers=workers)
+        finally:
+            shutdown_stream_pool()
+        assert plan.fired == [("source.read", 1, IO_ERROR)]
+        assert clean_starts == [0]
+        assert starts == [0, 1]  # re-opened at the chunk whose read failed
+        assert recovered == clean
+        assert recovered[0].detected
 
 
 class TestCheckpointRecovery:

@@ -2,7 +2,8 @@
 
 Byte-identity of marked output files (ordered commit), resume across a
 kill boundary with a parallel re-run, the in-process finish after a
-spent retry budget, multi-file fan-in, worker-count resolution, and the explicit refusals for
+spent retry budget, multi-file fan-in, the persistent pool's reuse across
+identical runs, worker-count resolution, and the explicit refusals for
 features that cannot cross a process boundary.
 """
 
@@ -32,6 +33,7 @@ from repro.stream import (
     stream_mark,
     stream_verify,
 )
+from repro.stream import parallel as stream_parallel
 
 E = 40
 CHANNEL = 60
@@ -259,6 +261,48 @@ class TestMultiFile:
             parallel.detection.watermark == serial.detection.watermark
         )
         assert parallel.rows == serial.rows == len(rows)
+
+
+class TestPersistentPool:
+    """Identical runs share one pool and its warm workers; a different
+    run starts a new one."""
+
+    def test_identical_runs_reuse_the_pool_and_its_workers(
+        self, base, key, wm, spec
+    ):
+        shutdown_stream_pool()
+        marked = Watermarker(key, e=E).embed(
+            base, wm, "Item_Nbr", channel_length=CHANNEL
+        ).table
+
+        def verify_on_pool(run_key):
+            return stream_verify(
+                TableChunkSource(marked, chunk_size=150), run_key, spec, wm,
+                workers=2,
+            ).parallel
+
+        first = verify_on_pool(key)
+        executor = stream_parallel._pool.executor
+        pids = set(stream_parallel._pool.worker_pids())
+        assert executor is not None and len(pids) == 2
+        assert set(first.worker_stats) <= pids
+        assert sum(s["chunks"] for s in first.worker_stats.values()) == 8
+
+        second = verify_on_pool(key)
+        assert stream_parallel._pool.executor is executor
+        assert set(stream_parallel._pool.worker_pids()) == pids
+        # each worker's chunk count continues from the first call's
+        for pid, stats in second.worker_stats.items():
+            assert pid in pids
+            before = first.worker_stats.get(pid, {"chunks": 0})["chunks"]
+            assert stats["chunks"] > before
+        latest = {**first.worker_stats, **second.worker_stats}
+        assert sum(s["chunks"] for s in latest.values()) == 16
+
+        other = verify_on_pool(MarkKey.from_seed("parallel-pipeline-other"))
+        assert stream_parallel._pool.executor is not executor
+        assert not set(stream_parallel._pool.worker_pids()) & pids
+        assert sum(s["chunks"] for s in other.worker_stats.values()) == 8
 
 
 class TestResolveWorkers:

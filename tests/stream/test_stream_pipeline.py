@@ -10,7 +10,7 @@ from repro.core import EmbeddingSpec, verify
 from repro.crypto import SCALAR, VECTOR, HashEngine
 from repro.datagen import generate_item_scan
 from repro.quality import MaxAlterationFraction
-from repro.relational import write_csv
+from repro.relational import UnknownAttributeError, write_csv
 from repro.reliability import (
     TORN_WRITE,
     FaultPlan,
@@ -520,6 +520,26 @@ class TestStreamVerifyMultipass:
             stream_verify_multipass(
                 TableChunkSource(base, chunk_size=700),
                 [key, MarkKey.from_seed("x")], spec, [wm],
+            )
+
+    def test_a_call_wrong_in_two_ways_raises_the_first_checks_error(
+        self, base, key, spec, wm
+    ):
+        # Both detect entry points share one scan, but not one check
+        # order: stream_detect resolves the worker count first,
+        # stream_verify_multipass resolves the domain, then the backend,
+        # then the worker count.
+        source = TableChunkSource(base, chunk_size=700)
+        unknown = dataclasses.replace(spec, mark_attribute="Nope")
+        with pytest.raises(StreamError, match="workers must be"):
+            stream_detect(source, key, spec, backend="nope", workers="nope")
+        with pytest.raises(UnknownAttributeError):
+            stream_verify_multipass(
+                source, [key], unknown, [wm], backend="nope", workers="nope"
+            )
+        with pytest.raises(StreamError, match="backend must be"):
+            stream_verify_multipass(
+                source, [key], spec, [wm], backend="nope", workers="nope"
             )
 
 

@@ -78,9 +78,13 @@ class TestCSVChunkSource:
                 + "".join(f"{k},{v}\n" for k, v in relation.iter_cells(
                     "Visit_Nbr", "Item_Nbr"))
             )
-        rows, _ = concatenate(
-            CSVChunkSource(path, relation.schema, chunk_size=300)
-        )
+        source = CSVChunkSource(path, relation.schema, chunk_size=300)
+        chunks = list(source)
+        # named after the file without ".gz", as data.csv is
+        assert [chunk.name for chunk in chunks] == [
+            "data[0]", "data[1]", "data[2]", "data[3]",
+        ]
+        rows, _ = concatenate(chunks)
         assert rows == list(relation)
 
     def test_start_skips_whole_chunks(self, relation, tmp_path):
