@@ -9,7 +9,8 @@ call builds one **run**, a dict holding:
 * what every chunk needs — keys, spec, domain, and the embedding maps
   or the watermark data;
 * the source's payload profile
-  (:func:`~repro.stream.sources.payload_profile`);
+  (:func:`~repro.stream.sources.payload_profile`), which
+  :func:`run_chunks` adds;
 * the chunk builder (``run["build"]``):
   :func:`~repro.stream.sources.build_chunk` (a chunk table) for marking
   and the SCALAR reference, :func:`~repro.stream.sources.build_chunk_codes`
@@ -89,6 +90,8 @@ from .sources import (
     ChunkTask,
     payload_chunks,
     payload_decoders,
+    payload_profile,
+    source_chunk_size,
 )
 
 logger = logging.getLogger(__name__)
@@ -332,24 +335,29 @@ def run_chunks(
     ``None`` for SCALAR).  With more, pool workers initialized with the
     pickled run compute them on engines of their own, and ``engines``
     serve only the in-process finish after a chunk spent the retry
-    budget.  A run whose ``"domain"`` is ``None`` (a schema-less
-    iterable source) pins it from its first chunk.
+    budget.  The run gains the source's payload profile
+    (``run["profile"]``), and a run whose ``"domain"`` is ``None`` (a
+    schema-less iterable source) pins it from its first chunk.
 
     The task stream is closed however the run ends, so a run that raises
     releases the source's reader (a SQLite connection, a gzip handle) at
     the raise, in this thread.  Returns the pool run's report, ``None``
     in process.
     """
+    run["profile"] = payload_profile(source)
     decoders = payload_decoders(run["profile"]["schema"])
     blob = None
 
     def open_pool():
         nonlocal blob
         if blob is None:
-            # Workers split CSV text: with the caller's limit.
-            blob = _run_blob(
-                {**run, "field_size_limit": csv.field_size_limit()}
-            )
+            # What workers build their engines with, and the caller's
+            # limit to split CSV text with.
+            blob = _run_blob({
+                **run, "scalar": None in engines,
+                "chunk_size": source_chunk_size(source),
+                "field_size_limit": csv.field_size_limit(),
+            })
         return _pool.ensure(
             hashlib.sha256(blob).digest(), workers, _worker_init, blob
         )

@@ -22,9 +22,9 @@ the chunks.  It owns what is specific to each entry point — validation,
 resume, the per-chunk functions (:func:`_embed_chunk` for marking,
 :func:`_chunk_votes` for detection), the sink/journal/checkpoint commit
 of a marked chunk, the final verdicts.  Each call builds one *run* (what
-every chunk needs, the source's payload profile, the chunk builder and
-the per-chunk function) and hands it to
-:func:`~repro.stream.parallel.run_chunks`, one ordered run for both
+every chunk needs, the chunk builder and the per-chunk function) and
+hands it to :func:`~repro.stream.parallel.run_chunks`, which adds the
+source's payload profile: one ordered run for both
 directions and every worker count: ``workers=None`` or ``1`` computes
 each chunk in process and commits it before reading the next;
 ``workers > 1`` initializes a process pool with the pickled run, makes
@@ -101,10 +101,9 @@ from .parallel import (
 )
 from .sinks import ChunkSink
 from .sources import (
-    DEFAULT_CHUNK_SIZE,
     build_chunk,
     build_chunk_codes,
-    payload_profile,
+    source_chunk_size,
     source_schema,
 )
 
@@ -138,10 +137,6 @@ def _resolve_stream_backend(
     if backend == SCALAR:
         return None
     return stream_engine(key, chunk_size)
-
-
-def _source_chunk_size(source) -> int:
-    return getattr(source, "chunk_size", DEFAULT_CHUNK_SIZE)
 
 
 def _count_source_losses(reliability: ReliabilityReport, source) -> None:
@@ -362,16 +357,13 @@ def stream_mark(
             "(CSV/SQLite/synthetic), not a plain iterable"
         )
     domain = _validate_mark_inputs(schema, watermark, spec)
-    chunk_size = _source_chunk_size(source)
-    engine = _resolve_stream_backend(backend, key, chunk_size)
+    engine = _resolve_stream_backend(backend, key, source_chunk_size(source))
     run = {
         "keys": [key], "spec": spec, "domain": domain,
         "watermark": watermark,
         "wm_data": spec.ecc().encode(watermark.bits, spec.channel_length),
         "constraints_factory": constraints_factory,
-        "scalar": engine is None, "chunk_size": chunk_size,
-        "profile": payload_profile(source), "build": build_chunk,
-        "compute": _embed_chunk,
+        "build": build_chunk, "compute": _embed_chunk,
     }
 
     result = StreamMarkResult(
@@ -799,7 +791,7 @@ def _scan(
     :func:`~repro.stream.sources.build_chunk_codes` (same typing, same
     checks, no rows); SCALAR, the reference, builds every chunk table.
     """
-    chunk_size = _source_chunk_size(source)
+    chunk_size = source_chunk_size(source)
     schema = source_schema(source)
     if domain is None and schema is not None:
         domain = schema.attribute(spec.mark_attribute).domain
@@ -817,13 +809,10 @@ def _scan(
         chunks += 1
         rows += nrows
 
-    scalar = None in engines
     run = {
         "keys": list(keys), "maps": list(maps), "spec": spec,
         "domain": domain, "value_mapping": value_mapping,
-        "scalar": scalar, "chunk_size": chunk_size,
-        "profile": payload_profile(source),
-        "build": build_chunk if scalar else partial(
+        "build": build_chunk if None in engines else partial(
             build_chunk_codes,
             attributes=(spec.key_attribute, spec.mark_attribute),
         ),

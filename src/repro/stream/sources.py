@@ -427,6 +427,12 @@ def source_schema(source) -> Schema | None:
     return getattr(source, "schema", None)
 
 
+def source_chunk_size(source) -> int:
+    """The rows per chunk of ``source``; :data:`DEFAULT_CHUNK_SIZE` for a
+    plain iterable."""
+    return getattr(source, "chunk_size", DEFAULT_CHUNK_SIZE)
+
+
 def payload_profile(source) -> dict[str, Any]:
     """Source-level constants :func:`build_chunk` needs to materialize
     the source's :class:`ChunkTask` s — shipped once in the pool
@@ -933,10 +939,7 @@ class MultiFileChunkSource(ChunkSource):
         self.schema = schema
         self.infer = infer
         self.trusted_rows = trusted
-        self.chunk_size = max(
-            getattr(source, "chunk_size", DEFAULT_CHUNK_SIZE)
-            for source in sources
-        )
+        self.chunk_size = max(source_chunk_size(source) for source in sources)
         self.name = name or "+".join(
             getattr(source, "name", "stream") for source in sources
         )

@@ -107,6 +107,22 @@ class TestEmbedDetect:
         )
         assert code == EXIT_NOT_DETECTED
 
+    def test_embed_records_a_gzip_copy_as_its_plain_copy(self, workspace):
+        data = workspace / "data.csv"
+        packed = workspace / "data.csv.gz"
+        packed.write_bytes(gzip.compress(data.read_bytes()))
+        records = []
+        for path in (data, packed):
+            record = workspace / f"{path.name}.record.json"
+            assert main(embed_args(
+                workspace, **{"--data": str(path), "--record": str(record)}
+            )) == 0
+            records.append(record.read_text())
+        # the record's metadata names the relation after its file
+        # without ".gz"
+        assert records[1] == records[0]
+        assert json.loads(records[0])["metadata"]["source"] == "data"
+
     def test_embed_with_quality_budget(self, workspace, capsys):
         assert main(
             embed_args(workspace, **{"--max-alteration": "0.001"})

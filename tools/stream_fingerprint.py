@@ -5,9 +5,10 @@ Runs one fixed matrix through the public ``repro.stream`` API and prints
 one JSON object that maps every artifact to its sha256: marked files,
 checkpoints, their ``.prev`` copies and chunk-hash journals, the
 counters of every ``StreamMarkResult``, votes and verdicts, the type,
-message and row of every error, and reliability reports.  Every message
-has the work directory replaced by ``<work>``, so the output depends on
-neither the run nor the path.  Two source trees that print the same
+message and row of every error, and reliability reports.  Each run
+works in a new temporary directory, removed afterwards, and every
+message has that directory replaced by ``<work>``, so the output depends
+on neither the run nor the path.  Two source trees that print the same
 bytes produce the same streamed outputs:
 
     PYTHONPATH=src python3 tools/stream_fingerprint.py > new.json
@@ -297,22 +298,13 @@ def run_matrix(work: Path) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--work", type=Path, default=None,
-        help="an empty directory to run in (default: a new temporary "
-             "directory, removed afterwards)",
-    )
-    args = parser.parse_args(argv)
-    work = args.work or Path(tempfile.mkdtemp(prefix="stream-fingerprint-"))
-    work.mkdir(parents=True, exist_ok=True)
-    if any(work.iterdir()):
-        parser.error(f"{work} is not empty")
+    parser.parse_args(argv)  # no options: --help only
+    work = Path(tempfile.mkdtemp(prefix="stream-fingerprint-"))
     try:
         artifacts = run_matrix(work.resolve())
     finally:
         shutdown_stream_pool()
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     print(json.dumps(artifacts, indent=1, sort_keys=True))
     return 0
 
