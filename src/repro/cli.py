@@ -58,7 +58,8 @@ two concurrent resumes of the same run cannot interleave.
 
 ``detect`` exits 0 when the watermark is detected and 3 when it is not, so
 the tool composes into shell pipelines.  Failures carry their own codes:
-4 for a corrupt checkpoint with no verified rollback target, 5 when
+4 when ``--resume`` finds no usable checkpoint (none yet, another run's,
+or a corrupt one with no verified rollback target), 5 when
 ``--retries`` was exhausted by persistent transient I/O failures, 6
 when a malformed CSV row aborted the run under ``--on-bad-rows raise``,
 7 when a ``--deadline`` budget expired (the run stops at a resumable
@@ -97,8 +98,11 @@ from .relational.csvio import read_header
 #: exit code for "ran fine, watermark not detected"
 EXIT_NOT_DETECTED = 3
 
-#: a checkpoint failed CRC/schema verification and no verified rollback
-#: target survived — the run must not silently restart from scratch
+#: ``--resume`` found no usable checkpoint — none at the path, one of
+#: another (key, spec, watermark) run, one that failed CRC/schema
+#: verification with no verified rollback target, or a verified resume
+#: without its journal.  The run must not silently restart from scratch:
+#: re-run without ``--resume`` to start over
 EXIT_CHECKPOINT_CORRUPT = 4
 
 #: a transient I/O failure outlived the retry budget (``--retries``)
@@ -889,15 +893,19 @@ def main(argv: list[str] | None = None) -> int:
         RetryError,
         RunLockedError,
     )
-    from .stream import BadRowError, CheckpointCorruptError
+    from .stream import BadRowError, CheckpointError
 
     # The failure taxonomy as exit codes, so shell pipelines can
-    # distinguish "resume from a damaged checkpoint" from "disk kept
+    # distinguish "nothing usable to resume from" from "disk kept
     # failing" from "the input itself is malformed".
     try:
         return args.handler(args)
-    except CheckpointCorruptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CheckpointError as exc:
+        print(
+            f"error: {exc} (re-run without --resume to start the embed "
+            f"over)",
+            file=sys.stderr,
+        )
         return EXIT_CHECKPOINT_CORRUPT
     except RetryError as exc:
         cause = exc.__cause__

@@ -27,8 +27,13 @@ tuples, finished tables) — and every chunk is computed at one call
 site, ``run["compute"](run, engines, index, chunk)``, wherever it runs:
 
 * **In process** (``workers=None`` or ``1``) — the run reads one task,
-  builds and computes its chunk on the caller's engines and commits it
-  before reading the next.  No pool, nothing pickled.
+  builds and computes its chunk on the caller's engines and commits it.
+  A mark's commit hands back its durable half (sink write, fsync,
+  journal record, checkpoint), which stays in flight while the next
+  chunk is read and computed — a gzip sink deflates the member on its
+  helper thread meanwhile — and runs before that chunk commits, after
+  the last chunk, or before an error propagates.  Detection commits
+  hand back nothing.  No pool, nothing pickled.
 * **On a pool** (``workers > 1``) — the coordinator keeps
   ``2 × workers`` chunks in flight on a persistent process pool, so
   decode overlaps compute.  Each worker is initialized once with the
@@ -41,7 +46,8 @@ site, ``run["compute"](run, engines, index, chunk)``, wherever it runs:
 
 Either way, chunks commit in strict chunk order: detection merges each
 chunk's tallies into the accumulators, embedding writes the marked chunk
-to the sink and checkpoints.  Ordered merge preserves the global
+to the sink and checkpoints (its durable half, finished before the next
+chunk commits, on a pool too).  Ordered merge preserves the global
 first-vote tie rule; ordered commit preserves the sink's
 one-gzip-member-per-chunk framing — which is what pins ``workers=N``
 bit-identical to ``workers=1`` and to the in-memory verifiers.
@@ -319,7 +325,7 @@ def run_chunks(
     start: int,
     run: dict[str, Any],
     engines: Sequence[HashEngine | None],
-    commit: Callable[[ChunkTask, Any], None],
+    commit: Callable[[ChunkTask, Any], Callable[[], None] | None],
     *,
     workers: int,
     retry: RetryPolicy | None,
@@ -329,8 +335,16 @@ def run_chunks(
 ) -> ParallelReport | None:
     """Run ``run`` over the chunks of ``source`` from chunk ``start``.
 
-    ``commit(task, result)`` sees every chunk's result in chunk order,
-    each followed by the ``"pipeline.chunk"`` fault point.  With one
+    ``commit(task, result)`` sees every chunk's result in chunk order.
+    It may hand back the chunk's *durable half* (a mark's sink write,
+    fsync, journal record and checkpoint), which the run keeps in flight
+    while it reads and computes the next chunk: the run calls it before
+    the next chunk commits, after the last chunk, and before any error
+    raised while reading or computing a later chunk propagates (if the
+    half itself fails, its error is the one raised).  So every chunk
+    whose commit began is durable when the run ends, however it ends,
+    short of a kill.  Each chunk is followed by the ``"pipeline.chunk"``
+    fault point: after its commit, or after its durable half.  With one
     worker every chunk is computed here, on ``engines`` (one per key,
     ``None`` for SCALAR).  With more, pool workers initialized with the
     pickled run compute them on engines of their own, and ``engines``
@@ -362,15 +376,32 @@ def run_chunks(
             hashlib.sha256(blob).digest(), workers, _worker_init, blob
         )
 
-    def commit_chunk(task: ChunkTask, outcome) -> None:
-        result, stats = outcome
-        commit(task, result)
-        if stats is not None:
-            report.note(stats)
+    # (index, durable half) of the chunk in flight, if any
+    pending = None
+
+    def finish() -> None:
+        nonlocal pending
+        if pending is None:
+            return
+        index, durable = pending
+        pending = None
+        durable()
         # Injection point: the chunk is fully committed (for an embed:
         # durable) here — a kill at this boundary is the canonical crash
         # the chaos kill-matrix resumes from.
-        fault_point("pipeline.chunk", task.index)
+        fault_point("pipeline.chunk", index)
+
+    def commit_chunk(task: ChunkTask, outcome) -> None:
+        nonlocal pending
+        result, stats = outcome
+        finish()
+        durable = commit(task, result)
+        if stats is not None:
+            report.note(stats)
+        if durable is None:
+            fault_point("pipeline.chunk", task.index)
+        else:
+            pending = (task.index, durable)
 
     tasks = stream = _tasks_with_retry(source, start, retry, reliability)
     try:
@@ -388,6 +419,10 @@ def run_chunks(
         # their caches alive after the call, until the cyclic GC ran.
         report = ordered.report
         ordered.run((task.index, task) for task in tasks)
+        finish()
+    except BaseException:
+        finish()
+        raise
     finally:
         stream.close()
     return report if workers > 1 else None

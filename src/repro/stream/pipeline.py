@@ -26,17 +26,25 @@ every chunk needs, the chunk builder and the per-chunk function) and
 hands it to :func:`~repro.stream.parallel.run_chunks`, which adds the
 source's payload profile: one ordered run for both
 directions and every worker count: ``workers=None`` or ``1`` computes
-each chunk in process and commits it before reading the next;
-``workers > 1`` initializes a process pool with the pickled run, makes
-the same per-chunk call there and commits in the same order.
+each chunk in process; ``workers > 1`` initializes a process pool with
+the pickled run, makes the same per-chunk call there and commits in the
+same order.  A mark's commit folds the chunk's counters and starts its
+sink segment (a gzip sink builds the member on its helper thread), and
+hands back the chunk's *durable half* — the sink write, fsync, journal
+record and checkpoint.  One durable half is in flight while the next
+chunk is read and computed; the run finishes it before the next chunk
+commits, after the last chunk, and before an error propagates.
 
 Memory discipline: the stream-scoped engine bounds its memoization caches
 relative to the chunk size (fresh key values arrive forever; an unbounded
 digest cache would silently grow O(rows)), per-chunk guards die with
 their chunk (no cross-chunk rollback log), and the vector plan arrays are
 weak-keyed per chunk factorization, so they are reclaimed with the chunk.
-Within one process the engine stays warm across chunks *and* across a
-mark-then-verify pair — re-seeing a value re-hashes nothing.
+The durable half in flight holds only what its write needs: a CSV
+sink's encoded segment or member (not the chunk table), a SQLite or
+table sink's chunk.  Within one process the engine stays warm across
+chunks *and* across a mark-then-verify pair — re-seeing a value
+re-hashes nothing.
 """
 
 from __future__ import annotations
@@ -288,7 +296,13 @@ def stream_mark(
     records progress after every chunk; ``resume=True`` picks up from the
     last record (verifying, via a keyless fingerprint, that key, spec and
     watermark match the interrupted run) and produces output identical to
-    an uninterrupted run.
+    an uninterrupted run.  A chunk's write, flush and record (its
+    durable half) run while the next chunk is read and embedded, before
+    that chunk commits, after the last chunk, or before an error
+    propagates — so an error leaves every chunk whose commit began
+    durable, but a kill while chunk k is read or embedded finds chunk
+    k - 1 still in flight and resumes at k - 1 (a kill in chunk 1 leaves
+    no checkpoint yet, as a kill in chunk 0 does).
 
     ``constraints_factory`` builds a fresh constraint list per chunk
     (constraints are stateful, so instances cannot be shared across
@@ -318,7 +332,7 @@ def stream_mark(
     process — the same output bytes, counted as ``pool_fallbacks``;
     ``retry=None`` fails fast on a pool failure.  Pool workers cannot
     take a ``constraints_factory`` or a shared :class:`HashEngine`
-    instance.  A ``MemoryError`` propagates with the previous chunk
+    instance.  A ``MemoryError`` propagates with every committed chunk
     durable; ``resume=True`` continues from there.
 
     Integrity layer (see :mod:`repro.reliability.integrity`):
@@ -480,20 +494,22 @@ def stream_mark(
         # The durable marker the retry layer rolls the sink back to before
         # rewriting a chunk whose write failed mid-way.  A run that neither
         # retries nor checkpoints never asks the sink for a marker.
-        durable = retry is not None or checkpoint_path is not None
+        flush = retry is not None or checkpoint_path is not None
         last_good = sink.flush_state() if retry is not None else None
 
         def rollback():
             reliability.sink_rollbacks += 1
             sink.restore(schema, last_good)
 
-        def commit(task, embedded) -> None:
-            """Make one marked chunk durable: fold its counters into the
-            result, write it to the sink (rolling back and rewriting
-            under ``retry``) and record the checkpoint.  The ordered run
-            calls it in strict chunk order, which is what keeps output
-            bytes and checkpoints identical at every worker count."""
-            nonlocal last_good
+        def commit(task, embedded) -> Callable[[], None]:
+            """Commit one marked chunk: fold its counters into the result
+            and start its segment (:meth:`ChunkSink.start_chunk`).
+            Returns the chunk's durable half, which the ordered run calls
+            before the next chunk commits: write the segment (rolling
+            back and rewriting under ``retry``), then the journal record
+            and the checkpoint.  Both halves run in strict chunk order,
+            which is what keeps output bytes and checkpoints identical at
+            every worker count."""
             marked, pass_result, guard_report = embedded
             if not isinstance(marked, Table):  # a pool worker's marked rows
                 marked = Table.from_trusted_rows(
@@ -503,10 +519,18 @@ def stream_mark(
             delta = _journal_delta(pass_result, guard_report, len(marked))
             result.chunks += 1
             _fold_delta(result, delta)
+            return partial(
+                durable, task.index, delta, sink.start_chunk(marked)
+            )
+
+        def durable(index: int, delta: dict, segment) -> None:
+            """One chunk's durable half: ``segment`` is the write
+            :meth:`ChunkSink.start_chunk` returned."""
+            nonlocal last_good
 
             def write():
-                sink.write_chunk(marked)
-                return sink.flush_state() if durable else None
+                segment()
+                return sink.flush_state() if flush else None
 
             state = last_good = call_with_retry(
                 write, "sink.write", retry,
@@ -519,7 +543,7 @@ def stream_mark(
                 # flush_state above).
                 append_journal_chunk(
                     journal,
-                    index=task.index,
+                    index=index,
                     entry=sink.manifest.entries[-1],
                     delta=delta,
                     sink_state=state,
@@ -528,6 +552,8 @@ def stream_mark(
                 run_lock.heartbeat()
 
             if checkpoint_path is not None:
+                # ``result`` holds this chunk's counters and no later
+                # chunk's: the next commit comes after this half.
                 call_with_retry(
                     lambda: save_checkpoint(
                         checkpoint_path,

@@ -20,6 +20,20 @@ the chunk's columns through :func:`~repro.relational.csvio.encode_columns`,
 then, for gzip, one ``zlib`` compressor per member — and writes it with
 one raw call, whether or not a digest manifest is being recorded.
 
+:func:`~repro.stream.stream_mark` writes a chunk in two halves:
+:meth:`ChunkSink.start_chunk` when it commits the chunk, and the write
+that call returns (with the flush, journal record and checkpoint) before
+the next chunk commits.  A CSV sink encodes the chunk's text when it
+starts the chunk; a gzip sink then builds the member on one helper
+thread of its own, so the deflate runs while the next chunk is read,
+typed, hashed and embedded: ``zlib`` releases the GIL while it
+compresses.  The helper runs one pure function, text in and member bytes
+out (:func:`_member`); every write, fsync and fault point stays on the
+calling thread.  The helper starts at the sink's first chunk member —
+after a pooled run has forked its workers — and
+:meth:`CSVChunkSink.close` joins it.  The other sinks prepare nothing
+and defer their whole write.
+
 New gzip output is deflated at :data:`GZIP_LEVEL`.  The level travels in
 the sink state — checkpoint, journal and the retry layer's rollback
 marker all store that state — so a resumed or rolled-back run continues
@@ -34,6 +48,8 @@ import os
 import sqlite3
 import struct
 import zlib
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -72,6 +88,27 @@ _MEMBER_HEAD = b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
 _MEMBER_XFL = {9: b"\x02", 1: b"\x04"}
 
 
+def _member(text: bytes, level: int, torn: bool = False) -> bytes:
+    """One gzip member of ``text`` deflated at ``level`` (its layout is in
+    :class:`CSVChunkSink`'s docstring).  ``torn`` stops after the sync
+    flush, with no final block and no trailer: what a crash mid-flush
+    leaves.  A pure function of its arguments, and the only code the gzip
+    sink's helper thread runs."""
+    deflate = zlib.compressobj(
+        level, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, 0
+    )
+    parts = [
+        _MEMBER_HEAD, _MEMBER_XFL.get(level, b"\x00"), b"\xff",
+        deflate.compress(text), deflate.flush(zlib.Z_SYNC_FLUSH),
+    ]
+    if not torn:
+        parts.append(deflate.flush())
+        parts.append(struct.pack(
+            "<II", zlib.crc32(text), len(text) & 0xFFFFFFFF
+        ))
+    return b"".join(parts)
+
+
 class ChunkSink:
     """Destination for the marked chunks of a streaming embed."""
 
@@ -101,11 +138,22 @@ class ChunkSink:
     def write_chunk(self, chunk: Table) -> None:
         """Append one marked chunk.
 
-        The pipeline calls this exactly once per source chunk, in chunk
+        The pipeline writes every source chunk exactly once, in chunk
         order, at every worker count — which is what keeps gzip member
         boundaries (hence output bytes) identical across runs.
         """
         raise NotImplementedError
+
+    def start_chunk(self, chunk: Table) -> Callable[[], None]:
+        """Begin one marked chunk and return the call that writes it.
+
+        :func:`~repro.stream.stream_mark` calls the write later on the
+        same thread, before it starts the next chunk, so the writes keep
+        chunk order.  The write does exactly what :meth:`write_chunk`
+        does, fault points included.  This default prepares nothing and
+        defers :meth:`write_chunk` whole.
+        """
+        return partial(self.write_chunk, chunk)
 
     def flush_state(self) -> dict[str, Any]:
         """Flush and return a durability marker for checkpointing."""
@@ -148,7 +196,10 @@ class CSVChunkSink(ChunkSink):
     trailer.  A torn member (a crash mid-flush) ends after the sync
     flush, with no final block and no trailer.  Nothing in a member
     depends on the time or the path, so a resumed run produces the
-    identical file an uninterrupted run would have.
+    identical file an uninterrupted run would have.  :meth:`write_chunk`
+    builds a chunk's member on the calling thread, :meth:`start_chunk`
+    on the sink's helper thread (see the module docstring): the same
+    encoder and the same member bytes.
 
     A fresh gzip output deflates at :data:`GZIP_LEVEL`, read when the
     sink opens.  :meth:`flush_state` records the level next to the
@@ -170,6 +221,8 @@ class CSVChunkSink(ChunkSink):
         self._chunks = 0
         self._record = False
         self._segment_start = 0
+        #: the thread that builds members for :meth:`start_chunk`
+        self._helper = None
 
     supports_manifest = True
 
@@ -182,7 +235,8 @@ class CSVChunkSink(ChunkSink):
         self._level = GZIP_LEVEL
         self._raw = open(self.path, "wb")
         header = self._write_segment(
-            [[name] for name in schema.names], index=-1
+            self._encode_segment([[name] for name in schema.names]),
+            index=-1,
         )
         if self._record:
             # the header segment (column names) gets its own digest so an
@@ -222,21 +276,61 @@ class CSVChunkSink(ChunkSink):
         if self._raw is not None:
             self._raw.close()
             self._raw = None
+        if self._helper is not None:
+            self._helper.shutdown()
+            self._helper = None
 
     # -- writing ---------------------------------------------------------------
     def write_chunk(self, chunk: Table) -> None:
+        self._start(chunk, None)()
+
+    def start_chunk(self, chunk: Table) -> Callable[[], None]:
+        """Encode ``chunk``'s text here and, for gzip, build its member on
+        the helper thread; the returned write waits for the member."""
+        if not self.compress:
+            return self._start(chunk, None)
+        if self._helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._helper = ThreadPoolExecutor(
+                1, thread_name_prefix="gzip-member"
+            )
+        return self._start(chunk, self._helper)
+
+    def _start(self, chunk: Table, helper) -> Callable[[], None]:
+        """Encode ``chunk`` as its segment — the member built on
+        ``helper`` when one is given, else here — and return the write.
+        It holds the segment only, and the columns when a torn write is
+        scheduled for the chunk (the write cuts the torn prefix from
+        them)."""
+        columns = [chunk.column_view(name) for name in chunk.schema.names]
+        torn = None
+        if injection_armed() and active_plan().scheduled(
+            "sink.write.mid", self._chunks
+        ):
+            torn = columns
+        if helper is None:
+            payload = self._encode_segment(columns)
+            segment = lambda: payload  # noqa: E731
+        else:
+            text = encode_columns(columns).encode("utf-8")
+            segment = helper.submit(_member, text, self._level).result
+        return partial(self._write_started, segment, torn)
+
+    def _write_started(
+        self, segment: Callable[[], bytes], torn: list | None
+    ) -> None:
         index = self._chunks
         # Injection points: "sink.write" fails before any byte of the
         # chunk lands; "sink.write.mid" persists a torn prefix (flushed
         # to the OS with no member trailer / row terminator) and *then*
         # fails — the state a real crash mid-flush leaves behind.
         fault_point("sink.write", index)
-        columns = [chunk.column_view(name) for name in chunk.schema.names]
-        if injection_armed() and active_plan().scheduled(
+        if torn is not None and injection_armed() and active_plan().scheduled(
             "sink.write.mid", index
         ):
-            self._write_torn(columns, len(chunk), index)
-        entry = self._write_segment(columns, index)
+            self._write_torn(torn, len(torn[0]), index)
+        entry = self._write_segment(segment(), index)
         if self._record:
             self.manifest.entries.append(entry)
         self._chunks += 1
@@ -287,16 +381,14 @@ class CSVChunkSink(ChunkSink):
         return state
 
     # -- internals -------------------------------------------------------------
-    def _write_segment(self, columns: list, index: int) -> ChunkDigest | None:
-        """Encode the rows of ``columns`` as one segment and write it
-        with one raw call.
+    def _write_segment(self, payload: bytes, index: int) -> ChunkDigest | None:
+        """Write one encoded segment with one raw call.
 
         When recording, returns the segment's digest entry: it covers
         exactly the bytes an audit (or a verified read) will find in
         ``[start, end)``, hashed straight off the encoded payload — no
         read-back pass, no hashing proxy on the write path.
         """
-        payload = self._encode_segment(columns)
         self._segment_start = self._raw.tell()
         self._raw.write(payload)
         if not self._record:
@@ -320,20 +412,7 @@ class CSVChunkSink(ChunkSink):
         text = encode_columns(columns).encode("utf-8")
         if not self.compress:
             return text
-        level = self._level
-        deflate = zlib.compressobj(
-            level, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, 0
-        )
-        parts = [
-            _MEMBER_HEAD, _MEMBER_XFL.get(level, b"\x00"), b"\xff",
-            deflate.compress(text), deflate.flush(zlib.Z_SYNC_FLUSH),
-        ]
-        if not torn:
-            parts.append(deflate.flush())
-            parts.append(struct.pack(
-                "<II", zlib.crc32(text), len(text) & 0xFFFFFFFF
-            ))
-        return b"".join(parts)
+        return _member(text, self._level, torn)
 
 
 _AFFINITY = {

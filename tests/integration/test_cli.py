@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.cli import EXIT_NOT_DETECTED, main
+from repro.cli import EXIT_CHECKPOINT_CORRUPT, EXIT_NOT_DETECTED, main
 from repro.datagen import generate_item_scan
 from repro.relational import (
     drop_fraction,
@@ -468,3 +468,30 @@ class TestStreamingFileMode:
 
         with pytest.raises(SystemExit, match="checkpoint"):
             main(self.stream_embed_args(workspace) + ["--resume"])
+
+    def test_resume_with_no_usable_checkpoint_exits_4(
+        self, workspace, capsys
+    ):
+        # A run killed before its first checkpoint leaves none; another
+        # run's checkpoint is no better.  Either way: one error line, and
+        # the checkpoint exit code, not a traceback.
+        checkpoint = workspace / "run.ckpt"
+        resume = self.stream_embed_args(
+            workspace, **{"--checkpoint": str(checkpoint)}
+        ) + ["--resume"]
+        assert main(resume) == EXIT_CHECKPOINT_CORRUPT
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "no checkpoint to resume from" in err
+        assert "re-run without --resume" in err
+
+        assert main(self.stream_embed_args(
+            workspace, **{"--checkpoint": str(checkpoint)}
+        )) == 0
+        assert main(self.stream_embed_args(
+            workspace, **{"--checkpoint": str(checkpoint),
+                          "--watermark": "(c)U"}
+        ) + ["--resume"]) == EXIT_CHECKPOINT_CORRUPT
+        err = capsys.readouterr().err
+        assert "different (key, spec, watermark) run" in err
+        assert "re-run without --resume" in err

@@ -695,6 +695,92 @@ def test_clean_mark_is_column_wise_to_the_member(monkeypatch, tmp_path):
 
 
 @pytest.mark.perf_smoke
+def test_gzip_members_are_deflated_on_one_helper_thread(
+    monkeypatch, tmp_path
+):
+    """A serial checkpointed gzip ``stream_mark`` builds every chunk
+    member on one helper thread, never the caller's, while it keeps at
+    most one chunk's durable half in flight (each chunk's checkpoint is
+    saved before the next chunk starts its segment); the helper is gone
+    once the mark returns, or raises from an embed fault with every
+    started chunk durable.  Plain CSV and SQLite marks start no thread."""
+    import threading
+
+    from repro.core import EmbeddingSpec
+    from repro.reliability import MEMORY, FaultPlan
+    from repro.stream import (
+        CSVChunkSink,
+        TableChunkSource,
+        open_sink,
+        pipeline,
+        sinks,
+        stream_mark,
+    )
+
+    table = generate_item_scan(3_000, item_count=80, seed=7)
+    key = MarkKey.from_seed("perf-smoke-helper")
+    spec = EmbeddingSpec("Visit_Nbr", "Item_Nbr", 40, 10, 60)
+    watermark = Watermark.from_int(0x2AB, 10)
+
+    def mark(path, **options):
+        return stream_mark(
+            TableChunkSource(table, chunk_size=500), watermark, key, spec,
+            open_sink(path), checkpoint_path=f"{path}.ckpt", **options,
+        )
+
+    builders, events, threads = [], [], []
+    member, start_chunk = sinks._member, CSVChunkSink.start_chunk
+    save, start_thread = pipeline.save_checkpoint, threading.Thread.start
+
+    def spy_member(text, level, torn=False):
+        builders.append(threading.get_ident())
+        return member(text, level, torn)
+
+    def spy_start_chunk(self, chunk):
+        events.append("start")
+        return start_chunk(self, chunk)
+
+    def spy_save(path, checkpoint):
+        events.append("saved")
+        save(path, checkpoint)
+
+    def spy_start_thread(self):
+        threads.append(self)
+        start_thread(self)
+
+    monkeypatch.setattr(sinks, "_member", spy_member)
+    monkeypatch.setattr(CSVChunkSink, "start_chunk", spy_start_chunk)
+    monkeypatch.setattr(pipeline, "save_checkpoint", spy_save)
+    monkeypatch.setattr(threading.Thread, "start", spy_start_thread)
+
+    result = mark(tmp_path / "marked.csv.gz")
+    assert result.chunks == 6
+    caller = threading.get_ident()
+    # the header member is built at open, on the caller; then one member
+    # per chunk, each on the one helper thread
+    assert builders[0] == caller and len(builders) == 7
+    assert len(set(builders[1:])) == 1 and caller not in builders[1:]
+    assert [thread.ident for thread in threads] == [builders[1]]
+    assert events == ["start", "saved"] * 6
+    assert threads[0] not in threading.enumerate()
+
+    plan = FaultPlan().add("pipeline.embed", MEMORY, at=2)
+    with plan.armed(), pytest.raises(MemoryError):
+        mark(tmp_path / "stopped.csv.gz")
+    assert len(threads) == 2 and threads[1] not in threading.enumerate()
+    # chunk 1 was in flight at the fault, and is durable
+    resumed = mark(tmp_path / "stopped.csv.gz", resume=True)
+    assert resumed.resumed_at_chunk == 2
+    assert (tmp_path / "stopped.csv.gz").read_bytes() == \
+        (tmp_path / "marked.csv.gz").read_bytes()
+    assert len(threads) == 3 and threads[2] not in threading.enumerate()
+
+    for name in ("marked.csv", "marked.sqlite"):
+        assert mark(tmp_path / name).chunks == 6
+    assert len(threads) == 3
+
+
+@pytest.mark.perf_smoke
 def test_a_raw_task_ships_its_text(tmp_path):
     """A raw task of a quote-free CSV carries its chunk's text, not one
     string per field: pickled for a pool worker, it is at most 1.1x the

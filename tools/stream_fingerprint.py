@@ -23,12 +23,14 @@ SQLite database, each run at ``workers=None`` and ``workers=2``:
   ``pipeline.chunk`` fault after chunk 3, then resumed; the same stop
   followed by a verified resume; a run under a retry policy with
   transient ``source.read``, ``sink.write`` and ``checkpoint.save``
-  faults;
+  faults.  Every file a stopped run leaves is fingerprinted before its
+  resume, so what a stop leaves durable is pinned too;
 * detects, over the marked relation written in the same four formats:
   VECTOR and SCALAR ``stream_verify`` and a 3-key
   ``stream_verify_multipass``;
 * errors of mark and detect over a gzip CSV with a torn row, a repeated
-  key, an out-of-domain mark value, and a gzip CSV cut short.
+  key, an out-of-domain mark value, and a gzip CSV cut short, and every
+  file each failed mark leaves behind.
 
 The matrix takes about ten seconds on a 2-vCPU host.
 """
@@ -196,6 +198,7 @@ def stop_after_chunk(fp, name, path, schema, directory, workers) -> None:
     with plan.armed():
         fp.error(f"{name}/stop", lambda: mark(path, schema, directory,
                                               workers))
+    fp.files(f"{name}/stop", directory)
 
 
 def mark_matrix(fp, name, path, schema, work, workers) -> None:
@@ -290,6 +293,7 @@ def run_matrix(work: Path) -> dict[str, str]:
             out = work / "broken-marks" / case / f"w{workers}"
             fp.error(f"error/{case}/w{workers}/mark",
                      lambda: mark(path, schema, out, workers))
+            fp.files(f"error/{case}/w{workers}/mark", out)
             fp.error(f"error/{case}/w{workers}/detect",
                      lambda: stream_verify(source(path, schema), KEY, SPEC,
                                            WATERMARK, workers=workers))
