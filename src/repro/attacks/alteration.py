@@ -16,30 +16,31 @@ from __future__ import annotations
 import random
 import weakref
 
+import numpy as np
+
 from ..relational import Table
-from .base import Attack
+from .base import Attack, sample_range
 
 # Per-factorization translation cache for the codes fast path: the
-# domain-index -> column-code table and the row-code list are pure
-# functions of one (ColumnCodes, domain) pair, and a sweep re-attacks the
-# same 15 marked factorizations at every point — weak-keyed so entries
-# die with their factorization.
+# domain-index -> column-code table is a pure function of one
+# (ColumnCodes, domain) pair, and a sweep re-attacks the same 15 marked
+# factorizations at every point — weak-keyed so entries die with their
+# factorization.
 _translation_cache: "weakref.WeakKeyDictionary[object, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _codes_translation(base, domain):
-    """(domain codes, extra uniques, row-code list) for one factorization.
+    """(domain codes, extra uniques) for one factorization.
 
     ``domain_codes[i]`` is the code of ``domain.value_at(i)`` within
     ``base.uniques + extra`` (values absent from the column get appended
-    codes); ``row_codes`` is ``base.codes`` as a plain list for fast
-    per-victim reads.
+    codes), as an ``int32`` array.
     """
     store = _translation_cache.get(base)
     if store is None:
-        store = _translation_cache[base] = {"rows": base.codes.tolist()}
+        store = _translation_cache[base] = {}
     entry = store.get(id(domain))
     # The entry pins the domain it was built for: identity-checking it
     # guards against a recycled id() after the original domain was
@@ -56,8 +57,10 @@ def _codes_translation(base, domain):
                 next_code += 1
                 extra.append(value)
             domain_codes.append(code)
+        domain_codes = np.asarray(domain_codes, dtype=np.int32)
+        domain_codes.setflags(write=False)
         entry = store[id(domain)] = (domain, domain_codes, tuple(extra))
-    return entry[1], entry[2], store["rows"]
+    return entry[1], entry[2]
 
 
 class SubsetAlterationAttack(Attack):
@@ -131,13 +134,20 @@ class SubsetAlterationAttack(Attack):
         return attacked
 
     def apply_codes(self, table: Table, rng: random.Random) -> Table:
-        """Code-level fast path: the victim loop runs in code space.
+        """Code-level fast path: the draws in a loop, the rest on arrays.
 
-        Identical rng draws and identical cell values as
-        :meth:`apply_rows`; what changes is the substrate.  The domain is
-        translated into column codes once (appending codes for domain
-        values the column does not yet hold), the per-victim compare
-        happens on ``int`` codes, and the write-back is one positional
+        Identical rng draws, identical cell values and the same
+        ``rng.getstate()`` afterwards as :meth:`apply_rows`; what changes
+        is the substrate.  The loop only draws: victims through
+        :func:`~.base.sample_range`, then per victim the flip test and,
+        for a flipped one, the replacement's domain index — for an exact
+        ``random.Random`` by ``randrange``'s own ``getrandbits`` rejection
+        loop, inlined, and through ``rng.randrange`` for any other type.
+        Array ops then map the picks to column codes (the domain is
+        translated once per factorization, appending codes for domain
+        values the column does not yet hold), compare them with the
+        victims' current codes and substitute the last domain value's
+        code, and the write-back is one positional
         :meth:`~repro.relational.table.Table.apply_codes` batch — no
         primary-key lookups, no per-cell re-validation, and the attacked
         clone keeps a *warm* factorization for the detection that
@@ -154,26 +164,37 @@ class SubsetAlterationAttack(Attack):
 
         size = len(attacked)
         base = attacked.column_codes(self.attribute)
-        domain_codes, extra, current_codes = _codes_translation(base, domain)
-        last_code = domain_codes[domain.size - 1]
+        domain_codes, extra = _codes_translation(base, domain)
 
         target_count = round(self.alter_fraction * size)
-        victims = rng.sample(range(size), min(target_count, size))
+        victims = sample_range(rng, size, min(target_count, size))
         cutoff = domain.size - 1
         flip_probability = self.flip_probability
         random_draw = rng.random
-        randrange = rng.randrange
         positions: list[int] = []
-        codes: list[int] = []
-        for slot in victims:
-            if random_draw() >= flip_probability:
-                continue
-            replacement = domain_codes[randrange(cutoff)]
-            if replacement == current_codes[slot]:
-                replacement = last_code
-            positions.append(slot)
-            codes.append(replacement)
-        attacked.apply_codes(self.attribute, positions, codes, base, extra)
+        picks: list[int] = []
+        if type(rng) is random.Random:
+            getrandbits = rng.getrandbits
+            bits = cutoff.bit_length()
+            for slot in victims:
+                if random_draw() >= flip_probability:
+                    continue
+                pick = getrandbits(bits)
+                while pick >= cutoff:
+                    pick = getrandbits(bits)
+                positions.append(slot)
+                picks.append(pick)
+        else:
+            randrange = rng.randrange
+            for slot in victims:
+                if random_draw() >= flip_probability:
+                    continue
+                positions.append(slot)
+                picks.append(randrange(cutoff))
+        slots = np.asarray(positions, dtype=np.intp)
+        codes = domain_codes[np.asarray(picks, dtype=np.intp)]
+        codes[codes == base.codes[slots]] = domain_codes[cutoff]
+        attacked.apply_codes(self.attribute, slots, codes, base, extra)
         return attacked
 
 

@@ -26,12 +26,29 @@ never change an experiment's outputs — pinned by
 ``tests/attacks/test_attack_codes_equivalence.py``.  :attr:`Attack.backend`
 selects the path: ``auto`` (default) takes ``codes`` whenever the attack
 implements it.
+
+The rng contract
+----------------
+
+An attack takes its randomness from the ``rng`` it is handed and leaves
+it exactly where the row path would: same draws, same order, same
+``rng.getstate()`` afterwards, because :class:`~.composite.CompositeAttack`
+hands the generator on to its next stage.  The row path calls the
+stdlib (``rng.sample``, ``rng.randrange``, ``rng.random``) and is the
+reference.  For an exact ``random.Random`` the code path inlines the
+stdlib's integer draws instead — :func:`sample_range` and the
+alteration attack's replacement draws run CPython's own rejection loop
+on ``rng.getrandbits``, with no Python frame per draw.  Any other type,
+a subclass included, keeps the stdlib calls: a subclass may override
+``random()``, ``getrandbits()`` or ``_randbelow`` and so draw
+integers another way.
 """
 
 from __future__ import annotations
 
 import abc
 import random
+from math import ceil, log
 
 from ..relational import Table
 
@@ -40,6 +57,54 @@ ATTACK_AUTO = "auto"
 ATTACK_ROWS = "rows"
 ATTACK_CODES = "codes"
 ATTACK_BACKENDS = (ATTACK_AUTO, ATTACK_ROWS, ATTACK_CODES)
+
+
+def sample_range(rng: random.Random, n: int, k: int) -> list[int]:
+    """Exactly ``rng.sample(range(n), k)`` for ``n >= 0``, list and end
+    state alike.
+
+    For an exact ``random.Random`` this is CPython's ``sample`` over
+    ``range(n)`` with ``_randbelow`` inlined as its ``getrandbits``
+    rejection loop: the pool swap when an ``n``-list is smaller than a
+    ``k``-set, the set of seen picks otherwise.  The pool's bound
+    ``n - i`` keeps one bit length across each power-of-two band, so the
+    length is taken once per band.  Any other type calls ``rng.sample``.
+    """
+    if type(rng) is not random.Random:
+        return rng.sample(range(n), k)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: list[int] = []
+    pick = result.append
+    setsize = 21  # the size test of random.Random.sample
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        start = 0
+        while start < k:
+            bits = (n - start).bit_length()
+            stop = min(k, n - (1 << (bits - 1)) + 1)
+            # last = n - i - 1: the pool's last unselected entry
+            for last in range(n - start - 1, n - stop - 1, -1):
+                j = getrandbits(bits)
+                while j > last:
+                    j = getrandbits(bits)
+                pick(pool[j])
+                pool[j] = pool[last]
+            start = stop
+        return result
+    selected: set[int] = set()
+    select = selected.add
+    bits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        select(j)
+        pick(j)
+    return result
 
 
 class Attack(abc.ABC):

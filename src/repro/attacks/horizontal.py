@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from ..relational import Table, drop_fraction, horizontal_sample
-from .base import Attack
+from .base import Attack, sample_range
 
 
 def _sample_positions_codes(
@@ -20,18 +20,19 @@ def _sample_positions_codes(
     """Code-level :func:`~repro.relational.horizontal_sample`.
 
     ``rng.sample`` draws from the population *length* only, so sampling
-    ``range(n)`` picks exactly the rows — in exactly the order — that
-    sampling the materialized tuple list does; :meth:`Table.take` then
-    shares those row lists copy-on-write and gathers the cached
-    factorizations instead of re-validating every tuple.  Count clamping
-    mirrors :func:`horizontal_sample` exactly.
+    ``range(n)`` — through :func:`~.base.sample_range`, which inlines the
+    draws for an exact ``random.Random`` — picks exactly the rows, in
+    exactly the order, that sampling the materialized tuple list does;
+    :meth:`Table.take` then shares those row lists copy-on-write and
+    gathers the cached factorizations instead of re-validating every
+    tuple.  Count clamping mirrors :func:`horizontal_sample` exactly.
     """
     size = len(table)
     name = f"{table.name}_sample"
     if fraction == 0.0 or size == 0:
         return Table(table.schema, (), name=name)
     count = max(1, round(fraction * size))
-    return table.take(rng.sample(range(size), min(count, size)), name=name)
+    return table.take(sample_range(rng, size, min(count, size)), name=name)
 
 
 class HorizontalPartitionAttack(Attack):

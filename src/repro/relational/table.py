@@ -104,13 +104,20 @@ def _canonical_codes(raw, uniques: list[Any]) -> ColumnCodes:
     factorize: uniques in first physical encounter order, no unused
     entries — so every codes consumer (plan arrays, histogram bincounts)
     sees the same factorization either way.
+
+    No sort: one ``np.minimum.at`` over the uniques finds each used
+    code's first position (exact where indices repeat, unlike a fancy
+    assignment, whose write order NumPy leaves unspecified), and reading
+    ``raw`` at those positions, in row order, lists the used codes in
+    encounter order.
     """
-    used, first_positions = np.unique(raw, return_index=True)
-    order = np.argsort(first_positions, kind="stable")
-    encounter = used[order]
-    translate = np.empty(
-        int(used[-1]) + 1 if len(used) else 0, dtype=np.int32
-    )
+    rows = len(raw)
+    first = np.full(len(uniques), rows, dtype=np.intp)
+    np.minimum.at(first, raw, np.arange(rows, dtype=np.intp))
+    starts = np.zeros(rows, dtype=bool)
+    starts[first[first < rows]] = True
+    encounter = raw[starts]
+    translate = np.empty(len(uniques), dtype=np.int32)
     translate[encounter] = np.arange(len(encounter), dtype=np.int32)
     codes = translate[raw]
     codes.setflags(write=False)
@@ -172,12 +179,15 @@ class Table:
         # Deferred columnar write (apply_codes): logically-applied cell
         # updates for ONE non-key attribute whose row materialization is
         # postponed until something actually reads those rows.  Shape:
-        # (attribute, column position, row positions, codes, uniques).
+        # (attribute, column position, row positions, codes, uniques),
+        # positions and codes as integer arrays.
         # The attribute's cached factorization already reflects the
         # update, so codes-only consumers (the vector detection kernels)
         # never trigger the flush — a sweep's attacked clones die without
         # ever paying the per-row write loop.
-        self._pending: tuple[str, int, list[int], list[int], list[Any]] | None = None
+        self._pending: (
+            tuple[str, int, np.ndarray, np.ndarray, list[Any]] | None
+        ) = None
         staged = list(map(list, rows))
         if not staged:
             return
@@ -283,6 +293,7 @@ class Table:
             return
         self._pending = None
         _, position, positions, codes, uniques = pending
+        positions, codes = positions.tolist(), codes.tolist()
         rows = self._rows
         owned = self._owned
         if owned is None:
@@ -673,7 +684,10 @@ class Table:
         new version, so a following vector detection of the attacked
         column re-factorizes nothing.
 
-        ``base`` must be this table's current fresh
+        ``positions`` and ``codes`` may be integer NumPy arrays (what the
+        code-level attacks hand in) or any iterables of ints — lists,
+        generators — and give the same cells, factorization and errors
+        either way.  ``base`` must be this table's current fresh
         ``column_codes(attribute)`` (anything else would desynchronize
         codes and rows and is rejected).  Positions should be distinct;
         duplicates follow last-value-wins sequential semantics.  The
@@ -703,17 +717,21 @@ class Table:
                 f"base is not this table's current column_codes() "
                 f"factorization of {attribute!r}"
             )
-        positions = list(positions)
-        codes = list(codes)
+        # List anything but an array first: np.asarray of a generator is
+        # a 0-d object array, not its items.
+        if not isinstance(positions, np.ndarray):
+            positions = np.asarray(list(positions))
+        if not isinstance(codes, np.ndarray):
+            codes = np.asarray(list(codes))
         if len(positions) != len(codes):
             raise ValueError("positions and codes must have equal length")
-        if not positions:
+        if not len(positions):
             return 0
         uniques = base.uniques
         base_length = len(uniques)
         if extra_uniques:
             uniques = list(uniques) + list(extra_uniques)
-        lowest, highest = min(codes), max(codes)
+        lowest, highest = codes.min(), codes.max()
         if lowest < 0 or highest >= len(uniques):
             bad = lowest if lowest < 0 else highest
             raise IndexError(f"code {bad} outside [0, {len(uniques)})")
@@ -722,21 +740,24 @@ class Table:
             # base_length names a value already present in the column,
             # which passed schema validation when it entered the table.
             meta = self._schema.attribute(attribute)
-            for code in set(codes):
-                if code >= base_length:
-                    meta.validate(uniques[code])
+            for code in np.unique(codes[codes >= base_length]).tolist():
+                meta.validate(uniques[code])
         row_count = len(self._rows)
-        lowest, highest = min(positions), max(positions)
+        lowest, highest = positions.min(), positions.max()
         if lowest < 0 or highest >= row_count:
             bad = lowest if lowest < 0 else highest
             raise IndexError(
                 f"row position {bad} outside [0, {row_count})"
             )
+        # Private copies: the staged batch must not see later writes to
+        # the caller's arrays.
+        positions = positions.astype(np.intp)
+        codes = codes.astype(np.int32)
         self._pending = (attribute, position, positions, codes, uniques)
         self._version += 1
         self._attr_writes[attribute] = self._version
         raw = base.codes.copy()
-        raw[positions] = np.asarray(codes, dtype=np.int32)
+        raw[positions] = codes
         self._codes_cache[attribute] = (
             self._version, _canonical_codes(raw, uniques)
         )

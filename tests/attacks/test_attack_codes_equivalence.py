@@ -20,12 +20,14 @@ from repro.attacks import (
     ATTACK_CODES,
     ATTACK_ROWS,
     BijectiveRemapAttack,
+    CompositeAttack,
     DataLossAttack,
     HorizontalPartitionAttack,
     PermutationRemapAttack,
     SubsetAdditionAttack,
     SubsetAlterationAttack,
 )
+from repro.attacks.base import sample_range
 from repro.core import Watermark, Watermarker
 from repro.crypto import SCALAR, VECTOR, MarkKey
 from repro.datagen import generate_item_scan
@@ -40,6 +42,25 @@ from repro.relational.types import AttributeType
 
 def _rng(x: float = 0.5, seed: int = 3) -> random.Random:
     return random.Random(f"attack:{seed}:{x}")
+
+
+class _RandomOnly(random.Random):
+    """Overrides only ``random()``: the stdlib then draws its integers
+    with ``_randbelow_without_getrandbits``, a float rejection loop."""
+
+    def random(self):
+        return super().random()
+
+
+class _GetrandbitsOnly(random.Random):
+    """Overrides only ``getrandbits()``, with bits of its own."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+
+#: generators the code path must serve through the stdlib calls
+RNG_SUBCLASSES = [_RandomOnly, _GetrandbitsOnly]
 
 
 def _string_pk_table() -> Table:
@@ -122,6 +143,55 @@ class TestRowsCodesEquivalence:
         attack.backend = ATTACK_CODES
         via_codes = attack.apply(cold, _rng(0.7, seed=9))
         _assert_same_relation(via_rows, via_codes)
+
+    @pytest.mark.parametrize(
+        "rng_class", RNG_SUBCLASSES, ids=lambda cls: cls.__name__
+    )
+    @pytest.mark.parametrize(
+        "label, factory", ATTACK_CASES, ids=[c[0] for c in ATTACK_CASES]
+    )
+    def test_bit_identical_under_rng_subclasses(
+        self, marked_table, label, factory, rng_class
+    ):
+        """Only an exact ``random.Random`` gets the inlined draws: a
+        subclass keeps the stdlib calls on both paths, so the relation
+        and the generator's end state still agree."""
+        attack = factory()
+        attack.backend = ATTACK_ROWS
+        rows_rng = rng_class("attack:3:0.5")
+        via_rows = attack.apply(marked_table, rows_rng)
+        attack.backend = ATTACK_CODES
+        codes_rng = rng_class("attack:3:0.5")
+        via_codes = attack.apply(marked_table, codes_rng)
+        _assert_same_relation(via_rows, via_codes)
+        assert codes_rng.getstate() == rows_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "rng_class", RNG_SUBCLASSES, ids=lambda cls: cls.__name__
+    )
+    @pytest.mark.parametrize("n, k", [(100, 40), (8000, 800), (8000, 6000)])
+    def test_sample_range_keeps_subclass_draws(self, rng_class, n, k):
+        ours, theirs = rng_class(f"sub:{n}:{k}"), rng_class(f"sub:{n}:{k}")
+        assert sample_range(ours, n, k) == theirs.sample(range(n), k)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_composite_stages_hand_on_the_same_generator(self, marked_table):
+        """A composite's second stage starts from the state the first
+        left: every stage on codes equals every stage on rows."""
+        results = []
+        for backend in (ATTACK_ROWS, ATTACK_CODES):
+            stages = [
+                SubsetAlterationAttack("Item_Nbr", 0.4, 0.7),
+                HorizontalPartitionAttack(0.5),
+            ]
+            for stage in stages:
+                stage.backend = backend
+            rng = _rng()
+            attacked = CompositeAttack(stages).apply(marked_table, rng)
+            results.append((attacked, rng.getstate()))
+        (via_rows, rows_state), (via_codes, codes_state) = results
+        _assert_same_relation(via_rows, via_codes)
+        assert codes_state == rows_state
 
     def test_auto_backend_picks_codes_and_matches(self, marked_table):
         attack = SubsetAlterationAttack("Item_Nbr", 0.4, 0.7)

@@ -15,6 +15,7 @@ rather than fragile wall-clock ratios:
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -120,7 +121,10 @@ def test_warm_sweep_cell_is_fused_and_code_level(monkeypatch):
     ``detect_multipass`` launch for all passes (zero per-pass ``detect``
     launches, zero embeds, zero SHA-256 calls, zero new plan stacks), and
     the code-level attacks never materialize a row tuple — ``Table``
-    iteration is forbidden outright for the whole warm cell.
+    iteration is forbidden outright for the whole warm cell.  The
+    attack's generators are exact ``random.Random``s, so they draw only
+    through ``getrandbits`` and ``random``: ``random.Random.sample`` and
+    ``random.Random.randrange`` are forbidden too.
     """
     from repro.core import kernels
     from repro.crypto import VECTOR, stack_cache_info
@@ -155,8 +159,20 @@ def test_warm_sweep_cell_is_fused_and_code_level(monkeypatch):
             "warm sweep cell materialized row tuples (Table.__iter__)"
         )
 
+    def forbidden_draw(name):
+        def draw(self, *args, **kwargs):
+            raise AssertionError(
+                f"warm sweep cell called random.Random.{name} instead of "
+                f"its inlined getrandbits draws"
+            )
+        return draw
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Table, "__iter__", forbidden_iter)
+        patch.setattr(random.Random, "sample", forbidden_draw("sample"))
+        patch.setattr(
+            random.Random, "randrange", forbidden_draw("randrange")
+        )
         results = run_point(passes, attack(0.5), 0.5)
 
     assert all(result.fit_count > 0 for result in results)
