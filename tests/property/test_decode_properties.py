@@ -360,7 +360,9 @@ def raw_chunk(draw):
         elif fault == "bad_key":
             victim[0] = draw(st.sampled_from(BAD_KEYS))
         elif fault == "foreign_mark":
-            victim[3] = draw(st.sampled_from(FOREIGN_MARKS))
+            mark = draw(st.sampled_from(FOREIGN_MARKS))
+            if len(victim) > 3:  # two "short" faults dropped the mark cell
+                victim[3] = mark
         elif fault == "bad_real":
             victim[1] = "abc"
         elif fault == "short":
